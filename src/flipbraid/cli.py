@@ -86,11 +86,15 @@ def _emit(text: str, out_path):
 
 
 def _validate_sampling(args):
-    if args.floor >= args.step:
-        print("error: --floor must be smaller than --step", file=sys.stderr)
-        return False
-    if args.floor <= 0:
+    """Enforce 0 < floor <= step <= 1, as ``extract_flip_sequence`` does."""
+    if min(args.step, args.floor) <= 0:
         print("error: --step and --floor must be positive", file=sys.stderr)
+        return False
+    if args.step > 1:
+        print("error: --step must be at most 1", file=sys.stderr)
+        return False
+    if args.floor > args.step:
+        print("error: --floor must not exceed --step", file=sys.stderr)
         return False
     return True
 

@@ -5,6 +5,11 @@ the old triangle basis to the new one: shared triangles map to themselves,
 and the two exchanged columns carry ratios of label differences.  Columns
 are indexed by the old basis, rows by the new; matrices of later flips
 multiply on the left.
+
+``build_flip_matrix`` gives one flip as a dense matrix.  ``sequence_product``
+never builds one: a flip rewrites only the rows of its two exchanged
+triangles, so the product is kept as one exact row per triangle and each
+flip costs O(n).
 """
 
 from __future__ import annotations
@@ -121,25 +126,19 @@ def build_flip_matrix(roles: FlipRoles, from_basis, to_basis,
     if old_set - {t_ijk, t_ikl} != new_set - {t_ijl, t_jkl}:
         raise BasisMismatchError("bases do not differ by exactly this flip")
 
-    zi, zj, zk, zl = (zeta[roles.i], zeta[roles.j],
-                      zeta[roles.k], zeta[roles.l])
-    den = zi - zk
-    if den == 0:
-        raise ValueError(
-            f"coincident labels for points {roles.i} and {roles.k}")
-
-    col_of = {t: c for c, t in enumerate(old)}
-    row_of = {t: r for r, t in enumerate(new)}
+    a, b, c, d = _flip_block(roles, zeta)
+    col_of = {t: col for col, t in enumerate(old)}
+    row_of = {t: row for row, t in enumerate(new)}
     size = len(old)
     zero = Fraction(0)
     grid = [[zero] * size for _ in range(size)]
     for t in old:
         if t not in (t_ijk, t_ikl):
             grid[row_of[t]][col_of[t]] = Fraction(1)
-    grid[row_of[t_ijl]][col_of[t_ijk]] = (zi - zl) / den
-    grid[row_of[t_jkl]][col_of[t_ijk]] = (zl - zk) / den
-    grid[row_of[t_ijl]][col_of[t_ikl]] = (zi - zj) / den
-    grid[row_of[t_jkl]][col_of[t_ikl]] = (zj - zk) / den
+    grid[row_of[t_ijl]][col_of[t_ijk]] = a
+    grid[row_of[t_ijl]][col_of[t_ikl]] = b
+    grid[row_of[t_jkl]][col_of[t_ijk]] = c
+    grid[row_of[t_jkl]][col_of[t_ikl]] = d
     m = Matrix(grid)
     if any(s != 1 for s in m.column_sums()):
         raise AssertionError("flip matrix column sums are not all 1")
@@ -152,21 +151,52 @@ def sequence_product(events, start_triangles, zeta):
     Threads the ordered basis through every flip: the result maps
     coordinates in the starting basis to coordinates in the final one.
     Returns (matrix, final_triangles).
+
+    The product is held as one row per current triangle.  A flip replaces
+    the rows r1, r2 of its two removed triangles by a*r1 + b*r2 and
+    c*r1 + d*r2, the 2x2 block of ``build_flip_matrix``; every other row
+    is unchanged.  The rows are ordered by the final basis once, at the end.
     """
     if isinstance(start_triangles, Triangulation):
         tris = start_triangles.triangles
     else:
         tris = frozenset(start_triangles)
     basis = sorted(tris)
-    acc = Matrix.identity(len(basis))
+    row_of = dict(zip(basis, Matrix.identity(len(basis)).entries()))
     for event in events:
         roles = FlipRoles.from_event(event)
-        next_tris = apply_flip(tris, event)
-        next_basis = sorted(next_tris)
-        fm = build_flip_matrix(roles, basis, next_basis, zeta)
-        acc = fm.matrix * acc
-        tris, basis = next_tris, next_basis
+        tris = apply_flip(tris, event)
+        a, b, c, d = _flip_block(roles, zeta)
+        t_ijk, t_ikl = roles.old_triangles()
+        t_ijl, t_jkl = roles.new_triangles()
+        r1, r2 = row_of.pop(t_ijk), row_of.pop(t_ikl)
+        row_of[t_ijl] = _combine(a, r1, b, r2)
+        row_of[t_jkl] = _combine(c, r1, d, r2)
+    acc = Matrix([row_of[t] for t in sorted(tris)])
+    # every flip block's columns sum to 1, so the product's do too
+    if any(s != 1 for s in acc.column_sums()):
+        raise AssertionError("flip product column sums are not all 1")
     return acc, tris
+
+
+def _flip_block(roles: FlipRoles, zeta) -> tuple:
+    """The flip's 2x2 block (a, b, c, d) over the labels ``zeta``.
+
+    Rows t_ijl, t_jkl of the new basis, columns t_ijk, t_ikl of the old.
+    """
+    zi, zj, zk, zl = (zeta[roles.i], zeta[roles.j],
+                      zeta[roles.k], zeta[roles.l])
+    den = zi - zk
+    if den == 0:
+        raise ValueError(
+            f"coincident labels for points {roles.i} and {roles.k}")
+    return ((zi - zl) / den, (zi - zj) / den,
+            (zl - zk) / den, (zj - zk) / den)
+
+
+def _combine(a, r1, b, r2) -> tuple:
+    """The row a*r1 + b*r2, skipping columns where both rows are 0."""
+    return tuple(a * x + b * y if x or y else x for x, y in zip(r1, r2))
 
 
 # --- pentagon cycle ----------------------------------------------------------

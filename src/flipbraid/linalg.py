@@ -1,9 +1,11 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Scalars are ``fractions.Fraction`` throughout: always reduced, denominator
 positive, so equality is plain structural equality and no rounding ever
-occurs.  Matrices are immutable; all operations return new values and are
-safe to share between threads.
+occurs.  Matrices are stored densely, but ``mat_mul`` skips zero entries,
+so products of the mostly-zero flip and letter matrices stay cheap.
+Matrices are immutable; all operations return new values and are safe to
+share between threads.
 """
 
 from __future__ import annotations
@@ -138,13 +140,26 @@ class Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact matrix product."""
+    """Exact matrix product, skipping zero entries.
+
+    Row i of the product is the sum of a[i, k] * b.row(k) over the nonzero
+    a[i, k], and only the nonzero entries of each b.row(k) are visited.
+    """
     if a.cols != b.rows:
         raise DimensionError(
             f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    bt = tuple(zip(*b.entries()))
-    return Matrix([[sum(x * y for x, y in zip(row, col))
-                    for col in bt] for row in a.entries()])
+    b_nonzero = [[(j, y) for j, y in enumerate(row) if y]
+                 for row in b.entries()]
+    zero = Fraction(0)
+    out = []
+    for row in a.entries():
+        acc = [zero] * b.cols
+        for x, b_row in zip(row, b_nonzero):
+            if x:
+                for j, y in b_row:
+                    acc[j] += x * y
+        out.append(acc)
+    return Matrix(out)
 
 
 def mat_inverse(a: Matrix) -> Matrix:

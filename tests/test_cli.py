@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -63,6 +64,31 @@ def test_invariant_floor_above_step_is_usage(capsys):
                            "--step", "1/64", "--floor", "1/2")
     assert code == 2
     assert "floor" in err
+
+
+@pytest.mark.parametrize("step", ["2", "3/2"])
+def test_step_above_one_is_usage(capsys, step):
+    for command in ("simulate", "invariant"):
+        code, out, err = run_cli(capsys, command, "--n", "2", "--word",
+                                 "b(1,2)", "--step", step)
+        assert code == 2 and out == ""
+        assert err == "error: --step must be at most 1\n"
+
+
+def test_floor_equal_to_step_is_accepted(capsys):
+    from flipbraid import parse_word
+    from flipbraid.braids import canonical_setup, generator_trajectories
+    from flipbraid.flips import flip_sequence_to_json
+    from flipbraid.kinetics import extract_flip_sequence
+
+    code, out, err = run_cli(capsys, "simulate", "--n", "2", "--word",
+                             "b(1,2)", "--floor", "1/64", "--step", "1/64")
+    assert code == 0 and err == ""
+    letter = parse_word("b(1,2)", 2).letters[0]
+    ts = generator_trajectories(canonical_setup(2), letter)
+    events = extract_flip_sequence(ts, step=Fraction(1, 64),
+                                   floor=Fraction(1, 64))
+    assert json.loads(out) == [flip_sequence_to_json(events)]
 
 
 def test_invariant_out_file(tmp_path, capsys):

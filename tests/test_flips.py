@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from flipbraid.delaunay import FlipEvent, apply_flip
+from flipbraid.braids import (BraidLetter, BraidWord, canonical_setup,
+                              invariant)
+from flipbraid.delaunay import FlipEvent, apply_flip, build_delaunay
 from flipbraid.fixtures import evaluate_matrix, load_fixture
-from flipbraid.flips import (BasisMismatchError, FlipRoles, build_flip_matrix,
-                             flip_sequence_from_json, flip_sequence_to_json,
-                             gamma_generator_name, pentagon_cycle,
-                             pentagon_cycle_product, reverse_roles,
-                             sequence_product)
+from flipbraid.flips import (PENTAGON_FLIPS, BasisMismatchError, FlipRoles,
+                             build_flip_matrix, flip_sequence_from_json,
+                             flip_sequence_to_json, gamma_generator_name,
+                             pentagon_cycle, pentagon_cycle_product,
+                             reverse_roles, sequence_product)
 from flipbraid.linalg import Matrix, mat_inverse
 
 ZETA_ID = {i: Fraction(i) for i in range(1, 12)}
@@ -206,6 +208,71 @@ def test_sequence_product_threads_bases():
     back, home = sequence_product([events[0].reversed()], final, ZETA_ID)
     assert (back * product).is_identity()
     assert home == start
+
+
+def dense_product(events, start, zeta):
+    """The product as a left fold of one dense flip matrix per event."""
+    tris = frozenset(start)
+    acc = Matrix.identity(len(tris))
+    for event in events:
+        nxt = apply_flip(tris, event)
+        fm = build_flip_matrix(FlipRoles.from_event(event), sorted(tris),
+                               sorted(nxt), zeta)
+        acc = fm.matrix * acc
+        tris = nxt
+    return acc, tris
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_sequence_product_matches_dense_fold(n):
+    setup = canonical_setup(n)
+    home = build_delaunay(setup.config).triangles
+    zeta = setup.config.zeta_map()
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for power in (1, -1):
+                letter = BraidLetter(i, j, power)
+                events = invariant(BraidWord(n, (letter,))).flip_log[0]
+                assert events, f"{letter} must flip"
+                product, final = sequence_product(events, home, zeta)
+                assert (product, final) == dense_product(events, home, zeta)
+                assert final == home
+
+
+def test_sequence_product_random_quad_sequences():
+    """Flips with every role order, not only those a braid loop produces."""
+    forward = [FlipEvent(removed, inserted)
+               for removed, inserted in PENTAGON_FLIPS]
+    moves = forward + [e.reversed() for e in forward]
+    rng = random.Random(5)
+    start = frozenset({(1, 2, 3), (1, 3, 4), (1, 4, 5)})
+    for _ in range(40):
+        zeta = random_labels(rng, range(1, 6))
+        tris, events = start, []
+        for _ in range(rng.randint(1, 8)):
+            event = rng.choice([e for e in moves
+                                if set(e.removed_triangles()) <= tris])
+            tris = apply_flip(tris, event)
+            events.append(event)
+        assert sequence_product(events, start, zeta) \
+            == dense_product(events, start, zeta)
+
+
+def test_sequence_product_coincident_labels():
+    start = frozenset({(1, 2, 3), (1, 3, 4), (1, 4, 5)})
+    zeta = {1: Fraction(1), 2: Fraction(2), 3: Fraction(1),
+            4: Fraction(4), 5: Fraction(5)}
+    with pytest.raises(ValueError, match="coincident labels"):
+        sequence_product([FlipEvent((1, 3), (2, 4))], start, zeta)
+
+
+def test_sequence_product_rejects_inapplicable_event():
+    start = frozenset({(1, 2, 3), (1, 3, 4), (1, 4, 5)})
+    with pytest.raises(ValueError, match="does not apply.*not present"):
+        sequence_product([FlipEvent((2, 4), (1, 3))], start, ZETA_ID)
+    flipped = FlipEvent((1, 3), (2, 4))
+    with pytest.raises(ValueError, match="does not apply"):
+        sequence_product([flipped, flipped], start, ZETA_ID)
 
 
 def test_flip_sequence_json_round_trip():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flipbraid.linalg import (DimensionError, Matrix, SingularMatrixError,
                               char_poly, mat_inverse, mat_mul,
@@ -34,6 +36,48 @@ def test_product_dimension_mismatch():
     with pytest.raises(DimensionError) as err:
         mat_mul(Matrix.identity(3), Matrix.identity(4))
     assert "3x3" in str(err.value) and "4x4" in str(err.value)
+
+
+ENTRY = st.one_of(st.just(Fraction(0)),
+                  st.fractions(min_value=-20, max_value=20,
+                               max_denominator=9))
+
+
+@st.composite
+def sparse_matrix(draw, rows, cols):
+    """Mostly-zero matrix, some of its rows and columns zeroed outright."""
+    zero_rows = draw(st.sets(st.integers(0, rows - 1), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=2))
+    return Matrix([[Fraction(0) if i in zero_rows or j in zero_cols
+                    else draw(ENTRY) for j in range(cols)]
+                   for i in range(rows)])
+
+
+@st.composite
+def sparse_factors(draw):
+    rows, inner, cols = (draw(st.integers(1, 7)) for _ in range(3))
+    return (draw(sparse_matrix(rows, inner)),
+            draw(sparse_matrix(inner, cols)))
+
+
+def naive_product(a, b) -> Matrix:
+    return Matrix([[sum((a[i, k] * b[k, j] for k in range(a.cols)),
+                        Fraction(0)) for j in range(b.cols)]
+                   for i in range(a.rows)])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(sparse_factors())
+def test_product_matches_triple_loop(factors):
+    a, b = factors
+    product = mat_mul(a, b)
+    assert product == naive_product(a, b)
+    assert all(type(e) is Fraction for row in product.entries() for e in row)
+
+
+def test_product_non_square_mismatch():
+    with pytest.raises(DimensionError, match="2x3 by 2x3"):
+        mat_mul(Matrix.zero(2, 3), Matrix.zero(2, 3))
 
 
 def test_inverse_identity():
