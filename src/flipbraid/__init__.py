@@ -8,9 +8,9 @@ from .delaunay import (DegenerateConfigurationError, FlipEvent,
                        Triangulation, apply_flip, build_delaunay, diff_flips,
                        ordered_basis, render_svg, triangle, verify_delaunay)
 from .fixtures import run_all_suites
-from .flips import (BasisMismatchError, FlipMatrix, FlipRoles,
-                    build_flip_matrix, gamma_generator_name, pentagon_cycle,
-                    pentagon_cycle_product, reverse_roles, sequence_product)
+from .flips import (BasisMismatchError, build_flip_matrix,
+                    gamma_generator_name, pentagon_cycle,
+                    pentagon_cycle_product, sequence_product)
 from .geometry import (Configuration, LabeledPoint, incircle, orient2d,
                        validate_general_position)
 from .kinetics import (Trajectory, TrajectorySet, UnresolvedEventError,
@@ -23,16 +23,15 @@ __version__ = "0.1.0"
 __all__ = [
     "BasisMismatchError", "BraidLetter", "BraidWord", "CanonicalSetup",
     "Configuration", "DegenerateConfigurationError", "DimensionError",
-    "FlipEvent", "FlipMatrix", "FlipRoles", "InvariantResult",
-    "LabeledPoint", "LoopGeometry", "Matrix", "RelationReport",
-    "SingularMatrixError", "Trajectory", "TrajectorySet", "Triangulation",
-    "UnresolvedEventError", "WordSyntaxError", "apply_flip",
+    "FlipEvent", "InvariantResult", "LabeledPoint", "LoopGeometry", "Matrix",
+    "RelationReport", "SingularMatrixError", "Trajectory", "TrajectorySet",
+    "Triangulation", "UnresolvedEventError", "WordSyntaxError", "apply_flip",
     "build_delaunay", "build_flip_matrix", "canonical_setup", "char_poly",
     "configuration_at", "diff_flips", "extract_flip_sequence",
-    "gamma_generator_name", "generator_trajectories", "incircle",
-    "invariant", "mat_inverse", "mat_mul", "ordered_basis", "orient2d",
-    "parse_word", "pentagon_cycle", "pentagon_cycle_product", "render_svg",
-    "reverse_roles", "run_all_suites", "sequence_product", "triangle",
+    "gamma_generator_name", "generator_trajectories", "incircle", "invariant",
+    "mat_inverse", "mat_mul", "ordered_basis", "orient2d", "parse_word",
+    "pentagon_cycle", "pentagon_cycle_product", "render_svg",
+    "run_all_suites", "sequence_product", "triangle",
     "validate_general_position", "verify_delaunay", "verify_relations",
     "word_from_pairs",
 ]

@@ -9,6 +9,7 @@ per-letter matrices, later letters on the left.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -16,12 +17,12 @@ from typing import Optional
 
 from .delaunay import build_delaunay, ordered_basis
 from .flips import flip_sequence_to_json, sequence_product
-from .geometry import (Configuration, LabeledPoint, orient2d,
+from .geometry import (Configuration, LabeledPoint,
+                       _strictly_inside_triangle, orient2d,
                        validate_general_position)
 from .kinetics import (DEFAULT_FLOOR, DEFAULT_STEP, TrajectorySet,
                        extract_flip_sequence)
-from .linalg import (Matrix, as_rational, char_poly, format_rational,
-                     mat_inverse)
+from .linalg import Matrix, as_rational, char_poly, format_rational
 
 
 class WordSyntaxError(ValueError):
@@ -166,13 +167,6 @@ def _on_segment(p, a, b) -> bool:
             and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
 
 
-def _inside_triangle(p, a, b, c) -> bool:
-    if orient2d(a, b, c) < 0:
-        a, b = b, a
-    return (orient2d(a, b, p) > 0 and orient2d(b, c, p) > 0
-            and orient2d(c, a, p) > 0)
-
-
 def generator_trajectories(setup: CanonicalSetup, letter: BraidLetter,
                            geometry: LoopGeometry = DEFAULT_LOOP
                            ) -> TrajectorySet:
@@ -211,7 +205,7 @@ def generator_trajectories(setup: CanonicalSetup, letter: BraidLetter,
                     f"loop of point {mover} passes through point {idx}")
     corners = [setup.home(b) for b in setup.config.boundary]
     for w in waypoints:
-        if not _inside_triangle(w, *corners):
+        if not _strictly_inside_triangle(w, *corners):
             raise LoopClearanceError(
                 f"loop of point {mover} leaves the boundary triangle at {w}")
     steps = len(waypoints) - 1
@@ -251,14 +245,18 @@ class InvariantResult:
         return out
 
 
-_LETTER_CACHE: dict = {}
+LETTER_CACHE_SIZE = 1024
 
 
+@functools.lru_cache(maxsize=LETTER_CACHE_SIZE)
 def _letter_result(setup: CanonicalSetup, letter: BraidLetter,
-                   geometry: LoopGeometry, step, floor, cacheable: bool):
-    key = (setup.n, letter.i, letter.j, letter.power, geometry, step, floor)
-    if cacheable and key in _LETTER_CACHE:
-        return _LETTER_CACHE[key]
+                   geometry: LoopGeometry, step: Fraction, floor: Fraction):
+    """Matrix and flip events of one letter's loop.
+
+    Every argument is frozen and hashable, so results are memoized for
+    equal arguments, the canonical setup of a word as much as an explicit
+    one; ``_letter_result.cache_info()`` counts the hits and misses.
+    """
     ts = generator_trajectories(setup, letter, geometry)
     events = extract_flip_sequence(ts, step=step, floor=floor)
     home_tris = build_delaunay(setup.config).triangles
@@ -267,36 +265,19 @@ def _letter_result(setup: CanonicalSetup, letter: BraidLetter,
     if final != home_tris:
         raise AssertionError("letter loop did not return to the home"
                              " triangulation")
-    result = (matrix, tuple(events))
-    if cacheable:
-        _LETTER_CACHE[key] = result
-    return result
-
-
-def _letter_result_fast_inverse(setup, letter, geometry, step, floor,
-                                cacheable):
-    """Inverse letter via matrix inversion of the forward loop."""
-    forward, events = _letter_result(setup, letter.inverse(), geometry,
-                                     step, floor, cacheable)
-    reversed_events = tuple(
-        e.reversed().with_bracket(1 - e.t_hi, 1 - e.t_lo)
-        for e in reversed(events))
-    return mat_inverse(forward), reversed_events
+    return matrix, tuple(events)
 
 
 def invariant(word: BraidWord, setup: Optional[CanonicalSetup] = None,
               geometry: LoopGeometry = DEFAULT_LOOP, step=DEFAULT_STEP,
-              floor=DEFAULT_FLOOR, inverse_fast: bool = False
-              ) -> InvariantResult:
+              floor=DEFAULT_FLOOR) -> InvariantResult:
     """The word's (2n+1) x (2n+1) matrix under the flip construction.
 
     Letters act left to right in time; each letter's matrix multiplies the
-    accumulated product on the left.  With ``inverse_fast`` the inverse
-    letters reuse the forward loop's matrix inverse instead of simulating
-    the reversed loop (the two must agree).
+    accumulated product on the left.  An inverse letter is simulated on the
+    reversed loop, not derived from the forward one.
     """
     step, floor = as_rational(step), as_rational(floor)
-    cacheable = setup is None
     if setup is None:
         setup = canonical_setup(word.n)
     elif setup.n != word.n:
@@ -306,12 +287,7 @@ def invariant(word: BraidWord, setup: Optional[CanonicalSetup] = None,
     acc = Matrix.identity(len(basis))
     log = []
     for letter in word.letters:
-        if inverse_fast and letter.power < 0:
-            mat, events = _letter_result_fast_inverse(
-                setup, letter, geometry, step, floor, cacheable)
-        else:
-            mat, events = _letter_result(setup, letter, geometry, step,
-                                         floor, cacheable)
+        mat, events = _letter_result(setup, letter, geometry, step, floor)
         acc = mat * acc
         log.append(events)
     if any(s != 1 for s in acc.column_sums()):
@@ -385,6 +361,10 @@ def verify_relations(n: int, family: str, seed: int = 0, trials: int = 100,
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
+    if n < 1:
+        raise ValueError(f"strand count must be positive, got {n}")
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
     report = RelationReport(family, n)
 
     if family == "inverse":

@@ -21,7 +21,7 @@ from .delaunay import build_delaunay, render_svg
 from .fixtures import FixtureError, run_all_suites
 from .flips import flip_sequence_to_json
 from .kinetics import (DEFAULT_FLOOR, DEFAULT_STEP, UnresolvedEventError,
-                       configuration_at, extract_flip_sequence)
+                       _sample, extract_flip_sequence)
 
 USAGE_ERROR = 2
 MATH_ERROR = 1
@@ -121,9 +121,23 @@ def cmd_invariant(args) -> int:
 def cmd_verify(args) -> int:
     if not _validate_sampling(args):
         return USAGE_ERROR
-    report = verify_relations(args.n, args.family, seed=args.seed,
-                              trials=args.trials, step=args.step,
-                              floor=args.floor)
+    if args.n < 1:
+        print("error: --n must be positive", file=sys.stderr)
+        return USAGE_ERROR
+    if args.trials < 1:
+        print("error: --trials must be positive", file=sys.stderr)
+        return USAGE_ERROR
+    try:
+        report = verify_relations(args.n, args.family, seed=args.seed,
+                                  trials=args.trials, step=args.step,
+                                  floor=args.floor)
+    except UnresolvedEventError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return MATH_ERROR
+    if not report.instances:
+        print(f"error: family {args.family} has no instance at n={args.n}",
+              file=sys.stderr)
+        return USAGE_ERROR
     for inst in report.instances:
         print(f"{'PASS' if inst.ok else 'FAIL'} {inst.name}")
         if not inst.ok and inst.lhs is not None:
@@ -174,13 +188,11 @@ def cmd_simulate(args) -> int:
     payload = [flip_sequence_to_json(events) for _, events in per_letter]
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     if args.svg_dir:
-        _write_snapshots(setup, per_letter, Path(args.svg_dir))
+        _write_snapshots(setup, per_letter, Path(args.svg_dir), args.floor)
     return 0
 
 
-def _write_snapshots(setup, per_letter, directory: Path):
-    from .delaunay import DegenerateConfigurationError
-
+def _write_snapshots(setup, per_letter, directory: Path, floor):
     directory.mkdir(parents=True, exist_ok=True)
     frame = 0
 
@@ -190,22 +202,15 @@ def _write_snapshots(setup, per_letter, directory: Path):
         path.write_text(render_svg(triangulation))
         frame += 1
 
-    def build_near(ts, t):
-        # a grazing cocircularity can hit the midpoint exactly; shift a hair
-        last = None
-        for shift in (0, DEFAULT_FLOOR / 3, -DEFAULT_FLOOR / 3):
-            try:
-                return build_delaunay(configuration_at(ts, t + shift))
-            except DegenerateConfigurationError as err:
-                last = err
-        raise last
-
     snap(build_delaunay(setup.config))
     for ts, events in per_letter:
         for this_evt, next_evt in zip(events, events[1:] + [None]):
             hi = next_evt.t_lo if next_evt is not None else Fraction(1)
-            mid = (this_evt.t_hi + hi) / 2
-            snap(build_near(ts, mid))
+            # a grazing cocircularity can hit the midpoint exactly; _sample
+            # then jitters inside the gap between the two events
+            _, snapshot = _sample(ts, (this_evt.t_hi + hi) / 2,
+                                  this_evt.t_hi, hi, floor)
+            snap(snapshot)
 
 
 def main(argv=None) -> int:

@@ -140,12 +140,23 @@ def verify_delaunay(t: Triangulation) -> None:
 
 @dataclass(frozen=True)
 class FlipEvent:
-    """One diagonal exchange: edge {i,k} replaced by {j,l} in quad ijkl."""
+    """One diagonal exchange: edge {i,k} replaced by {j,l} in quad ijkl.
 
-    removed: tuple   # sorted pair (i, k)
-    inserted: tuple  # sorted pair (j, l)
+    Either order within each pair names the same flip and gives the same
+    matrix; events found by ``diff_flips`` carry sorted pairs.
+    """
+
+    removed: tuple   # pair (i, k)
+    inserted: tuple  # pair (j, l)
     t_lo: Optional[Fraction] = None
     t_hi: Optional[Fraction] = None
+
+    def __post_init__(self):
+        if (len(self.removed) != 2 or len(self.inserted) != 2
+                or len({*self.removed, *self.inserted}) != 4):
+            raise ValueError(
+                f"flip needs four distinct indices: {self.removed},"
+                f" {self.inserted}")
 
     @property
     def quad(self) -> tuple:

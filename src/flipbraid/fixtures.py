@@ -20,7 +20,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .flips import FlipRoles, build_flip_matrix, pentagon_cycle
+from .delaunay import FlipEvent
+from .flips import build_flip_matrix, pentagon_cycle
 from .linalg import Matrix
 
 MANIFEST_NAME = "MANIFEST.json"
@@ -125,18 +126,17 @@ def run_pentagon_suite() -> SuiteResult:
         inserted = tuple(sorted(point_of[x] for x in step["inserted"]))
         after = [tri(t) for t in step["basis_after"]]
         expected = evaluate_matrix(step["matrix"], labels)
-        fm = build_flip_matrix(FlipRoles.from_pairs(removed, inserted),
-                               basis, after, zeta)
-        if fm.matrix != expected:
+        m = build_flip_matrix(FlipEvent(removed, inserted), basis, after,
+                              zeta)
+        if m != expected:
             return SuiteResult(
                 "pentagon", False,
-                f"step {step_no + 1}: "
-                + _first_difference(fm.matrix, expected))
-        if built[step_no].matrix != expected:
+                f"step {step_no + 1}: " + _first_difference(m, expected))
+        if built[step_no] != expected:
             return SuiteResult(
                 "pentagon", False,
                 f"step {step_no + 1} differs from the canonical cycle")
-        acc = fm.matrix * acc
+        acc = m * acc
         basis = after
     if not acc.is_identity():
         return SuiteResult("pentagon", False, "cycle product is not I")

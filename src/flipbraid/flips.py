@@ -14,74 +14,22 @@ flip costs O(n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .delaunay import FlipEvent, Triangulation, apply_flip, triangle
+from .delaunay import FlipEvent, Triangulation, apply_flip
 from .linalg import Matrix, format_rational
 
 
-@dataclass(frozen=True)
-class FlipRoles:
-    """Role assignment (i, j, k, l): removed diagonal {i,k}, inserted {j,l}.
-
-    All four role assignments compatible with the unordered pairs produce
-    the identical matrix, so the canonical choice i < k, j < l is safe.
-    """
-
-    i: int
-    j: int
-    k: int
-    l: int
-
-    def __post_init__(self):
-        if len({self.i, self.j, self.k, self.l}) != 4:
-            raise ValueError("roles must be four distinct indices")
-
-    @staticmethod
-    def from_pairs(removed, inserted) -> "FlipRoles":
-        i, k = sorted(removed)
-        j, l = sorted(inserted)
-        return FlipRoles(i, j, k, l)
-
-    @staticmethod
-    def from_event(event: FlipEvent) -> "FlipRoles":
-        return FlipRoles.from_pairs(event.removed, event.inserted)
-
-    @property
-    def removed(self) -> tuple:
-        return tuple(sorted((self.i, self.k)))
-
-    @property
-    def inserted(self) -> tuple:
-        return tuple(sorted((self.j, self.l)))
-
-    @property
-    def quad(self) -> tuple:
-        return tuple(sorted((self.i, self.j, self.k, self.l)))
-
-    def old_triangles(self) -> tuple:
-        return (triangle(self.i, self.j, self.k),
-                triangle(self.i, self.k, self.l))
-
-    def new_triangles(self) -> tuple:
-        return (triangle(self.i, self.j, self.l),
-                triangle(self.j, self.k, self.l))
-
-
-def reverse_roles(roles: FlipRoles) -> FlipRoles:
-    """Swap removed and inserted pairs; builds the inverse matrix."""
-    return FlipRoles.from_pairs(roles.inserted, roles.removed)
-
-
-def gamma_generator_name(roles: FlipRoles) -> str:
+def gamma_generator_name(event: FlipEvent) -> str:
     """Canonical quadrilateral-generator name 'd(a b c d)'.
 
     The eight tuples obtained by the dihedral symmetries of the
-    quadrilateral name the same generator; the lexicographically least one
-    is the canonical representative.
+    quadrilateral ijkl, with (i, k) = ``removed`` and (j, l) = ``inserted``,
+    name the same generator; the lexicographically least one is the
+    canonical representative.
     """
-    i, j, k, l = roles.i, roles.j, roles.k, roles.l
+    i, k = event.removed
+    j, l = event.inserted
     variants = [(i, j, k, l), (k, j, i, l), (i, l, k, j), (k, l, i, j),
                 (j, k, l, i), (j, i, l, k), (l, k, j, i), (l, i, j, k)]
     a, b, c, d = min(variants)
@@ -92,18 +40,8 @@ class BasisMismatchError(ValueError):
     """Bases do not differ by exactly the stated flip."""
 
 
-@dataclass(frozen=True)
-class FlipMatrix:
-    """The transition matrix together with the bases it connects."""
-
-    matrix: Matrix
-    roles: FlipRoles
-    from_basis: tuple
-    to_basis: tuple
-
-
-def build_flip_matrix(roles: FlipRoles, from_basis, to_basis,
-                      zeta) -> FlipMatrix:
+def build_flip_matrix(event: FlipEvent, from_basis, to_basis,
+                      zeta) -> Matrix:
     """Matrix of the flip in the given ordered bases.
 
     ``from_basis`` must contain the two triangles carrying the removed
@@ -112,8 +50,8 @@ def build_flip_matrix(roles: FlipRoles, from_basis, to_basis,
     """
     old = tuple(from_basis)
     new = tuple(to_basis)
-    t_ijk, t_ikl = roles.old_triangles()
-    t_ijl, t_jkl = roles.new_triangles()
+    t_ijk, t_ikl = event.removed_triangles()
+    t_ijl, t_jkl = event.inserted_triangles()
     if len(old) != len(new):
         raise BasisMismatchError("bases differ in length")
     old_set, new_set = set(old), set(new)
@@ -126,7 +64,7 @@ def build_flip_matrix(roles: FlipRoles, from_basis, to_basis,
     if old_set - {t_ijk, t_ikl} != new_set - {t_ijl, t_jkl}:
         raise BasisMismatchError("bases do not differ by exactly this flip")
 
-    a, b, c, d = _flip_block(roles, zeta)
+    a, b, c, d = _flip_block(event, zeta)
     col_of = {t: col for col, t in enumerate(old)}
     row_of = {t: row for row, t in enumerate(new)}
     size = len(old)
@@ -142,7 +80,7 @@ def build_flip_matrix(roles: FlipRoles, from_basis, to_basis,
     m = Matrix(grid)
     if any(s != 1 for s in m.column_sums()):
         raise AssertionError("flip matrix column sums are not all 1")
-    return FlipMatrix(m, roles, old, new)
+    return m
 
 
 def sequence_product(events, start_triangles, zeta):
@@ -164,11 +102,10 @@ def sequence_product(events, start_triangles, zeta):
     basis = sorted(tris)
     row_of = dict(zip(basis, Matrix.identity(len(basis)).entries()))
     for event in events:
-        roles = FlipRoles.from_event(event)
         tris = apply_flip(tris, event)
-        a, b, c, d = _flip_block(roles, zeta)
-        t_ijk, t_ikl = roles.old_triangles()
-        t_ijl, t_jkl = roles.new_triangles()
+        a, b, c, d = _flip_block(event, zeta)
+        t_ijk, t_ikl = event.removed_triangles()
+        t_ijl, t_jkl = event.inserted_triangles()
         r1, r2 = row_of.pop(t_ijk), row_of.pop(t_ikl)
         row_of[t_ijl] = _combine(a, r1, b, r2)
         row_of[t_jkl] = _combine(c, r1, d, r2)
@@ -179,17 +116,19 @@ def sequence_product(events, start_triangles, zeta):
     return acc, tris
 
 
-def _flip_block(roles: FlipRoles, zeta) -> tuple:
+def _flip_block(event: FlipEvent, zeta) -> tuple:
     """The flip's 2x2 block (a, b, c, d) over the labels ``zeta``.
 
-    Rows t_ijl, t_jkl of the new basis, columns t_ijk, t_ikl of the old.
+    With (i, k) = ``removed`` and (j, l) = ``inserted``: rows t_ijl, t_jkl
+    of the new basis, columns t_ijk, t_ikl of the old.  Either order within
+    each pair gives the same matrix.
     """
-    zi, zj, zk, zl = (zeta[roles.i], zeta[roles.j],
-                      zeta[roles.k], zeta[roles.l])
+    i, k = event.removed
+    j, l = event.inserted
+    zi, zj, zk, zl = zeta[i], zeta[j], zeta[k], zeta[l]
     den = zi - zk
     if den == 0:
-        raise ValueError(
-            f"coincident labels for points {roles.i} and {roles.k}")
+        raise ValueError(f"coincident labels for points {i} and {k}")
     return ((zi - zl) / den, (zi - zj) / den,
             (zl - zk) / den, (zj - zk) / den)
 
@@ -227,9 +166,8 @@ def pentagon_cycle(labels) -> list:
     for removed, inserted in PENTAGON_FLIPS:
         event = FlipEvent(removed, inserted)
         next_tris = apply_flip(tris, event)
-        fm = build_flip_matrix(FlipRoles.from_event(event), sorted(tris),
-                               sorted(next_tris), zeta)
-        out.append(fm)
+        out.append(build_flip_matrix(event, sorted(tris), sorted(next_tris),
+                                     zeta))
         tris = next_tris
     if tris != PENTAGON_START:
         raise AssertionError("pentagon cycle did not close up")
@@ -239,8 +177,8 @@ def pentagon_cycle(labels) -> list:
 def pentagon_cycle_product(labels) -> Matrix:
     """Product of the five cycle matrices, later flips on the left."""
     acc = Matrix.identity(3)
-    for fm in pentagon_cycle(labels):
-        acc = fm.matrix * acc
+    for m in pentagon_cycle(labels):
+        acc = m * acc
     return acc
 
 
@@ -249,12 +187,11 @@ def pentagon_cycle_product(labels) -> Matrix:
 def flip_sequence_to_json(events) -> list:
     out = []
     for e in events:
-        roles = FlipRoles.from_event(e)
         d = {
             "removed": list(e.removed),
             "inserted": list(e.inserted),
             "quad": list(e.quad),
-            "gamma": gamma_generator_name(roles),
+            "gamma": gamma_generator_name(e),
         }
         if e.t_lo is not None and e.t_hi is not None:
             d["t_lo"] = format_rational(e.t_lo)

@@ -236,9 +236,10 @@ def _refine(ts, ta, tria, tb, trib, floor, events):
             return
     if width <= floor:
         if diff is None or not _far_commuting(diff):
+            changed = sorted(tria.triangles ^ trib.triangles)
             raise UnresolvedEventError(
-                f"unresolved codimension-2 event in [{ta}, {tb}];"
-                " perturb trajectories")
+                f"unresolved codimension-2 event in [{ta}, {tb}]"
+                f" changing triangles {changed}; perturb trajectories")
         # simultaneous far-commuting flips: lexicographic quad order is
         # sound because their matrices commute
         events.extend(e.with_bracket(ta, tb) for e in diff)

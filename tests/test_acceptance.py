@@ -13,11 +13,10 @@ from conftest import random_configuration
 from flipbraid.braids import (BraidLetter, LoopGeometry, canonical_setup,
                               generator_trajectories, invariant, parse_word,
                               verify_relations, word_from_pairs)
-from flipbraid.delaunay import build_delaunay
+from flipbraid.delaunay import FlipEvent, build_delaunay
 from flipbraid.fixtures import (run_loop_suite, run_pentagon_suite,
                                 run_two_flip_suite)
-from flipbraid.flips import (FlipRoles, build_flip_matrix,
-                             pentagon_cycle_product, reverse_roles,
+from flipbraid.flips import (build_flip_matrix, pentagon_cycle_product,
                              sequence_product)
 from flipbraid.kinetics import extract_flip_sequence
 from flipbraid.linalg import Matrix
@@ -85,7 +84,7 @@ def test_criterion_04_column_sums():
         indices = rng.sample(range(1, 12), rng.choice((4, 5, 6)))
         labels = random_distinct_labels(rng, len(indices))
         zeta = dict(zip(sorted(indices), labels))
-        roles = FlipRoles.from_pairs(indices[:2], indices[2:4])
+        event = FlipEvent(tuple(indices[:2]), tuple(indices[2:4]))
         shared = []
         if len(indices) > 4:
             shared.append(tuple(sorted(indices[2:5])))
@@ -93,11 +92,11 @@ def test_criterion_04_column_sums():
             shared.append(tuple(sorted([indices[0], indices[4],
                                         indices[5]])))
         shared = [t for t in set(shared)
-                  if t not in roles.old_triangles()
-                  and t not in roles.new_triangles()]
-        old = sorted(list(roles.old_triangles()) + shared)
-        new = sorted(list(roles.new_triangles()) + shared)
-        m = build_flip_matrix(roles, old, new, zeta).matrix
+                  if t not in event.removed_triangles()
+                  and t not in event.inserted_triangles()]
+        old = sorted(list(event.removed_triangles()) + shared)
+        new = sorted(list(event.inserted_triangles()) + shared)
+        m = build_flip_matrix(event, old, new, zeta)
         assert all(s == 1 for s in m.column_sums())
         generated += 1
     assert generated >= 10_000
@@ -111,11 +110,11 @@ def test_criterion_05_inverse_relation():
         indices = rng.sample(range(1, 10), 4)
         labels = random_distinct_labels(rng, 4)
         zeta = dict(zip(sorted(indices), labels))
-        roles = FlipRoles.from_pairs(indices[:2], indices[2:])
-        old = sorted(roles.old_triangles())
-        new = sorted(roles.new_triangles())
-        fwd = build_flip_matrix(roles, old, new, zeta).matrix
-        back = build_flip_matrix(reverse_roles(roles), new, old, zeta).matrix
+        event = FlipEvent(tuple(indices[:2]), tuple(indices[2:]))
+        old = sorted(event.removed_triangles())
+        new = sorted(event.inserted_triangles())
+        fwd = build_flip_matrix(event, old, new, zeta)
+        back = build_flip_matrix(event.reversed(), new, old, zeta)
         assert (fwd * back).is_identity()
         assert (back * fwd).is_identity()
     for n in range(2, 5):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import winding_number
 from flipbraid.braids import (BraidLetter, BraidWord, CanonicalSetup,
@@ -141,16 +143,15 @@ def test_homomorphism_on_random_words():
             == invariant(v).matrix * invariant(u).matrix
 
 
-def test_inverse_fast_mode_agrees():
-    word = parse_word("b(1,3)^-1 b(1,2) b(2,3)^-1", 3)
-    slow = invariant(word)
-    fast = invariant(word, inverse_fast=True)
-    assert slow.matrix == fast.matrix
-    assert [len(e) for e in slow.flip_log] == [len(e) for e in fast.flip_log]
-    # the fast log is the reflected forward log
-    for evs_slow, evs_fast in zip(slow.flip_log, fast.flip_log):
-        assert [(e.removed, e.inserted) for e in evs_slow] \
-            == [(e.removed, e.inserted) for e in evs_fast]
+def test_inverse_letter_is_matrix_inverse():
+    """The reversed loop's matrix inverts the forward one, and its flips are
+    the forward flips reflected: reversed in order and in direction."""
+    for i, j in ((1, 2), (1, 3), (2, 3)):
+        forward = invariant(parse_word(f"b({i},{j})", 3))
+        backward = invariant(parse_word(f"b({i},{j})^-1", 3))
+        assert backward.matrix == mat_inverse(forward.matrix)
+        assert [(e.removed, e.inserted) for e in backward.flip_log[0]] \
+            == [(e.inserted, e.removed) for e in reversed(forward.flip_log[0])]
 
 
 def test_isotopy_invariance_loop_geometry():
@@ -190,6 +191,14 @@ def test_verify_unknown_family():
         verify_relations(3, "nonsense")
 
 
+@pytest.mark.parametrize("n, family, trials", [
+    (0, "pb_all", 100), (-2, "inverse", 100), (3, "pentagon", 0),
+    (3, "pentagon", -1), (4, "far_comm", 0)])
+def test_verify_rejects_empty_ranges(n, family, trials):
+    with pytest.raises(ValueError, match="must be positive"):
+        verify_relations(n, family, trials=trials)
+
+
 def test_invariant_json_shape():
     res = invariant(parse_word("b(1,2)", 2))
     data = res.to_json_dict(with_trace=True, with_charpoly=True)
@@ -201,3 +210,19 @@ def test_invariant_json_shape():
     assert data["basis"] == sorted(data["basis"])
     assert len(data["basis"]) == 5
     assert all("gamma" in evt for evt in data["flips"][0])
+
+
+@st.composite
+def braid_words(draw):
+    n = draw(st.integers(2, 12))
+    letter = st.tuples(st.integers(1, n), st.integers(1, n),
+                       st.sampled_from((1, -1))).filter(
+        lambda t: t[0] != t[1]).map(
+        lambda t: BraidLetter(min(t[:2]), max(t[:2]), t[2]))
+    return BraidWord(n, tuple(draw(st.lists(letter, max_size=8))))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(braid_words())
+def test_parse_word_round_trip(word):
+    assert parse_word(str(word), word.n) == word

@@ -114,6 +114,34 @@ def test_verify_pentagon_trials(capsys):
     assert "25/25 instances pass" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--n", "0", "--family", "pb_all"), "error: --n must be positive\n"),
+    (("--n", "-2", "--family", "inverse"), "error: --n must be positive\n"),
+    (("--n", "3", "--family", "pentagon", "--trials", "-1"),
+     "error: --trials must be positive\n"),
+    (("--n", "3", "--family", "pentagon", "--trials", "0"),
+     "error: --trials must be positive\n"),
+    (("--n", "2", "--family", "pb_all"),
+     "error: family pb_all has no instance at n=2\n"),
+    (("--n", "3", "--family", "far_comm"),
+     "error: family far_comm has no instance at n=3\n"),
+    (("--n", "1", "--family", "inverse"),
+     "error: family inverse has no instance at n=1\n"),
+])
+def test_verify_without_instances_is_usage(capsys, argv, message):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err == message
+
+
+def test_verify_unresolved_event_is_math_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "--n", "3", "--family",
+                             "inverse", "--step", "1/8", "--floor", "1/8")
+    assert code == 1 and out == ""
+    assert err.startswith("error: unresolved codimension-2 event")
+    assert err.count("\n") == 1
+
+
 def test_verify_rejects_bad_family(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--n", "3", "--family", "bogus"])

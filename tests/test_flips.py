@@ -2,16 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flipbraid.braids import (BraidLetter, BraidWord, canonical_setup,
                               invariant)
 from flipbraid.delaunay import FlipEvent, apply_flip, build_delaunay
 from flipbraid.fixtures import evaluate_matrix, load_fixture
-from flipbraid.flips import (PENTAGON_FLIPS, BasisMismatchError, FlipRoles,
+from flipbraid.flips import (PENTAGON_FLIPS, BasisMismatchError,
                              build_flip_matrix, flip_sequence_from_json,
                              flip_sequence_to_json, gamma_generator_name,
                              pentagon_cycle, pentagon_cycle_product,
-                             reverse_roles, sequence_product)
+                             sequence_product)
 from flipbraid.linalg import Matrix, mat_inverse
 
 ZETA_ID = {i: Fraction(i) for i in range(1, 12)}
@@ -29,22 +31,23 @@ def random_labels(rng, indices):
 
 
 def test_block_values_unit_quad():
-    fm = build_flip_matrix(FlipRoles(1, 2, 3, 4), OLD_1234, NEW_1234, ZETA_ID)
-    assert fm.matrix == Matrix([[Fraction(3, 2), Fraction(1, 2)],
-                                [Fraction(-1, 2), Fraction(1, 2)]])
+    m = build_flip_matrix(FlipEvent((1, 3), (2, 4)), OLD_1234, NEW_1234,
+                          ZETA_ID)
+    assert m == Matrix([[Fraction(3, 2), Fraction(1, 2)],
+                        [Fraction(-1, 2), Fraction(1, 2)]])
 
 
 def test_role_assignment_invariance():
-    reference = build_flip_matrix(FlipRoles(1, 2, 3, 4), OLD_1234, NEW_1234,
-                                  ZETA_ID).matrix
-    swapped = build_flip_matrix(FlipRoles(3, 2, 1, 4), OLD_1234, NEW_1234,
-                                ZETA_ID).matrix
+    reference = build_flip_matrix(FlipEvent((1, 3), (2, 4)), OLD_1234,
+                                  NEW_1234, ZETA_ID)
+    swapped = build_flip_matrix(FlipEvent((3, 1), (2, 4)), OLD_1234,
+                                NEW_1234, ZETA_ID)
     assert swapped == reference
     rng = random.Random(22)
     for _ in range(60):
         zeta = random_labels(rng, [1, 2, 3, 4])
-        mats = [build_flip_matrix(FlipRoles(i, j, k, l), OLD_1234, NEW_1234,
-                                  zeta).matrix
+        mats = [build_flip_matrix(FlipEvent((i, k), (j, l)), OLD_1234,
+                                  NEW_1234, zeta)
                 for (i, j, k, l) in ((1, 2, 3, 4), (3, 2, 1, 4),
                                      (1, 4, 3, 2), (3, 4, 1, 2))]
         assert all(m == mats[0] for m in mats)
@@ -55,8 +58,8 @@ def test_block_determinant_formula():
     rng = random.Random(77)
     for _ in range(120):
         zeta = random_labels(rng, [1, 2, 3, 4])
-        m = build_flip_matrix(FlipRoles(1, 2, 3, 4), OLD_1234, NEW_1234,
-                              zeta).matrix
+        m = build_flip_matrix(FlipEvent((1, 3), (2, 4)), OLD_1234, NEW_1234,
+                              zeta)
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
         assert det == (zeta[2] - zeta[4]) / (zeta[1] - zeta[3])
 
@@ -75,19 +78,18 @@ def test_active_block_inverse_closed_form():
         assert mat_inverse(block) == closed_form
 
 
-def test_reverse_roles():
-    roles = FlipRoles.from_pairs((1, 3), (2, 4))
-    rev = reverse_roles(roles)
+def test_flip_event_reversed():
+    event = FlipEvent((1, 3), (2, 4))
+    rev = event.reversed()
     assert rev.removed == (2, 4) and rev.inserted == (1, 3)
-    assert reverse_roles(rev) == roles
+    assert rev.reversed() == event
 
 
 def test_inverse_relation_small():
-    forward = build_flip_matrix(FlipRoles(1, 2, 3, 4), OLD_1234, NEW_1234,
-                                ZETA_ID).matrix
-    backward = build_flip_matrix(
-        reverse_roles(FlipRoles(1, 2, 3, 4)), NEW_1234, OLD_1234,
-        ZETA_ID).matrix
+    forward = build_flip_matrix(FlipEvent((1, 3), (2, 4)), OLD_1234,
+                                NEW_1234, ZETA_ID)
+    backward = build_flip_matrix(FlipEvent((1, 3), (2, 4)).reversed(),
+                                 NEW_1234, OLD_1234, ZETA_ID)
     assert (forward * backward).is_identity()
     assert mat_inverse(forward) == backward
 
@@ -97,11 +99,11 @@ def test_inverse_relation_random_roles():
     for _ in range(100):
         indices = rng.sample(range(1, 10), 4)
         zeta = random_labels(rng, sorted(indices))
-        roles = FlipRoles.from_pairs(indices[:2], indices[2:])
-        old = sorted(roles.old_triangles())
-        new = sorted(roles.new_triangles())
-        fwd = build_flip_matrix(roles, old, new, zeta).matrix
-        back = build_flip_matrix(reverse_roles(roles), new, old, zeta).matrix
+        event = FlipEvent(tuple(indices[:2]), tuple(indices[2:]))
+        old = sorted(event.removed_triangles())
+        new = sorted(event.inserted_triangles())
+        fwd = build_flip_matrix(event, old, new, zeta)
+        back = build_flip_matrix(event.reversed(), new, old, zeta)
         assert (fwd * back).is_identity()
         assert mat_inverse(fwd) == back
 
@@ -111,29 +113,27 @@ def test_column_sums_larger_bases():
     for _ in range(100):
         indices = rng.sample(range(1, 12), 7)
         zeta = random_labels(rng, sorted(indices))
-        roles = FlipRoles.from_pairs(indices[:2], indices[2:4])
+        event = FlipEvent(tuple(indices[:2]), tuple(indices[2:4]))
         shared = [tuple(sorted(indices[4:7]))]
-        old = sorted(list(roles.old_triangles()) + shared)
-        new = sorted(list(roles.new_triangles()) + shared)
-        m = build_flip_matrix(roles, old, new, zeta).matrix
+        old = sorted(list(event.removed_triangles()) + shared)
+        new = sorted(list(event.inserted_triangles()) + shared)
+        m = build_flip_matrix(event, old, new, zeta)
         assert all(s == 1 for s in m.column_sums())
 
 
 def test_gamma_names():
-    assert gamma_generator_name(FlipRoles.from_pairs((1, 3), (2, 4))) \
-        == "d(1 2 3 4)"
-    assert gamma_generator_name(FlipRoles(3, 2, 1, 4)) == "d(1 2 3 4)"
-    assert gamma_generator_name(FlipRoles(2, 3, 4, 1)) == "d(1 2 3 4)"
-    assert gamma_generator_name(FlipRoles.from_pairs((2, 4), (1, 3))) \
-        == "d(1 2 3 4)"
+    assert gamma_generator_name(FlipEvent((1, 3), (2, 4))) == "d(1 2 3 4)"
+    assert gamma_generator_name(FlipEvent((3, 1), (2, 4))) == "d(1 2 3 4)"
+    assert gamma_generator_name(FlipEvent((2, 4), (3, 1))) == "d(1 2 3 4)"
+    assert gamma_generator_name(FlipEvent((2, 4), (1, 3))) == "d(1 2 3 4)"
 
 
 def test_basis_mismatch_errors():
     with pytest.raises(BasisMismatchError):
-        build_flip_matrix(FlipRoles(1, 2, 3, 4), [(1, 2, 3), (1, 3, 5)],
-                          NEW_1234, ZETA_ID)
+        build_flip_matrix(FlipEvent((1, 3), (2, 4)),
+                          [(1, 2, 3), (1, 3, 5)], NEW_1234, ZETA_ID)
     with pytest.raises(BasisMismatchError):
-        build_flip_matrix(FlipRoles(1, 2, 3, 4),
+        build_flip_matrix(FlipEvent((1, 3), (2, 4)),
                           OLD_1234 + [(5, 6, 7)],
                           NEW_1234 + [(5, 6, 8)], ZETA_ID)
 
@@ -141,7 +141,8 @@ def test_basis_mismatch_errors():
 def test_coincident_labels_error():
     zeta = {1: Fraction(1), 2: Fraction(2), 3: Fraction(1), 4: Fraction(4)}
     with pytest.raises(ValueError, match="coincident labels"):
-        build_flip_matrix(FlipRoles(1, 2, 3, 4), OLD_1234, NEW_1234, zeta)
+        build_flip_matrix(FlipEvent((1, 3), (2, 4)), OLD_1234, NEW_1234,
+                          zeta)
 
 
 def test_pentagon_unit_labels():
@@ -162,10 +163,9 @@ def test_pentagon_cycle_matches_transcription():
     point_of = {name: i + 1 for i, name in enumerate(data["labels"])}
     labels = {name: Fraction(idx) for name, idx in point_of.items()}
     cycle = pentagon_cycle([Fraction(i) for i in range(1, 6)])
-    for step, fm in zip(data["steps"], cycle):
-        assert fm.matrix == evaluate_matrix(step["matrix"], labels)
-        assert fm.roles.removed == tuple(
-            sorted(point_of[x] for x in step["removed"]))
+    for step, m, (removed, _) in zip(data["steps"], cycle, PENTAGON_FLIPS):
+        assert m == evaluate_matrix(step["matrix"], labels)
+        assert removed == tuple(sorted(point_of[x] for x in step["removed"]))
 
 
 SECTION4_START = frozenset({(1, 2, 6), (1, 3, 4), (1, 4, 5), (1, 5, 6),
@@ -193,9 +193,8 @@ def test_two_flip_example_both_orders():
         event = FlipEvent(tuple(factor["removed"]),
                           tuple(factor["inserted"]))
         nxt = apply_flip(tris, event)
-        fm = build_flip_matrix(FlipRoles.from_event(event), sorted(tris),
-                               sorted(nxt), zeta)
-        assert fm.matrix == evaluate_matrix(factor["matrix"], labels)
+        m = build_flip_matrix(event, sorted(tris), sorted(nxt), zeta)
+        assert m == evaluate_matrix(factor["matrix"], labels)
         tris = nxt
 
 
@@ -216,9 +215,7 @@ def dense_product(events, start, zeta):
     acc = Matrix.identity(len(tris))
     for event in events:
         nxt = apply_flip(tris, event)
-        fm = build_flip_matrix(FlipRoles.from_event(event), sorted(tris),
-                               sorted(nxt), zeta)
-        acc = fm.matrix * acc
+        acc = build_flip_matrix(event, sorted(tris), sorted(nxt), zeta) * acc
         tris = nxt
     return acc, tris
 
@@ -284,3 +281,34 @@ def test_flip_sequence_json_round_trip():
                        "t_lo": "1/8", "t_hi": "3/16"}
     assert "t_lo" not in data[1]
     assert flip_sequence_from_json(data) == events
+
+
+TIME = st.fractions(min_value=0, max_value=1, max_denominator=2 ** 40)
+
+
+@st.composite
+def flip_events(draw):
+    """A flip on four distinct indices, with or without a time bracket."""
+    i, j, k, l = draw(st.lists(st.integers(1, 30), min_size=4, max_size=4,
+                               unique=True))
+    bracket = draw(st.one_of(st.just((None, None)),
+                             st.tuples(TIME, TIME).map(sorted)))
+    return FlipEvent(tuple(sorted((i, k))), tuple(sorted((j, l))), *bracket)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(flip_events(), max_size=6))
+def test_flip_sequence_json_round_trip_random(events):
+    assert flip_sequence_from_json(flip_sequence_to_json(events)) == events
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 6), min_size=4, max_size=4)
+       .filter(lambda q: len(set(q)) < 4))
+def test_repeated_indices_rejected(quad):
+    removed, inserted = tuple(quad[:2]), tuple(quad[2:])
+    with pytest.raises(ValueError, match="four distinct indices"):
+        FlipEvent(removed, inserted)
+    data = [{"removed": list(removed), "inserted": list(inserted)}]
+    with pytest.raises(ValueError, match="four distinct indices"):
+        flip_sequence_from_json(data)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -158,8 +159,14 @@ def test_simultaneous_overlapping_events_unresolved():
         7: [(0, (F(3, 2), F(3, 2))), (1, (F(1, 2), F(1, 2)))],
         8: [(0, (F(11, 10), F(17, 10))), (1, (F(1, 10), F(7, 10)))],
     })
-    with pytest.raises(UnresolvedEventError, match="perturb"):
+    with pytest.raises(UnresolvedEventError, match="perturb") as info:
         extract_flip_sequence(ts, floor=F(1, 2 ** 20))
+    # the message names triangles that change across the stuck bracket
+    message = str(info.value)
+    lo, hi = (F(t) for t in re.search(r"\[(\S+), (\S+)\]", message).groups())
+    changed = (build_delaunay(configuration_at(ts, lo)).triangles
+               ^ build_delaunay(configuration_at(ts, hi)).triangles)
+    assert changed and any(str(t) in message for t in changed)
 
 
 def test_trajectory_json_round_trip():
