@@ -9,8 +9,8 @@ from .delaunay import (DegenerateConfigurationError, FlipEvent,
                        ordered_basis, render_svg, triangle, verify_delaunay)
 from .fixtures import run_all_suites
 from .flips import (BasisMismatchError, build_flip_matrix,
-                    gamma_generator_name, pentagon_cycle,
-                    pentagon_cycle_product, sequence_product)
+                    gamma_generator_name, pentagon_cycle_product,
+                    sequence_product)
 from .geometry import (Configuration, LabeledPoint, incircle, orient2d,
                        validate_general_position)
 from .kinetics import (Trajectory, TrajectorySet, UnresolvedEventError,
@@ -30,7 +30,7 @@ __all__ = [
     "configuration_at", "diff_flips", "extract_flip_sequence",
     "gamma_generator_name", "generator_trajectories", "incircle", "invariant",
     "mat_inverse", "mat_mul", "ordered_basis", "orient2d", "parse_word",
-    "pentagon_cycle", "pentagon_cycle_product", "render_svg",
+    "pentagon_cycle_product", "render_svg",
     "run_all_suites", "sequence_product", "triangle",
     "validate_general_position", "verify_delaunay", "verify_relations",
     "word_from_pairs",

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .delaunay import build_delaunay, ordered_basis
+from .delaunay import Triangulation, build_delaunay, ordered_basis
 from .flips import flip_sequence_to_json, sequence_product
 from .geometry import (Configuration, LabeledPoint,
                        _strictly_inside_triangle, orient2d,
@@ -117,14 +117,14 @@ class CanonicalSetup:
     n: int
     config: Configuration
 
-    @property
-    def homes(self) -> dict:
-        return {p.index: p.xy for p in self.config.points}
+    @functools.cached_property
+    def home(self) -> Triangulation:
+        """Delaunay triangulation of the homes, where every letter's loop
+        starts and ends; its triangles are the module basis."""
+        return build_delaunay(self.config)
 
-    def home(self, index: int):
-        return self.config.position(index)
 
-
+@functools.cache
 def canonical_setup(n: int) -> CanonicalSetup:
     """Canonical configuration for n strands (points 4 .. n+3 mobile).
 
@@ -132,7 +132,8 @@ def canonical_setup(n: int) -> CanonicalSetup:
     off a common circle (concyclicity would force their abscissas to sum to
     zero, impossible for positive abscissas); 4-subsets touching boundary
     vertices are covered by the exhaustive validator, with deterministic
-    nudges as a fallback.
+    nudges as a fallback.  Memoized, so each n's setup and its ``home`` are
+    built once per process.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -182,8 +183,8 @@ def generator_trajectories(setup: CanonicalSetup, letter: BraidLetter,
         raise ValueError(f"letter {letter} invalid for n={n}")
     mover = letter.i + 3
     target = letter.j + 3
-    xi, yi = setup.home(mover)
-    xj, _ = setup.home(target)
+    xi, yi = setup.config.position(mover)
+    xj, _ = setup.config.position(target)
     h, hp, d = geometry.height, geometry.depth, geometry.offset
     waypoints = [
         (xi, yi),
@@ -197,13 +198,12 @@ def generator_trajectories(setup: CanonicalSetup, letter: BraidLetter,
     ]
     if letter.power < 0:
         waypoints = waypoints[::-1]
-    homes = setup.homes
     for a, b in zip(waypoints, waypoints[1:]):
-        for idx, home in homes.items():
-            if idx != mover and _on_segment(home, a, b):
+        for p in setup.config.points:
+            if p.index != mover and _on_segment(p.xy, a, b):
                 raise LoopClearanceError(
-                    f"loop of point {mover} passes through point {idx}")
-    corners = [setup.home(b) for b in setup.config.boundary]
+                    f"loop of point {mover} passes through point {p.index}")
+    corners = [setup.config.position(b) for b in setup.config.boundary]
     for w in waypoints:
         if not _strictly_inside_triangle(w, *corners):
             raise LoopClearanceError(
@@ -254,12 +254,12 @@ def _letter_result(setup: CanonicalSetup, letter: BraidLetter,
     """Matrix and flip events of one letter's loop.
 
     Every argument is frozen and hashable, so results are memoized for
-    equal arguments, the canonical setup of a word as much as an explicit
-    one; ``_letter_result.cache_info()`` counts the hits and misses.
+    equal arguments; ``_letter_result.cache_info()`` counts the hits and
+    misses.
     """
     ts = generator_trajectories(setup, letter, geometry)
     events = extract_flip_sequence(ts, step=step, floor=floor)
-    home_tris = build_delaunay(setup.config).triangles
+    home_tris = setup.home.triangles
     matrix, final = sequence_product(events, home_tris,
                                      setup.config.zeta_map())
     if final != home_tris:
@@ -268,9 +268,8 @@ def _letter_result(setup: CanonicalSetup, letter: BraidLetter,
     return matrix, tuple(events)
 
 
-def invariant(word: BraidWord, setup: Optional[CanonicalSetup] = None,
-              geometry: LoopGeometry = DEFAULT_LOOP, step=DEFAULT_STEP,
-              floor=DEFAULT_FLOOR) -> InvariantResult:
+def invariant(word: BraidWord, geometry: LoopGeometry = DEFAULT_LOOP,
+              step=DEFAULT_STEP, floor=DEFAULT_FLOOR) -> InvariantResult:
     """The word's (2n+1) x (2n+1) matrix under the flip construction.
 
     Letters act left to right in time; each letter's matrix multiplies the
@@ -278,12 +277,8 @@ def invariant(word: BraidWord, setup: Optional[CanonicalSetup] = None,
     reversed loop, not derived from the forward one.
     """
     step, floor = as_rational(step), as_rational(floor)
-    if setup is None:
-        setup = canonical_setup(word.n)
-    elif setup.n != word.n:
-        raise ValueError("setup strand count does not match word")
-    home = build_delaunay(setup.config)
-    basis = tuple(ordered_basis(home))
+    setup = canonical_setup(word.n)
+    basis = tuple(ordered_basis(setup.home))
     acc = Matrix.identity(len(basis))
     log = []
     for letter in word.letters:

@@ -17,7 +17,7 @@ from pathlib import Path
 from .braids import (FAMILIES, WordSyntaxError, canonical_setup,
                      generator_trajectories, invariant, parse_word,
                      verify_relations)
-from .delaunay import build_delaunay, render_svg
+from .delaunay import render_svg
 from .fixtures import FixtureError, run_all_suites
 from .flips import flip_sequence_to_json
 from .kinetics import (DEFAULT_FLOOR, DEFAULT_STEP, UnresolvedEventError,
@@ -202,7 +202,7 @@ def _write_snapshots(setup, per_letter, directory: Path, floor):
         path.write_text(render_svg(triangulation))
         frame += 1
 
-    snap(build_delaunay(setup.config))
+    snap(setup.home)
     for ts, events in per_letter:
         for this_evt, next_evt in zip(events, events[1:] + [None]):
             hi = next_evt.t_lo if next_evt is not None else Fraction(1)

@@ -66,31 +66,25 @@ def _edges(tri: Triangle):
     return ((a, b), (a, c), (b, c))
 
 
-def build_delaunay(config: Configuration, verify: bool = True,
-                   insertion_order=None) -> Triangulation:
+def build_delaunay(config: Configuration) -> Triangulation:
     """Incremental Bowyer-Watson starting from the boundary triangle.
 
     The three fixed vertices serve as the enclosing triangle, so no
-    synthetic super-triangle is needed.  With ``verify`` the result is
-    checked exhaustively: any point strictly inside a circumdisk is an
+    synthetic super-triangle is needed.  Every interior point lies strictly
+    inside the boundary triangle and no two points coincide, so each point
+    lies strictly inside some current triangle's circumdisk and its cavity
+    is never empty.  The result is checked exhaustively by
+    ``verify_delaunay``: any point strictly inside a circumdisk is an
     internal error, any point exactly on one is a degeneracy of the input
-    (reported with the offending 4-subset).  ``insertion_order`` overrides
-    the interior insertion sequence; in general position the result does
-    not depend on it.
+    (reported with the offending 4-subset).
     """
     tris = {triangle(*config.boundary)}
     positions = {p.index: p.xy for p in config.points}
-    order = config.interior if insertion_order is None else tuple(insertion_order)
-    if sorted(order) != sorted(config.interior):
-        raise ValueError("insertion_order must be a permutation of interior")
-    for idx in order:
+    for idx in config.interior:
         p = positions[idx]
         cavity = [t for t in tris
                   if incircle(positions[t[0]], positions[t[1]],
                               positions[t[2]], p) > 0]
-        if not cavity:
-            raise DegenerateConfigurationError(
-                _locate_degeneracy(config, tris) or (idx,))
         edge_count = {}
         for t in cavity:
             for e in _edges(t):
@@ -100,21 +94,8 @@ def build_delaunay(config: Configuration, verify: bool = True,
             if count == 1:
                 tris.add(triangle(e[0], e[1], idx))
     result = Triangulation(frozenset(tris), config)
-    if verify:
-        verify_delaunay(result)
+    verify_delaunay(result)
     return result
-
-
-def _locate_degeneracy(config, tris) -> Optional[tuple]:
-    positions = {p.index: p.xy for p in config.points}
-    for t in sorted(tris):
-        for p in config.points:
-            if p.index in t:
-                continue
-            if incircle(positions[t[0]], positions[t[1]],
-                        positions[t[2]], p.xy) == 0:
-                return tuple(sorted(t + (p.index,)))
-    return None
 
 
 def verify_delaunay(t: Triangulation) -> None:
@@ -179,17 +160,15 @@ class FlipEvent:
         return FlipEvent(self.removed, self.inserted, t_lo, t_hi)
 
 
-def diff_flips(before, after) -> Optional[list]:
+def diff_flips(before: frozenset, after: frozenset) -> Optional[list]:
     """Decompose the difference of two triangle sets into FlipEvents.
 
     Returns [] when the sets agree, a list of events when the symmetric
     difference is a disjoint union of quadrilateral diagonal exchanges, and
     None otherwise (caller must refine).
     """
-    b = before.triangles if isinstance(before, Triangulation) else frozenset(before)
-    a = after.triangles if isinstance(after, Triangulation) else frozenset(after)
-    removed = sorted(b - a)
-    added = a - b
+    removed = sorted(before - after)
+    added = after - before
     if not removed and not added:
         return []
     if len(removed) != len(added) or len(removed) % 2:

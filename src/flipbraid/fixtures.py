@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Optional
 
 from .delaunay import FlipEvent
-from .flips import build_flip_matrix, pentagon_cycle
+from .flips import PENTAGON_FLIPS, build_flip_matrix, pentagon_cycle_product
 from .linalg import Matrix
 
 MANIFEST_NAME = "MANIFEST.json"
@@ -45,17 +45,15 @@ def _read_bytes(name: str) -> bytes:
     return ref.read_bytes()
 
 
-def load_fixture(name: str, checksum: bool = True) -> dict:
+def load_fixture(name: str) -> dict:
     raw = _read_bytes(name)
-    if checksum:
-        manifest = json.loads(_read_bytes(MANIFEST_NAME))
-        want = manifest["files"].get(name)
-        if want is None:
-            raise FixtureError(f"{name} is not listed in the manifest")
-        got = hashlib.sha256(raw).hexdigest()
-        if got != want:
-            raise FixtureError(
-                f"checksum mismatch for {name}: {got} != {want}")
+    manifest = json.loads(_read_bytes(MANIFEST_NAME))
+    want = manifest["files"].get(name)
+    if want is None:
+        raise FixtureError(f"{name} is not listed in the manifest")
+    got = hashlib.sha256(raw).hexdigest()
+    if got != want:
+        raise FixtureError(f"checksum mismatch for {name}: {got} != {want}")
     return json.loads(raw)
 
 
@@ -107,8 +105,10 @@ class SuiteResult:
 
 
 def run_pentagon_suite() -> SuiteResult:
-    """Rebuild the five cycle matrices and compare entrywise, then check
-    that their product is the identity, at labels (1, 2, 3, 4, 5)."""
+    """Rebuild the five cycle matrices and compare entrywise, check each
+    step's flip against the canonical cycle, and check that the product is
+    the identity and equals ``pentagon_cycle_product``, at labels
+    (1, 2, 3, 4, 5)."""
     data = load_fixture("pentagon_cycle.json")
     letters = data["labels"]
     point_of = {name: idx + 1 for idx, name in enumerate(letters)}
@@ -119,7 +119,6 @@ def run_pentagon_suite() -> SuiteResult:
         return tuple(sorted(point_of[x] for x in names))
 
     basis = [tri(t) for t in data["initial_basis"]]
-    built = pentagon_cycle([zeta[i] for i in range(1, 6)])
     acc = Matrix.identity(3)
     for step_no, step in enumerate(data["steps"]):
         removed = tuple(sorted(point_of[x] for x in step["removed"]))
@@ -132,7 +131,7 @@ def run_pentagon_suite() -> SuiteResult:
             return SuiteResult(
                 "pentagon", False,
                 f"step {step_no + 1}: " + _first_difference(m, expected))
-        if built[step_no] != expected:
+        if (removed, inserted) != PENTAGON_FLIPS[step_no]:
             return SuiteResult(
                 "pentagon", False,
                 f"step {step_no + 1} differs from the canonical cycle")
@@ -140,6 +139,9 @@ def run_pentagon_suite() -> SuiteResult:
         basis = after
     if not acc.is_identity():
         return SuiteResult("pentagon", False, "cycle product is not I")
+    if pentagon_cycle_product([zeta[i] for i in range(1, 6)]) != acc:
+        return SuiteResult("pentagon", False,
+                           "product differs from the canonical cycle")
     return SuiteResult("pentagon", True)
 
 

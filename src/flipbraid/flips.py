@@ -6,17 +6,18 @@ and the two exchanged columns carry ratios of label differences.  Columns
 are indexed by the old basis, rows by the new; matrices of later flips
 multiply on the left.
 
-``build_flip_matrix`` gives one flip as a dense matrix.  ``sequence_product``
-never builds one: a flip rewrites only the rows of its two exchanged
-triangles, so the product is kept as one exact row per triangle and each
-flip costs O(n).
+``build_flip_matrix`` gives one flip as a dense matrix; it is the reference
+the fixtures and tests check against.  ``sequence_product``, the one product
+path (letters and the pentagon cycle alike), never builds one: a flip
+rewrites only the rows of its two exchanged triangles, so the product is
+kept as one exact row per triangle and each flip costs O(n).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .delaunay import FlipEvent, Triangulation, apply_flip
+from .delaunay import FlipEvent, apply_flip
 from .linalg import Matrix, format_rational
 
 
@@ -95,10 +96,7 @@ def sequence_product(events, start_triangles, zeta):
     c*r1 + d*r2, the 2x2 block of ``build_flip_matrix``; every other row
     is unchanged.  The rows are ordered by the final basis once, at the end.
     """
-    if isinstance(start_triangles, Triangulation):
-        tris = start_triangles.triangles
-    else:
-        tris = frozenset(start_triangles)
+    tris = frozenset(start_triangles)
     basis = sorted(tris)
     row_of = dict(zip(basis, Matrix.identity(len(basis)).entries()))
     for event in events:
@@ -153,33 +151,20 @@ PENTAGON_FLIPS = (
 PENTAGON_START = frozenset({(1, 2, 3), (1, 3, 4), (1, 4, 5)})
 
 
-def pentagon_cycle(labels) -> list:
-    """The five flip matrices of the cycle, in time order.
+def pentagon_cycle_product(labels) -> Matrix:
+    """Product of the five cycle matrices, later flips on the left.
 
     ``labels`` assigns the five points 1..5 their rational labels.
     """
     if len(labels) != 5 or len(set(labels)) != 5:
         raise ValueError("need five distinct labels")
     zeta = {i + 1: v for i, v in enumerate(labels)}
-    tris = PENTAGON_START
-    out = []
-    for removed, inserted in PENTAGON_FLIPS:
-        event = FlipEvent(removed, inserted)
-        next_tris = apply_flip(tris, event)
-        out.append(build_flip_matrix(event, sorted(tris), sorted(next_tris),
-                                     zeta))
-        tris = next_tris
-    if tris != PENTAGON_START:
+    events = [FlipEvent(removed, inserted)
+              for removed, inserted in PENTAGON_FLIPS]
+    product, final = sequence_product(events, PENTAGON_START, zeta)
+    if final != PENTAGON_START:
         raise AssertionError("pentagon cycle did not close up")
-    return out
-
-
-def pentagon_cycle_product(labels) -> Matrix:
-    """Product of the five cycle matrices, later flips on the left."""
-    acc = Matrix.identity(3)
-    for m in pentagon_cycle(labels):
-        acc = m * acc
-    return acc
+    return product
 
 
 # --- flip sequence JSON ------------------------------------------------------
@@ -201,10 +186,41 @@ def flip_sequence_to_json(events) -> list:
 
 
 def flip_sequence_from_json(data) -> list:
+    """The events that ``flip_sequence_to_json`` wrote.
+
+    A malformed entry raises ``ValueError`` naming its 1-based position.
+    """
     events = []
-    for d in data:
-        t_lo = Fraction(d["t_lo"]) if "t_lo" in d else None
-        t_hi = Fraction(d["t_hi"]) if "t_hi" in d else None
-        events.append(FlipEvent(tuple(sorted(d["removed"])),
-                                tuple(sorted(d["inserted"])), t_lo, t_hi))
+    for pos, d in enumerate(data, start=1):
+        try:
+            events.append(_event_from_json(d))
+        except ValueError as err:
+            raise ValueError(f"flip entry {pos}: {err}") from None
     return events
+
+
+def _event_from_json(d) -> FlipEvent:
+    if not isinstance(d, dict):
+        raise ValueError(f"expected an object, got {d!r}")
+    return FlipEvent(_index_pair(d, "removed"), _index_pair(d, "inserted"),
+                     _time(d, "t_lo"), _time(d, "t_hi"))
+
+
+def _index_pair(d: dict, key: str) -> tuple:
+    pair = d.get(key)
+    if (not isinstance(pair, (list, tuple)) or len(pair) != 2
+            or any(type(v) is not int for v in pair)):
+        raise ValueError(f"{key!r} must be two integers, got {pair!r}")
+    return tuple(sorted(pair))
+
+
+def _time(d: dict, key: str):
+    if key not in d:
+        return None
+    value = d[key]
+    try:
+        if type(value) in (str, int):
+            return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"{key!r} must be a rational, got {value!r}")

@@ -225,7 +225,7 @@ def extract_flip_sequence(ts: TrajectorySet, step=DEFAULT_STEP,
 
 
 def _refine(ts, ta, tria, tb, trib, floor, events):
-    diff = diff_flips(tria, trib)
+    diff = diff_flips(tria.triangles, trib.triangles)
     if diff == []:
         return
     width = tb - ta

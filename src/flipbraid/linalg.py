@@ -98,9 +98,6 @@ class Matrix:
                 and all(self._entries[i][j] == (1 if i == j else 0)
                         for i in range(self.rows) for j in range(self.cols)))
 
-    def transpose(self) -> "Matrix":
-        return Matrix(zip(*self._entries))
-
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise DimensionError(f"trace of {self.rows}x{self.cols} matrix")

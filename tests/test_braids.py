@@ -77,7 +77,7 @@ def test_generator_loop_winding_numbers():
         # reversed traversal winds the opposite way
         ts_inv = generator_trajectories(setup, BraidLetter(i, j, -1))
         loop_inv = [pos for _, pos in ts_inv.trajectory(i + 3).breakpoints]
-        assert winding_number(loop_inv, setup.home(j + 3)) == 1
+        assert winding_number(loop_inv, setup.config.position(j + 3)) == 1
 
 
 def test_generator_trajectories_validates_strands():
@@ -184,6 +184,22 @@ def test_verify_pb_all_n3():
     names = [inst.name for inst in report.instances]
     assert "triple(1,2,3) first=second" in names
     assert "triple(1,2,3) second=third" in names
+
+
+def test_home_triangulation_built_once(monkeypatch):
+    from flipbraid import braids
+
+    calls = []
+
+    def counting_build(config):
+        calls.append(config)
+        return build_delaunay(config)
+
+    monkeypatch.setattr(braids, "build_delaunay", counting_build)
+    canonical_setup.cache_clear()
+    braids._letter_result.cache_clear()
+    assert verify_relations(4, "pb_all").ok
+    assert len(calls) == 1
 
 
 def test_verify_unknown_family():

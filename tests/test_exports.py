@@ -10,7 +10,8 @@ def test_every_exported_name_resolves():
 def test_retired_flip_records_are_gone():
     from flipbraid import flips
 
-    for name in ("FlipRoles", "FlipMatrix", "reverse_roles"):
+    for name in ("FlipRoles", "FlipMatrix", "reverse_roles",
+                 "pentagon_cycle"):
         assert name not in flipbraid.__all__
         assert not hasattr(flipbraid, name)
         assert not hasattr(flips, name)

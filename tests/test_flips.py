@@ -9,10 +9,10 @@ from flipbraid.braids import (BraidLetter, BraidWord, canonical_setup,
                               invariant)
 from flipbraid.delaunay import FlipEvent, apply_flip, build_delaunay
 from flipbraid.fixtures import evaluate_matrix, load_fixture
-from flipbraid.flips import (PENTAGON_FLIPS, BasisMismatchError,
-                             build_flip_matrix, flip_sequence_from_json,
-                             flip_sequence_to_json, gamma_generator_name,
-                             pentagon_cycle, pentagon_cycle_product,
+from flipbraid.flips import (PENTAGON_FLIPS, PENTAGON_START,
+                             BasisMismatchError, build_flip_matrix,
+                             flip_sequence_from_json, flip_sequence_to_json,
+                             gamma_generator_name, pentagon_cycle_product,
                              sequence_product)
 from flipbraid.linalg import Matrix, mat_inverse
 
@@ -162,10 +162,15 @@ def test_pentagon_cycle_matches_transcription():
     data = load_fixture("pentagon_cycle.json")
     point_of = {name: i + 1 for i, name in enumerate(data["labels"])}
     labels = {name: Fraction(idx) for name, idx in point_of.items()}
-    cycle = pentagon_cycle([Fraction(i) for i in range(1, 6)])
-    for step, m, (removed, _) in zip(data["steps"], cycle, PENTAGON_FLIPS):
+    tris = PENTAGON_START
+    for step, (removed, inserted) in zip(data["steps"], PENTAGON_FLIPS):
+        event = FlipEvent(removed, inserted)
+        nxt = apply_flip(tris, event)
+        m = build_flip_matrix(event, sorted(tris), sorted(nxt), ZETA_ID)
         assert m == evaluate_matrix(step["matrix"], labels)
         assert removed == tuple(sorted(point_of[x] for x in step["removed"]))
+        tris = nxt
+    assert tris == PENTAGON_START
 
 
 SECTION4_START = frozenset({(1, 2, 6), (1, 3, 4), (1, 4, 5), (1, 5, 6),
@@ -218,6 +223,25 @@ def dense_product(events, start, zeta):
         acc = build_flip_matrix(event, sorted(tris), sorted(nxt), zeta) * acc
         tris = nxt
     return acc, tris
+
+
+def test_pentagon_cycle_product_matches_dense_fold():
+    events = [FlipEvent(removed, inserted)
+              for removed, inserted in PENTAGON_FLIPS]
+    rng = random.Random(13)
+    for _ in range(30):
+        zeta = random_labels(rng, range(1, 6))
+        dense, final = dense_product(events, PENTAGON_START, zeta)
+        assert final == PENTAGON_START
+        assert pentagon_cycle_product([zeta[i] for i in range(1, 6)]) \
+            == dense
+
+
+@pytest.mark.parametrize("labels", [
+    [1, 2, 3, 4, 4], [Fraction(1, 2)] * 5, [1, 2, 3, 4], [1, 2, 3, 4, 5, 6]])
+def test_pentagon_cycle_product_needs_five_distinct_labels(labels):
+    with pytest.raises(ValueError, match="need five distinct labels"):
+        pentagon_cycle_product([Fraction(v) for v in labels])
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -311,4 +335,29 @@ def test_repeated_indices_rejected(quad):
         FlipEvent(removed, inserted)
     data = [{"removed": list(removed), "inserted": list(inserted)}]
     with pytest.raises(ValueError, match="four distinct indices"):
+        flip_sequence_from_json(data)
+
+
+@pytest.mark.parametrize("data, message", [
+    ([{"removed": [1, 2]}], "entry 1: 'inserted' must be two integers"),
+    ([5], "entry 1: expected an object"),
+    ([{"removed": [1, 2], "inserted": 3}],
+     "entry 1: 'inserted' must be two integers"),
+    ([{"removed": [1, "x"], "inserted": [3, 4]}],
+     "entry 1: 'removed' must be two integers"),
+    ([{"removed": [1, 2, 5], "inserted": [3, 4]}],
+     "entry 1: 'removed' must be two integers"),
+    ([{"removed": [1, 2], "inserted": [3, 4]},
+      {"removed": [1, 2], "inserted": [3, 4], "t_lo": "x", "t_hi": "1"}],
+     "entry 2: 't_lo' must be a rational"),
+    ([{"removed": [1, 2], "inserted": [3, 4], "t_lo": "1/0"}],
+     "entry 1: 't_lo' must be a rational"),
+    ([{"removed": [1, 2], "inserted": [3, 4], "t_lo": [0]}],
+     "entry 1: 't_lo' must be a rational"),
+    ([{"removed": [1, 2], "inserted": [3, 4]},
+      {"removed": [1, 2], "inserted": [2, 4]}],
+     "entry 2: .*four distinct indices"),
+])
+def test_flip_sequence_from_json_rejects_malformed_entries(data, message):
+    with pytest.raises(ValueError, match=message):
         flip_sequence_from_json(data)
