@@ -4,9 +4,9 @@ from .braids import (BraidLetter, BraidWord, CanonicalSetup, InvariantResult,
                      LoopGeometry, RelationReport, WordSyntaxError,
                      canonical_setup, generator_trajectories, invariant,
                      parse_word, verify_relations, word_from_pairs)
-from .delaunay import (DegenerateConfigurationError, FlipEvent,
-                       Triangulation, apply_flip, build_delaunay, diff_flips,
-                       ordered_basis, render_svg, triangle, verify_delaunay)
+from .delaunay import (DegenerateConfigurationError, FlipEvent, apply_flip,
+                       build_delaunay, diff_flips, render_svg, triangle,
+                       verify_delaunay)
 from .fixtures import run_all_suites
 from .flips import (BasisMismatchError, build_flip_matrix,
                     gamma_generator_name, pentagon_cycle_product,
@@ -25,11 +25,11 @@ __all__ = [
     "Configuration", "DegenerateConfigurationError", "DimensionError",
     "FlipEvent", "InvariantResult", "LabeledPoint", "LoopGeometry", "Matrix",
     "RelationReport", "SingularMatrixError", "Trajectory", "TrajectorySet",
-    "Triangulation", "UnresolvedEventError", "WordSyntaxError", "apply_flip",
+    "UnresolvedEventError", "WordSyntaxError", "apply_flip",
     "build_delaunay", "build_flip_matrix", "canonical_setup", "char_poly",
     "configuration_at", "diff_flips", "extract_flip_sequence",
     "gamma_generator_name", "generator_trajectories", "incircle", "invariant",
-    "mat_inverse", "mat_mul", "ordered_basis", "orient2d", "parse_word",
+    "mat_inverse", "mat_mul", "orient2d", "parse_word",
     "pentagon_cycle_product", "render_svg",
     "run_all_suites", "sequence_product", "triangle",
     "validate_general_position", "verify_delaunay", "verify_relations",

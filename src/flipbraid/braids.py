@@ -15,14 +15,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .delaunay import Triangulation, build_delaunay, ordered_basis
+from .delaunay import build_delaunay
 from .flips import flip_sequence_to_json, sequence_product
 from .geometry import (Configuration, LabeledPoint,
                        _strictly_inside_triangle, orient2d,
                        validate_general_position)
 from .kinetics import (DEFAULT_FLOOR, DEFAULT_STEP, TrajectorySet,
                        extract_flip_sequence)
-from .linalg import Matrix, as_rational, char_poly, format_rational
+from .linalg import Matrix, as_rational, char_poly
 
 
 class WordSyntaxError(ValueError):
@@ -118,8 +118,8 @@ class CanonicalSetup:
     config: Configuration
 
     @functools.cached_property
-    def home(self) -> Triangulation:
-        """Delaunay triangulation of the homes, where every letter's loop
+    def home(self) -> frozenset:
+        """Delaunay triangle set of the homes, where every letter's loop
         starts and ends; its triangles are the module basis."""
         return build_delaunay(self.config)
 
@@ -183,8 +183,9 @@ def generator_trajectories(setup: CanonicalSetup, letter: BraidLetter,
         raise ValueError(f"letter {letter} invalid for n={n}")
     mover = letter.i + 3
     target = letter.j + 3
-    xi, yi = setup.config.position(mover)
-    xj, _ = setup.config.position(target)
+    positions = setup.config.positions
+    xi, yi = positions[mover]
+    xj, _ = positions[target]
     h, hp, d = geometry.height, geometry.depth, geometry.offset
     waypoints = [
         (xi, yi),
@@ -199,11 +200,11 @@ def generator_trajectories(setup: CanonicalSetup, letter: BraidLetter,
     if letter.power < 0:
         waypoints = waypoints[::-1]
     for a, b in zip(waypoints, waypoints[1:]):
-        for p in setup.config.points:
-            if p.index != mover and _on_segment(p.xy, a, b):
+        for index, xy in positions.items():
+            if index != mover and _on_segment(xy, a, b):
                 raise LoopClearanceError(
-                    f"loop of point {mover} passes through point {p.index}")
-    corners = [setup.config.position(b) for b in setup.config.boundary]
+                    f"loop of point {mover} passes through point {index}")
+    corners = [positions[b] for b in setup.config.boundary]
     for w in waypoints:
         if not _strictly_inside_triangle(w, *corners):
             raise LoopClearanceError(
@@ -239,9 +240,9 @@ class InvariantResult:
             "flips": [flip_sequence_to_json(evts) for evts in self.flip_log],
         }
         if with_trace:
-            out["trace"] = format_rational(self.trace)
+            out["trace"] = str(self.trace)
         if with_charpoly:
-            out["charpoly"] = [format_rational(c) for c in self.charpoly()]
+            out["charpoly"] = [str(c) for c in self.charpoly()]
         return out
 
 
@@ -259,10 +260,9 @@ def _letter_result(setup: CanonicalSetup, letter: BraidLetter,
     """
     ts = generator_trajectories(setup, letter, geometry)
     events = extract_flip_sequence(ts, step=step, floor=floor)
-    home_tris = setup.home.triangles
-    matrix, final = sequence_product(events, home_tris,
+    matrix, final = sequence_product(events, setup.home,
                                      setup.config.zeta_map())
-    if final != home_tris:
+    if final != setup.home:
         raise AssertionError("letter loop did not return to the home"
                              " triangulation")
     return matrix, tuple(events)
@@ -278,7 +278,7 @@ def invariant(word: BraidWord, geometry: LoopGeometry = DEFAULT_LOOP,
     """
     step, floor = as_rational(step), as_rational(floor)
     setup = canonical_setup(word.n)
-    basis = tuple(ordered_basis(setup.home))
+    basis = tuple(sorted(setup.home))
     acc = Matrix.identity(len(basis))
     log = []
     for letter in word.letters:

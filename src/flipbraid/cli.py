@@ -78,11 +78,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path):
-    if out_path:
-        Path(out_path).write_text(text)
-    else:
+def _emit(text: str, out_path) -> int:
+    """Write ``text`` to ``out_path``, or to stdout when it is unset."""
+    if not out_path:
         sys.stdout.write(text)
+        return 0
+    try:
+        Path(out_path).write_text(text)
+    except OSError as err:
+        return _unwritable(out_path, err)
+    return 0
+
+
+def _unwritable(path, err: OSError) -> int:
+    print(f"error: cannot write {path}: {err.strerror or err}",
+          file=sys.stderr)
+    return USAGE_ERROR
 
 
 def _validate_sampling(args):
@@ -114,8 +125,7 @@ def cmd_invariant(args) -> int:
         return MATH_ERROR
     payload = result.to_json_dict(with_trace=args.trace,
                                   with_charpoly=args.charpoly)
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0
+    return _emit(json.dumps(payload, indent=2) + "\n", args.out)
 
 
 def cmd_verify(args) -> int:
@@ -185,32 +195,36 @@ def cmd_simulate(args) -> int:
     except UnresolvedEventError as err:
         print(f"error: {err}", file=sys.stderr)
         return MATH_ERROR
-    payload = [flip_sequence_to_json(events) for _, events in per_letter]
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
     if args.svg_dir:
-        _write_snapshots(setup, per_letter, Path(args.svg_dir), args.floor)
-    return 0
+        # snapshots first, so an unwritable directory leaves no JSON behind
+        try:
+            _write_snapshots(setup, per_letter, Path(args.svg_dir),
+                             args.floor)
+        except OSError as err:
+            return _unwritable(args.svg_dir, err)
+    payload = [flip_sequence_to_json(events) for _, events in per_letter]
+    return _emit(json.dumps(payload, indent=2) + "\n", args.out)
 
 
 def _write_snapshots(setup, per_letter, directory: Path, floor):
     directory.mkdir(parents=True, exist_ok=True)
     frame = 0
 
-    def snap(triangulation):
+    def snap(triangles, config):
         nonlocal frame
         path = directory / f"snapshot_{frame:03d}.svg"
-        path.write_text(render_svg(triangulation))
+        path.write_text(render_svg(triangles, config))
         frame += 1
 
-    snap(setup.home)
+    snap(setup.home, setup.config)
     for ts, events in per_letter:
         for this_evt, next_evt in zip(events, events[1:] + [None]):
             hi = next_evt.t_lo if next_evt is not None else Fraction(1)
             # a grazing cocircularity can hit the midpoint exactly; _sample
             # then jitters inside the gap between the two events
-            _, snapshot = _sample(ts, (this_evt.t_hi + hi) / 2,
-                                  this_evt.t_hi, hi, floor)
-            snap(snapshot)
+            _, config, triangles = _sample(ts, (this_evt.t_hi + hi) / 2,
+                                           this_evt.t_hi, hi, floor)
+            snap(triangles, config)
 
 
 def main(argv=None) -> int:

@@ -1,8 +1,9 @@
 """Delaunay triangulations inside the fixed boundary triangle.
 
-Triangles are ascending index triples, the canonical basis order is
-lexicographic, and a diff of two triangulations decomposes into diagonal
-exchanges (flips) or reports that it cannot.
+A triangulation is a frozenset of triangles, each an ascending index
+triple; the canonical basis order is lexicographic (``sorted``), and a diff
+of two triangulations decomposes into diagonal exchanges (flips) or reports
+that it cannot.
 """
 
 from __future__ import annotations
@@ -13,10 +14,8 @@ from typing import Optional
 
 from .geometry import Configuration, incircle
 
-Triangle = tuple  # (int, int, int), strictly ascending
 
-
-def triangle(*indices) -> Triangle:
+def triangle(*indices) -> tuple:
     if len(indices) != 3 or len(set(indices)) != 3:
         raise ValueError(f"triangle needs 3 distinct indices: {indices}")
     return tuple(sorted(indices))
@@ -31,42 +30,7 @@ class DegenerateConfigurationError(ValueError):
             f"degenerate configuration: cocircular subset {self.subset}")
 
 
-@dataclass(frozen=True, eq=False)
-class Triangulation:
-    """A triangle set over a configuration.
-
-    Equality and hashing use the triangle set only; the geometry is
-    re-derivable from the configuration.
-    """
-
-    triangles: frozenset
-    config: Configuration
-
-    def __eq__(self, other):
-        return (isinstance(other, Triangulation)
-                and self.triangles == other.triangles)
-
-    def __hash__(self):
-        return hash(self.triangles)
-
-    def __len__(self):
-        return len(self.triangles)
-
-    def to_json_dict(self) -> dict:
-        return {"triangles": [list(t) for t in sorted(self.triangles)]}
-
-
-def ordered_basis(t: Triangulation) -> list:
-    """Triangles in lexicographic order; the module basis."""
-    return sorted(t.triangles)
-
-
-def _edges(tri: Triangle):
-    a, b, c = tri
-    return ((a, b), (a, c), (b, c))
-
-
-def build_delaunay(config: Configuration) -> Triangulation:
+def build_delaunay(config: Configuration) -> frozenset:
     """Incremental Bowyer-Watson starting from the boundary triangle.
 
     The three fixed vertices serve as the enclosing triangle, so no
@@ -79,44 +43,44 @@ def build_delaunay(config: Configuration) -> Triangulation:
     (reported with the offending 4-subset).
     """
     tris = {triangle(*config.boundary)}
-    positions = {p.index: p.xy for p in config.points}
+    positions = config.positions
     for idx in config.interior:
         p = positions[idx]
         cavity = [t for t in tris
                   if incircle(positions[t[0]], positions[t[1]],
                               positions[t[2]], p) > 0]
         edge_count = {}
-        for t in cavity:
-            for e in _edges(t):
+        for a, b, c in cavity:
+            for e in ((a, b), (a, c), (b, c)):
                 edge_count[e] = edge_count.get(e, 0) + 1
         tris.difference_update(cavity)
         for e, count in edge_count.items():
             if count == 1:
                 tris.add(triangle(e[0], e[1], idx))
-    result = Triangulation(frozenset(tris), config)
-    verify_delaunay(result)
+    result = frozenset(tris)
+    verify_delaunay(result, config)
     return result
 
 
-def verify_delaunay(t: Triangulation) -> None:
-    """Exhaustive empty-circumdisk check; raises on any violation."""
-    config = t.config
-    positions = {p.index: p.xy for p in config.points}
+def verify_delaunay(triangles: frozenset, config: Configuration) -> None:
+    """Exhaustive empty-circumdisk check of ``triangles`` over ``config``;
+    raises on any violation."""
+    positions = config.positions
     n = config.n
-    if len(t.triangles) != 2 * n + 1:
+    if len(triangles) != 2 * n + 1:
         raise AssertionError(
-            f"expected {2 * n + 1} triangles, got {len(t.triangles)}")
-    for tri in sorted(t.triangles):
+            f"expected {2 * n + 1} triangles, got {len(triangles)}")
+    for tri in sorted(triangles):
         a, b, c = (positions[i] for i in tri)
-        for p in config.points:
-            if p.index in tri:
+        for index, xy in positions.items():
+            if index in tri:
                 continue
-            s = incircle(a, b, c, p.xy)
+            s = incircle(a, b, c, xy)
             if s > 0:
                 raise AssertionError(
-                    f"triangle {tri} circumdisk contains point {p.index}")
+                    f"triangle {tri} circumdisk contains point {index}")
             if s == 0:
-                raise DegenerateConfigurationError(tri + (p.index,))
+                raise DegenerateConfigurationError(tri + (index,))
 
 
 @dataclass(frozen=True)
@@ -218,9 +182,9 @@ def apply_flip(triangles: frozenset, event: FlipEvent) -> frozenset:
 
 # --- SVG snapshot -----------------------------------------------------------
 
-def render_svg(t: Triangulation, width: int = 480) -> str:
+def render_svg(triangles: frozenset, config: Configuration) -> str:
     """Plain SVG snapshot: triangles as polygons, points labeled by index."""
-    config = t.config
+    width = 480
     xs = [p.x for p in config.points]
     ys = [p.y for p in config.points]
     x0, x1 = min(xs), max(xs)
@@ -241,16 +205,16 @@ def render_svg(t: Triangulation, width: int = 480) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height:.1f}" viewBox="0 0 {width} {height:.1f}">',
     ]
-    positions = {p.index: p.xy for p in config.points}
-    for tri in sorted(t.triangles):
+    positions = config.positions
+    for tri in sorted(triangles):
         pts = " ".join(f"{sx(positions[i][0]):.2f},{sy(positions[i][1]):.2f}"
                        for i in tri)
         out.append(f'<polygon points="{pts}" fill="none" stroke="black" '
                    'stroke-width="1"/>')
-    for p in config.points:
-        cx, cy = sx(p.x), sy(p.y)
+    for index, (x, y) in positions.items():
+        cx, cy = sx(x), sy(y)
         out.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="3" fill="red"/>')
         out.append(f'<text x="{cx + 5:.2f}" y="{cy - 5:.2f}" '
-                   f'font-size="12">{p.index}</text>')
+                   f'font-size="12">{index}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .delaunay import FlipEvent, apply_flip
-from .linalg import Matrix, format_rational
+from .linalg import Matrix, json_entries
 
 
 def gamma_generator_name(event: FlipEvent) -> str:
@@ -179,8 +179,8 @@ def flip_sequence_to_json(events) -> list:
             "gamma": gamma_generator_name(e),
         }
         if e.t_lo is not None and e.t_hi is not None:
-            d["t_lo"] = format_rational(e.t_lo)
-            d["t_hi"] = format_rational(e.t_hi)
+            d["t_lo"] = str(e.t_lo)
+            d["t_hi"] = str(e.t_hi)
         out.append(d)
     return out
 
@@ -190,18 +190,10 @@ def flip_sequence_from_json(data) -> list:
 
     A malformed entry raises ``ValueError`` naming its 1-based position.
     """
-    events = []
-    for pos, d in enumerate(data, start=1):
-        try:
-            events.append(_event_from_json(d))
-        except ValueError as err:
-            raise ValueError(f"flip entry {pos}: {err}") from None
-    return events
+    return json_entries(data, "flip", _event_from_json)
 
 
-def _event_from_json(d) -> FlipEvent:
-    if not isinstance(d, dict):
-        raise ValueError(f"expected an object, got {d!r}")
+def _event_from_json(d: dict) -> FlipEvent:
     return FlipEvent(_index_pair(d, "removed"), _index_pair(d, "inserted"),
                      _time(d, "t_lo"), _time(d, "t_hi"))
 

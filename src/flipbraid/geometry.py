@@ -6,13 +6,15 @@ integers after clearing denominators, so there is no epsilon anywhere.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .linalg import as_rational, format_rational
+from .linalg import as_rational, json_entries
 
 Point = tuple  # (Fraction, Fraction)
 
@@ -99,15 +101,13 @@ class Configuration:
         zetas = [p.zeta for p in self.points]
         if len(set(zetas)) != len(zetas):
             raise ValueError("zeta labels must be pairwise distinct")
-        coords = [p.xy for p in self.points]
-        if len(set(coords)) != len(coords):
+        if len(set(self.positions.values())) != len(self.points):
             raise ValueError("coincident points")
         if len(self.boundary) != 3 or len(set(self.boundary)) != 3:
             raise ValueError("boundary must be 3 distinct indices")
-        by_index = {p.index: p for p in self.points}
-        if any(b not in by_index for b in self.boundary):
+        if any(b not in self.positions for b in self.boundary):
             raise ValueError("boundary indices missing from points")
-        a, b, c = (by_index[i].xy for i in self.boundary)
+        a, b, c = (self.positions[i] for i in self.boundary)
         for p in self.points:
             if p.index in self.boundary:
                 continue
@@ -125,14 +125,10 @@ class Configuration:
         bset = set(self.boundary)
         return tuple(p.index for p in self.points if p.index not in bset)
 
-    def point(self, index: int) -> LabeledPoint:
-        for p in self.points:
-            if p.index == index:
-                return p
-        raise KeyError(index)
-
-    def position(self, index: int) -> Point:
-        return self.point(index).xy
+    @functools.cached_property
+    def positions(self) -> dict:
+        """Point index -> (x, y), built once per configuration."""
+        return {p.index: p.xy for p in self.points}
 
     def zeta_map(self) -> dict:
         return {p.index: p.zeta for p in self.points}
@@ -140,8 +136,8 @@ class Configuration:
     def to_json_dict(self) -> dict:
         return {
             "points": [
-                {"index": p.index, "x": format_rational(p.x),
-                 "y": format_rational(p.y), "zeta": format_rational(p.zeta)}
+                {"index": p.index, "x": str(p.x), "y": str(p.y),
+                 "zeta": str(p.zeta)}
                 for p in self.points
             ],
             "boundary": list(self.boundary),
@@ -149,9 +145,18 @@ class Configuration:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Configuration":
-        pts = tuple(LabeledPoint.make(d["index"], d["x"], d["y"], d["zeta"])
-                    for d in data["points"])
-        return Configuration(pts, tuple(data["boundary"]))
+        """The configuration that ``to_json_dict`` wrote; malformed input
+        raises ``ValueError``."""
+        if not isinstance(data, dict):
+            raise ValueError(f"expected an object, got {data!r}")
+        points = json_entries(
+            data.get("points"), "point",
+            lambda d: LabeledPoint.make(operator.index(d["index"]), d["x"],
+                                        d["y"], d["zeta"]))
+        boundary = data.get("boundary")
+        if not isinstance(boundary, (list, tuple)):
+            raise ValueError(f"'boundary' must be a list, got {boundary!r}")
+        return Configuration(tuple(points), tuple(boundary))
 
 
 def _strictly_inside_triangle(p: Point, a: Point, b: Point, c: Point) -> bool:

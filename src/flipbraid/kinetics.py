@@ -11,13 +11,14 @@ product needs.
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .delaunay import (DegenerateConfigurationError, FlipEvent,
-                       Triangulation, apply_flip, build_delaunay, diff_flips)
+from .delaunay import (DegenerateConfigurationError, FlipEvent, apply_flip,
+                       build_delaunay, diff_flips)
 from .geometry import Configuration, LabeledPoint, incircle
-from .linalg import as_rational, format_rational
+from .linalg import as_rational, json_entries
 
 DEFAULT_STEP = Fraction(1, 64)
 DEFAULT_FLOOR = Fraction(1, 2 ** 40)
@@ -40,11 +41,6 @@ class Trajectory:
             raise ValueError("breakpoints must start at 0 and end at 1")
         if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
             raise ValueError("breakpoint times must strictly increase")
-
-    @staticmethod
-    def constant(index: int, position) -> "Trajectory":
-        pos = (as_rational(position[0]), as_rational(position[1]))
-        return Trajectory(index, ((Fraction(0), pos), (Fraction(1), pos)))
 
     @staticmethod
     def piecewise(index: int, points) -> "Trajectory":
@@ -96,10 +92,8 @@ class TrajectorySet:
         """Constant trajectories except for the points listed in ``paths``."""
         trs = []
         for p in sorted(config.points, key=lambda q: q.index):
-            if p.index in paths:
-                trs.append(Trajectory.piecewise(p.index, paths[p.index]))
-            else:
-                trs.append(Trajectory.constant(p.index, p.xy))
+            path = paths.get(p.index, [(0, p.xy), (1, p.xy)])
+            trs.append(Trajectory.piecewise(p.index, path))
         return TrajectorySet(config, tuple(trs))
 
     def trajectory(self, index: int) -> Trajectory:
@@ -112,8 +106,7 @@ class TrajectorySet:
         return {
             "trajectories": [
                 {"index": tr.index,
-                 "breakpoints": [[format_rational(t), format_rational(x),
-                                  format_rational(y)]
+                 "breakpoints": [[str(t), str(x), str(y)]
                                  for t, (x, y) in tr.breakpoints]}
                 for tr in self.trajectories
             ]
@@ -122,18 +115,25 @@ class TrajectorySet:
     @staticmethod
     def from_json_dict(data: dict, boundary, zeta) -> "TrajectorySet":
         """Rebuild from the trajectory JSON plus labels and boundary roles
-        (which live in the configuration JSON, not here)."""
-        trajectories = []
-        points = []
-        for tr in sorted(data["trajectories"], key=lambda d: d["index"]):
-            idx = tr["index"]
-            bps = [(Fraction(t), (Fraction(x), Fraction(y)))
-                   for t, x, y in tr["breakpoints"]]
-            trajectories.append(Trajectory(idx, tuple(bps)))
-            x0, y0 = bps[0][1]
-            points.append(LabeledPoint(idx, x0, y0, as_rational(zeta[idx])))
-        initial = Configuration(tuple(points), tuple(boundary))
-        return TrajectorySet(initial, tuple(trajectories))
+        (which live in the configuration JSON, not here); malformed JSON
+        raises ``ValueError``."""
+        if not isinstance(data, dict):
+            raise ValueError(f"expected an object, got {data!r}")
+        trajectories = sorted(
+            json_entries(data.get("trajectories"), "trajectory",
+                         _trajectory_from_json),
+            key=lambda tr: tr.index)
+        points = tuple(
+            LabeledPoint(tr.index, *tr.breakpoints[0][1],
+                         as_rational(zeta[tr.index]))
+            for tr in trajectories)
+        return TrajectorySet(Configuration(points, tuple(boundary)),
+                             tuple(trajectories))
+
+
+def _trajectory_from_json(d: dict) -> Trajectory:
+    return Trajectory.piecewise(operator.index(d["index"]),
+                                [(t, (x, y)) for t, x, y in d["breakpoints"]])
 
 
 def configuration_at(ts: TrajectorySet, t) -> Configuration:
@@ -149,16 +149,22 @@ def configuration_at(ts: TrajectorySet, t) -> Configuration:
     return Configuration(tuple(pts), ts.initial.boundary)
 
 
+def _sample_at(ts: TrajectorySet, t: Fraction) -> tuple:
+    """The sample (time, configuration, Delaunay triangle set) at t."""
+    config = configuration_at(ts, t)
+    return t, config, build_delaunay(config)
+
+
 def _sample(ts: TrajectorySet, t: Fraction, lo: Fraction, hi: Fraction,
-            floor: Fraction):
-    """Build the triangulation at t, jittering the sample time inside
-    (lo, hi) when t happens to be degenerate."""
+            floor: Fraction) -> tuple:
+    """The sample at t, jittering the sample time inside (lo, hi) when t
+    happens to be degenerate."""
     jitter = floor / 3
     attempt_t = t
     last_error = None
     for _ in range(12):
         try:
-            return attempt_t, build_delaunay(configuration_at(ts, attempt_t))
+            return _sample_at(ts, attempt_t)
         except DegenerateConfigurationError as err:
             last_error = err
             candidate = t + jitter
@@ -171,14 +177,13 @@ def _sample(ts: TrajectorySet, t: Fraction, lo: Fraction, hi: Fraction,
     raise last_error
 
 
-def _crossing_certified(before: Triangulation, after: Triangulation,
-                        event: FlipEvent) -> bool:
+def _crossing_certified(before_config: Configuration,
+                        after_config: Configuration, event: FlipEvent) -> bool:
     """True when the event's quadrilateral changes incircle sign across the
     bracket, certifying a genuine cocircularity crossing."""
     i, k = event.removed
     j, l = event.inserted
-    pa = {p.index: p.xy for p in before.config.points}
-    pb = {p.index: p.xy for p in after.config.points}
+    pa, pb = before_config.positions, after_config.positions
     sa = incircle(pa[i], pa[j], pa[k], pa[l])
     sb = incircle(pb[i], pb[j], pb[k], pb[l])
     return sa == -1 and sb == 1
@@ -201,42 +206,45 @@ def extract_flip_sequence(ts: TrajectorySet, step=DEFAULT_STEP,
     step, floor = as_rational(step), as_rational(floor)
     if not 0 < floor <= step <= 1:
         raise ValueError("need 0 < floor <= step <= 1")
-    start = build_delaunay(configuration_at(ts, Fraction(0)))
-    end = build_delaunay(configuration_at(ts, Fraction(1)))
+    start = _sample_at(ts, Fraction(0))
+    end = _sample_at(ts, Fraction(1))
 
-    grid = [(Fraction(0), start)]
+    grid = [start]
     t = step
     while t < 1:
         grid.append(_sample(ts, t, grid[-1][0], Fraction(1), floor))
         t += step
-    grid.append((Fraction(1), end))
+    grid.append(end)
 
     events = []
-    for (ta, tria), (tb, trib) in zip(grid, grid[1:]):
-        _refine(ts, ta, tria, tb, trib, floor, events)
+    for a, b in zip(grid, grid[1:]):
+        _refine(ts, a, b, floor, events)
 
-    replay = start.triangles
+    replay = start[2]
     for e in events:
         replay = apply_flip(replay, e)
-    if replay != end.triangles:
+    if replay != end[2]:
         raise AssertionError("flip replay does not reproduce the final"
                              " triangulation")
     return events
 
 
-def _refine(ts, ta, tria, tb, trib, floor, events):
-    diff = diff_flips(tria.triangles, trib.triangles)
+def _refine(ts, a, b, floor, events):
+    """Append the flips between samples a and b, bisecting until each
+    bracket holds one certified flip or reaches the width floor."""
+    (ta, config_a, tria), (tb, config_b, trib) = a, b
+    diff = diff_flips(tria, trib)
     if diff == []:
         return
     width = tb - ta
     if diff is not None and len(diff) == 1:
         event = diff[0]
-        if _crossing_certified(tria, trib, event) or width <= floor:
+        if _crossing_certified(config_a, config_b, event) or width <= floor:
             events.append(event.with_bracket(ta, tb))
             return
     if width <= floor:
         if diff is None or not _far_commuting(diff):
-            changed = sorted(tria.triangles ^ trib.triangles)
+            changed = sorted(tria ^ trib)
             raise UnresolvedEventError(
                 f"unresolved codimension-2 event in [{ta}, {tb}]"
                 f" changing triangles {changed}; perturb trajectories")
@@ -244,6 +252,6 @@ def _refine(ts, ta, tria, tb, trib, floor, events):
         # sound because their matrices commute
         events.extend(e.with_bracket(ta, tb) for e in diff)
         return
-    tm, trim = _sample(ts, ta + width / 2, ta, tb, floor)
-    _refine(ts, ta, tria, tm, trim, floor, events)
-    _refine(ts, tm, trim, tb, trib, floor, events)
+    mid = _sample(ts, ta + width / 2, ta, tb, floor)
+    _refine(ts, a, mid, floor, events)
+    _refine(ts, mid, b, floor, events)

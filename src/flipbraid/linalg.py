@@ -13,8 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 
 def as_rational(value) -> Fraction:
     """Coerce ints / 'p/q' strings / Fractions to an exact rational."""
@@ -27,9 +25,22 @@ def as_rational(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-def format_rational(value: Fraction) -> str:
-    """Render as 'p/q', or bare 'p' when the denominator is 1."""
-    return str(value)
+def json_entries(items, what: str, parse) -> list:
+    """``parse`` applied to each object of the JSON list ``items``; a
+    malformed entry raises ``ValueError`` naming its 1-based position."""
+    if not isinstance(items, (list, tuple)):
+        raise ValueError(f"expected a list of {what} entries, got {items!r}")
+    out = []
+    for pos, d in enumerate(items, start=1):
+        try:
+            if not isinstance(d, dict):
+                raise ValueError(f"expected an object, got {d!r}")
+            out.append(parse(d))
+        except KeyError as err:
+            raise ValueError(f"{what} entry {pos}: missing {err}") from None
+        except (TypeError, ValueError, ZeroDivisionError) as err:
+            raise ValueError(f"{what} entry {pos}: {err}") from None
+    return out
 
 
 class DimensionError(ValueError):
@@ -86,7 +97,7 @@ class Matrix:
 
     def __repr__(self) -> str:
         body = "; ".join(
-            " ".join(format_rational(e) for e in row)
+            " ".join(str(e) for e in row)
             for row in self._entries)
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
@@ -124,7 +135,7 @@ class Matrix:
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "entries": [[format_rational(e) for e in row]
+            "entries": [[str(e) for e in row]
                         for row in self._entries],
         }
 

@@ -175,7 +175,7 @@ def test_criterion_09_oracle_equivalence():
     budget = Budget(9, "dense-sampling oracle", 300)
     for n in (2, 3):
         setup = canonical_setup(n)
-        home = build_delaunay(setup.config).triangles
+        home = build_delaunay(setup.config)
         zeta = setup.config.zeta_map()
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):

@@ -77,7 +77,7 @@ def test_generator_loop_winding_numbers():
         # reversed traversal winds the opposite way
         ts_inv = generator_trajectories(setup, BraidLetter(i, j, -1))
         loop_inv = [pos for _, pos in ts_inv.trajectory(i + 3).breakpoints]
-        assert winding_number(loop_inv, setup.config.position(j + 3)) == 1
+        assert winding_number(loop_inv, setup.config.positions[j + 3]) == 1
 
 
 def test_generator_trajectories_validates_strands():

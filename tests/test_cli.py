@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -187,3 +188,59 @@ def test_simulate_deterministic(capsys):
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+def test_invariant_unwritable_out_is_usage(tmp_path, capsys):
+    path = tmp_path / "no" / "such" / "x.json"
+    code, out, err = run_cli(capsys, "invariant", "--n", "2", "--word",
+                             "b(1,2)", "--out", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
+def test_simulate_unwritable_svg_dir_is_usage(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    svg_dir = blocker / "x"
+    code, out, err = run_cli(capsys, "simulate", "--n", "2", "--word",
+                             "b(1,2)", "--svg-dir", str(svg_dir))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write {svg_dir}: Not a directory\n"
+
+
+# SHA-256 digests of valid-input output, pinned so that a refactor keeps
+# stdout and every SVG byte-identical.
+GOLDEN_STDOUT = {
+    ("invariant", "--n", "3", "--word", "b(1,3) b(2,3)^-1 b(1,2)",
+     "--trace", "--charpoly"):
+        "a2fccd2df3fde986a6fd39f6fe993c1d11dc48833083d51fcbe0e4eaef847592",
+    ("verify", "--n", "3", "--family", "pb_all"):
+        "d5fa3860a553ee6d302f811b447d3bf96cc0bcd599d7ca0733d0a2f7495ad573",
+}
+GOLDEN_SIMULATE_STDOUT = \
+    "98f0a8c56dc9b1803aac1970b6997311f76445fe05685c301fa194c5e0cff56b"
+# the 33 snapshots concatenated in name order
+GOLDEN_SIMULATE_SVGS = \
+    "e941b04721a577c7900b33a466b128df83728741a2d13b6eebcce3f3f39b4c8f"
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT))
+def test_golden_stdout(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert _sha256(out.encode()) == GOLDEN_STDOUT[argv]
+
+
+def test_golden_simulate(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "simulate", "--n", "3", "--word",
+                             "b(1,3) b(2,3)^-1", "--svg-dir", str(tmp_path))
+    assert code == 0 and err == ""
+    assert _sha256(out.encode()) == GOLDEN_SIMULATE_STDOUT
+    svgs = sorted(tmp_path.iterdir())
+    assert len(svgs) == 33
+    assert _sha256(b"".join(p.read_bytes() for p in svgs)) \
+        == GOLDEN_SIMULATE_SVGS

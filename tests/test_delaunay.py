@@ -5,9 +5,8 @@ import pytest
 from conftest import random_configuration
 from flipbraid import canonical_setup
 from flipbraid.delaunay import (DegenerateConfigurationError, FlipEvent,
-                                Triangulation, apply_flip, build_delaunay,
-                                diff_flips, ordered_basis, render_svg,
-                                triangle, verify_delaunay)
+                                apply_flip, build_delaunay, diff_flips,
+                                render_svg, triangle, verify_delaunay)
 from flipbraid.geometry import Configuration, LabeledPoint
 
 
@@ -22,7 +21,7 @@ def test_counts_small_n():
     for n, count in ((0, 1), (1, 3), (2, 5)):
         t = build_delaunay(canonical_setup(n).config)
         assert len(t) == count
-    assert build_delaunay(canonical_setup(0).config).triangles == {(1, 2, 3)}
+    assert build_delaunay(canonical_setup(0).config) == {(1, 2, 3)}
 
 
 def test_counts_canonical():
@@ -33,14 +32,14 @@ def test_counts_canonical():
 def test_boundary_edges_present():
     t = build_delaunay(canonical_setup(4).config)
     for edge in ((1, 2), (1, 3), (2, 3)):
-        holders = [tri for tri in t.triangles if set(edge) <= set(tri)]
+        holders = [tri for tri in t if set(edge) <= set(tri)]
         assert len(holders) == 1
 
 
 def test_interior_edges_manifold():
     t = build_delaunay(canonical_setup(5).config)
     counts = {}
-    for tri in t.triangles:
+    for tri in t:
         a, b, c = tri
         for e in ((a, b), (a, c), (b, c)):
             counts[e] = counts.get(e, 0) + 1
@@ -52,13 +51,13 @@ def test_interior_edges_manifold():
 def test_insertion_order_independent():
     # points are inserted in the order of Configuration.points
     config = canonical_setup(5).config
-    reference = build_delaunay(config).triangles
+    reference = build_delaunay(config)
     rng = random.Random(31)
     points = list(config.points)
     for _ in range(6):
         rng.shuffle(points)
         shuffled = Configuration(tuple(points), config.boundary)
-        assert build_delaunay(shuffled).triangles == reference
+        assert build_delaunay(shuffled) == reference
 
 
 def test_random_configurations_verify():
@@ -68,7 +67,7 @@ def test_random_configurations_verify():
         config = random_configuration(rng, n)
         t = build_delaunay(config)
         assert len(t) == 2 * n + 1
-        verify_delaunay(t)  # exhaustive empty-circumdisk check
+        verify_delaunay(t, config)  # exhaustive empty-circumdisk check
 
 
 def test_degenerate_input_raises_with_subset():
@@ -87,16 +86,9 @@ def test_degenerate_input_raises_with_subset():
     assert err.value.subset == (4, 5, 6, 7)
 
 
-def test_ordered_basis_sorted():
-    t = Triangulation(frozenset({(1, 3, 4), (1, 2, 3), (2, 3, 4)}), None)
-    assert ordered_basis(t) == [(1, 2, 3), (1, 3, 4), (2, 3, 4)]
-    u = Triangulation(frozenset({(1, 2, 3), (1, 2, 4), (2, 3, 4)}), None)
-    assert ordered_basis(u).index((1, 2, 4)) == 1
-
-
 def test_diff_identity():
     t = build_delaunay(canonical_setup(3).config)
-    assert diff_flips(t.triangles, t.triangles) == []
+    assert diff_flips(t, t) == []
 
 
 def test_diff_single_flip():
@@ -136,21 +128,36 @@ def test_apply_flip_round_trip():
         apply_flip(after, event)
 
 
-def test_triangulation_equality_by_triangle_set():
-    t1 = Triangulation(frozenset({(1, 2, 3)}), "x")
-    t2 = Triangulation(frozenset({(1, 2, 3)}), "y")
-    assert t1 == t2 and hash(t1) == hash(t2)
-
-
-def test_triangulation_json():
-    t = Triangulation(frozenset({(2, 3, 4), (1, 2, 3)}), None)
-    assert t.to_json_dict() == {"triangles": [[1, 2, 3], [2, 3, 4]]}
-
-
 def test_svg_snapshot():
-    t = build_delaunay(canonical_setup(2).config)
-    svg = render_svg(t)
+    config = canonical_setup(2).config
+    t = build_delaunay(config)
+    svg = render_svg(t, config)
     assert svg.startswith("<svg")
     assert svg.count("<polygon") == 5
     assert svg.count("<text") == 5  # one label per point
-    assert render_svg(t) == svg  # deterministic
+    assert render_svg(t, config) == svg  # deterministic
+
+
+def test_home_is_the_delaunay_triangle_set():
+    setup = canonical_setup(4)
+    assert setup.home == build_delaunay(setup.config)
+    assert isinstance(setup.home, frozenset)
+
+
+def test_verify_rejects_a_flipped_interior_edge():
+    setup = canonical_setup(4)
+    home = setup.home
+    t0, t1 = next((a, b) for a in sorted(home) for b in sorted(home)
+                  if a < b and len(set(a) & set(b)) == 2)
+    shared = tuple(sorted(set(t0) & set(t1)))
+    other = tuple(sorted(set(t0) ^ set(t1)))
+    flipped = apply_flip(home, FlipEvent(shared, other))
+    assert len(flipped) == len(home)
+    with pytest.raises(AssertionError, match="circumdisk contains point"):
+        verify_delaunay(flipped, setup.config)
+
+
+def test_verify_rejects_a_missing_triangle():
+    setup = canonical_setup(4)
+    with pytest.raises(AssertionError, match="expected 9 triangles, got 8"):
+        verify_delaunay(setup.home - {min(setup.home)}, setup.config)

@@ -8,10 +8,11 @@ def test_every_exported_name_resolves():
 
 
 def test_retired_flip_records_are_gone():
-    from flipbraid import flips
+    from flipbraid import delaunay, flips
 
     for name in ("FlipRoles", "FlipMatrix", "reverse_roles",
-                 "pentagon_cycle"):
+                 "pentagon_cycle", "Triangulation", "ordered_basis"):
         assert name not in flipbraid.__all__
         assert not hasattr(flipbraid, name)
         assert not hasattr(flips, name)
+        assert not hasattr(delaunay, name)

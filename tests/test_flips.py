@@ -247,7 +247,7 @@ def test_pentagon_cycle_product_needs_five_distinct_labels(labels):
 @pytest.mark.parametrize("n", [4, 5])
 def test_sequence_product_matches_dense_fold(n):
     setup = canonical_setup(n)
-    home = build_delaunay(setup.config).triangles
+    home = build_delaunay(setup.config)
     zeta = setup.config.zeta_map()
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -357,6 +357,11 @@ def test_repeated_indices_rejected(quad):
     ([{"removed": [1, 2], "inserted": [3, 4]},
       {"removed": [1, 2], "inserted": [2, 4]}],
      "entry 2: .*four distinct indices"),
+    ([{"removed": [1, 2], "inserted": [3, 4], "t_lo": 0.5}],
+     "entry 1: 't_lo' must be a rational"),
+    (5, "expected a list of flip entries"),
+    (None, "expected a list of flip entries"),
+    ({"a": 1}, "expected a list of flip entries"),
 ])
 def test_flip_sequence_from_json_rejects_malformed_entries(data, message):
     with pytest.raises(ValueError, match=message):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -140,3 +141,33 @@ def test_configuration_json_round_trip():
     assert data["points"][3] == {"index": 4, "x": "1/3", "y": "2/7",
                                  "zeta": "4"}
     assert Configuration.from_json_dict(data) == config
+
+
+BOUNDARY_JSON = [{"index": 1, "x": "-10", "y": "-10", "zeta": "1"},
+                 {"index": 2, "x": "10", "y": "-10", "zeta": "2"},
+                 {"index": 3, "x": "0", "y": "10", "zeta": "3"}]
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"points": [{"index": 1}]}, "point entry 1: missing 'x'"),
+    ({"points": BOUNDARY_JSON + [{"index": 4, "x": 0.5, "y": "0",
+                                  "zeta": "4"}],
+      "boundary": [1, 2, 3]},
+     "point entry 4: not an exact rational: 0.5"),
+    ({"points": BOUNDARY_JSON + [{"index": 4, "x": "0", "y": "a",
+                                  "zeta": "4"}],
+      "boundary": [1, 2, 3]},
+     "point entry 4: Invalid literal for Fraction: 'a'"),
+    ({"points": BOUNDARY_JSON + [{"index": 4.5, "x": "0", "y": "0",
+                                  "zeta": "4"}],
+      "boundary": [1, 2, 3]},
+     "point entry 4: 'float' object cannot be interpreted as an integer"),
+    ({"points": [5], "boundary": [1, 2, 3]},
+     "point entry 1: expected an object, got 5"),
+    ({"points": 5}, "expected a list of point entries, got 5"),
+    ({"points": BOUNDARY_JSON}, "'boundary' must be a list, got None"),
+    ([], "expected an object, got []"),
+])
+def test_configuration_from_json_rejects_malformed_input(data, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Configuration.from_json_dict(data)

@@ -48,8 +48,8 @@ def test_configuration_at_interpolation():
     ts = TrajectorySet.from_motion(
         config, {4: [(0, (0, 0)), (F(1, 2), (1, 2)), (1, (0, 0))]})
     assert configuration_at(ts, 0) == config
-    assert configuration_at(ts, F(1, 2)).position(4) == (F(1), F(2))
-    assert configuration_at(ts, F(1, 4)).position(4) == (F(1, 2), F(1))
+    assert configuration_at(ts, F(1, 2)).positions[4] == (F(1), F(2))
+    assert configuration_at(ts, F(1, 4)).positions[4] == (F(1, 2), F(1))
     with pytest.raises(ValueError, match="outside"):
         configuration_at(ts, F(3, 2))
 
@@ -81,7 +81,7 @@ def test_single_flip_crossing():
     # before: 7 outside the triangle 4,5,6 circle, diagonal misses 7
     before = build_delaunay(configuration_at(ts, 0))
     after = build_delaunay(configuration_at(ts, 1))
-    assert apply_flip(before.triangles, event) == after.triangles
+    assert apply_flip(before, event) == after
 
 
 def test_single_flip_agrees_with_dense_oracle():
@@ -99,10 +99,10 @@ def test_bracket_endpoints_change_incircle_sign():
         j, l = event.inserted
         lo = configuration_at(ts, event.t_lo)
         hi = configuration_at(ts, event.t_hi)
-        assert incircle(lo.position(i), lo.position(j), lo.position(k),
-                        lo.position(l)) == -1
-        assert incircle(hi.position(i), hi.position(j), hi.position(k),
-                        hi.position(l)) == 1
+        assert incircle(lo.positions[i], lo.positions[j], lo.positions[k],
+                        lo.positions[l]) == -1
+        assert incircle(hi.positions[i], hi.positions[j], hi.positions[k],
+                        hi.positions[l]) == 1
 
 
 def test_grazing_dip_cancels():
@@ -118,24 +118,24 @@ def test_grazing_dip_cancels():
     assert first.removed == second.inserted
     assert first.inserted == second.removed
     product, final = sequence_product(
-        events, build_delaunay(config).triangles, config.zeta_map())
+        events, build_delaunay(config), config.zeta_map())
     assert product.is_identity()
-    assert final == build_delaunay(config).triangles
+    assert final == build_delaunay(config)
 
 
 def test_replay_reproduces_final_triangulation():
     _, ts = square_crossing_ts()
     events = extract_flip_sequence(ts)
-    tris = build_delaunay(configuration_at(ts, 0)).triangles
+    tris = build_delaunay(configuration_at(ts, 0))
     for e in events:
         tris = apply_flip(tris, e)
-    assert tris == build_delaunay(configuration_at(ts, 1)).triangles
+    assert tris == build_delaunay(configuration_at(ts, 1))
 
 
 def test_refinement_stability():
     _, ts = square_crossing_ts()
     zeta = configuration_at(ts, 0).zeta_map()
-    start = build_delaunay(configuration_at(ts, 0)).triangles
+    start = build_delaunay(configuration_at(ts, 0))
     products = []
     for step in (F(1, 64), F(1, 128), F(1, 37)):
         events = extract_flip_sequence(ts, step=step)
@@ -164,8 +164,8 @@ def test_simultaneous_overlapping_events_unresolved():
     # the message names triangles that change across the stuck bracket
     message = str(info.value)
     lo, hi = (F(t) for t in re.search(r"\[(\S+), (\S+)\]", message).groups())
-    changed = (build_delaunay(configuration_at(ts, lo)).triangles
-               ^ build_delaunay(configuration_at(ts, hi)).triangles)
+    changed = (build_delaunay(configuration_at(ts, lo))
+               ^ build_delaunay(configuration_at(ts, hi)))
     assert changed and any(str(t) in message for t in changed)
 
 
@@ -180,4 +180,37 @@ def test_trajectory_json_round_trip():
     rebuilt = TrajectorySet.from_json_dict(
         data, config.boundary, config.zeta_map())
     assert rebuilt == ts
-    assert configuration_at(rebuilt, F(1, 6)).position(4) == (F(1, 2), F(1))
+    assert configuration_at(rebuilt, F(1, 6)).positions[4] == (F(1, 2), F(1))
+
+
+def _trajectory_json():
+    config = make_config([(0, 0)])
+    ts = TrajectorySet.from_motion(
+        config, {4: [(0, (0, 0)), (F(1, 3), (1, 2)), (1, (0, 0))]})
+    return config, ts.to_json_dict()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["trajectories"][3].pop("index"),
+     "trajectory entry 4: missing 'index'"),
+    (lambda d: d["trajectories"][3].pop("breakpoints"),
+     "trajectory entry 4: missing 'breakpoints'"),
+    (lambda d: d["trajectories"][3]["breakpoints"][1].__setitem__(0, 0.1),
+     "trajectory entry 4: not an exact rational: 0.1"),
+    (lambda d: d["trajectories"][0]["breakpoints"][0].pop(),
+     "trajectory entry 1: not enough values to unpack"),
+    (lambda d: d["trajectories"][3]["breakpoints"].pop(),
+     "trajectory entry 4: breakpoints must start at 0 and end at 1"),
+    (lambda d: d["trajectories"][2].__setitem__("index", "3"),
+     "trajectory entry 3: 'str' object cannot be interpreted as an integer"),
+    (lambda d: d["trajectories"].__setitem__(1, 7),
+     "trajectory entry 2: expected an object, got 7"),
+    (lambda d: d.pop("trajectories"),
+     "expected a list of trajectory entries, got None"),
+])
+def test_trajectory_json_rejects_malformed_input(edit, message):
+    config, data = _trajectory_json()
+    edit(data)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TrajectorySet.from_json_dict(data, config.boundary,
+                                     config.zeta_map())
