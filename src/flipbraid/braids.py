@@ -21,7 +21,7 @@ from .geometry import (Configuration, LabeledPoint,
                        _strictly_inside_triangle, orient2d,
                        validate_general_position)
 from .kinetics import (DEFAULT_FLOOR, DEFAULT_STEP, TrajectorySet,
-                       extract_flip_sequence)
+                       UnresolvedEventError, extract_flip_sequence)
 from .linalg import Matrix, as_rational, char_poly
 
 
@@ -259,7 +259,10 @@ def _letter_result(setup: CanonicalSetup, letter: BraidLetter,
     misses.
     """
     ts = generator_trajectories(setup, letter, geometry)
-    events = extract_flip_sequence(ts, step=step, floor=floor)
+    try:
+        events = extract_flip_sequence(ts, step=step, floor=floor)
+    except UnresolvedEventError as err:
+        raise UnresolvedEventError(f"{err} (letter {letter})") from err
     matrix, final = sequence_product(events, setup.home,
                                      setup.config.zeta_map())
     if final != setup.home:

@@ -3,16 +3,19 @@
 A triangulation is a frozenset of triangles, each an ascending index
 triple; the canonical basis order is lexicographic (``sorted``), and a diff
 of two triangulations decomposes into diagonal exchanges (flips) or reports
-that it cannot.
+that it cannot.  Construction folds one Bowyer-Watson insertion step over
+the points, and verification is the local edge test; both run the exact
+integer predicates on ``Configuration.int_positions``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional
 
-from .geometry import Configuration, incircle
+from .geometry import Configuration, _incircle, _orient
 
 
 def triangle(*indices) -> tuple:
@@ -30,6 +33,30 @@ class DegenerateConfigurationError(ValueError):
             f"degenerate configuration: cocircular subset {self.subset}")
 
 
+def insert_point(triangles: set, positions: dict, index) -> None:
+    """One Bowyer-Watson step: add point ``index`` to ``triangles`` in place.
+
+    The triangles whose open circumdisk strictly contains the point form
+    its cavity; they are replaced by the fan from the point to the cavity's
+    boundary edges.  ``positions`` is a configuration's ``int_positions``.
+    Inserting into a Delaunay triangle set gives the Delaunay triangle set
+    of the larger point set (Bowyer, Comput. J. 1981; Watson, Comput. J.
+    1981).
+    """
+    p = positions[index]
+    cavity = [t for t in triangles
+              if _incircle(positions[t[0]], positions[t[1]], positions[t[2]],
+                           p) > 0]
+    edge_count = {}
+    for a, b, c in cavity:
+        for e in ((a, b), (a, c), (b, c)):
+            edge_count[e] = edge_count.get(e, 0) + 1
+    triangles.difference_update(cavity)
+    for (a, b), count in edge_count.items():
+        if count == 1:
+            triangles.add(triangle(a, b, index))
+
+
 def build_delaunay(config: Configuration) -> frozenset:
     """Incremental Bowyer-Watson starting from the boundary triangle.
 
@@ -37,50 +64,65 @@ def build_delaunay(config: Configuration) -> frozenset:
     synthetic super-triangle is needed.  Every interior point lies strictly
     inside the boundary triangle and no two points coincide, so each point
     lies strictly inside some current triangle's circumdisk and its cavity
-    is never empty.  The result is checked exhaustively by
-    ``verify_delaunay``: any point strictly inside a circumdisk is an
-    internal error, any point exactly on one is a degeneracy of the input
-    (reported with the offending 4-subset).
+    is never empty.  The result is checked by ``verify_delaunay``: a point
+    strictly inside a circumdisk is an internal error, a point exactly on
+    one is a degeneracy of the input (reported with the offending 4-subset).
     """
     tris = {triangle(*config.boundary)}
-    positions = config.positions
-    for idx in config.interior:
-        p = positions[idx]
-        cavity = [t for t in tris
-                  if incircle(positions[t[0]], positions[t[1]],
-                              positions[t[2]], p) > 0]
-        edge_count = {}
-        for a, b, c in cavity:
-            for e in ((a, b), (a, c), (b, c)):
-                edge_count[e] = edge_count.get(e, 0) + 1
-        tris.difference_update(cavity)
-        for e, count in edge_count.items():
-            if count == 1:
-                tris.add(triangle(e[0], e[1], idx))
+    for index in config.interior:
+        insert_point(tris, config.int_positions, index)
     result = frozenset(tris)
     verify_delaunay(result, config)
     return result
 
 
 def verify_delaunay(triangles: frozenset, config: Configuration) -> None:
-    """Exhaustive empty-circumdisk check of ``triangles`` over ``config``;
-    raises on any violation."""
-    positions = config.positions
+    """Check that ``triangles`` is the Delaunay triangle set of ``config``;
+    raises on any violation.
+
+    The set must have 2n+1 triangles, each boundary edge must lie on one of
+    them and every other edge on exactly two, lying on opposite sides of
+    it.  Such a set triangulates the boundary triangle, and it is Delaunay
+    when it is locally Delaunay at every interior edge: the vertex across
+    the edge lies outside the circumdisk of the triangle on this side (de
+    Berg et al., Computational Geometry, 3rd ed., section 9.2).  A vertex
+    strictly inside raises ``AssertionError``.  Otherwise a vertex exactly
+    on the circle raises ``DegenerateConfigurationError``: every cocircular
+    face with an empty open disk has an interior diagonal whose two
+    triangles share that circle, so no degeneracy is missed.
+    """
+    positions = config.int_positions
     n = config.n
     if len(triangles) != 2 * n + 1:
         raise AssertionError(
             f"expected {2 * n + 1} triangles, got {len(triangles)}")
-    for tri in sorted(triangles):
-        a, b, c = (positions[i] for i in tri)
-        for index, xy in positions.items():
-            if index in tri:
-                continue
-            s = incircle(a, b, c, xy)
-            if s > 0:
-                raise AssertionError(
-                    f"triangle {tri} circumdisk contains point {index}")
-            if s == 0:
-                raise DegenerateConfigurationError(tri + (index,))
+    across = {}  # edge -> the vertices opposite it
+    for a, b, c in sorted(triangles):
+        for edge, apex in (((a, b), c), ((a, c), b), ((b, c), a)):
+            across.setdefault(edge, []).append(apex)
+    hull = {tuple(sorted(e)) for e in combinations(config.boundary, 2)}
+    degenerate = None
+    for edge, apexes in across.items():
+        expected = 1 if edge in hull else 2
+        if len(apexes) != expected:
+            raise AssertionError(
+                f"edge {edge} lies on {len(apexes)} triangles, not {expected}")
+        if expected == 1:
+            continue
+        pa, pb = positions[edge[0]], positions[edge[1]]
+        c, d = apexes
+        pc, pd = positions[c], positions[d]
+        if _orient(pa, pb, pc) * _orient(pa, pb, pd) != -1:
+            raise AssertionError(
+                f"triangles across edge {edge} do not lie on opposite sides")
+        s = _incircle(pa, pb, pc, pd)
+        if s > 0:
+            raise AssertionError(
+                f"triangle {triangle(*edge, c)} circumdisk contains point {d}")
+        if s == 0 and degenerate is None:
+            degenerate = edge + (c, d)
+    if degenerate is not None:
+        raise DegenerateConfigurationError(degenerate)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,11 @@
 """Exact planar predicates and the labeled point configuration model.
 
-All coordinates and labels are Fractions; predicate signs are computed on
-integers after clearing denominators, so there is no epsilon anywhere.
+All coordinates and labels are Fractions.  Predicate signs are computed on
+integers: a configuration clears the denominators of all its coordinates
+once, into ``Configuration.int_positions``, and the triangulation code
+runs the integer cores ``_orient`` and ``_incircle`` on that map.  The
+public ``orient2d`` and ``incircle`` clear the denominators of their own
+arguments and call the same cores, so there is no epsilon anywhere.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
 
 from .linalg import as_rational, json_entries
 
@@ -23,22 +26,46 @@ class DegenerateCircleError(ValueError):
     """incircle asked for the circumcircle of collinear points."""
 
 
-def _scale_to_ints(values: Sequence[Fraction]) -> list:
-    lcm = 1
-    for v in values:
-        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-    return [v.numerator * (lcm // v.denominator) for v in values]
+def _integer_points(points) -> list:
+    """The points scaled by the least common denominator of all their
+    coordinates, as integer pairs.  A positive common scale keeps every
+    orientation and incircle sign."""
+    lcm = math.lcm(*(v.denominator for p in points for v in p))
+    return [(x.numerator * (lcm // x.denominator),
+             y.numerator * (lcm // y.denominator)) for x, y in points]
 
 
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
+def _orient(a, b, c) -> int:
+    """Sign of the orientation determinant of three integer points."""
+    det = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    return (det > 0) - (det < 0)
+
+
+def _incircle(a, b, c, d) -> int:
+    """``incircle`` on integer points."""
+    orient = _orient(a, b, c)
+    if orient == 0:
+        raise DegenerateCircleError(f"degenerate circumcircle: {a}, {b}, {c}")
+    adx, ady = a[0] - d[0], a[1] - d[1]
+    bdx, bdy = b[0] - d[0], b[1] - d[1]
+    cdx, cdy = c[0] - d[0], c[1] - d[1]
+    det = ((adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
+           + (bdx * bdx + bdy * bdy) * (cdx * ady - adx * cdy)
+           + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady))
+    return ((det > 0) - (det < 0)) * orient
+
+
+def _inside(p, a, b, c) -> bool:
+    """True when integer point p lies strictly inside triangle (a, b, c)."""
+    if _orient(a, b, c) < 0:
+        a, b = b, a
+    return (_orient(a, b, p) > 0 and _orient(b, c, p) > 0
+            and _orient(c, a, p) > 0)
 
 
 def orient2d(a: Point, b: Point, c: Point) -> int:
     """Sign of twice the signed area of (a, b, c); +1 = counterclockwise."""
-    ax, ay, bx, by, cx, cy = _scale_to_ints(
-        [a[0], a[1], b[0], b[1], c[0], c[1]])
-    return _sign((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+    return _orient(*_integer_points((a, b, c)))
 
 
 def incircle(a: Point, b: Point, c: Point, d: Point) -> int:
@@ -48,18 +75,9 @@ def incircle(a: Point, b: Point, c: Point, d: Point) -> int:
     Orientation of (a, b, c) is normalized internally, so callers may pass
     the triangle vertices in any order.
     """
-    orient = orient2d(a, b, c)
-    if orient == 0:
+    if orient2d(a, b, c) == 0:
         raise DegenerateCircleError(f"degenerate circumcircle: {a}, {b}, {c}")
-    ax, ay, bx, by, cx, cy, dx, dy = _scale_to_ints(
-        [a[0], a[1], b[0], b[1], c[0], c[1], d[0], d[1]])
-    adx, ady = ax - dx, ay - dy
-    bdx, bdy = bx - dx, by - dy
-    cdx, cdy = cx - dx, cy - dy
-    det = ((adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
-           + (bdx * bdx + bdy * bdy) * (cdx * ady - adx * cdy)
-           + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady))
-    return _sign(det) * orient
+    return _incircle(*_integer_points((a, b, c, d)))
 
 
 @dataclass(frozen=True)
@@ -101,19 +119,18 @@ class Configuration:
         zetas = [p.zeta for p in self.points]
         if len(set(zetas)) != len(zetas):
             raise ValueError("zeta labels must be pairwise distinct")
-        if len(set(self.positions.values())) != len(self.points):
+        ints = self.int_positions
+        if len(set(ints.values())) != len(self.points):
             raise ValueError("coincident points")
         if len(self.boundary) != 3 or len(set(self.boundary)) != 3:
             raise ValueError("boundary must be 3 distinct indices")
-        if any(b not in self.positions for b in self.boundary):
+        if any(b not in ints for b in self.boundary):
             raise ValueError("boundary indices missing from points")
-        a, b, c = (self.positions[i] for i in self.boundary)
-        for p in self.points:
-            if p.index in self.boundary:
-                continue
-            if not _strictly_inside_triangle(p.xy, a, b, c):
+        a, b, c = (ints[i] for i in self.boundary)
+        for index, p in ints.items():
+            if index not in self.boundary and not _inside(p, a, b, c):
                 raise ValueError(
-                    f"point {p.index} is not strictly inside the boundary"
+                    f"point {index} is not strictly inside the boundary"
                     " triangle")
 
     @property
@@ -129,6 +146,14 @@ class Configuration:
     def positions(self) -> dict:
         """Point index -> (x, y), built once per configuration."""
         return {p.index: p.xy for p in self.points}
+
+    @functools.cached_property
+    def int_positions(self) -> dict:
+        """Point index -> integer (x, y): ``positions`` scaled by the least
+        common denominator of all coordinates, which keeps every predicate
+        sign.  The triangulation code reads only this map."""
+        return dict(zip(self.positions,
+                        _integer_points(self.positions.values())))
 
     def zeta_map(self) -> dict:
         return {p.index: p.zeta for p in self.points}
@@ -160,10 +185,7 @@ class Configuration:
 
 
 def _strictly_inside_triangle(p: Point, a: Point, b: Point, c: Point) -> bool:
-    if orient2d(a, b, c) < 0:
-        a, b = b, a
-    return (orient2d(a, b, p) > 0 and orient2d(b, c, p) > 0
-            and orient2d(c, a, p) > 0)
+    return _inside(*_integer_points((p, a, b, c)))
 
 
 def validate_general_position(config: Configuration) -> list:
@@ -173,21 +195,19 @@ def validate_general_position(config: Configuration) -> list:
     circumdisk contains no other configuration point.  Exhaustive O(m^4);
     authoritative at desk scale.
     """
-    pts = config.points
+    pts = config.int_positions
     offending = []
     for quad in combinations(pts, 4):
-        a, b, c, d = quad
-        if orient2d(a.xy, b.xy, c.xy) == 0:
+        a, b, c, d = (pts[i] for i in quad)
+        if _orient(a, b, c) == 0:
             # no circumcircle through a,b,c; try another triple of the quad
-            if orient2d(a.xy, b.xy, d.xy) == 0:
+            if _orient(a, b, d) == 0:
                 continue
-            a, b, c, d = a, b, d, c
-        if incircle(a.xy, b.xy, c.xy, d.xy) != 0:
+            c, d = d, c
+        if _incircle(a, b, c, d) != 0:
             continue
-        quad_idx = {q.index for q in quad}
-        empty = all(
-            incircle(a.xy, b.xy, c.xy, other.xy) <= 0
-            for other in pts if other.index not in quad_idx)
+        empty = all(_incircle(a, b, c, xy) <= 0
+                    for index, xy in pts.items() if index not in quad)
         if empty:
-            offending.append(tuple(sorted(quad_idx)))
+            offending.append(tuple(sorted(quad)))
     return offending

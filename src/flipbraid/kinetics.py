@@ -6,18 +6,24 @@ one contains a single certified flip (or the width floor is reached, where
 far-commuting simultaneous flips are ordered lexicographically).  Event
 times are never computed, only the flip order, which is all the matrix
 product needs.
+
+Only the moving points change between samples.  A trajectory set builds
+the Delaunay triangle set of its constant points once; each sample
+interpolates the movers, inserts them with the Bowyer-Watson step of
+``build_delaunay`` and checks the result with the O(n) local edge test.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .delaunay import (DegenerateConfigurationError, FlipEvent, apply_flip,
-                       build_delaunay, diff_flips)
-from .geometry import Configuration, LabeledPoint, incircle
+                       diff_flips, insert_point, triangle, verify_delaunay)
+from .geometry import Configuration, LabeledPoint, _incircle
 from .linalg import as_rational, json_entries
 
 DEFAULT_STEP = Fraction(1, 64)
@@ -87,6 +93,27 @@ class TrajectorySet:
                     f"trajectory of point {p.index} does not start at its"
                     " initial position")
 
+    @functools.cached_property
+    def movers(self) -> tuple:
+        """Indices of the points whose trajectory is not constant."""
+        return tuple(tr.index for tr in self.trajectories
+                     if not tr.is_constant())
+
+    @functools.cached_property
+    def stationary_triangles(self) -> frozenset:
+        """Delaunay triangle set of the constant points, built once.
+
+        Every sample inserts the movers into it.  It is left unverified: a
+        cocircular 4-subset of constant points is legal here when its disk
+        holds a mover, and a sample that stays degenerate is caught when
+        the sample is verified.
+        """
+        tris = {triangle(*self.initial.boundary)}
+        for index in self.initial.interior:
+            if index not in self.movers:
+                insert_point(tris, self.initial.int_positions, index)
+        return frozenset(tris)
+
     @staticmethod
     def from_motion(config: Configuration, paths: dict) -> "TrajectorySet":
         """Constant trajectories except for the points listed in ``paths``."""
@@ -137,22 +164,31 @@ def _trajectory_from_json(d: dict) -> Trajectory:
 
 
 def configuration_at(ts: TrajectorySet, t) -> Configuration:
-    """Exact linear interpolation of every trajectory at time t."""
+    """Exact linear interpolation of every moving trajectory at time t;
+    the other points keep their initial position."""
     t = as_rational(t)
     if not 0 <= t <= 1:
         raise ValueError(f"time {t} outside [0, 1]")
-    zeta = ts.initial.zeta_map()
+    start = {p.index: p for p in ts.initial.points}
     pts = []
     for tr in ts.trajectories:
-        x, y = tr.position_at(t)
-        pts.append(LabeledPoint(tr.index, x, y, zeta[tr.index]))
+        p = start[tr.index]
+        if tr.index in ts.movers:
+            p = LabeledPoint(p.index, *tr.position_at(t), p.zeta)
+        pts.append(p)
     return Configuration(tuple(pts), ts.initial.boundary)
 
 
 def _sample_at(ts: TrajectorySet, t: Fraction) -> tuple:
-    """The sample (time, configuration, Delaunay triangle set) at t."""
+    """The sample (time, configuration, Delaunay triangle set) at t: the
+    movers inserted into the stationary triangle set, then verified."""
     config = configuration_at(ts, t)
-    return t, config, build_delaunay(config)
+    tris = set(ts.stationary_triangles)
+    for index in ts.movers:
+        insert_point(tris, config.int_positions, index)
+    tris = frozenset(tris)
+    verify_delaunay(tris, config)
+    return t, config, tris
 
 
 def _sample(ts: TrajectorySet, t: Fraction, lo: Fraction, hi: Fraction,
@@ -183,9 +219,9 @@ def _crossing_certified(before_config: Configuration,
     bracket, certifying a genuine cocircularity crossing."""
     i, k = event.removed
     j, l = event.inserted
-    pa, pb = before_config.positions, after_config.positions
-    sa = incircle(pa[i], pa[j], pa[k], pa[l])
-    sb = incircle(pb[i], pb[j], pb[k], pb[l])
+    pa, pb = before_config.int_positions, after_config.int_positions
+    sa = _incircle(pa[i], pa[j], pa[k], pa[l])
+    sb = _incircle(pb[i], pb[j], pb[k], pb[l])
     return sa == -1 and sb == 1
 
 

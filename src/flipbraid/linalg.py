@@ -141,8 +141,16 @@ class Matrix:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Matrix":
-        m = Matrix(data["entries"])
-        if (m.rows, m.cols) != (data["rows"], data["cols"]):
+        """The matrix that ``to_json_dict`` wrote; malformed input raises
+        ``ValueError``."""
+        try:
+            m = Matrix(data["entries"])
+            shape = (data["rows"], data["cols"])
+        except KeyError as err:
+            raise ValueError(f"matrix: missing {err}") from None
+        except (TypeError, ZeroDivisionError) as err:
+            raise ValueError(f"matrix: {err}") from None
+        if (m.rows, m.cols) != shape:
             raise DimensionError("declared shape does not match entries")
         return m
 

@@ -1,8 +1,11 @@
-"""Shared helpers: random valid configurations and a winding-number oracle."""
+"""Shared helpers: random valid configurations, the exhaustive Delaunay
+check and a winding-number oracle."""
 
 from fractions import Fraction
 
-from flipbraid import Configuration, LabeledPoint, validate_general_position
+from flipbraid import (Configuration, DegenerateConfigurationError,
+                       LabeledPoint, incircle, orient2d,
+                       validate_general_position)
 
 BOUNDARY = (
     (Fraction(-50), Fraction(-30)),
@@ -29,6 +32,37 @@ def random_configuration(rng, n) -> Configuration:
             continue
         if not validate_general_position(config):
             return config
+
+
+def exhaustive_delaunay_check(triangles, config) -> None:
+    """Reference for ``verify_delaunay``: every triangle against every point.
+
+    Raises ``AssertionError`` on a wrong triangle count, a zero-area
+    triangle or any point strictly inside a circumdisk; otherwise
+    ``DegenerateConfigurationError`` on any point exactly on a circle.
+    O(n^2) exact ``incircle`` calls on the configuration's Fractions.
+    """
+    positions = config.positions
+    expected = 2 * config.n + 1
+    if len(triangles) != expected:
+        raise AssertionError(
+            f"expected {expected} triangles, got {len(triangles)}")
+    degenerate = None
+    for tri in sorted(triangles):
+        a, b, c = (positions[i] for i in tri)
+        if orient2d(a, b, c) == 0:
+            raise AssertionError(f"triangle {tri} has zero area")
+        for index, xy in positions.items():
+            if index in tri:
+                continue
+            s = incircle(a, b, c, xy)
+            if s > 0:
+                raise AssertionError(
+                    f"triangle {tri} circumdisk contains point {index}")
+            if s == 0 and degenerate is None:
+                degenerate = tri + (index,)
+    if degenerate is not None:
+        raise DegenerateConfigurationError(degenerate)
 
 
 def winding_number(loop, center) -> int:

@@ -141,6 +141,7 @@ def test_verify_unresolved_event_is_math_error(capsys):
     assert code == 1 and out == ""
     assert err.startswith("error: unresolved codimension-2 event")
     assert err.count("\n") == 1
+    assert "(letter b(1,2))" in err
 
 
 def test_verify_rejects_bad_family(capsys):

@@ -1,13 +1,18 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_configuration
+from conftest import exhaustive_delaunay_check, random_configuration
 from flipbraid import canonical_setup
 from flipbraid.delaunay import (DegenerateConfigurationError, FlipEvent,
                                 apply_flip, build_delaunay, diff_flips,
-                                render_svg, triangle, verify_delaunay)
-from flipbraid.geometry import Configuration, LabeledPoint
+                                insert_point, render_svg, triangle,
+                                verify_delaunay)
+from flipbraid.geometry import (Configuration, LabeledPoint,
+                                validate_general_position)
 
 
 def test_triangle_sorted():
@@ -67,7 +72,8 @@ def test_random_configurations_verify():
         config = random_configuration(rng, n)
         t = build_delaunay(config)
         assert len(t) == 2 * n + 1
-        verify_delaunay(t, config)  # exhaustive empty-circumdisk check
+        verify_delaunay(t, config)  # local edge check
+        exhaustive_delaunay_check(t, config)
 
 
 def test_degenerate_input_raises_with_subset():
@@ -161,3 +167,64 @@ def test_verify_rejects_a_missing_triangle():
     setup = canonical_setup(4)
     with pytest.raises(AssertionError, match="expected 9 triangles, got 8"):
         verify_delaunay(setup.home - {min(setup.home)}, setup.config)
+
+
+def _verdict(check, triangles, config):
+    try:
+        check(triangles, config)
+    except DegenerateConfigurationError as err:
+        return "degenerate", err.subset
+    except AssertionError:
+        return "rejected", None
+    return "accepted", None
+
+
+def _triangle_sets(rng, config):
+    """The triangle set that the insertion steps give for ``config`` (its
+    Delaunay set, or a Delaunay set of a degenerate configuration), the set
+    less one triangle and, where one exists, one random diagonal exchange
+    of it (convex or not)."""
+    tris = {triangle(*config.boundary)}
+    for index in config.interior:
+        insert_point(tris, config.int_positions, index)
+    tris = frozenset(tris)
+    out = [tris, tris - {rng.choice(sorted(tris))}]
+    flips = [FlipEvent(tuple(sorted(set(t0) & set(t1))),
+                       tuple(sorted(set(t0) ^ set(t1))))
+             for t0 in sorted(tris) for t1 in sorted(tris)
+             if t0 < t1 and len(set(t0) & set(t1)) == 2]
+    flips = [f for f in flips if not set(f.inserted_triangles()) & tris]
+    if flips:
+        out.append(apply_flip(tris, rng.choice(flips)))
+    return out
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.booleans())
+def test_local_check_agrees_with_exhaustive_oracle(seed, n, cocircular):
+    """verify_delaunay accepts, reports a degeneracy or rejects exactly
+    when the exhaustive check does; a reported subset is a cocircular
+    4-subset with an empty open disk."""
+    rng = random.Random(seed)
+    config = random_configuration(rng, n)
+    if cocircular:
+        # the corners of a random rectangle lie on one circle; as points
+        # 4..7 their edges come first in the local check's edge order
+        x0, x1 = sorted(rng.sample(range(-160, 161), 2))
+        y0, y1 = sorted(rng.sample(range(-160, 161), 2))
+        corners = [LabeledPoint.make(4 + k, Fraction(x, 8), Fraction(y, 8),
+                                     4 + k)
+                   for k, (x, y) in enumerate(
+                       [(x0, y0), (x1, y0), (x0, y1), (x1, y1)])]
+        shifted = [LabeledPoint(p.index + 4, p.x, p.y, p.zeta + 4)
+                   for p in config.points[3:]]
+        try:
+            config = Configuration(config.points[:3] + tuple(corners)
+                                   + tuple(shifted), config.boundary)
+        except ValueError:
+            return  # a corner coincides with a point
+    for tris in _triangle_sets(rng, config):
+        verdict, subset = _verdict(verify_delaunay, tris, config)
+        assert verdict == _verdict(exhaustive_delaunay_check, tris, config)[0]
+        if verdict == "degenerate":
+            assert subset in validate_general_position(config)

@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from flipbraid import kinetics
+from flipbraid.braids import (BraidLetter, canonical_setup,
+                              generator_trajectories)
 from flipbraid.delaunay import (DegenerateConfigurationError, apply_flip,
                                 build_delaunay)
 from flipbraid.flips import sequence_product
 from flipbraid.geometry import Configuration, LabeledPoint, incircle
 from flipbraid.kinetics import (Trajectory, TrajectorySet,
-                                UnresolvedEventError, configuration_at,
-                                extract_flip_sequence)
+                                UnresolvedEventError, _sample_at,
+                                configuration_at, extract_flip_sequence)
 
 F = Fraction
 
@@ -150,15 +153,20 @@ def test_degenerate_endpoint_raises():
         extract_flip_sequence(ts)
 
 
-def test_simultaneous_overlapping_events_unresolved():
-    """Two movers crossing one circle at the same instant cannot be ordered."""
+def two_mover_ts():
+    """Points 7 and 8 cross the circle of 4, 5, 6 at the same instant."""
     config = make_config(
         STATIC_TRIPLE
         + [(F(3, 2), F(3, 2)), (F(11, 10), F(17, 10))])
-    ts = TrajectorySet.from_motion(config, {
+    return TrajectorySet.from_motion(config, {
         7: [(0, (F(3, 2), F(3, 2))), (1, (F(1, 2), F(1, 2)))],
         8: [(0, (F(11, 10), F(17, 10))), (1, (F(1, 10), F(7, 10)))],
     })
+
+
+def test_simultaneous_overlapping_events_unresolved():
+    """Two movers crossing one circle at the same instant cannot be ordered."""
+    ts = two_mover_ts()
     with pytest.raises(UnresolvedEventError, match="perturb") as info:
         extract_flip_sequence(ts, floor=F(1, 2 ** 20))
     # the message names triangles that change across the stuck bracket
@@ -167,6 +175,68 @@ def test_simultaneous_overlapping_events_unresolved():
     changed = (build_delaunay(configuration_at(ts, lo))
                ^ build_delaunay(configuration_at(ts, hi)))
     assert changed and any(str(t) in message for t in changed)
+
+
+def assert_sampler_matches_rebuild(ts, times):
+    """The sampler's triangle set (movers inserted into the stationary set)
+    equals the full Delaunay build at each time, degeneracies included."""
+    for t in times:
+        try:
+            expected = build_delaunay(configuration_at(ts, t))
+        except DegenerateConfigurationError:
+            with pytest.raises(DegenerateConfigurationError):
+                _sample_at(ts, t)
+            continue
+        assert _sample_at(ts, t)[2] == expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sampler_matches_rebuild_at_every_bracket(n):
+    setup = canonical_setup(n)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for power in (1, -1):
+                ts = generator_trajectories(setup, BraidLetter(i, j, power))
+                assert ts.movers == (i + 3,)
+                events = extract_flip_sequence(ts)
+                assert events
+                assert_sampler_matches_rebuild(
+                    ts, sorted({t for e in events for t in (e.t_lo, e.t_hi)}))
+
+
+def test_sampler_matches_rebuild_with_two_movers():
+    ts = two_mover_ts()
+    assert ts.movers == (7, 8)
+    with pytest.raises(UnresolvedEventError) as info:
+        extract_flip_sequence(ts, floor=F(1, 2 ** 20))
+    lo, hi = (F(t) for t in
+              re.search(r"\[(\S+), (\S+)\]", str(info.value)).groups())
+    assert_sampler_matches_rebuild(
+        ts, [F(k, 64) for k in range(65)] + [lo, (lo + hi) / 2, hi])
+
+
+def _rebuild_sample_at(ts, t):
+    config = configuration_at(ts, t)
+    return t, config, build_delaunay(config)
+
+
+def test_cocircular_stationary_points_around_the_mover(monkeypatch):
+    """Points 4..7 lie on the circle x^2 + y^2 = 25 and its disk holds no
+    other constant point, so the stationary triangle set is degenerate.
+    The mover 9 starts at the center and its loop stays inside the disk,
+    so those four points are never a degeneracy of a sample."""
+    config = make_config([(5, 0), (0, 5), (-5, 0), (0, -5), (4, 4), (0, 0)])
+    ts = TrajectorySet.from_motion(config, {
+        9: [(0, (0, 0)), (F(1, 3), (-2, -2)), (F(2, 3), (-2, 0)),
+            (1, (0, 0))]})
+    stationary = Configuration(config.points[:-1], config.boundary)
+    with pytest.raises(DegenerateConfigurationError) as err:
+        build_delaunay(stationary)
+    assert err.value.subset == (4, 5, 6, 7)
+    events = extract_flip_sequence(ts)
+    assert len(events) == 2
+    monkeypatch.setattr(kinetics, "_sample_at", _rebuild_sample_at)
+    assert extract_flip_sequence(ts) == events
 
 
 def test_trajectory_json_round_trip():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -154,6 +155,17 @@ def test_json_round_trip():
     assert data == {"rows": 2, "cols": 2,
                     "entries": [["3/2", "1/2"], ["-1/2", "1/2"]]}
     assert Matrix.from_json_dict(data) == B
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"rows": 1, "cols": 1}, "matrix: missing 'entries'"),
+    ({"rows": 1, "cols": 1, "entries": [[0.5]]},
+     "matrix: not an exact rational: 0.5"),
+])
+def test_json_rejects_malformed_input(data, message):
+    with pytest.raises(ValueError, match=re.escape(message)) as err:
+        Matrix.from_json_dict(data)
+    assert type(err.value) is ValueError
 
 
 def test_json_integer_rendering():
