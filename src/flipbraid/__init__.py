@@ -14,7 +14,8 @@ from .flips import (BasisMismatchError, build_flip_matrix,
 from .geometry import (Configuration, LabeledPoint, incircle, orient2d,
                        validate_general_position)
 from .kinetics import (Trajectory, TrajectorySet, UnresolvedEventError,
-                       configuration_at, extract_flip_sequence)
+                       configuration_at, exact_flip_sequence,
+                       extract_flip_sequence)
 from .linalg import (DimensionError, Matrix, SingularMatrixError, char_poly,
                      mat_inverse, mat_mul)
 
@@ -27,7 +28,8 @@ __all__ = [
     "RelationReport", "SingularMatrixError", "Trajectory", "TrajectorySet",
     "UnresolvedEventError", "WordSyntaxError", "apply_flip",
     "build_delaunay", "build_flip_matrix", "canonical_setup", "char_poly",
-    "configuration_at", "diff_flips", "extract_flip_sequence",
+    "configuration_at", "diff_flips", "exact_flip_sequence",
+    "extract_flip_sequence",
     "gamma_generator_name", "generator_trajectories", "incircle", "invariant",
     "mat_inverse", "mat_mul", "orient2d", "parse_word",
     "pentagon_cycle_product", "render_svg",

@@ -21,7 +21,8 @@ from .geometry import (Configuration, LabeledPoint,
                        _strictly_inside_triangle, orient2d,
                        validate_general_position)
 from .kinetics import (DEFAULT_FLOOR, DEFAULT_STEP, TrajectorySet,
-                       UnresolvedEventError, extract_flip_sequence)
+                       UnresolvedEventError, exact_flip_sequence,
+                       extract_flip_sequence)
 from .linalg import Matrix, as_rational, char_poly
 
 
@@ -216,7 +217,12 @@ def generator_trajectories(setup: CanonicalSetup, letter: BraidLetter,
 
 @dataclass
 class InvariantResult:
-    """Matrix of a word together with the basis and per-letter flip logs."""
+    """Matrix of a word together with the basis and per-letter flip logs.
+
+    The matrix is the image of the word in the pure braid group PB_n of
+    the n mobile points, not PB_{n+3}: the three boundary vertices stay
+    fixed and no loop winds around them.
+    """
 
     word: BraidWord
     matrix: Matrix
@@ -246,23 +252,42 @@ class InvariantResult:
         return out
 
 
+def letter_flips(setup: CanonicalSetup, letter: BraidLetter,
+                 geometry: LoopGeometry = DEFAULT_LOOP, step=None,
+                 floor=None) -> tuple:
+    """The trajectory set of a letter's loop and its flip events.
+
+    With neither ``step`` nor ``floor`` the exact event engine finds the
+    events.  Giving either selects the sampler, ``extract_flip_sequence``,
+    with the other at its default.  An ``UnresolvedEventError`` names the
+    letter.
+    """
+    ts = generator_trajectories(setup, letter, geometry)
+    try:
+        if step is None and floor is None:
+            events = exact_flip_sequence(ts)
+        else:
+            events = extract_flip_sequence(
+                ts, step=DEFAULT_STEP if step is None else step,
+                floor=DEFAULT_FLOOR if floor is None else floor)
+    except UnresolvedEventError as err:
+        raise UnresolvedEventError(f"{err} (letter {letter})") from err
+    return ts, events
+
+
 LETTER_CACHE_SIZE = 1024
 
 
 @functools.lru_cache(maxsize=LETTER_CACHE_SIZE)
 def _letter_result(setup: CanonicalSetup, letter: BraidLetter,
-                   geometry: LoopGeometry, step: Fraction, floor: Fraction):
+                   geometry: LoopGeometry, step, floor):
     """Matrix and flip events of one letter's loop.
 
     Every argument is frozen and hashable, so results are memoized for
     equal arguments; ``_letter_result.cache_info()`` counts the hits and
     misses.
     """
-    ts = generator_trajectories(setup, letter, geometry)
-    try:
-        events = extract_flip_sequence(ts, step=step, floor=floor)
-    except UnresolvedEventError as err:
-        raise UnresolvedEventError(f"{err} (letter {letter})") from err
+    _, events = letter_flips(setup, letter, geometry, step, floor)
     matrix, final = sequence_product(events, setup.home,
                                      setup.config.zeta_map())
     if final != setup.home:
@@ -272,14 +297,16 @@ def _letter_result(setup: CanonicalSetup, letter: BraidLetter,
 
 
 def invariant(word: BraidWord, geometry: LoopGeometry = DEFAULT_LOOP,
-              step=DEFAULT_STEP, floor=DEFAULT_FLOOR) -> InvariantResult:
+              step=None, floor=None) -> InvariantResult:
     """The word's (2n+1) x (2n+1) matrix under the flip construction.
 
     Letters act left to right in time; each letter's matrix multiplies the
     accumulated product on the left.  An inverse letter is simulated on the
-    reversed loop, not derived from the forward one.
+    reversed loop, not derived from the forward one.  ``step`` and
+    ``floor`` select the flip extraction as in ``letter_flips``.
     """
-    step, floor = as_rational(step), as_rational(floor)
+    step = None if step is None else as_rational(step)
+    floor = None if floor is None else as_rational(floor)
     setup = canonical_setup(word.n)
     basis = tuple(sorted(setup.home))
     acc = Matrix.identity(len(basis))

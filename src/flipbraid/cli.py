@@ -15,13 +15,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from .braids import (FAMILIES, WordSyntaxError, canonical_setup,
-                     generator_trajectories, invariant, parse_word,
-                     verify_relations)
+                     invariant, letter_flips, parse_word, verify_relations)
 from .delaunay import render_svg
 from .fixtures import FixtureError, run_all_suites
 from .flips import flip_sequence_to_json
 from .kinetics import (DEFAULT_FLOOR, DEFAULT_STEP, UnresolvedEventError,
-                       _sample, extract_flip_sequence)
+                       _sample)
 
 USAGE_ERROR = 2
 MATH_ERROR = 1
@@ -35,10 +34,16 @@ def _rational(text: str) -> Fraction:
 
 
 def _add_sampling_flags(parser):
-    parser.add_argument("--step", type=_rational, default=DEFAULT_STEP,
-                        help="initial sampling step, a rational p/q")
-    parser.add_argument("--floor", type=_rational, default=DEFAULT_FLOOR,
-                        help="bisection width floor, a rational p/q")
+    parser.add_argument(
+        "--step", type=_rational,
+        help="sample the motion with this initial step, a rational p/q"
+             " (default: no sampling, the exact event engine; with only"
+             " --floor given, 1/64)")
+    parser.add_argument(
+        "--floor", type=_rational,
+        help="sample the motion, bisecting down to this width, a rational"
+             " p/q (default: no sampling, the exact event engine; with only"
+             " --step given, 1/2^40)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,7 +102,14 @@ def _unwritable(path, err: OSError) -> int:
 
 
 def _validate_sampling(args):
-    """Enforce 0 < floor <= step <= 1, as ``extract_flip_sequence`` does."""
+    """With either flag given, fill in the other's default and enforce
+    0 < floor <= step <= 1, as ``extract_flip_sequence`` does."""
+    if args.step is None and args.floor is None:
+        return True
+    if args.step is None:
+        args.step = DEFAULT_STEP
+    if args.floor is None:
+        args.floor = DEFAULT_FLOOR
     if min(args.step, args.floor) <= 0:
         print("error: --step and --floor must be positive", file=sys.stderr)
         return False
@@ -186,12 +198,9 @@ def cmd_simulate(args) -> int:
         return USAGE_ERROR
     setup = canonical_setup(args.n)
     try:
-        per_letter = []
-        for letter in word.letters:
-            ts = generator_trajectories(setup, letter)
-            per_letter.append(
-                (ts, extract_flip_sequence(ts, step=args.step,
-                                           floor=args.floor)))
+        per_letter = [letter_flips(setup, letter, step=args.step,
+                                   floor=args.floor)
+                      for letter in word.letters]
     except UnresolvedEventError as err:
         print(f"error: {err}", file=sys.stderr)
         return MATH_ERROR
@@ -199,7 +208,7 @@ def cmd_simulate(args) -> int:
         # snapshots first, so an unwritable directory leaves no JSON behind
         try:
             _write_snapshots(setup, per_letter, Path(args.svg_dir),
-                             args.floor)
+                             args.floor or DEFAULT_FLOOR)
         except OSError as err:
             return _unwritable(args.svg_dir, err)
     payload = [flip_sequence_to_json(events) for _, events in per_letter]

@@ -41,17 +41,25 @@ def _orient(a, b, c) -> int:
     return (det > 0) - (det < 0)
 
 
+def _lifted_det(a, b, c, d) -> int:
+    """The lifted incircle determinant of four integer points: positive
+    iff d lies strictly inside the circumcircle of a counterclockwise
+    triangle (a, b, c).  A polynomial of degree 2 in the coordinates of
+    any one of the points."""
+    adx, ady = a[0] - d[0], a[1] - d[1]
+    bdx, bdy = b[0] - d[0], b[1] - d[1]
+    cdx, cdy = c[0] - d[0], c[1] - d[1]
+    return ((adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
+            + (bdx * bdx + bdy * bdy) * (cdx * ady - adx * cdy)
+            + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady))
+
+
 def _incircle(a, b, c, d) -> int:
     """``incircle`` on integer points."""
     orient = _orient(a, b, c)
     if orient == 0:
         raise DegenerateCircleError(f"degenerate circumcircle: {a}, {b}, {c}")
-    adx, ady = a[0] - d[0], a[1] - d[1]
-    bdx, bdy = b[0] - d[0], b[1] - d[1]
-    cdx, cdy = c[0] - d[0], c[1] - d[1]
-    det = ((adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
-           + (bdx * bdx + bdy * bdy) * (cdx * ady - adx * cdy)
-           + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady))
+    det = _lifted_det(a, b, c, d)
     return ((det > 0) - (det < 0)) * orient
 
 

@@ -11,7 +11,7 @@ share between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 def as_rational(value) -> Fraction:
@@ -73,11 +73,6 @@ class Matrix:
         return Matrix([[one if i == j else zero for j in range(n)]
                        for i in range(n)])
 
-    @staticmethod
-    def zero(rows: int, cols: int) -> "Matrix":
-        z = Fraction(0)
-        return Matrix([[z] * cols for _ in range(rows)])
-
     def __getitem__(self, key) -> Fraction:
         i, j = key
         return self._entries[i][j]
@@ -114,18 +109,6 @@ class Matrix:
             raise DimensionError(f"trace of {self.rows}x{self.cols} matrix")
         return sum((self._entries[i][i] for i in range(self.rows)),
                    Fraction(0))
-
-    def scaled(self, factor) -> "Matrix":
-        f = as_rational(factor)
-        return Matrix([[e * f for e in row] for row in self._entries])
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionError(
-                f"cannot add {self.rows}x{self.cols} and "
-                f"{other.rows}x{other.cols}")
-        return Matrix([[a + b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self._entries, other._entries)])
 
     def column_sums(self) -> list:
         return [sum((row[j] for row in self._entries), Fraction(0))
@@ -203,25 +186,44 @@ def mat_inverse(a: Matrix) -> Matrix:
 def char_poly(a: Matrix) -> list:
     """Monic characteristic polynomial coefficients, highest degree first.
 
-    Faddeev-LeVerrier recurrence in exact arithmetic; for an n x n matrix
-    returns [1, c_{n-1}, ..., c_0] with trace(a) == -c_{n-1}.
+    Exact Hessenberg method (Cohen, A Course in Computational Algebraic
+    Number Theory, Alg. 2.2.9), O(n^3): a similarity by elementary row and
+    column operations brings ``a`` to upper Hessenberg form H, and the
+    characteristic polynomial p_m of H's leading m x m block satisfies
+    p_{m+1} = (x - h_mm) p_m - sum_{i=1..m} (h_{m,m-1} ... h_{m-i+1,m-i})
+    h_{m-i,m} p_{m-i}.  For an n x n matrix returns [1, c_{n-1}, ..., c_0]
+    with trace(a) == -c_{n-1}.
     """
     if a.rows != a.cols:
         raise DimensionError(f"char_poly of {a.rows}x{a.cols} matrix")
     n = a.rows
-    coeffs = [Fraction(1)]
-    m = a
-    for step in range(1, n + 1):
-        c = -m.trace() / step
-        coeffs.append(c)
-        if step < n:
-            m = mat_mul(a, m + Matrix.identity(n).scaled(c))
-    return coeffs
-
-
-def poly_eval_matrix(coeffs: Sequence, m: Matrix) -> Matrix:
-    """Evaluate a polynomial (highest degree first) at a square matrix."""
-    acc = Matrix.zero(m.rows, m.cols)
-    for c in coeffs:
-        acc = mat_mul(acc, m) + Matrix.identity(m.rows).scaled(c)
-    return acc
+    h = [list(row) for row in a.entries()]
+    for m in range(1, n - 1):
+        pivot = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if pivot is None:
+            continue  # column m-1 is already reduced
+        if pivot != m:
+            h[m], h[pivot] = h[pivot], h[m]
+            for row in h:
+                row[m], row[pivot] = row[pivot], row[m]
+        for i in range(m + 1, n):
+            u = h[i][m - 1] / h[m][m - 1]
+            if u:
+                h[i] = [x - u * y for x, y in zip(h[i], h[m])]
+                for row in h:
+                    row[m] += u * row[i]
+    polys = [[Fraction(1)]]  # p_0, p_1, ..., lowest degree first
+    for m in range(n):
+        p = [Fraction(0)] + polys[m]
+        for k, c in enumerate(polys[m]):
+            p[k] -= h[m][m] * c
+        t = Fraction(1)
+        for i in range(1, m + 1):
+            t *= h[m - i + 1][m - i]
+            if not t:
+                break  # a zero subdiagonal splits H into blocks
+            coef = t * h[m - i][m]
+            for k, c in enumerate(polys[m - i]):
+                p[k] -= coef * c
+        polys.append(p)
+    return polys[n][::-1]

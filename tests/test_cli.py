@@ -245,3 +245,43 @@ def test_golden_simulate(tmp_path, capsys):
     assert len(svgs) == 33
     assert _sha256(b"".join(p.read_bytes() for p in svgs)) \
         == GOLDEN_SIMULATE_SVGS
+
+
+def test_simulate_unresolved_event_names_the_letter(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--n", "3", "--word",
+                             "b(1,2)", "--step", "1/8", "--floor", "1/8")
+    assert code == 1 and out == ""
+    assert err.startswith("error: unresolved codimension-2 event")
+    assert err.endswith(" (letter b(1,2))\n")
+
+
+def test_default_path_never_samples(monkeypatch, capsys, tmp_path):
+    """Without --step or --floor every command runs the exact engine; either
+    flag selects the sampler, whose bisection ``_refine`` is."""
+    from flipbraid import kinetics
+    from flipbraid.braids import _letter_result
+
+    def refine(*args):
+        raise AssertionError("the sampler ran")
+
+    monkeypatch.setattr(kinetics, "_refine", refine)
+    _letter_result.cache_clear()
+    for argv in (("invariant", "--n", "3", "--word", "b(1,3) b(2,3)^-1"),
+                 ("verify", "--n", "4", "--family", "pb_all"),
+                 ("simulate", "--n", "3", "--word", "b(1,2)", "--svg-dir",
+                  str(tmp_path))):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+    for flags in (("--step", "1/64"), ("--floor", "1/1099511627776")):
+        with pytest.raises(AssertionError, match="the sampler ran"):
+            main(["invariant", "--n", "3", "--word", "b(1,3)", *flags])
+
+
+def test_sampling_flags_help_says_what_they_select(capsys):
+    for command in ("invariant", "verify", "simulate"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "(default: no sampling, the exact event engine;" in text
+        assert "with only --floor given, 1/64)" in text
+        assert "with only --step given, 1/2^40)" in text

@@ -1,0 +1,262 @@
+"""The exact kinetic event engine against the sampler, and its edge cases."""
+
+import re
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, event, example, given, settings
+from hypothesis import strategies as st
+
+from flipbraid import braids
+from flipbraid.braids import (BraidLetter, canonical_setup,
+                              generator_trajectories, verify_relations)
+from flipbraid.delaunay import DegenerateConfigurationError, build_delaunay
+from flipbraid.flips import sequence_product
+from flipbraid.geometry import (Configuration, LabeledPoint, incircle,
+                                validate_general_position)
+from flipbraid.kinetics import (DEFAULT_STEP, TrajectorySet,
+                                UnresolvedEventError, configuration_at,
+                                exact_flip_sequence, extract_flip_sequence)
+
+F = Fraction
+
+# three static points on the circle x^2 + y^2 = x + y, plus movers
+STATIC_TRIPLE = [(0, 0), (1, 0), (0, 1)]
+# points outside and inside that circle, and one on its tangent at (1, 1)
+OUTSIDE, INSIDE = (F(9, 8), F(9, 8)), (F(7, 8), F(7, 8))
+TANGENT = (F(5, 4), F(3, 4))
+
+
+def make_config(interior, span=200):
+    pts = [
+        LabeledPoint.make(1, -span, -span, 1),
+        LabeledPoint.make(2, span, -span, 2),
+        LabeledPoint.make(3, 0, span, 3),
+    ]
+    for k, (x, y) in enumerate(interior):
+        pts.append(LabeledPoint.make(k + 4, x, y, k + 4))
+    return Configuration(tuple(pts), (1, 2, 3))
+
+
+def motion(interior, path):
+    """The last interior point follows ``path``, the others stay."""
+    config = make_config(interior)
+    return config, TrajectorySet.from_motion(config,
+                                             {len(interior) + 3: path})
+
+
+def flips(events):
+    return [(e.removed, e.inserted) for e in events]
+
+
+def quad_incircle(ts, event, t):
+    i, k = event.removed
+    j, l = event.inserted
+    p = configuration_at(ts, t).positions
+    return incircle(p[i], p[j], p[k], p[l])
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_engine_matches_sampler_on_every_generator(n):
+    """Same flips in the same order, with the same brackets."""
+    setup = canonical_setup(n)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for power in (1, -1):
+                ts = generator_trajectories(setup, BraidLetter(i, j, power))
+                assert exact_flip_sequence(ts) == extract_flip_sequence(ts)
+
+
+def test_relations_equal_on_both_paths(monkeypatch):
+    """verify_relations(5, "pb_all") multiplies equal word matrices on the
+    engine and on the sampler."""
+    recorded = {}
+    word_matrix = braids._word_matrix
+
+    def recording(n, pairs, **kw):
+        m = word_matrix(n, pairs, **kw)
+        recorded.setdefault(tuple(pairs), []).append(m)
+        return m
+
+    monkeypatch.setattr(braids, "_word_matrix", recording)
+    assert verify_relations(5, "pb_all").ok
+    assert verify_relations(5, "pb_all", step=DEFAULT_STEP).ok
+    assert recorded
+    assert all(len(ms) == 2 and ms[0] == ms[1] for ms in recorded.values())
+
+
+def test_static_motion_has_no_events():
+    config = make_config(STATIC_TRIPLE + [(5, 5)])
+    assert exact_flip_sequence(TrajectorySet.from_motion(config, {})) == []
+
+
+def test_dyadic_event_time_bracket():
+    """Point 7 crosses the circle of 4, 5, 6 at exactly t = 1/2, a point
+    of every dyadic grid; the bracket is then [t - 1/64, t + 1/64]."""
+    _, ts = motion(STATIC_TRIPLE + [OUTSIDE], [(0, OUTSIDE), (1, INSIDE)])
+    events = exact_flip_sequence(ts)
+    assert flips(events) == flips(extract_flip_sequence(ts))
+    (event,) = events
+    assert event.quad == (4, 5, 6, 7)
+    assert (event.t_lo, event.t_hi) == (F(31, 64), F(33, 64))
+    assert quad_incircle(ts, event, event.t_lo) == -1
+    assert quad_incircle(ts, event, F(1, 2)) == 0
+    assert quad_incircle(ts, event, event.t_hi) == 1
+
+
+def test_grazing_dip_gives_two_inverse_flips():
+    config, ts = motion(STATIC_TRIPLE + [OUTSIDE],
+                        [(0, OUTSIDE), (F(1, 2), INSIDE), (1, OUTSIDE)])
+    events = exact_flip_sequence(ts)
+    first, second = events
+    assert first.removed == second.inserted
+    assert first.inserted == second.removed
+    assert first.t_hi <= second.t_lo
+    assert flips(events) == flips(extract_flip_sequence(ts))
+    product, final = sequence_product(
+        events, build_delaunay(config), config.zeta_map())
+    assert product.is_identity()
+    assert final == build_delaunay(config)
+
+
+def test_tangency_gives_no_flip():
+    """The path touches the circle x^2 + y^2 = x + y at (1, 1), t = 1/2,
+    and stays outside it otherwise: a double root, no sign change."""
+    _, ts = motion(STATIC_TRIPLE + [(F(3, 4), F(5, 4))],
+                   [(0, (F(3, 4), F(5, 4))), (1, (F(5, 4), F(3, 4)))])
+    p = configuration_at(ts, F(1, 2)).positions
+    assert incircle(p[4], p[5], p[6], p[7]) == 0
+    assert exact_flip_sequence(ts) == []
+    assert extract_flip_sequence(ts) == []
+
+
+@pytest.mark.parametrize("start, turn, expected", [
+    (OUTSIDE, (F(7, 8), F(15, 16)), 1),  # crosses at the breakpoint
+    (OUTSIDE, OUTSIDE, 0),               # touches it and returns
+    (OUTSIDE, TANGENT, 0),               # touches it and stays outside
+    (INSIDE, TANGENT, 1),                # leaves the disk, a double root
+])
+def test_event_at_a_breakpoint(start, turn, expected):
+    """The path reaches the circle x^2 + y^2 = x + y exactly at its
+    breakpoint (1, 1), at t = 1/3; the next segment decides whether that
+    is a flip."""
+    config, ts = motion(STATIC_TRIPLE + [start],
+                        [(0, start), (F(1, 3), (1, 1)), (1, turn)])
+    events = exact_flip_sequence(ts)
+    assert events == extract_flip_sequence(ts)
+    assert len(events) == expected
+    for event in events:
+        assert event.quad == (4, 5, 6, 7)
+        assert event.t_lo < F(1, 3) < event.t_hi
+        assert quad_incircle(ts, event, event.t_lo) == -1
+        assert quad_incircle(ts, event, event.t_hi) == 1
+
+
+def test_simultaneous_far_commuting_events_in_quad_order():
+    """Point 10 crosses (0, 0) at t = 1/2, leaving the circle through
+    points 7, 8, 9 (centre (-1, 0)) as it enters the one through 4, 5, 6
+    (centre (2, 1)): two flips at one instant whose quads share only the
+    mover, so they come out in lexicographic quad order."""
+    interior = [(4, 0), (3, 3), (3, -1), (-2, 0), (-1, 1), (-1, -1),
+                (F(-1, 2), 0)]
+    _, ts = motion(interior, [(0, (F(-1, 2), 0)), (1, (F(1, 2), 0))])
+    events = exact_flip_sequence(ts)
+    at_half = [e for e in events if e.t_lo < F(1, 2) < e.t_hi]
+    assert [e.quad for e in at_half] == [(4, 5, 6, 10), (7, 8, 9, 10)]
+    assert at_half[0].t_lo == at_half[1].t_lo
+    assert flips(events) == flips(extract_flip_sequence(ts))
+
+
+def test_simultaneous_overlapping_events_unresolved():
+    """Points 4..7 lie on the circle x^2 + y^2 = 25; the mover 9 leaves
+    its disk, so at that instant five points are cocircular and the flips
+    cannot be ordered.  The error names the time and both quads."""
+    _, ts = motion([(5, 0), (0, 5), (-5, 0), (0, -5), (4, 4), (0, 0)],
+                   [(0, (0, 0)), (F(1, 2), (4, -4)), (1, (0, 0))])
+    with pytest.raises(UnresolvedEventError) as info:
+        exact_flip_sequence(ts)
+    message = str(info.value)
+    match = re.search(r"at t = (.*?): flips of quads (\(.*?\)) and"
+                      r" (\(.*?\)) overlap", message)
+    assert match, message
+    quads = [tuple(int(i) for i in q.strip("()").split(","))
+             for q in match.group(2, 3)]
+    assert all(9 in q for q in quads)
+    assert len(set(quads[0]) & set(quads[1])) > 2
+
+
+def test_engine_rejects_unclear_paths():
+    config = make_config(STATIC_TRIPLE + [(5, 5)])
+    through = TrajectorySet.from_motion(
+        config, {7: [(0, (5, 5)), (F(1, 2), (-1, -1)), (1, (5, 5))]})
+    with pytest.raises(ValueError, match="meets point 4"):
+        exact_flip_sequence(through)
+    outside = TrajectorySet.from_motion(
+        config, {7: [(0, (5, 5)), (F(1, 2), (500, 5)), (1, (5, 5))]})
+    with pytest.raises(ValueError, match="not strictly inside"):
+        exact_flip_sequence(outside)
+
+
+def test_engine_takes_one_mover():
+    config = make_config(STATIC_TRIPLE + [(5, 5), (-5, 5)])
+    ts = TrajectorySet.from_motion(config, {
+        7: [(0, (5, 5)), (1, (6, 5))], 8: [(0, (-5, 5)), (1, (-6, 5))]})
+    with pytest.raises(ValueError, match="one point"):
+        exact_flip_sequence(ts)
+
+
+COORD = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+
+
+@st.composite
+def single_mover_loops(draw):
+    """A configuration of 3 to 6 interior points in general position, the
+    last of which runs a closed loop through 1 to 3 random waypoints."""
+    k = draw(st.integers(3, 6))
+    interior = [(draw(COORD), draw(COORD)) for _ in range(k)]
+    stops = [(draw(COORD), draw(COORD))
+             for _ in range(draw(st.integers(1, 3)))]
+    assume(len(set(interior)) == k)
+    config = make_config(interior, span=60)
+    assume(not validate_general_position(config))
+    home = interior[-1]
+    waypoints = [home, *stops, home]
+    path = [(F(s, len(waypoints) - 1), xy) for s, xy in enumerate(waypoints)]
+    return config, TrajectorySet.from_motion(config, {k + 3: path})
+
+
+def missed_pair_loop():
+    """A loop whose flips (5, 9) -> (6, 8) and back fall in one cell of
+    the default sampling grid, [42/64, 43/64]."""
+    interior = [(14, 17), (F(-52, 5), F(-47, 5)), (F(-56, 3), 3),
+                (20, F(-21, 4)), (-8, -10), (F(-4, 5), F(-49, 3))]
+    config = make_config(interior, span=60)
+    return config, TrajectorySet.from_motion(config, {9: [
+        (0, interior[-1]), (F(1, 3), (10, F(-28, 3))),
+        (F(2, 3), (-13, 13)), (1, interior[-1])]})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(single_mover_loops())
+@example(missed_pair_loop())
+def test_engine_matches_sampler_on_random_loops(loop):
+    """Equal flips and matrices whenever the sampler resolves.  A flip and
+    its inverse inside one sampling cell leave its diff empty, so it misses
+    such a pair; they cancel in the product, and a finer grid sees them."""
+    config, ts = loop
+    try:
+        sampled = extract_flip_sequence(ts)
+    except (UnresolvedEventError, DegenerateConfigurationError, ValueError):
+        assume(False)
+    exact = exact_flip_sequence(ts)
+    home = build_delaunay(config)
+    zeta = config.zeta_map()
+    assert (sequence_product(exact, home, zeta)
+            == sequence_product(sampled, home, zeta))
+    if flips(exact) != flips(sampled):
+        event("a cancelling pair inside one sampling cell")
+        sampled = extract_flip_sequence(ts, step=F(1, 2 ** 10))
+    assert flips(exact) == flips(sampled)
+    event("with flips" if exact else "without flips")
+    for a, b in zip(exact, exact[1:]):
+        assert a.t_hi <= b.t_lo or (a.t_lo, a.t_hi) == (b.t_lo, b.t_hi)

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flipbraid.linalg import (DimensionError, Matrix, SingularMatrixError,
-                              char_poly, mat_inverse, mat_mul,
-                              poly_eval_matrix)
+                              char_poly, mat_inverse, mat_mul)
 
 A = Matrix([[Fraction(1, 2), Fraction(-1, 2)],
             [Fraction(1, 2), Fraction(3, 2)]])
@@ -78,7 +77,7 @@ def test_product_matches_triple_loop(factors):
 
 def test_product_non_square_mismatch():
     with pytest.raises(DimensionError, match="2x3 by 2x3"):
-        mat_mul(Matrix.zero(2, 3), Matrix.zero(2, 3))
+        mat_mul(Matrix([[0] * 3] * 2), Matrix([[0] * 3] * 2))
 
 
 def test_inverse_identity():
@@ -111,11 +110,67 @@ def test_charpoly_identity_11():
     assert -coeffs[1] == Matrix.identity(11).trace() == 11
 
 
+def poly_eval_matrix(coeffs, m: Matrix) -> Matrix:
+    """Horner evaluation of a polynomial (highest degree first) at a
+    square matrix."""
+    k = m.rows
+    acc = Matrix([[0] * k] * k)
+    for c in coeffs:
+        acc = Matrix([[e + (c if i == j else 0) for j, e in enumerate(row)]
+                      for i, row in enumerate(mat_mul(acc, m).entries())])
+    return acc
+
+
 def test_cayley_hamilton_random():
     rng = random.Random(12)
     for _ in range(10):
         m = random_matrix(rng, 4, 4)
-        assert poly_eval_matrix(char_poly(m), m) == Matrix.zero(4, 4)
+        assert poly_eval_matrix(char_poly(m), m) == Matrix([[0] * 4] * 4)
+
+
+def cofactor_det(rows) -> Fraction:
+    """Determinant by cofactor expansion along the first row."""
+    if not rows:
+        return Fraction(1)
+    return sum(((-1) ** j * rows[0][j]
+                * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+                for j in range(len(rows)) if rows[0][j]), Fraction(0))
+
+
+def structured_matrix(rng, k):
+    """A random k x k matrix, some of it zeroed so that the Hessenberg
+    reduction meets zero pivots (a row swap) and zero columns below the
+    subdiagonal (a split into blocks)."""
+    rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+             if rng.random() < 0.6 else Fraction(0) for _ in range(k)]
+            for _ in range(k)]
+    for col in rng.sample(range(k), k // 2):
+        for i in range(col + 1, k):
+            if rng.random() < 0.7:
+                rows[i][col] = Fraction(0)
+    return rows
+
+
+def test_char_poly_matches_cofactor_determinant():
+    """char_poly(A)(x) == det(x I - A) at several rational x."""
+    rng = random.Random(2024)
+    swaps = splits = 0
+    for trial in range(60):
+        k = rng.randint(1, 6)
+        rows = structured_matrix(rng, k)
+        # the first column is reduced before anything else changes it
+        below = [row[0] for row in rows[1:]]
+        swaps += len(below) > 1 and below[0] == 0 and any(below)
+        splits += len(below) > 1 and not any(below)
+        coeffs = char_poly(Matrix(rows))
+        assert len(coeffs) == k + 1 and coeffs[0] == 1
+        for x in (Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(7, 5)):
+            value = sum((c * x ** (k - d) for d, c in enumerate(coeffs)),
+                        Fraction(0))
+            shifted = [[(x if i == j else 0) - e for j, e in enumerate(row)]
+                       for i, row in enumerate(rows)]
+            assert value == cofactor_det(shifted)
+    assert swaps and splits
 
 
 def test_associativity_random():
