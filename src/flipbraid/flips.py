@@ -6,19 +6,24 @@ and the two exchanged columns carry ratios of label differences.  Columns
 are indexed by the old basis, rows by the new; matrices of later flips
 multiply on the left.
 
-``build_flip_matrix`` gives one flip as a dense matrix; it is the reference
-the fixtures and tests check against.  ``sequence_product``, the one product
-path (letters and the pentagon cycle alike), never builds one: a flip
-rewrites only the rows of its two exchanged triangles, so the product is
-kept as one exact row per triangle and each flip costs O(n).
+``build_flip_matrix`` gives one flip as a dense matrix of Fractions; it is
+the reference the fixtures and tests check against.  ``sequence_product``,
+the one product path (letters and the pentagon cycle alike), never builds
+one and does no Fraction arithmetic.  Scaling every label by the same
+number leaves each ratio of label differences unchanged, so it clears the
+labels' denominators once and works on integer labels.  A flip rewrites
+only the rows of its two exchanged triangles, so the product is kept as one
+integer row over a positive denominator per triangle, and each flip costs
+O(n).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .delaunay import FlipEvent, apply_flip
-from .linalg import Matrix, json_entries
+from .linalg import Matrix, as_rational, json_entries
 
 
 def gamma_generator_name(event: FlipEvent) -> str:
@@ -65,7 +70,8 @@ def build_flip_matrix(event: FlipEvent, from_basis, to_basis,
     if old_set - {t_ijk, t_ikl} != new_set - {t_ijl, t_jkl}:
         raise BasisMismatchError("bases do not differ by exactly this flip")
 
-    a, b, c, d = _flip_block(event, zeta)
+    *block, den = _flip_block(event, zeta)
+    a, b, c, d = (Fraction(x) / den for x in block)
     col_of = {t: col for col, t in enumerate(old)}
     row_of = {t: row for row, t in enumerate(new)}
     size = len(old)
@@ -91,31 +97,48 @@ def sequence_product(events, start_triangles, zeta):
     coordinates in the starting basis to coordinates in the final one.
     Returns (matrix, final_triangles).
 
-    The product is held as one row per current triangle.  A flip replaces
-    the rows r1, r2 of its two removed triangles by a*r1 + b*r2 and
-    c*r1 + d*r2, the 2x2 block of ``build_flip_matrix``; every other row
-    is unchanged.  The rows are ordered by the final basis once, at the end.
+    The product is held as one row per current triangle: an integer vector
+    over a positive denominator, with no common factor.  A flip replaces
+    the rows r1, r2 of its two removed triangles by (a*r1 + b*r2) / p and
+    (c*r1 + d*r2) / p, the integer block of ``_flip_block``; every other
+    row is unchanged.  The rows are ordered by the final basis and put over
+    one denominator once, at the end.
     """
+    labels = _integer_labels(zeta)
     tris = frozenset(start_triangles)
-    basis = sorted(tris)
-    row_of = dict(zip(basis, Matrix.identity(len(basis)).entries()))
+    size = len(tris)
+    row_of = {t: ([int(i == j) for j in range(size)], 1)
+              for i, t in enumerate(sorted(tris))}
     for event in events:
         tris = apply_flip(tris, event)
-        a, b, c, d = _flip_block(event, zeta)
+        a, b, c, d, p = _flip_block(event, labels)
         t_ijk, t_ikl = event.removed_triangles()
         t_ijl, t_jkl = event.inserted_triangles()
         r1, r2 = row_of.pop(t_ijk), row_of.pop(t_ikl)
-        row_of[t_ijl] = _combine(a, r1, b, r2)
-        row_of[t_jkl] = _combine(c, r1, d, r2)
-    acc = Matrix([row_of[t] for t in sorted(tris)])
+        row_of[t_ijl] = _mix_rows(a, r1, b, r2, p)
+        row_of[t_jkl] = _mix_rows(c, r1, d, r2, p)
+    rows = [row_of[t] for t in sorted(tris)]
+    den = math.lcm(*(q for _, q in rows))
+    num = [[x * (den // q) for x in v] for v, q in rows]
     # every flip block's columns sum to 1, so the product's do too
-    if any(s != 1 for s in acc.column_sums()):
+    if any(sum(col) != den for col in zip(*num)):
         raise AssertionError("flip product column sums are not all 1")
-    return acc, tris
+    return Matrix._from_ints(num, den), tris
+
+
+def _integer_labels(zeta) -> dict:
+    """The labels ``zeta`` scaled by the least common denominator of all of
+    them: integers with the same flip blocks."""
+    values = {index: as_rational(z) for index, z in zeta.items()}
+    scale = math.lcm(*(z.denominator for z in values.values()))
+    return {index: z.numerator * (scale // z.denominator)
+            for index, z in values.items()}
 
 
 def _flip_block(event: FlipEvent, zeta) -> tuple:
-    """The flip's 2x2 block (a, b, c, d) over the labels ``zeta``.
+    """The flip's 2x2 block as (a, b, c, d, den), the block being
+    (a, b; c, d) / den: differences of the labels ``zeta``, so integers
+    over integer labels.
 
     With (i, k) = ``removed`` and (j, l) = ``inserted``: rows t_ijl, t_jkl
     of the new basis, columns t_ijk, t_ikl of the old.  Either order within
@@ -127,13 +150,20 @@ def _flip_block(event: FlipEvent, zeta) -> tuple:
     den = zi - zk
     if den == 0:
         raise ValueError(f"coincident labels for points {i} and {k}")
-    return ((zi - zl) / den, (zi - zj) / den,
-            (zl - zk) / den, (zj - zk) / den)
+    return zi - zl, zi - zj, zl - zk, zj - zk, den
 
 
-def _combine(a, r1, b, r2) -> tuple:
-    """The row a*r1 + b*r2, skipping columns where both rows are 0."""
-    return tuple(a * x + b * y if x or y else x for x, y in zip(r1, r2))
+def _mix_rows(a, r1, b, r2, p) -> tuple:
+    """The row (a*r1 + b*r2) / p of two rows (vector, denominator), reduced
+    to a positive denominator with no common factor."""
+    (v1, d1), (v2, d2) = r1, r2
+    s, t = a * d2, b * d1
+    vec = [s * x + t * y for x, y in zip(v1, v2)]
+    den = p * d1 * d2
+    g = math.gcd(den, *vec)
+    if den < 0:
+        g = -g
+    return [x // g for x in vec], den // g
 
 
 # --- pentagon cycle ----------------------------------------------------------

@@ -141,6 +141,28 @@ class Configuration:
                     f"point {index} is not strictly inside the boundary"
                     " triangle")
 
+    def _moved(self, moved: dict) -> "Configuration":
+        """This configuration with the interior points in ``moved``
+        (index -> (x, y)) at new positions.  Only the moved points are
+        checked: each must lie strictly inside the boundary triangle and
+        coincide with no other point.  The rest was checked when this
+        configuration was built."""
+        config = object.__new__(Configuration)
+        object.__setattr__(config, "points", tuple(
+            LabeledPoint(p.index, *moved[p.index], p.zeta)
+            if p.index in moved else p for p in self.points))
+        object.__setattr__(config, "boundary", self.boundary)
+        ints = config.int_positions
+        if len(set(ints.values())) != len(ints):
+            raise ValueError("coincident points")
+        a, b, c = (ints[i] for i in self.boundary)
+        for index in moved:
+            if not _inside(ints[index], a, b, c):
+                raise ValueError(
+                    f"point {index} is not strictly inside the boundary"
+                    " triangle")
+        return config
+
     @property
     def n(self) -> int:
         return len(self.points) - 3

@@ -56,7 +56,7 @@ class Trajectory:
     breakpoints: tuple  # ((time, (x, y)), ...) with strictly increasing times
 
     def __post_init__(self):
-        times = [t for t, _ in self.breakpoints]
+        times = self.times
         if not times or times[0] != 0 or times[-1] != 1:
             raise ValueError("breakpoints must start at 0 and end at 1")
         if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
@@ -68,12 +68,17 @@ class Trajectory:
                     for t, (x, y) in points)
         return Trajectory(index, bps)
 
+    @functools.cached_property
+    def times(self) -> tuple:
+        """The breakpoint times, collected once."""
+        return tuple(t for t, _ in self.breakpoints)
+
     def is_constant(self) -> bool:
         first = self.breakpoints[0][1]
         return all(pos == first for _, pos in self.breakpoints)
 
     def position_at(self, t: Fraction):
-        times = [bt for bt, _ in self.breakpoints]
+        times = self.times
         k = bisect.bisect_right(times, t) - 1
         if k == len(times) - 1:
             return self.breakpoints[-1][1]
@@ -179,18 +184,14 @@ def _trajectory_from_json(d: dict) -> Trajectory:
 
 def configuration_at(ts: TrajectorySet, t) -> Configuration:
     """Exact linear interpolation of every moving trajectory at time t;
-    the other points keep their initial position."""
+    the other points keep their initial position.  Only the movers are
+    checked, since the initial configuration already was."""
     t = as_rational(t)
     if not 0 <= t <= 1:
         raise ValueError(f"time {t} outside [0, 1]")
-    start = {p.index: p for p in ts.initial.points}
-    pts = []
-    for tr in ts.trajectories:
-        p = start[tr.index]
-        if tr.index in ts.movers:
-            p = LabeledPoint(p.index, *tr.position_at(t), p.zeta)
-        pts.append(p)
-    return Configuration(tuple(pts), ts.initial.boundary)
+    return ts.initial._moved({tr.index: tr.position_at(t)
+                              for tr in ts.trajectories
+                              if tr.index in ts.movers})
 
 
 def _sample_at(ts: TrajectorySet, t: Fraction) -> tuple:

@@ -1,16 +1,21 @@
 """Exact linear algebra over the rationals.
 
-Scalars are ``fractions.Fraction`` throughout: always reduced, denominator
-positive, so equality is plain structural equality and no rounding ever
-occurs.  Matrices are stored densely, but ``mat_mul`` skips zero entries,
-so products of the mostly-zero flip and letter matrices stay cheap.
-Matrices are immutable; all operations return new values and are safe to
-share between threads.
+A matrix is held as integer numerators over one positive common
+denominator, reduced so that the denominator and all the numerators have
+no common factor.  Equal matrices therefore have equal representations,
+and ``==`` and ``hash`` are structural.  ``mat_mul`` multiplies the
+numerators as plain ints, skipping zero entries, and reduces once per
+product, so products of the mostly-zero flip and letter matrices stay
+cheap and nothing is ever rounded.  Entries are read out as reduced
+``fractions.Fraction`` values.  Matrices are immutable; all operations
+return new values and are safe to share between threads.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable
 
 
@@ -52,9 +57,11 @@ class SingularMatrixError(ValueError):
 
 
 class Matrix:
-    """Immutable dense matrix of Fractions, row-major."""
+    """Immutable dense rational matrix, row-major: the integer numerators
+    ``_num`` over the positive common denominator ``_den``, with
+    gcd(_den, *numerators) == 1."""
 
-    __slots__ = ("rows", "cols", "_entries")
+    __slots__ = ("rows", "cols", "_num", "_den")
 
     def __init__(self, entries: Iterable[Iterable]):
         grid = tuple(tuple(as_rational(e) for e in row) for row in entries)
@@ -63,102 +70,105 @@ class Matrix:
         width = len(grid[0])
         if any(len(row) != width for row in grid):
             raise DimensionError("ragged rows")
+        # the lcm of reduced denominators leaves no common factor
+        den = math.lcm(*(e.denominator for row in grid for e in row))
         self.rows = len(grid)
         self.cols = width
-        self._entries = grid
+        self._num = tuple(tuple(e.numerator * (den // e.denominator)
+                                for e in row) for row in grid)
+        self._den = den
+
+    @staticmethod
+    def _from_ints(num, den: int) -> "Matrix":
+        """The matrix ``num / den`` for integer rows ``num`` and a positive
+        integer ``den``, reduced to the normal form."""
+        g = math.gcd(den, *chain.from_iterable(num))
+        m = Matrix.__new__(Matrix)
+        m.rows = len(num)
+        m.cols = len(num[0])
+        if g == 1:
+            m._num = tuple(map(tuple, num))
+        else:
+            m._num = tuple(tuple([x // g for x in row]) for row in num)
+        m._den = den // g
+        return m
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        one, zero = Fraction(1), Fraction(0)
-        return Matrix([[one if i == j else zero for j in range(n)]
-                       for i in range(n)])
+        return Matrix._from_ints(
+            [[int(i == j) for j in range(n)] for i in range(n)], 1)
 
     def __getitem__(self, key) -> Fraction:
         i, j = key
-        return self._entries[i][j]
+        return Fraction(self._num[i][j], self._den)
 
     def row(self, i: int) -> tuple:
-        return self._entries[i]
+        den = self._den
+        return tuple(Fraction(x, den) for x in self._num[i])
 
     def entries(self) -> tuple:
-        return self._entries
+        return tuple(self.row(i) for i in range(self.rows))
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Matrix)
-                and self._entries == other._entries)
+        return (isinstance(other, Matrix) and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self) -> int:
-        return hash(self._entries)
+        return hash((self._den, self._num))
 
     def __repr__(self) -> str:
         body = "; ".join(
             " ".join(str(e) for e in row)
-            for row in self._entries)
+            for row in self.entries())
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         return mat_mul(self, other)
 
     def is_identity(self) -> bool:
-        return (self.rows == self.cols
-                and all(self._entries[i][j] == (1 if i == j else 0)
-                        for i in range(self.rows) for j in range(self.cols)))
+        return (self.rows == self.cols and self._den == 1
+                and all(x == (i == j) for i, row in enumerate(self._num)
+                        for j, x in enumerate(row)))
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise DimensionError(f"trace of {self.rows}x{self.cols} matrix")
-        return sum((self._entries[i][i] for i in range(self.rows)),
-                   Fraction(0))
+        return Fraction(sum(row[i] for i, row in enumerate(self._num)),
+                        self._den)
 
     def column_sums(self) -> list:
-        return [sum((row[j] for row in self._entries), Fraction(0))
-                for j in range(self.cols)]
+        return [Fraction(sum(col), self._den) for col in zip(*self._num)]
 
     def to_json_dict(self) -> dict:
         return {
             "rows": self.rows,
             "cols": self.cols,
             "entries": [[str(e) for e in row]
-                        for row in self._entries],
+                        for row in self.entries()],
         }
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "Matrix":
-        """The matrix that ``to_json_dict`` wrote; malformed input raises
-        ``ValueError``."""
-        try:
-            m = Matrix(data["entries"])
-            shape = (data["rows"], data["cols"])
-        except KeyError as err:
-            raise ValueError(f"matrix: missing {err}") from None
-        except (TypeError, ZeroDivisionError) as err:
-            raise ValueError(f"matrix: {err}") from None
-        if (m.rows, m.cols) != shape:
-            raise DimensionError("declared shape does not match entries")
-        return m
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact matrix product, skipping zero entries.
+    """Exact matrix product on the integer numerators, skipping zeros.
 
-    Row i of the product is the sum of a[i, k] * b.row(k) over the nonzero
-    a[i, k], and only the nonzero entries of each b.row(k) are visited.
+    Row i of the numerator product is the sum of a[i, k] * b.row(k) over
+    the nonzero a[i, k], and only the nonzero entries of each b.row(k) are
+    visited.  Its denominator is the product of the two, and the result is
+    reduced once.
     """
     if a.cols != b.rows:
         raise DimensionError(
             f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    b_nonzero = [[(j, y) for j, y in enumerate(row) if y]
-                 for row in b.entries()]
-    zero = Fraction(0)
+    b_nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b._num]
     out = []
-    for row in a.entries():
-        acc = [zero] * b.cols
+    for row in a._num:
+        acc = [0] * b.cols
         for x, b_row in zip(row, b_nonzero):
             if x:
                 for j, y in b_row:
                     acc[j] += x * y
         out.append(acc)
-    return Matrix(out)
+    return Matrix._from_ints(out, a._den * b._den)
 
 
 def mat_inverse(a: Matrix) -> Matrix:

@@ -18,7 +18,7 @@ def test_invariant_empty_word(capsys):
     code, out, _ = run_cli(capsys, "invariant", "--n", "2", "--word", "")
     assert code == 0
     data = json.loads(out)
-    assert Matrix.from_json_dict(data["matrix"]) == Matrix.identity(5)
+    assert Matrix(data["matrix"]["entries"]) == Matrix.identity(5)
     assert data["flips"] == []
 
 

@@ -260,6 +260,43 @@ def test_sequence_product_matches_dense_fold(n):
                 assert final == home
 
 
+def letter_events(n):
+    """The flip events of every signed generator at n, by letter."""
+    return {letter: invariant(BraidWord(n, (letter,))).flip_log[0]
+            for letter in (BraidLetter(i, j, power)
+                           for i in range(1, n + 1)
+                           for j in range(i + 1, n + 1)
+                           for power in (1, -1))}
+
+
+def test_sequence_product_rational_labels_match_dense_fold():
+    """Non-integer, negative labels with unequal denominators: the cleared
+    integer labels give the dense Fraction product."""
+    setup = canonical_setup(4)
+    rng = random.Random(404)
+    for letter, events in letter_events(4).items():
+        zeta = random_labels(rng, sorted(setup.config.zeta_map()))
+        assert any(z.denominator > 1 for z in zeta.values())
+        assert any(z < 0 for z in zeta.values())
+        assert sequence_product(events, setup.home, zeta) \
+            == dense_product(events, setup.home, zeta), letter
+
+
+def test_sequence_product_affine_label_invariance():
+    """Every block entry is a ratio of label differences, so the product
+    is the same under z -> c*z + e for any c != 0."""
+    setup = canonical_setup(4)
+    zeta = setup.config.zeta_map()
+    maps = [(Fraction(3, 7), Fraction(-5, 2)), (Fraction(-2), Fraction(1, 3)),
+            (Fraction(-11, 6), Fraction(0))]
+    for letter, events in letter_events(4).items():
+        product = sequence_product(events, setup.home, zeta)
+        for c, e in maps:
+            moved = {index: c * z + e for index, z in zeta.items()}
+            assert sequence_product(events, setup.home, moved) == product, \
+                (letter, c, e)
+
+
 def test_sequence_product_random_quad_sequences():
     """Flips with every role order, not only those a braid loop produces."""
     forward = [FlipEvent(removed, inserted)

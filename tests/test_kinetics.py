@@ -57,6 +57,24 @@ def test_configuration_at_interpolation():
         configuration_at(ts, F(3, 2))
 
 
+def test_configuration_at_checks_the_movers():
+    """A mover leaving the boundary triangle, or landing on a constant
+    point, is rejected at the sample time where it does."""
+    config = make_config([(0, 0), (10, 10)])
+    ts = TrajectorySet.from_motion(
+        config, {4: [(0, (0, 0)), (F(1, 2), (300, 0)), (1, (0, 0))]})
+    assert configuration_at(ts, F(1, 8)).positions[4] == (75, 0)
+    for t in (F(1, 2), F(1, 6)):  # outside, and on the edge from 2 to 3
+        with pytest.raises(ValueError, match=re.escape(
+                "point 4 is not strictly inside the boundary triangle")):
+            configuration_at(ts, t)
+    ts = TrajectorySet.from_motion(
+        config, {4: [(0, (0, 0)), (F(1, 2), (20, 20)), (1, (0, 0))]})
+    configuration_at(ts, F(1, 3))
+    with pytest.raises(ValueError, match="coincident points"):
+        configuration_at(ts, F(1, 4))
+
+
 def test_static_trajectories_no_events():
     config = make_config(STATIC_TRIPLE + [(5, 5)])
     ts = TrajectorySet.from_motion(config, {})

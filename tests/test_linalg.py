@@ -1,5 +1,4 @@
 import random
-import re
 from fractions import Fraction
 
 import pytest
@@ -205,22 +204,59 @@ def test_exactness_addition_roundtrip():
         assert (a + b) - b == a
 
 
-def test_json_round_trip():
-    data = B.to_json_dict()
-    assert data == {"rows": 2, "cols": 2,
-                    "entries": [["3/2", "1/2"], ["-1/2", "1/2"]]}
-    assert Matrix.from_json_dict(data) == B
+@st.composite
+def rational_grid(draw):
+    """A small grid of Fractions with zeros, negative entries and, often,
+    a zero row."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    grid = [[draw(ENTRY) for _ in range(cols)] for _ in range(rows)]
+    if draw(st.booleans()):
+        grid[draw(st.integers(0, rows - 1))] = [Fraction(0)] * cols
+    return grid
 
 
-@pytest.mark.parametrize("data, message", [
-    ({"rows": 1, "cols": 1}, "matrix: missing 'entries'"),
-    ({"rows": 1, "cols": 1, "entries": [[0.5]]},
-     "matrix: not an exact rational: 0.5"),
-])
-def test_json_rejects_malformed_input(data, message):
-    with pytest.raises(ValueError, match=re.escape(message)) as err:
-        Matrix.from_json_dict(data)
-    assert type(err.value) is ValueError
+def rewritten(grid, scale):
+    """The same rationals as unreduced 'p/q' strings and plain ints."""
+    return [[int(e) if e.denominator == 1 else
+             f"{e.numerator * scale}/{e.denominator * scale}" for e in row]
+            for row in grid]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(rational_grid(), rational_grid(), st.booleans(), st.integers(1, 6),
+       st.fractions(min_value=-5, max_value=5, max_denominator=7)
+       .filter(bool))
+def test_representation_is_canonical(g1, g2, same, scale, s):
+    """Equal rational grids give equal matrices with equal hashes, however
+    the entries are written or reached, and only equal grids do."""
+    if same:
+        g2 = rewritten(g1, scale)
+    m1, m2 = Matrix(g1), Matrix(g2)
+    grid2 = [[Fraction(e) for e in row] for row in g2]
+    assert (m1 == m2) == (g1 == grid2)
+    if m1 == m2:
+        assert hash(m1) == hash(m2)
+    assert Matrix(m1.entries()) == m1
+    assert [list(row) for row in m1.entries()] == g1
+    assert all(type(e) is Fraction for row in m1.entries() for e in row)
+    # scaling by s then 1/s multiplies and divides the denominator
+    k = m1.cols
+    scaled = Matrix([[s if i == j else 0 for j in range(k)]
+                     for i in range(k)])
+    unscaled = Matrix([[1 / s if i == j else 0 for j in range(k)]
+                       for i in range(k)])
+    round_trip = (m1 * scaled) * unscaled
+    assert round_trip == m1 and hash(round_trip) == hash(m1)
+    assert str(round_trip) == str(m1)
+
+
+def test_matrix_rejects_inexact_and_malformed_entries():
+    with pytest.raises(TypeError, match="not an exact rational: 0.5"):
+        Matrix([[1, 0.5]])
+    with pytest.raises(DimensionError, match="at least one row"):
+        Matrix([[]])
+    with pytest.raises(DimensionError, match="ragged rows"):
+        Matrix([[1], [1, 2]])
 
 
 def test_json_integer_rendering():
