@@ -17,8 +17,8 @@ from typing import Optional
 
 from .delaunay import build_delaunay
 from .flips import flip_sequence_to_json, sequence_product
-from .geometry import (Configuration, LabeledPoint,
-                       _strictly_inside_triangle, orient2d,
+from .geometry import (Configuration, LabeledPoint, _inside,
+                       _integer_points, _segment_meets,
                        validate_general_position)
 from .kinetics import (DEFAULT_FLOOR, DEFAULT_STEP, TrajectorySet,
                        UnresolvedEventError, exact_flip_sequence,
@@ -110,10 +110,15 @@ class LoopGeometry:
 DEFAULT_LOOP = LoopGeometry()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CanonicalSetup:
     """Deterministic start position: boundary triangle, parabolic homes,
-    labels equal to point indices."""
+    labels equal to point indices.
+
+    Equality and hashing are by identity: ``canonical_setup`` builds one
+    setup per n, so the letter cache keys on the setup without hashing its
+    configuration.
+    """
 
     n: int
     config: Configuration
@@ -162,13 +167,6 @@ class LoopClearanceError(ValueError):
     """A generator loop would pass exactly through another point."""
 
 
-def _on_segment(p, a, b) -> bool:
-    if orient2d(a, b, p) != 0:
-        return False
-    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
-
-
 def generator_trajectories(setup: CanonicalSetup, letter: BraidLetter,
                            geometry: LoopGeometry = DEFAULT_LOOP
                            ) -> TrajectorySet:
@@ -200,14 +198,17 @@ def generator_trajectories(setup: CanonicalSetup, letter: BraidLetter,
     ]
     if letter.power < 0:
         waypoints = waypoints[::-1]
-    for a, b in zip(waypoints, waypoints[1:]):
-        for index, xy in positions.items():
-            if index != mover and _on_segment(xy, a, b):
+    ints = _integer_points([*positions.values(), *waypoints])
+    fixed = dict(zip(positions, ints))
+    loop = ints[len(positions):]
+    for a, b in zip(loop, loop[1:]):
+        for index, p in fixed.items():
+            if index != mover and _segment_meets(a, b, p):
                 raise LoopClearanceError(
                     f"loop of point {mover} passes through point {index}")
-    corners = [positions[b] for b in setup.config.boundary]
-    for w in waypoints:
-        if not _strictly_inside_triangle(w, *corners):
+    corners = [fixed[b] for b in setup.config.boundary]
+    for w, p in zip(waypoints, loop):
+        if not _inside(p, *corners):
             raise LoopClearanceError(
                 f"loop of point {mover} leaves the boundary triangle at {w}")
     steps = len(waypoints) - 1
@@ -284,8 +285,8 @@ def _letter_result(setup: CanonicalSetup, letter: BraidLetter,
     """Matrix and flip events of one letter's loop.
 
     Every argument is frozen and hashable, so results are memoized for
-    equal arguments; ``_letter_result.cache_info()`` counts the hits and
-    misses.
+    equal arguments, the setup compared by identity;
+    ``_letter_result.cache_info()`` counts the hits and misses.
     """
     _, events = letter_flips(setup, letter, geometry, step, floor)
     matrix, final = sequence_product(events, setup.home,

@@ -2,7 +2,8 @@
 
 Subcommands: ``invariant`` (matrix of a word), ``verify`` (relation
 families), ``fixtures`` (recompute the bundled reference products), and
-``simulate`` (flip sequence of a word, optionally with SVG snapshots).
+``simulate`` (flip sequence of a word, optionally with SVG snapshots drawn
+by replaying it).
 Exit codes: 0 computed/verified, 1 mathematical failure, 2 usage error.
 """
 
@@ -16,11 +17,11 @@ from pathlib import Path
 
 from .braids import (FAMILIES, WordSyntaxError, canonical_setup,
                      invariant, letter_flips, parse_word, verify_relations)
-from .delaunay import render_svg
+from .delaunay import apply_flip, render_svg
 from .fixtures import FixtureError, run_all_suites
 from .flips import flip_sequence_to_json
 from .kinetics import (DEFAULT_FLOOR, DEFAULT_STEP, UnresolvedEventError,
-                       _sample)
+                       configuration_at)
 
 USAGE_ERROR = 2
 MATH_ERROR = 1
@@ -207,33 +208,29 @@ def cmd_simulate(args) -> int:
     if args.svg_dir:
         # snapshots first, so an unwritable directory leaves no JSON behind
         try:
-            _write_snapshots(setup, per_letter, Path(args.svg_dir),
-                             args.floor or DEFAULT_FLOOR)
+            _write_snapshots(setup, per_letter, Path(args.svg_dir))
         except OSError as err:
             return _unwritable(args.svg_dir, err)
     payload = [flip_sequence_to_json(events) for _, events in per_letter]
     return _emit(json.dumps(payload, indent=2) + "\n", args.out)
 
 
-def _write_snapshots(setup, per_letter, directory: Path, floor):
+def _write_snapshots(setup, per_letter, directory: Path):
+    """One SVG of the home triangulation, then one per gap between a
+    letter's events: the flip log replayed from home, where every letter's
+    loop starts, drawn at the positions of the gap's midpoint."""
+    frames = [(setup.home, setup.config)]
+    for ts, events in per_letter:
+        triangles = setup.home
+        for this_evt, next_evt in zip(events, events[1:] + [None]):
+            triangles = apply_flip(triangles, this_evt)
+            hi = next_evt.t_lo if next_evt is not None else Fraction(1)
+            frames.append((triangles,
+                           configuration_at(ts, (this_evt.t_hi + hi) / 2)))
     directory.mkdir(parents=True, exist_ok=True)
-    frame = 0
-
-    def snap(triangles, config):
-        nonlocal frame
+    for frame, (triangles, config) in enumerate(frames):
         path = directory / f"snapshot_{frame:03d}.svg"
         path.write_text(render_svg(triangles, config))
-        frame += 1
-
-    snap(setup.home, setup.config)
-    for ts, events in per_letter:
-        for this_evt, next_evt in zip(events, events[1:] + [None]):
-            hi = next_evt.t_lo if next_evt is not None else Fraction(1)
-            # a grazing cocircularity can hit the midpoint exactly; _sample
-            # then jitters inside the gap between the two events
-            _, config, triangles = _sample(ts, (this_evt.t_hi + hi) / 2,
-                                           this_evt.t_hi, hi, floor)
-            snap(triangles, config)
 
 
 def main(argv=None) -> int:

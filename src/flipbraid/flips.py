@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 
 from .delaunay import FlipEvent, apply_flip
-from .linalg import Matrix, as_rational, json_entries
+from .linalg import Matrix, as_rational
 
 
 def gamma_generator_name(event: FlipEvent) -> str:
@@ -213,36 +213,3 @@ def flip_sequence_to_json(events) -> list:
             d["t_hi"] = str(e.t_hi)
         out.append(d)
     return out
-
-
-def flip_sequence_from_json(data) -> list:
-    """The events that ``flip_sequence_to_json`` wrote.
-
-    A malformed entry raises ``ValueError`` naming its 1-based position.
-    """
-    return json_entries(data, "flip", _event_from_json)
-
-
-def _event_from_json(d: dict) -> FlipEvent:
-    return FlipEvent(_index_pair(d, "removed"), _index_pair(d, "inserted"),
-                     _time(d, "t_lo"), _time(d, "t_hi"))
-
-
-def _index_pair(d: dict, key: str) -> tuple:
-    pair = d.get(key)
-    if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-            or any(type(v) is not int for v in pair)):
-        raise ValueError(f"{key!r} must be two integers, got {pair!r}")
-    return tuple(sorted(pair))
-
-
-def _time(d: dict, key: str):
-    if key not in d:
-        return None
-    value = d[key]
-    try:
-        if type(value) in (str, int):
-            return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise ValueError(f"{key!r} must be a rational, got {value!r}")

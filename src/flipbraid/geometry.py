@@ -5,19 +5,20 @@ integers: a configuration clears the denominators of all its coordinates
 once, into ``Configuration.int_positions``, and the triangulation code
 runs the integer cores ``_orient`` and ``_incircle`` on that map.  The
 public ``orient2d`` and ``incircle`` clear the denominators of their own
-arguments and call the same cores, so there is no epsilon anywhere.
+arguments and call the same cores, so there is no epsilon anywhere.  The
+generator loops and the event engine test a path's clearance on integer
+points too, with ``_inside`` and ``_segment_meets``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import as_rational, json_entries
+from .linalg import as_rational
 
 Point = tuple  # (Fraction, Fraction)
 
@@ -69,6 +70,13 @@ def _inside(p, a, b, c) -> bool:
         a, b = b, a
     return (_orient(a, b, p) > 0 and _orient(b, c, p) > 0
             and _orient(c, a, p) > 0)
+
+
+def _segment_meets(a, b, p) -> bool:
+    """True when the closed segment ab meets integer point p."""
+    return (_orient(a, b, p) == 0
+            and min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
 
 
 def orient2d(a: Point, b: Point, c: Point) -> int:
@@ -187,35 +195,6 @@ class Configuration:
 
     def zeta_map(self) -> dict:
         return {p.index: p.zeta for p in self.points}
-
-    def to_json_dict(self) -> dict:
-        return {
-            "points": [
-                {"index": p.index, "x": str(p.x), "y": str(p.y),
-                 "zeta": str(p.zeta)}
-                for p in self.points
-            ],
-            "boundary": list(self.boundary),
-        }
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "Configuration":
-        """The configuration that ``to_json_dict`` wrote; malformed input
-        raises ``ValueError``."""
-        if not isinstance(data, dict):
-            raise ValueError(f"expected an object, got {data!r}")
-        points = json_entries(
-            data.get("points"), "point",
-            lambda d: LabeledPoint.make(operator.index(d["index"]), d["x"],
-                                        d["y"], d["zeta"]))
-        boundary = data.get("boundary")
-        if not isinstance(boundary, (list, tuple)):
-            raise ValueError(f"'boundary' must be a list, got {boundary!r}")
-        return Configuration(tuple(points), tuple(boundary))
-
-
-def _strictly_inside_triangle(p: Point, a: Point, b: Point, c: Point) -> bool:
-    return _inside(*_integer_points((p, a, b, c)))
 
 
 def validate_general_position(config: Configuration) -> list:

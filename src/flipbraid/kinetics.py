@@ -30,15 +30,14 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .delaunay import (DegenerateConfigurationError, FlipEvent, apply_flip,
                        diff_flips, insert_point, triangle, verify_delaunay)
-from .geometry import (Configuration, LabeledPoint, _incircle,
-                       _integer_points, _inside, _lifted_det, _orient)
-from .linalg import as_rational, json_entries
+from .geometry import (Configuration, _incircle, _integer_points, _inside,
+                       _lifted_det, _orient, _segment_meets)
+from .linalg import as_rational
 
 DEFAULT_STEP = Fraction(1, 64)
 DEFAULT_FLOOR = Fraction(1, 2 ** 40)
@@ -148,39 +147,6 @@ class TrajectorySet:
                 return tr
         raise KeyError(index)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "trajectories": [
-                {"index": tr.index,
-                 "breakpoints": [[str(t), str(x), str(y)]
-                                 for t, (x, y) in tr.breakpoints]}
-                for tr in self.trajectories
-            ]
-        }
-
-    @staticmethod
-    def from_json_dict(data: dict, boundary, zeta) -> "TrajectorySet":
-        """Rebuild from the trajectory JSON plus labels and boundary roles
-        (which live in the configuration JSON, not here); malformed JSON
-        raises ``ValueError``."""
-        if not isinstance(data, dict):
-            raise ValueError(f"expected an object, got {data!r}")
-        trajectories = sorted(
-            json_entries(data.get("trajectories"), "trajectory",
-                         _trajectory_from_json),
-            key=lambda tr: tr.index)
-        points = tuple(
-            LabeledPoint(tr.index, *tr.breakpoints[0][1],
-                         as_rational(zeta[tr.index]))
-            for tr in trajectories)
-        return TrajectorySet(Configuration(points, tuple(boundary)),
-                             tuple(trajectories))
-
-
-def _trajectory_from_json(d: dict) -> Trajectory:
-    return Trajectory.piecewise(operator.index(d["index"]),
-                                [(t, (x, y)) for t, x, y in d["breakpoints"]])
-
 
 def configuration_at(ts: TrajectorySet, t) -> Configuration:
     """Exact linear interpolation of every moving trajectory at time t;
@@ -240,10 +206,14 @@ def _crossing_certified(before_config: Configuration,
     return sa == -1 and sb == 1
 
 
-def _far_commuting(events) -> bool:
-    quads = [set(e.quad) for e in events]
-    return all(len(q1 & q2) <= 2
-               for a, q1 in enumerate(quads) for q2 in quads[a + 1:])
+def _overlap(quads):
+    """The first pair of quads that share more than two points (flips
+    that do not far-commute), or None."""
+    for a, q1 in enumerate(quads):
+        for q2 in quads[a + 1:]:
+            if len(set(q1) & set(q2)) > 2:
+                return q1, q2
+    return None
 
 
 def extract_flip_sequence(ts: TrajectorySet, step=DEFAULT_STEP,
@@ -253,6 +223,12 @@ def extract_flip_sequence(ts: TrajectorySet, step=DEFAULT_STEP,
     The endpoint configurations must be in general position.  Inside the
     interval, degenerate sample times are jittered (the trajectory, which
     defines the braid, is never perturbed).
+
+    The log can miss flips.  When a flip and its inverse both fall between
+    two adjacent samples, the two triangulations agree and ``_refine``
+    logs neither.  The product is still right, because the two flip
+    matrices cancel, but the log is then not the full motion; the exact
+    engine logs both.
     """
     step, floor = as_rational(step), as_rational(floor)
     if not 0 < floor <= step <= 1:
@@ -294,7 +270,7 @@ def _refine(ts, a, b, floor, events):
             events.append(event.with_bracket(ta, tb))
             return
     if width <= floor:
-        if diff is None or not _far_commuting(diff):
+        if diff is None or _overlap([e.quad for e in diff]):
             changed = sorted(tria ^ trib)
             raise UnresolvedEventError(
                 f"unresolved codimension-2 event in [{ta}, {tb}]"
@@ -495,9 +471,7 @@ class _MoverKDS:
                 raise ValueError(f"point {self.mover} is not strictly inside"
                                  f" the boundary triangle at time {t}")
         for index, p in fixed.items():
-            if (_orient(m0, m1, p) == 0
-                    and min(m0[0], m1[0]) <= p[0] <= max(m0[0], m1[0])
-                    and min(m0[1], m1[1]) <= p[1] <= max(m0[1], m1[1])):
+            if _segment_meets(m0, m1, p):
                 raise ValueError(f"point {self.mover} meets point {index}"
                                  f" in [{t0}, {t1}]")
 
@@ -556,13 +530,12 @@ class _MoverKDS:
             if _compare(t, when) != 0:
                 break
             quads.append(event.quad)
-        for a, q1 in enumerate(quads):
-            for q2 in quads[a + 1:]:
-                if len(set(q1) & set(q2)) > 2:
-                    raise UnresolvedEventError(
-                        f"unresolved codimension-2 event at t ="
-                        f" {_format_time(when)}: flips of quads {q1} and"
-                        f" {q2} overlap; perturb trajectories")
+        pair = _overlap(quads)
+        if pair:
+            raise UnresolvedEventError(
+                f"unresolved codimension-2 event at t = {_format_time(when)}:"
+                f" flips of quads {pair[0]} and {pair[1]} overlap; perturb"
+                " trajectories")
 
     def _flip(self, u, v) -> FlipEvent:
         """Flip interior edge (u, v) of the counterclockwise quad

@@ -30,24 +30,6 @@ def as_rational(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-def json_entries(items, what: str, parse) -> list:
-    """``parse`` applied to each object of the JSON list ``items``; a
-    malformed entry raises ``ValueError`` naming its 1-based position."""
-    if not isinstance(items, (list, tuple)):
-        raise ValueError(f"expected a list of {what} entries, got {items!r}")
-    out = []
-    for pos, d in enumerate(items, start=1):
-        try:
-            if not isinstance(d, dict):
-                raise ValueError(f"expected an object, got {d!r}")
-            out.append(parse(d))
-        except KeyError as err:
-            raise ValueError(f"{what} entry {pos}: missing {err}") from None
-        except (TypeError, ValueError, ZeroDivisionError) as err:
-            raise ValueError(f"{what} entry {pos}: {err}") from None
-    return out
-
-
 class DimensionError(ValueError):
     """Matrix dimensions do not admit the requested operation."""
 

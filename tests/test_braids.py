@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -101,6 +102,12 @@ def test_loop_clearance_error():
     setup = CanonicalSetup(3, Configuration(pts, (1, 2, 3)))
     with pytest.raises(LoopClearanceError, match="passes through"):
         generator_trajectories(setup, BraidLetter(1, 3, 1))
+    # the loop's top at height 100 is above the boundary triangle's apex
+    with pytest.raises(LoopClearanceError, match=re.escape(
+            "loop of point 4 leaves the boundary triangle at"
+            " (Fraction(1, 1), Fraction(100, 1))")):
+        generator_trajectories(canonical_setup(2), BraidLetter(1, 2, 1),
+                               LoopGeometry.make(100, "1/2", "1/4"))
 
 
 def test_invariant_empty_word():
@@ -200,6 +207,24 @@ def test_home_triangulation_built_once(monkeypatch):
     braids._letter_result.cache_clear()
     assert verify_relations(4, "pb_all").ok
     assert len(calls) == 1
+
+
+def test_letter_cache_does_not_hash_the_configuration(monkeypatch):
+    """The letter cache keys on the setup by identity, so a lookup never
+    hashes the setup's points."""
+    from flipbraid import braids
+
+    def refuse(self):
+        raise AssertionError("a configuration was hashed")
+
+    word = parse_word("b(1,2) b(2,3)^-1", 3)
+    expected = invariant(word).matrix
+    monkeypatch.setattr(Configuration, "__hash__", refuse)
+    braids._letter_result.cache_clear()
+    for _ in range(2):
+        assert invariant(word).matrix == expected
+    info = braids._letter_result.cache_info()
+    assert (info.hits, info.misses) == (2, 2)
 
 
 def test_verify_unknown_family():

@@ -218,11 +218,18 @@ GOLDEN_STDOUT = {
     ("verify", "--n", "3", "--family", "pb_all"):
         "d5fa3860a553ee6d302f811b447d3bf96cc0bcd599d7ca0733d0a2f7495ad573",
 }
-GOLDEN_SIMULATE_STDOUT = \
-    "98f0a8c56dc9b1803aac1970b6997311f76445fe05685c301fa194c5e0cff56b"
-# the 33 snapshots concatenated in name order
-GOLDEN_SIMULATE_SVGS = \
-    "e941b04721a577c7900b33a466b128df83728741a2d13b6eebcce3f3f39b4c8f"
+# simulate argv -> (stdout digest, snapshot count, digest of the snapshots
+# concatenated in name order); the second case runs the sampler
+GOLDEN_SIMULATE = {
+    ("--n", "3", "--word", "b(1,3) b(2,3)^-1"): (
+        "98f0a8c56dc9b1803aac1970b6997311f76445fe05685c301fa194c5e0cff56b",
+        33,
+        "e941b04721a577c7900b33a466b128df83728741a2d13b6eebcce3f3f39b4c8f"),
+    ("--n", "4", "--word", "b(1,3) b(2,4)^-1", "--step", "1/64"): (
+        "997088d36e71d3f54aae3cbc30bec33da22f7efd35b89c02d3ce888db1814b9b",
+        45,
+        "92699089518bbd34912781a98d4c2c41dd857d5f9f4b3ab6d49387e6df7aa0a4"),
+}
 
 
 def _sha256(data: bytes) -> str:
@@ -237,14 +244,16 @@ def test_golden_stdout(capsys, argv):
 
 
 def test_golden_simulate(tmp_path, capsys):
-    code, out, err = run_cli(capsys, "simulate", "--n", "3", "--word",
-                             "b(1,3) b(2,3)^-1", "--svg-dir", str(tmp_path))
-    assert code == 0 and err == ""
-    assert _sha256(out.encode()) == GOLDEN_SIMULATE_STDOUT
-    svgs = sorted(tmp_path.iterdir())
-    assert len(svgs) == 33
-    assert _sha256(b"".join(p.read_bytes() for p in svgs)) \
-        == GOLDEN_SIMULATE_SVGS
+    for case, (argv, (stdout, count, snapshots)) in enumerate(
+            GOLDEN_SIMULATE.items()):
+        svg_dir = tmp_path / str(case)
+        code, out, err = run_cli(capsys, "simulate", *argv, "--svg-dir",
+                                 str(svg_dir))
+        assert code == 0 and err == ""
+        assert _sha256(out.encode()) == stdout
+        svgs = sorted(svg_dir.iterdir())
+        assert len(svgs) == count
+        assert _sha256(b"".join(p.read_bytes() for p in svgs)) == snapshots
 
 
 def test_simulate_unresolved_event_names_the_letter(capsys):
@@ -275,6 +284,27 @@ def test_default_path_never_samples(monkeypatch, capsys, tmp_path):
     for flags in (("--step", "1/64"), ("--floor", "1/1099511627776")):
         with pytest.raises(AssertionError, match="the sampler ran"):
             main(["invariant", "--n", "3", "--word", "b(1,3)", *flags])
+
+
+def test_snapshots_replay_the_flips(monkeypatch, capsys, tmp_path):
+    """``--svg-dir`` draws each snapshot from the flip log replayed from
+    home, so the engine's two endpoint samples per letter are the only
+    samples a default ``simulate`` takes."""
+    from flipbraid import kinetics
+
+    calls = []
+    sample_at = kinetics._sample_at
+
+    def counted(ts, t):
+        calls.append(t)
+        return sample_at(ts, t)
+
+    monkeypatch.setattr(kinetics, "_sample_at", counted)
+    code, out, err = run_cli(capsys, "simulate", "--n", "3", "--word",
+                             "b(1,3) b(2,3)^-1", "--svg-dir", str(tmp_path))
+    assert code == 0 and err == ""
+    assert len(list(tmp_path.iterdir())) == 33
+    assert calls == [0, 1, 0, 1]
 
 
 def test_sampling_flags_help_says_what_they_select(capsys):

@@ -16,3 +16,22 @@ def test_retired_flip_records_are_gone():
         assert not hasattr(flipbraid, name)
         assert not hasattr(flips, name)
         assert not hasattr(delaunay, name)
+
+
+def test_retired_readers_and_duplicate_helpers_are_gone():
+    from flipbraid import braids, flips, geometry, kinetics, linalg
+
+    retired = {
+        geometry: ("_strictly_inside_triangle",),
+        geometry.Configuration: ("to_json_dict", "from_json_dict"),
+        kinetics: ("_trajectory_from_json", "_far_commuting"),
+        kinetics.TrajectorySet: ("to_json_dict", "from_json_dict"),
+        flips: ("flip_sequence_from_json", "_event_from_json",
+                "_index_pair", "_time"),
+        linalg: ("json_entries",),
+        braids: ("_on_segment",),
+    }
+    for owner, names in retired.items():
+        for name in names:
+            assert not hasattr(owner, name), (owner, name)
+            assert name not in flipbraid.__all__

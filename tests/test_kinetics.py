@@ -255,50 +255,3 @@ def test_cocircular_stationary_points_around_the_mover(monkeypatch):
     assert len(events) == 2
     monkeypatch.setattr(kinetics, "_sample_at", _rebuild_sample_at)
     assert extract_flip_sequence(ts) == events
-
-
-def test_trajectory_json_round_trip():
-    config = make_config([(0, 0)])
-    ts = TrajectorySet.from_motion(
-        config, {4: [(0, (0, 0)), (F(1, 3), (1, 2)), (1, (0, 0))]})
-    data = ts.to_json_dict()
-    moving = [tr for tr in data["trajectories"] if tr["index"] == 4][0]
-    assert moving["breakpoints"] == [["0", "0", "0"], ["1/3", "1", "2"],
-                                     ["1", "0", "0"]]
-    rebuilt = TrajectorySet.from_json_dict(
-        data, config.boundary, config.zeta_map())
-    assert rebuilt == ts
-    assert configuration_at(rebuilt, F(1, 6)).positions[4] == (F(1, 2), F(1))
-
-
-def _trajectory_json():
-    config = make_config([(0, 0)])
-    ts = TrajectorySet.from_motion(
-        config, {4: [(0, (0, 0)), (F(1, 3), (1, 2)), (1, (0, 0))]})
-    return config, ts.to_json_dict()
-
-
-@pytest.mark.parametrize("edit, message", [
-    (lambda d: d["trajectories"][3].pop("index"),
-     "trajectory entry 4: missing 'index'"),
-    (lambda d: d["trajectories"][3].pop("breakpoints"),
-     "trajectory entry 4: missing 'breakpoints'"),
-    (lambda d: d["trajectories"][3]["breakpoints"][1].__setitem__(0, 0.1),
-     "trajectory entry 4: not an exact rational: 0.1"),
-    (lambda d: d["trajectories"][0]["breakpoints"][0].pop(),
-     "trajectory entry 1: not enough values to unpack"),
-    (lambda d: d["trajectories"][3]["breakpoints"].pop(),
-     "trajectory entry 4: breakpoints must start at 0 and end at 1"),
-    (lambda d: d["trajectories"][2].__setitem__("index", "3"),
-     "trajectory entry 3: 'str' object cannot be interpreted as an integer"),
-    (lambda d: d["trajectories"].__setitem__(1, 7),
-     "trajectory entry 2: expected an object, got 7"),
-    (lambda d: d.pop("trajectories"),
-     "expected a list of trajectory entries, got None"),
-])
-def test_trajectory_json_rejects_malformed_input(edit, message):
-    config, data = _trajectory_json()
-    edit(data)
-    with pytest.raises(ValueError, match=re.escape(message)):
-        TrajectorySet.from_json_dict(data, config.boundary,
-                                     config.zeta_map())
