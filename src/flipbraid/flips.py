@@ -213,3 +213,43 @@ def flip_sequence_to_json(events) -> list:
             d["t_hi"] = str(e.t_hi)
         out.append(d)
     return out
+
+
+def flip_sequence_from_json(data) -> list:
+    """The events that ``flip_sequence_to_json`` wrote.
+
+    A malformed entry raises ``ValueError`` naming its 1-based position.
+    """
+    if not isinstance(data, (list, tuple)):
+        raise ValueError(f"expected a list of flip entries, got {data!r}")
+    events = []
+    for pos, d in enumerate(data, start=1):
+        try:
+            if not isinstance(d, dict):
+                raise ValueError(f"expected an object, got {d!r}")
+            events.append(FlipEvent(
+                _index_pair(d, "removed"), _index_pair(d, "inserted"),
+                _time(d, "t_lo"), _time(d, "t_hi")))
+        except ValueError as err:
+            raise ValueError(f"flip entry {pos}: {err}") from None
+    return events
+
+
+def _index_pair(d: dict, key: str) -> tuple:
+    pair = d.get(key)
+    if (not isinstance(pair, (list, tuple)) or len(pair) != 2
+            or any(type(v) is not int for v in pair)):
+        raise ValueError(f"{key!r} must be two integers, got {pair!r}")
+    return tuple(sorted(pair))
+
+
+def _time(d: dict, key: str):
+    if key not in d:
+        return None
+    value = d[key]
+    try:
+        if type(value) in (str, int):
+            return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"{key!r} must be a rational, got {value!r}")

@@ -26,8 +26,7 @@ def test_retired_readers_and_duplicate_helpers_are_gone():
         geometry.Configuration: ("to_json_dict", "from_json_dict"),
         kinetics: ("_trajectory_from_json", "_far_commuting"),
         kinetics.TrajectorySet: ("to_json_dict", "from_json_dict"),
-        flips: ("flip_sequence_from_json", "_event_from_json",
-                "_index_pair", "_time"),
+        flips: ("_event_from_json",),
         linalg: ("json_entries",),
         braids: ("_on_segment",),
     }

@@ -11,8 +11,9 @@ from flipbraid.delaunay import FlipEvent, apply_flip, build_delaunay
 from flipbraid.fixtures import evaluate_matrix, load_fixture
 from flipbraid.flips import (PENTAGON_FLIPS, PENTAGON_START,
                              BasisMismatchError, build_flip_matrix,
-                             flip_sequence_to_json, gamma_generator_name,
-                             pentagon_cycle_product, sequence_product)
+                             flip_sequence_from_json, flip_sequence_to_json,
+                             gamma_generator_name, pentagon_cycle_product,
+                             sequence_product)
 from flipbraid.linalg import Matrix, mat_inverse
 
 ZETA_ID = {i: Fraction(i) for i in range(1, 12)}
@@ -332,7 +333,7 @@ def test_sequence_product_rejects_inapplicable_event():
         sequence_product([flipped, flipped], start, ZETA_ID)
 
 
-def test_flip_sequence_to_json_shape():
+def test_flip_sequence_json_round_trip():
     events = [FlipEvent((1, 3), (2, 4), Fraction(1, 8), Fraction(3, 16)),
               FlipEvent((2, 5), (3, 6))]
     data = flip_sequence_to_json(events)
@@ -340,6 +341,26 @@ def test_flip_sequence_to_json_shape():
                        "quad": [1, 2, 3, 4], "gamma": "d(1 2 3 4)",
                        "t_lo": "1/8", "t_hi": "3/16"}
     assert "t_lo" not in data[1]
+    assert flip_sequence_from_json(data) == events
+
+
+TIME = st.fractions(min_value=0, max_value=1, max_denominator=2 ** 40)
+
+
+@st.composite
+def flip_events(draw):
+    """A flip on four distinct indices, with or without a time bracket."""
+    i, j, k, l = draw(st.lists(st.integers(1, 30), min_size=4, max_size=4,
+                               unique=True))
+    bracket = draw(st.one_of(st.just((None, None)),
+                             st.tuples(TIME, TIME).map(sorted)))
+    return FlipEvent(tuple(sorted((i, k))), tuple(sorted((j, l))), *bracket)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(flip_events(), max_size=6))
+def test_flip_sequence_json_round_trip_random(events):
+    assert flip_sequence_from_json(flip_sequence_to_json(events)) == events
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -349,3 +370,36 @@ def test_repeated_indices_rejected(quad):
     removed, inserted = tuple(quad[:2]), tuple(quad[2:])
     with pytest.raises(ValueError, match="four distinct indices"):
         FlipEvent(removed, inserted)
+    data = [{"removed": list(removed), "inserted": list(inserted)}]
+    with pytest.raises(ValueError, match="four distinct indices"):
+        flip_sequence_from_json(data)
+
+
+@pytest.mark.parametrize("data, message", [
+    ([{"removed": [1, 2]}], "entry 1: 'inserted' must be two integers"),
+    ([5], "entry 1: expected an object"),
+    ([{"removed": [1, 2], "inserted": 3}],
+     "entry 1: 'inserted' must be two integers"),
+    ([{"removed": [1, "x"], "inserted": [3, 4]}],
+     "entry 1: 'removed' must be two integers"),
+    ([{"removed": [1, 2, 5], "inserted": [3, 4]}],
+     "entry 1: 'removed' must be two integers"),
+    ([{"removed": [1, 2], "inserted": [3, 4]},
+      {"removed": [1, 2], "inserted": [3, 4], "t_lo": "x", "t_hi": "1"}],
+     "entry 2: 't_lo' must be a rational"),
+    ([{"removed": [1, 2], "inserted": [3, 4], "t_lo": "1/0"}],
+     "entry 1: 't_lo' must be a rational"),
+    ([{"removed": [1, 2], "inserted": [3, 4], "t_lo": [0]}],
+     "entry 1: 't_lo' must be a rational"),
+    ([{"removed": [1, 2], "inserted": [3, 4]},
+      {"removed": [1, 2], "inserted": [2, 4]}],
+     "entry 2: .*four distinct indices"),
+    ([{"removed": [1, 2], "inserted": [3, 4], "t_lo": 0.5}],
+     "entry 1: 't_lo' must be a rational"),
+    (5, "expected a list of flip entries"),
+    (None, "expected a list of flip entries"),
+    ({"a": 1}, "expected a list of flip entries"),
+])
+def test_flip_sequence_from_json_rejects_malformed_entries(data, message):
+    with pytest.raises(ValueError, match=message):
+        flip_sequence_from_json(data)
