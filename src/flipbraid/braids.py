@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .delaunay import build_delaunay
+from .delaunay import DegenerateConfigurationError, build_delaunay
 from .flips import flip_sequence_to_json, sequence_product
 from .geometry import (Configuration, LabeledPoint, _inside,
-                       _integer_points, _segment_meets,
-                       validate_general_position)
+                       _integer_points, _segment_meets)
 from .kinetics import (DEFAULT_FLOOR, DEFAULT_STEP, TrajectorySet,
                        UnresolvedEventError, exact_flip_sequence,
                        extract_flip_sequence)
@@ -136,10 +135,11 @@ def canonical_setup(n: int) -> CanonicalSetup:
 
     Interior homes sit on an upward parabola, which keeps any four of them
     off a common circle (concyclicity would force their abscissas to sum to
-    zero, impossible for positive abscissas); 4-subsets touching boundary
-    vertices are covered by the exhaustive validator, with deterministic
-    nudges as a fallback.  Memoized, so each n's setup and its ``home`` are
-    built once per process.
+    zero, impossible for positive abscissas).  An attempt is accepted when
+    its ``home`` builds, which rules out every cocircular 4-subset with an
+    empty disk, those touching boundary vertices included; deterministic
+    nudges are the fallback.  Memoized, so each n's setup and its ``home``
+    are built once per process.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -156,9 +156,13 @@ def canonical_setup(n: int) -> CanonicalSetup:
                 k + 3)
             for k in range(1, n + 1)
         ]
-        config = Configuration(tuple(boundary + interior), (1, 2, 3))
-        if not validate_general_position(config):
-            return CanonicalSetup(n, config)
+        setup = CanonicalSetup(
+            n, Configuration(tuple(boundary + interior), (1, 2, 3)))
+        try:
+            setup.home
+        except DegenerateConfigurationError:
+            continue
+        return setup
     raise RuntimeError(
         f"canonical setup for n={n} failed to reach general position")
 

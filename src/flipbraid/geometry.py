@@ -120,9 +120,8 @@ class Configuration:
     """All n+3 labeled points: 3 fixed triangle vertices plus n mobile ones.
 
     Construction checks index/label uniqueness and strict containment of the
-    interior points; general position is checked separately by
-    :func:`validate_general_position` (it is deliberately allowed to fail
-    mid-motion, where the Delaunay builder reports the degeneracy).
+    interior points.  General position is not checked here: it may fail
+    mid-motion, and ``build_delaunay`` reports the degeneracy it meets.
     """
 
     points: tuple
@@ -148,28 +147,6 @@ class Configuration:
                 raise ValueError(
                     f"point {index} is not strictly inside the boundary"
                     " triangle")
-
-    def _moved(self, moved: dict) -> "Configuration":
-        """This configuration with the interior points in ``moved``
-        (index -> (x, y)) at new positions.  Only the moved points are
-        checked: each must lie strictly inside the boundary triangle and
-        coincide with no other point.  The rest was checked when this
-        configuration was built."""
-        config = object.__new__(Configuration)
-        object.__setattr__(config, "points", tuple(
-            LabeledPoint(p.index, *moved[p.index], p.zeta)
-            if p.index in moved else p for p in self.points))
-        object.__setattr__(config, "boundary", self.boundary)
-        ints = config.int_positions
-        if len(set(ints.values())) != len(ints):
-            raise ValueError("coincident points")
-        a, b, c = (ints[i] for i in self.boundary)
-        for index in moved:
-            if not _inside(ints[index], a, b, c):
-                raise ValueError(
-                    f"point {index} is not strictly inside the boundary"
-                    " triangle")
-        return config
 
     @property
     def n(self) -> int:

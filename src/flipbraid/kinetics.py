@@ -9,7 +9,7 @@ linear segment of the mover's path, the certificate of every interior edge
 whose quad holds the mover is its lifted incircle determinant, a quadratic
 in time.  Each flip happens at a root of one of them; the roots lie in
 Q(sqrt(D)) and are computed and ordered exactly, with integer arithmetic.
-Only the two ends of the motion are sampled.
+It samples nothing.
 
 ``extract_flip_sequence`` samples: configurations are evaluated at exact
 rational sample times, adjacent Delaunay triangulations are diffed, and
@@ -19,10 +19,11 @@ ordered lexicographically).  It never computes an event time.  It is the
 test oracle, the path that explicit sampling settings select, and the one
 for motions of several points.
 
-Only the moving points change between samples.  A trajectory set builds
-the Delaunay triangle set of its constant points once; each sample
-interpolates the movers, inserts them with the Bowyer-Watson step of
-``build_delaunay`` and checks the result with the O(n) local edge test.
+A trajectory set holds the paths of the moving points only; every other
+point keeps its initial position.  Each sample is a validated
+``Configuration`` triangulated by ``build_delaunay``.  The engine builds
+the triangulation of the initial configuration once, moves it by flips and
+checks the final one with the O(n) local edge test.
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .delaunay import (DegenerateConfigurationError, FlipEvent, apply_flip,
-                       diff_flips, insert_point, triangle, verify_delaunay)
-from .geometry import (Configuration, _incircle, _integer_points, _inside,
-                       _lifted_det, _orient, _segment_meets)
+                       build_delaunay, diff_flips, triangle, verify_delaunay)
+from .geometry import (Configuration, LabeledPoint, _incircle,
+                       _integer_points, _inside, _lifted_det, _orient,
+                       _segment_meets)
 from .linalg import as_rational
 
 DEFAULT_STEP = Fraction(1, 64)
@@ -88,88 +90,64 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class TrajectorySet:
-    """Trajectories for every point of a configuration.
+    """The paths of the moving points of a configuration.
 
-    Boundary points must be constant; labels and boundary roles come from
-    the initial configuration.
+    ``trajectories`` holds one Trajectory per moving point, sorted by
+    index, each starting at that point's initial position; every other
+    point keeps its initial position.  Boundary points must stay fixed.
+    Labels and boundary roles come from the initial configuration.
     """
 
     initial: Configuration
-    trajectories: tuple  # sorted by point index, one per point
+    trajectories: tuple  # the movers' trajectories, sorted by point index
 
     def __post_init__(self):
-        indices = sorted(tr.index for tr in self.trajectories)
-        if indices != sorted(p.index for p in self.initial.points):
-            raise ValueError("trajectories must cover every point exactly once")
-        by_index = {tr.index: tr for tr in self.trajectories}
-        for b in self.initial.boundary:
-            if not by_index[b].is_constant():
-                raise ValueError(f"boundary point {b} must stay fixed")
-        for p in self.initial.points:
-            if by_index[p.index].breakpoints[0][1] != p.xy:
+        if list(self.movers) != sorted(set(self.movers)):
+            raise ValueError("trajectories must be sorted by distinct index")
+        positions = self.initial.positions
+        for tr in self.trajectories:
+            if tr.index not in positions:
+                raise ValueError(f"trajectory of point {tr.index}: the"
+                                 " configuration has no such point")
+            if tr.index in self.initial.boundary:
+                raise ValueError(f"boundary point {tr.index} must stay fixed")
+            if tr.breakpoints[0][1] != positions[tr.index]:
                 raise ValueError(
-                    f"trajectory of point {p.index} does not start at its"
+                    f"trajectory of point {tr.index} does not start at its"
                     " initial position")
 
-    @functools.cached_property
+    @property
     def movers(self) -> tuple:
-        """Indices of the points whose trajectory is not constant."""
-        return tuple(tr.index for tr in self.trajectories
-                     if not tr.is_constant())
-
-    @functools.cached_property
-    def stationary_triangles(self) -> frozenset:
-        """Delaunay triangle set of the constant points, built once.
-
-        Every sample inserts the movers into it.  It is left unverified: a
-        cocircular 4-subset of constant points is legal here when its disk
-        holds a mover, and a sample that stays degenerate is caught when
-        the sample is verified.
-        """
-        tris = {triangle(*self.initial.boundary)}
-        for index in self.initial.interior:
-            if index not in self.movers:
-                insert_point(tris, self.initial.int_positions, index)
-        return frozenset(tris)
+        """Indices of the moving points."""
+        return tuple(tr.index for tr in self.trajectories)
 
     @staticmethod
     def from_motion(config: Configuration, paths: dict) -> "TrajectorySet":
-        """Constant trajectories except for the points listed in ``paths``."""
-        trs = []
-        for p in sorted(config.points, key=lambda q: q.index):
-            path = paths.get(p.index, [(0, p.xy), (1, p.xy)])
-            trs.append(Trajectory.piecewise(p.index, path))
-        return TrajectorySet(config, tuple(trs))
-
-    def trajectory(self, index: int) -> Trajectory:
-        for tr in self.trajectories:
-            if tr.index == index:
-                return tr
-        raise KeyError(index)
+        """The motion in which the points listed in ``paths`` (index ->
+        breakpoints) follow their paths; constant paths are dropped."""
+        trs = (Trajectory.piecewise(index, paths[index])
+               for index in sorted(paths))
+        return TrajectorySet(config, tuple(tr for tr in trs
+                                           if not tr.is_constant()))
 
 
 def configuration_at(ts: TrajectorySet, t) -> Configuration:
-    """Exact linear interpolation of every moving trajectory at time t;
-    the other points keep their initial position.  Only the movers are
-    checked, since the initial configuration already was."""
+    """The configuration at time t: each mover at the exact linear
+    interpolation of its path, every other point at its initial position."""
     t = as_rational(t)
     if not 0 <= t <= 1:
         raise ValueError(f"time {t} outside [0, 1]")
-    return ts.initial._moved({tr.index: tr.position_at(t)
-                              for tr in ts.trajectories
-                              if tr.index in ts.movers})
+    moved = {tr.index: tr.position_at(t) for tr in ts.trajectories}
+    return Configuration(
+        tuple(LabeledPoint(p.index, *moved[p.index], p.zeta)
+              if p.index in moved else p for p in ts.initial.points),
+        ts.initial.boundary)
 
 
 def _sample_at(ts: TrajectorySet, t: Fraction) -> tuple:
-    """The sample (time, configuration, Delaunay triangle set) at t: the
-    movers inserted into the stationary triangle set, then verified."""
+    """The sample (time, configuration, Delaunay triangle set) at t."""
     config = configuration_at(ts, t)
-    tris = set(ts.stationary_triangles)
-    for index in ts.movers:
-        insert_point(tris, config.int_positions, index)
-    tris = frozenset(tris)
-    verify_delaunay(tris, config)
-    return t, config, tris
+    return t, config, build_delaunay(config)
 
 
 def _sample(ts: TrajectorySet, t: Fraction, lo: Fraction, hi: Fraction,
@@ -402,9 +380,9 @@ class _MoverKDS:
     circumdisk across an edge before it can reach the edge.
     """
 
-    def __init__(self, ts: TrajectorySet, start: frozenset,
-                 positions: dict):
+    def __init__(self, ts: TrajectorySet, start: frozenset):
         self.mover = ts.movers[0]
+        positions = ts.initial.int_positions
         self.boundary = ts.initial.boundary
         self.stationary = {index: xy
                            for index, xy in ts.initial.positions.items()
@@ -570,25 +548,24 @@ def exact_flip_sequence(ts: TrajectorySet) -> list:
     """Time-ordered FlipEvents of a motion with at most one moving point,
     each bracketed as by ``_bracket``.
 
-    The exact kinetic engine: every flip time is computed as a root of an
-    integer quadratic and ordered exactly, so nothing is sampled but the
-    two ends, which must be in general position.  Simultaneous flips are
-    ordered by quad when they far-commute and raise
+    The exact kinetic engine: it starts from the Delaunay triangulation of
+    the initial configuration, computes every flip time as a root of an
+    integer quadratic and orders the flips exactly, and checks that the
+    final triangulation is the Delaunay triangulation at t = 1.  It samples
+    nothing.  Either end must be in general position.  Simultaneous flips
+    are ordered by quad when they far-commute and raise
     ``UnresolvedEventError`` otherwise.  Motions of several points take
     ``extract_flip_sequence``.
     """
     if len(ts.movers) > 1:
         raise ValueError("the exact engine moves one point; sample motions"
                          " of several with extract_flip_sequence")
-    _, start_config, start = _sample_at(ts, Fraction(0))
-    end = _sample_at(ts, Fraction(1))[2]
+    start = build_delaunay(ts.initial)
     if not ts.movers:
         return []
-    kds = _MoverKDS(ts, start, start_config.int_positions)
-    path = ts.trajectory(kds.mover).breakpoints
+    kds = _MoverKDS(ts, start)
+    path = ts.trajectories[0].breakpoints
     for (t0, p0), (t1, p1) in zip(path, path[1:]):
         kds.run_segment(t0, p0, t1, p1)
-    if kds.triangles() != end:
-        raise AssertionError("flip replay does not reproduce the final"
-                             " triangulation")
+    verify_delaunay(kds.triangles(), configuration_at(ts, 1))
     return kds.bracketed_events()

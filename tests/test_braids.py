@@ -50,17 +50,14 @@ def test_canonical_setup_shapes():
 
 
 def test_canonical_setup_general_position():
-    for n in range(7):
+    for n in range(13):
         assert validate_general_position(canonical_setup(n).config) == []
 
 
 def test_generator_trajectories_static_and_closed():
     setup = canonical_setup(3)
     ts = generator_trajectories(setup, BraidLetter(1, 3, 1))
-    mover = 4
-    for tr in ts.trajectories:
-        if tr.index != mover:
-            assert tr.is_constant()
+    assert ts.movers == (4,)
     assert configuration_at(ts, 0) == setup.config
     assert configuration_at(ts, 1) == setup.config
 
@@ -69,7 +66,7 @@ def test_generator_loop_winding_numbers():
     setup = canonical_setup(4)
     for (i, j) in ((1, 2), (1, 4), (2, 3)):
         ts = generator_trajectories(setup, BraidLetter(i, j, 1))
-        loop = [pos for _, pos in ts.trajectory(i + 3).breakpoints]
+        loop = [pos for _, pos in ts.trajectories[0].breakpoints]
         for other in setup.config.points:
             if other.index == i + 3:
                 continue
@@ -77,7 +74,7 @@ def test_generator_loop_winding_numbers():
             assert winding_number(loop, other.xy) == expected, other.index
         # reversed traversal winds the opposite way
         ts_inv = generator_trajectories(setup, BraidLetter(i, j, -1))
-        loop_inv = [pos for _, pos in ts_inv.trajectory(i + 3).breakpoints]
+        loop_inv = [pos for _, pos in ts_inv.trajectories[0].breakpoints]
         assert winding_number(loop_inv, setup.config.positions[j + 3]) == 1
 
 

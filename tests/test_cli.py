@@ -288,8 +288,8 @@ def test_default_path_never_samples(monkeypatch, capsys, tmp_path):
 
 def test_snapshots_replay_the_flips(monkeypatch, capsys, tmp_path):
     """``--svg-dir`` draws each snapshot from the flip log replayed from
-    home, so the engine's two endpoint samples per letter are the only
-    samples a default ``simulate`` takes."""
+    home, and the engine samples nothing, so a default ``simulate`` takes
+    no samples at all."""
     from flipbraid import kinetics
 
     calls = []
@@ -304,7 +304,7 @@ def test_snapshots_replay_the_flips(monkeypatch, capsys, tmp_path):
                              "b(1,3) b(2,3)^-1", "--svg-dir", str(tmp_path))
     assert code == 0 and err == ""
     assert len(list(tmp_path.iterdir())) == 33
-    assert calls == [0, 1, 0, 1]
+    assert calls == []
 
 
 def test_sampling_flags_help_says_what_they_select(capsys):

@@ -23,9 +23,10 @@ def test_retired_readers_and_duplicate_helpers_are_gone():
 
     retired = {
         geometry: ("_strictly_inside_triangle",),
-        geometry.Configuration: ("to_json_dict", "from_json_dict"),
+        geometry.Configuration: ("to_json_dict", "from_json_dict", "_moved"),
         kinetics: ("_trajectory_from_json", "_far_commuting"),
-        kinetics.TrajectorySet: ("to_json_dict", "from_json_dict"),
+        kinetics.TrajectorySet: ("to_json_dict", "from_json_dict",
+                                 "stationary_triangles"),
         flips: ("_event_from_json",),
         linalg: ("json_entries",),
         braids: ("_on_segment",),

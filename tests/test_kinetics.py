@@ -3,16 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from flipbraid import kinetics
-from flipbraid.braids import (BraidLetter, canonical_setup,
-                              generator_trajectories)
 from flipbraid.delaunay import (DegenerateConfigurationError, apply_flip,
                                 build_delaunay)
 from flipbraid.flips import sequence_product
 from flipbraid.geometry import Configuration, LabeledPoint, incircle
 from flipbraid.kinetics import (Trajectory, TrajectorySet,
-                                UnresolvedEventError, _sample_at,
-                                configuration_at, extract_flip_sequence)
+                                UnresolvedEventError, configuration_at,
+                                extract_flip_sequence)
 
 F = Fraction
 
@@ -41,9 +38,22 @@ def test_trajectory_validation():
 
 def test_trajectory_set_requires_constant_boundary():
     config = make_config([(0, 0)])
-    with pytest.raises(ValueError, match="boundary"):
+    with pytest.raises(ValueError, match="boundary point 1 must stay fixed"):
         TrajectorySet.from_motion(
             config, {1: [(0, (-200, -200)), (1, (-199, -200))]})
+    with pytest.raises(ValueError, match="point 99: the configuration has"
+                       " no such point"):
+        TrajectorySet.from_motion(config, {99: [(0, (0, 0)), (1, (1, 1))]})
+    assert TrajectorySet.from_motion(config, {}).trajectories == ()
+    ts = TrajectorySet.from_motion(config, {
+        1: [(0, (-200, -200)), (1, (-200, -200))],
+        4: [(0, (0, 0)), (F(1, 2), (0, 0)), (1, (0, 0))]})
+    assert ts.trajectories == () and ts.movers == ()
+    with pytest.raises(ValueError, match="does not start at its initial"):
+        TrajectorySet.from_motion(config, {4: [(0, (1, 1)), (1, (0, 0))]})
+    tr = Trajectory.piecewise(4, [(0, (0, 0)), (1, (1, 1))])
+    with pytest.raises(ValueError, match="sorted by distinct index"):
+        TrajectorySet(config, (tr, tr))
 
 
 def test_configuration_at_interpolation():
@@ -195,52 +205,9 @@ def test_simultaneous_overlapping_events_unresolved():
     assert changed and any(str(t) in message for t in changed)
 
 
-def assert_sampler_matches_rebuild(ts, times):
-    """The sampler's triangle set (movers inserted into the stationary set)
-    equals the full Delaunay build at each time, degeneracies included."""
-    for t in times:
-        try:
-            expected = build_delaunay(configuration_at(ts, t))
-        except DegenerateConfigurationError:
-            with pytest.raises(DegenerateConfigurationError):
-                _sample_at(ts, t)
-            continue
-        assert _sample_at(ts, t)[2] == expected
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_sampler_matches_rebuild_at_every_bracket(n):
-    setup = canonical_setup(n)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for power in (1, -1):
-                ts = generator_trajectories(setup, BraidLetter(i, j, power))
-                assert ts.movers == (i + 3,)
-                events = extract_flip_sequence(ts)
-                assert events
-                assert_sampler_matches_rebuild(
-                    ts, sorted({t for e in events for t in (e.t_lo, e.t_hi)}))
-
-
-def test_sampler_matches_rebuild_with_two_movers():
-    ts = two_mover_ts()
-    assert ts.movers == (7, 8)
-    with pytest.raises(UnresolvedEventError) as info:
-        extract_flip_sequence(ts, floor=F(1, 2 ** 20))
-    lo, hi = (F(t) for t in
-              re.search(r"\[(\S+), (\S+)\]", str(info.value)).groups())
-    assert_sampler_matches_rebuild(
-        ts, [F(k, 64) for k in range(65)] + [lo, (lo + hi) / 2, hi])
-
-
-def _rebuild_sample_at(ts, t):
-    config = configuration_at(ts, t)
-    return t, config, build_delaunay(config)
-
-
-def test_cocircular_stationary_points_around_the_mover(monkeypatch):
+def test_cocircular_stationary_points_around_the_mover():
     """Points 4..7 lie on the circle x^2 + y^2 = 25 and its disk holds no
-    other constant point, so the stationary triangle set is degenerate.
+    other constant point, so the constant points alone are degenerate.
     The mover 9 starts at the center and its loop stays inside the disk,
     so those four points are never a degeneracy of a sample."""
     config = make_config([(5, 0), (0, 5), (-5, 0), (0, -5), (4, 4), (0, 0)])
@@ -253,5 +220,3 @@ def test_cocircular_stationary_points_around_the_mover(monkeypatch):
     assert err.value.subset == (4, 5, 6, 7)
     events = extract_flip_sequence(ts)
     assert len(events) == 2
-    monkeypatch.setattr(kinetics, "_sample_at", _rebuild_sample_at)
-    assert extract_flip_sequence(ts) == events
