@@ -264,11 +264,17 @@ def _refine(ts, a, b, floor, events):
 
 # --- exact single-mover event engine -----------------------------------------
 #
-# A time is a tuple (u, v, d, w) of integers, the real number
-# (u + v*sqrt(d)) / w with w > 0, d >= 0, and v == 0 whenever d is a perfect
-# square, so a rational time has v == 0.  Every event time of one linear
-# segment is a root of a quadratic with integer coefficients, so it has this
-# form, and two of them are compared by the signs of integer expressions.
+# A time is a tuple (u, v, d, w, key) of integers.  Its value is the real
+# number (u + v*sqrt(d)) / w with w > 0, d >= 0, and v == 0 whenever d is a
+# perfect square, so a rational time has v == 0.  Every event time of one
+# linear segment is a root of a quadratic with integer coefficients, so it
+# has this form.  The key is floor(time * 2^64), computed once in integers.
+# Two times with different keys are ordered by their keys; two with one key
+# are compared by the signs of integer expressions.  Keys are exact floors,
+# so their width changes only how often that exact test runs, never a result.
+
+_KEY_BITS = 64
+
 
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
@@ -296,31 +302,51 @@ def _sign_sum(a, b, d, c, e) -> int:
     return sx * _sign_root(a * a + b * b * d - c * c * e, 2 * a * b, d)
 
 
+def _floor_root(u, v, d, w, scale: int) -> int:
+    """floor((u + v*sqrt(d)) / w * scale) for w > 0 and a positive integer
+    scale."""
+    square = v * v * d * scale * scale
+    root = math.isqrt(square)
+    if v >= 0:
+        whole = u * scale + root
+    else:
+        whole = u * scale - root - (root * root != square)
+    return whole // w
+
+
 def _time(u, v, d, w) -> tuple:
-    """The normalized time (u + v*sqrt(d)) / w, for w != 0."""
+    """The normalized time (u + v*sqrt(d)) / w, for w != 0, with its key."""
     if w < 0:
         u, v, w = -u, -v, -w
     root = math.isqrt(d)
     if root * root == d:
         u, v, d = u + v * root, 0, 0
-    return (u, v, d, w)
+    return (u, v, d, w, _floor_root(u, v, d, w, 1 << _KEY_BITS))
 
 
 def _rational_time(t) -> tuple:
-    return (t.numerator, 0, 0, t.denominator)
+    return _time(t.numerator, 0, 0, t.denominator)
+
+
+def _dyadic_time(k, m) -> tuple:
+    """The time k / 2^m, with its key from a shift."""
+    key = k << (_KEY_BITS - m) if m <= _KEY_BITS else k >> (m - _KEY_BITS)
+    return (k, 0, 0, 1 << m, key)
 
 
 def _compare(x, y) -> int:
     """Sign of x - y for two times."""
-    u1, v1, d1, w1 = x
-    u2, v2, d2, w2 = y
+    if x[4] != y[4]:
+        return 1 if x[4] > y[4] else -1
+    u1, v1, d1, w1, _ = x
+    u2, v2, d2, w2, _ = y
     return _sign_sum(u1 * w2 - u2 * w1, v1 * w2, d1, -v2 * w1, d2)
 
 
 def _format_time(t) -> str:
     """The exact time, and for an irrational one also its first six
     decimals, truncated."""
-    u, v, d, w = t
+    u, v, d, w, _ = t
     if v == 0:
         return str(Fraction(u, w))
     sign = "+" if v > 0 else "-"
@@ -330,15 +356,11 @@ def _format_time(t) -> str:
 
 
 def _floor_scaled(t, scale: int) -> int:
-    """floor(t * scale) for a positive integer scale."""
-    u, v, d, w = t
-    square = v * v * d * scale * scale
-    root = math.isqrt(square)
-    if v >= 0:
-        whole = u * scale + root
-    else:
-        whole = u * scale - root - (root * root != square)
-    return whole // w
+    """floor(t * scale) for a positive integer scale: a shift of the key
+    when scale is a power of two no larger than 2^64."""
+    if scale & (scale - 1) == 0 and scale.bit_length() <= _KEY_BITS + 1:
+        return t[4] >> (_KEY_BITS + 1 - scale.bit_length())
+    return _floor_root(*t[:4], scale)
 
 
 def _bracket(t, before, after) -> tuple:
@@ -352,17 +374,71 @@ def _bracket(t, before, after) -> tuple:
     grid, no cell of that level holds it inside, and the level's candidate
     is [t - 2^-m, t + 2^-m] instead.  Either way t_lo < t < t_hi, and
     neither end is the time of another event.
+
+    The search starts at the first level whose cells can part t from its
+    neighbours: at a coarser level m <= 64, a neighbour whose key shares
+    its leading 64 - m bits with the key of t lies in the cell of t.
     """
-    scale = DEFAULT_STEP.denominator
+    m = DEFAULT_STEP.denominator.bit_length() - 1
+    for other in (before, after):
+        if other is not None:
+            m = max(m, _KEY_BITS + 1 - (other[4] ^ t[4]).bit_length())
     while True:
+        scale = 1 << m
         k = _floor_scaled(t, scale)
         on_grid = t[1] == 0 and t[0] * scale == k * t[3]
-        lo, hi = (k - on_grid, 0, 0, scale), (k + 1, 0, 0, scale)
-        if (0 <= lo[0] and hi[0] <= scale
-                and (before is None or _compare(before, lo) < 0)
-                and (after is None or _compare(hi, after) < 0)):
-            return Fraction(lo[0], scale), Fraction(hi[0], scale)
-        scale *= 2
+        lo, hi = k - on_grid, k + 1
+        if (0 <= lo and hi <= scale
+                and (before is None
+                     or _compare(before, _dyadic_time(lo, m)) < 0)
+                and (after is None
+                     or _compare(_dyadic_time(hi, m), after) < 0)):
+            return Fraction(lo, scale), Fraction(hi, scale)
+        m += 1
+
+
+def _certificate(a, b, c, r, delta) -> tuple:
+    """(a2, b2, c2), twice the coefficients of the lifted incircle
+    determinant of a quad as a quadratic in s, when the mover holds place r
+    of the quad at m0 + s*delta and a, b, c are the other three points in
+    quad order, each given as (x, y, x^2 + y^2) relative to m0.
+
+    Expanding the 4x4 lifted determinant along the mover's row leaves the
+    cofactors of the three fixed points: their lifted 3x3 determinant, the
+    orientation of (a, b, c) and two minors of the lift; moving the mover's
+    row to the bottom gives the sign (-1)^(3-r).
+    """
+    (ax, ay, an), (bx, by, bn), (cx, cy, cn) = a, b, c
+    dx, dy = delta
+    bax, bay, ban = bx - ax, by - ay, bn - an
+    cax, cay, can = cx - ax, cy - ay, cn - an
+    lifted = (an * (bx * cy - by * cx) + bn * (cx * ay - cy * ax)
+              + cn * (ax * by - ay * bx))
+    orient = bax * cay - bay * cax
+    minor_y = bay * can - cay * ban
+    minor_x = bax * can - cax * ban
+    sign = 2 if r % 2 else -2
+    return (-sign * (dx * dx + dy * dy) * orient,
+            sign * (dy * minor_x - dx * minor_y), sign * lifted)
+
+
+def _past_end(a2, b2, c2) -> bool:
+    """True when the failure root of a2 s^2 + b2 s + c2, which
+    ``_MoverKDS._failure`` asks about only when that root exists, lies at
+    s >= 1; decided from signs, with no square root.
+
+    g = a2 + b2 + c2 and h = 2 a2 + b2 are the value and the slope at
+    s = 1.  For a2 > 0 the failure root is the larger root, at s >= 1 iff
+    g <= 0 or the vertex -b2 / (2 a2) is at s >= 1 (h <= 0); for a2 < 0 it
+    is the smaller root, at s >= 1 iff g <= 0 and h >= 0.  A linear
+    certificate fails at -c2 / b2 with b2 > 0.
+    """
+    if a2 == 0:
+        return b2 + c2 <= 0
+    g, h = a2 + b2 + c2, 2 * a2 + b2
+    if a2 > 0:
+        return g <= 0 or h <= 0
+    return g <= 0 and h >= 0
 
 
 class _MoverKDS:
@@ -378,6 +454,13 @@ class _MoverKDS:
     parameter; an edge fails at the root where it turns positive.  An
     orientation certificate never fails first: the mover enters the
     circumdisk across an edge before it can reach the edge.
+
+    Per segment, the constant points are lifted once relative to the
+    mover's start, and each certificate's quadratic comes from the
+    cofactors of its three constant points (``_certificate``).  A root at or
+    past the segment end is dropped by signs alone (``_past_end``); the
+    others become keyed times, so finding the earliest one compares
+    integers and runs the exact test only on key ties.
     """
 
     def __init__(self, ts: TrajectorySet, start: frozenset):
@@ -399,29 +482,36 @@ class _MoverKDS:
         flipping every edge whose certificate fails in [t0, t1).  A failure
         exactly at t1 belongs to the next segment, which sees the sign the
         certificate takes after t1."""
-        mover = self.mover
-        p2 = (2 * p1[0] - p0[0], 2 * p1[1] - p0[1])
-        ints = _integer_points([*self.stationary.values(), p0, p1, p2])
-        fixed = dict(zip(self.stationary, ints))
-        # the mover at segment parameters s = 0, 1, 2 fix each quadratic
-        self.placements = [{**fixed, mover: m} for m in ints[-3:]]
-        self._check_clearance(fixed, ints[-3], ints[-2], t0, t1)
+        ints = _integer_points([*self.stationary.values(), p0, p1])
+        m0, m1 = ints[-2:]
+        self.fixed = dict(zip(self.stationary, ints))
+        self._check_clearance(self.fixed, m0, m1, t0, t1)
+        x0, y0 = m0
+        # the constant points relative to the mover's start, lifted
+        self.lifted = {index: (x - x0, y - y0, (x - x0) ** 2 + (y - y0) ** 2)
+                       for index, (x, y) in self.fixed.items()}
+        self.delta = (m1[0] - x0, m1[1] - y0)
         dt = t1 - t0
         q = math.lcm(t0.denominator, dt.denominator)
         self.segment = (t0.numerator * (q // t0.denominator),
                         dt.numerator * (q // dt.denominator), q)
-        self.now, self.end = _rational_time(t0), _rational_time(t1)
+        self.now = _rational_time(t0)
 
         certs = {}  # sorted edge -> failure time
         live = set()
+        mover = self.mover
         for (a, b), c in self.apex.items():
             if a == mover:
                 live.update((tuple(sorted((a, b))), tuple(sorted((b, c)))))
         for u, v in live:
             self._certify(certs, u, v)
         while certs:
+            # the earliest time has the least key; only ties need exact tests
+            first = min(t[4] for t in certs.values())
             when, due = None, []
             for edge, t in certs.items():
+                if t[4] != first:
+                    continue
                 order = -1 if when is None else _compare(t, when)
                 if order < 0:
                     when, due = t, [edge]
@@ -460,20 +550,21 @@ class _MoverKDS:
     def _certify(self, certs: dict, u, v) -> None:
         """(Re)schedule the certificate of edge (u, v).  Edges of the
         boundary triangle carry none; a quad of constant points is checked
-        once, when the edge gets it, and never changes."""
+        once, when the edge gets it, and never changes.  A quad holding the
+        mover gets its quadratic from ``_certificate``."""
         edge = (u, v) if u < v else (v, u)
         certs.pop(edge, None)
-        if (u, v) not in self.apex or (v, u) not in self.apex:
+        c, d = self.apex.get((u, v)), self.apex.get((v, u))
+        if c is None or d is None:
             return
-        c, d = self.apex[u, v], self.apex[v, u]
-        if self.mover not in (u, v, c, d):
-            if _lifted_det(*(self.placements[0][i] for i in (u, v, c, d))):
+        quad = (u, v, c, d)
+        if self.mover not in quad:
+            if _lifted_det(*(self.fixed[i] for i in quad)):
                 return
-            raise DegenerateConfigurationError((u, v, c, d))
-        f0, f1, f2 = (_lifted_det(p[u], p[v], p[c], p[d])
-                      for p in self.placements)
-        when = self._failure(f2 - 2 * f1 + f0, 4 * f1 - f2 - 3 * f0, 2 * f0,
-                             (u, v, c, d))
+            raise DegenerateConfigurationError(quad)
+        r = quad.index(self.mover)
+        a, b, c = map(self.lifted.__getitem__, quad[:r] + quad[r + 1:])
+        when = self._failure(*_certificate(a, b, c, r, self.delta), quad)
         if when is not None:
             certs[edge] = when
 
@@ -482,20 +573,22 @@ class _MoverKDS:
         (a2 s^2 + b2 s + c2) / 2 turns positive, or None.  Valid certificates
         are negative just after ``now``, so that time is the root where the
         derivative is positive, or a double root where the certificate only
-        touches zero from above, (-b2 + sqrt(b2^2 - 4 a2 c2)) / (2 a2)."""
+        touches zero from above, (-b2 + sqrt(b2^2 - 4 a2 c2)) / (2 a2).
+        ``_past_end`` drops a root at or past the segment end before it is
+        computed."""
         a0, a1, q = self.segment
         if a2 == 0:
             if b2 == 0 and c2 == 0:
                 raise DegenerateConfigurationError(quad)
-            if b2 <= 0:
+            if b2 <= 0 or _past_end(a2, b2, c2):
                 return None
             when = _time(a0 * b2 - a1 * c2, 0, 0, b2 * q)
         else:
             disc = b2 * b2 - 4 * a2 * c2
-            if disc < 0 or (disc == 0 and a2 < 0):
+            if disc < 0 or (disc == 0 and a2 < 0) or _past_end(a2, b2, c2):
                 return None
             when = _time(2 * a2 * a0 - a1 * b2, a1, disc, 2 * a2 * q)
-        if _compare(when, self.now) < 0 or _compare(when, self.end) >= 0:
+        if _compare(when, self.now) < 0:
             return None
         return when
 

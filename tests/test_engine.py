@@ -1,5 +1,7 @@
 """The exact kinetic event engine against the sampler, and its edge cases."""
 
+import hashlib
+import math
 import re
 from fractions import Fraction
 
@@ -12,13 +14,19 @@ from flipbraid.braids import (BraidLetter, canonical_setup,
                               generator_trajectories, verify_relations)
 from flipbraid.delaunay import DegenerateConfigurationError, build_delaunay
 from flipbraid.flips import sequence_product
-from flipbraid.geometry import (Configuration, LabeledPoint, incircle,
-                                validate_general_position)
+from flipbraid.geometry import (Configuration, LabeledPoint, _lifted_det,
+                                incircle, validate_general_position)
 from flipbraid.kinetics import (DEFAULT_STEP, TrajectorySet,
-                                UnresolvedEventError, configuration_at,
-                                exact_flip_sequence, extract_flip_sequence)
+                                UnresolvedEventError, _certificate, _compare,
+                                _floor_root, _floor_scaled, _past_end,
+                                _rational_time, _sign_root, _sign_sum, _time,
+                                configuration_at, exact_flip_sequence,
+                                extract_flip_sequence)
 
 F = Fraction
+
+ENGINE_EVENTS_SHA256 = (
+    "dc65c9937e2beffe2c01d641c653b4173e941b56f1566d5d905bdd71194b9d1c")
 
 # three static points on the circle x^2 + y^2 = x + y, plus movers
 STATIC_TRIPLE = [(0, 0), (1, 0), (0, 1)]
@@ -260,3 +268,133 @@ def test_engine_matches_sampler_on_random_loops(loop):
     event("with flips" if exact else "without flips")
     for a, b in zip(exact, exact[1:]):
         assert a.t_hi <= b.t_lo or (a.t_lo, a.t_hi) == (b.t_lo, b.t_hi)
+
+
+def test_engine_events_are_pinned():
+    """SHA-256 over the reprs of the engine's bracketed events for every
+    signed generator at n = 2..9, one letter at a time in the order n, i,
+    j, then power +1 before -1.  Any change to an event, its order or its
+    bracket moves the digest."""
+    digest, count = hashlib.sha256(), 0
+    for n in range(2, 10):
+        setup = canonical_setup(n)
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                for power in (1, -1):
+                    events = exact_flip_sequence(generator_trajectories(
+                        setup, BraidLetter(i, j, power)))
+                    digest.update(repr(events).encode())
+                    count += len(events)
+    assert count == 8976
+    assert digest.hexdigest() == ENGINE_EVENTS_SHA256
+
+
+BIG = st.integers(-10 ** 6, 10 ** 6)
+INT_POINT = st.tuples(BIG, BIG)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(INT_POINT, min_size=3, max_size=3), INT_POINT, INT_POINT,
+       st.integers(0, 3))
+def test_certificate_matches_three_lifted_determinants(others, m0, delta, r):
+    """The cofactor quadratic equals the one fitted through the lifted
+    determinants with the mover, in place r of the quad, at s = 0, 1, 2."""
+    f0, f1, f2 = (
+        _lifted_det(*others[:r], (m0[0] + s * delta[0], m0[1] + s * delta[1]),
+                    *others[r:])
+        for s in range(3))
+    lifted = [(x - m0[0], y - m0[1], (x - m0[0]) ** 2 + (y - m0[1]) ** 2)
+              for x, y in others]
+    assert (_certificate(*lifted, r, delta)
+            == (f2 - 2 * f1 + f0, 4 * f1 - f2 - 3 * f0, 2 * f0))
+
+
+NONSQUARE = st.integers(2, 10 ** 6).filter(
+    lambda d: math.isqrt(d) ** 2 != d)
+
+
+@st.composite
+def engine_times(draw):
+    """A time (u + v sqrt(d)) / w in about [-4, 4], rational or not."""
+    w = draw(st.integers(1, 10 ** 9))
+    v = draw(st.integers(-10 ** 3, 10 ** 3))
+    d = draw(NONSQUARE)
+    u = draw(st.integers(-4 * w, 4 * w)) - v * math.isqrt(d)
+    return _time(u, v, d, w)
+
+
+def near_time(t, draw):
+    """A second time at most 2^-69 from t, so that their keys mostly agree:
+    a rational on the 2^-70 grid, or t itself written differently."""
+    if draw(st.booleans()):
+        k = _floor_root(*t[:4], 1 << 70) + draw(st.integers(-1, 2))
+        return _time(k, 0, 0, 1 << 70)
+    factor = draw(st.integers(1, 10 ** 3))
+    u, v, d, w, _ = t
+    return _time(u * factor, v * factor, d, w * factor)
+
+
+def unkeyed_compare(x, y) -> int:
+    u1, v1, d1, w1, _ = x
+    u2, v2, d2, w2, _ = y
+    return _sign_sum(u1 * w2 - u2 * w1, v1 * w2, d1, -v2 * w1, d2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_keyed_compare_agrees_with_exact_sign(data):
+    """Keys order distinct times, and only ties reach the exact sign."""
+    x = data.draw(engine_times())
+    y = (near_time(x, data.draw) if data.draw(st.booleans())
+         else data.draw(engine_times()))
+    event("one key" if x[4] == y[4] else "two keys")
+    assert _compare(x, y) == unkeyed_compare(x, y) == -_compare(y, x)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(engine_times())
+def test_floor_scaled_is_the_exact_floor(t):
+    """A shift of the key up to 2^64, the isqrt formula beyond; either way
+    k <= t * 2^m < k + 1, checked by exact signs."""
+    u, v, d, w, _ = t
+    for m in range(81):
+        scale = 1 << m
+        k = _floor_scaled(t, scale)
+        assert k == _floor_root(u, v, d, w, scale)
+        assert _sign_root(u * scale - k * w, v * scale, d) >= 0
+        assert _sign_root(u * scale - (k + 1) * w, v * scale, d) < 0
+
+
+SMALL = st.integers(-12, 12)
+
+
+@st.composite
+def certificate_quadratics(draw):
+    """(a2, b2, c2) whose failure root exists: random coefficients, or a
+    product of two integer linear factors, whose roots often sit at s = 1."""
+    if draw(st.booleans()):
+        a2, b2, c2 = draw(BIG), draw(BIG), draw(BIG)
+    else:
+        p, q, p2, q2 = draw(SMALL), draw(SMALL), draw(SMALL), draw(SMALL)
+        a2, b2, c2 = p * p2, -(p * q2 + p2 * q), q * q2
+    if a2 == 0:
+        assume(b2 > 0)
+    else:
+        disc = b2 * b2 - 4 * a2 * c2
+        assume(disc > 0 or (disc == 0 and a2 > 0))
+    return a2, b2, c2
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(certificate_quadratics())
+def test_past_end_agrees_with_the_root(quadratic):
+    """The root-free window test against the root itself, for the segment
+    [0, 1], where the segment parameter is the time."""
+    a2, b2, c2 = quadratic
+    if a2 == 0:
+        when = _time(-c2, 0, 0, b2)
+    else:
+        when = _time(-b2, 1, b2 * b2 - 4 * a2 * c2, 2 * a2)
+    past = _compare(when, _rational_time(F(1))) >= 0
+    event("at or past the end" if past else "before the end")
+    assert _past_end(a2, b2, c2) == past

@@ -1,4 +1,10 @@
+import ast
+import importlib
+from pathlib import Path
+
 import flipbraid
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
 def test_every_exported_name_resolves():
@@ -35,3 +41,18 @@ def test_retired_readers_and_duplicate_helpers_are_gone():
         for name in names:
             assert not hasattr(owner, name), (owner, name)
             assert name not in flipbraid.__all__
+
+
+def test_every_traced_layer_function_resolves():
+    """The traced benchmark run wraps the (module, function) pairs of
+    ``TARGETS`` in bench/tracer.py and silently skips a missing one, which
+    would drop a per-layer metric; so each must be a package callable."""
+    tree = ast.parse(TRACER.read_text())
+    (targets,) = [ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets]
+                  == ["TARGETS"]]
+    assert targets
+    for module_name, fn_name in targets:
+        module = importlib.import_module(f"flipbraid.{module_name}")
+        assert callable(getattr(module, fn_name, None)), (module_name, fn_name)
