@@ -11,8 +11,7 @@ from .fixtures import run_all_suites
 from .flips import (BasisMismatchError, build_flip_matrix,
                     gamma_generator_name, pentagon_cycle_product,
                     sequence_product)
-from .geometry import (Configuration, LabeledPoint, incircle, orient2d,
-                       validate_general_position)
+from .geometry import Configuration, LabeledPoint, incircle, orient2d
 from .kinetics import (Trajectory, TrajectorySet, UnresolvedEventError,
                        configuration_at, exact_flip_sequence,
                        extract_flip_sequence)
@@ -34,6 +33,6 @@ __all__ = [
     "mat_inverse", "mat_mul", "orient2d", "parse_word",
     "pentagon_cycle_product", "render_svg",
     "run_all_suites", "sequence_product", "triangle",
-    "validate_general_position", "verify_delaunay", "verify_relations",
+    "verify_delaunay", "verify_relations",
     "word_from_pairs",
 ]

@@ -13,6 +13,7 @@ import functools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional
 
 from .delaunay import DegenerateConfigurationError, build_delaunay
@@ -38,9 +39,6 @@ class BraidLetter:
     def __str__(self):
         suffix = "^-1" if self.power < 0 else ""
         return f"b({self.i},{self.j}){suffix}"
-
-    def inverse(self) -> "BraidLetter":
-        return BraidLetter(self.i, self.j, -self.power)
 
 
 @dataclass(frozen=True)
@@ -363,22 +361,6 @@ def _check(report, name, lhs: Matrix, rhs: Matrix):
         name, ok, None if ok else lhs, None if ok else rhs))
 
 
-def _commuting_pair_instances(n):
-    """Index tuples of the two commuting-generator patterns."""
-    out = []
-    for k in range(1, n + 1):
-        for l in range(k + 1, n + 1):
-            for i in range(l + 1, n + 1):
-                for j in range(i + 1, n + 1):
-                    out.append(("disjoint", (i, j), (k, l)))
-    for i in range(1, n + 1):
-        for k in range(i + 1, n + 1):
-            for l in range(k + 1, n + 1):
-                for j in range(l + 1, n + 1):
-                    out.append(("nested", (i, j), (k, l)))
-    return out
-
-
 def verify_relations(n: int, family: str, seed: int = 0, trials: int = 100,
                      **kw) -> RelationReport:
     """Check a relation family as exact matrix equalities.
@@ -396,14 +378,14 @@ def verify_relations(n: int, family: str, seed: int = 0, trials: int = 100,
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     report = RelationReport(family, n)
+    strands = range(1, n + 1)
 
     if family == "inverse":
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                mat = _word_matrix(n, [(i, j, 1), (i, j, -1)], **kw)
-                report.instances.append(RelationInstance(
-                    f"inverse b({i},{j})", mat.is_identity(),
-                    None if mat.is_identity() else mat))
+        for i, j in combinations(strands, 2):
+            mat = _word_matrix(n, [(i, j, 1), (i, j, -1)], **kw)
+            report.instances.append(RelationInstance(
+                f"inverse b({i},{j})", mat.is_identity(),
+                None if mat.is_identity() else mat))
         return report
 
     if family == "pentagon":
@@ -424,29 +406,26 @@ def verify_relations(n: int, family: str, seed: int = 0, trials: int = 100,
         return report
 
     if family in ("far_comm", "pb_all"):
-        for kind, (i, j), (k, l) in _commuting_pair_instances(n):
+        # b(i,j) commutes with b(k,l) when k < l < i < j (disjoint) or
+        # i < k < l < j (nested)
+        disjoint = [("disjoint", (i, j), (k, l))
+                    for k, l, i, j in combinations(strands, 4)]
+        nested = [("nested", (i, j), (k, l))
+                  for i, k, l, j in combinations(strands, 4)]
+        for kind, (i, j), (k, l) in disjoint + nested:
             lhs = _word_matrix(n, [(i, j), (k, l)], **kw)
             rhs = _word_matrix(n, [(k, l), (i, j)], **kw)
             _check(report, f"commute[{kind}] b({i},{j}) b({k},{l})", lhs, rhs)
 
     if family == "pb_all":
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                for k in range(j + 1, n + 1):
-                    m1 = _word_matrix(n, [(i, j), (i, k), (j, k)], **kw)
-                    m2 = _word_matrix(n, [(j, k), (i, j), (i, k)], **kw)
-                    m3 = _word_matrix(n, [(i, k), (j, k), (i, j)], **kw)
-                    _check(report, f"triple({i},{j},{k}) first=second",
-                           m1, m2)
-                    _check(report, f"triple({i},{j},{k}) second=third",
-                           m2, m3)
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                for k in range(j + 1, n + 1):
-                    for l in range(k + 1, n + 1):
-                        lhs = _word_matrix(
-                            n, [(j, l), (k, l), (i, k), (j, k)], **kw)
-                        rhs = _word_matrix(
-                            n, [(k, l), (i, k), (j, k), (j, l)], **kw)
-                        _check(report, f"mixed({i},{j},{k},{l})", lhs, rhs)
+        for i, j, k in combinations(strands, 3):
+            m1 = _word_matrix(n, [(i, j), (i, k), (j, k)], **kw)
+            m2 = _word_matrix(n, [(j, k), (i, j), (i, k)], **kw)
+            m3 = _word_matrix(n, [(i, k), (j, k), (i, j)], **kw)
+            _check(report, f"triple({i},{j},{k}) first=second", m1, m2)
+            _check(report, f"triple({i},{j},{k}) second=third", m2, m3)
+        for i, j, k, l in combinations(strands, 4):
+            lhs = _word_matrix(n, [(j, l), (k, l), (i, k), (j, k)], **kw)
+            rhs = _word_matrix(n, [(k, l), (i, k), (j, k), (j, l)], **kw)
+            _check(report, f"mixed({i},{j},{k},{l})", lhs, rhs)
     return report

@@ -27,6 +27,10 @@ USAGE_ERROR = 2
 MATH_ERROR = 1
 
 
+class _UsageError(ValueError):
+    """A bad command line; ``main`` prints it and exits with USAGE_ERROR."""
+
+
 def _rational(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -92,75 +96,52 @@ def _emit(text: str, out_path) -> int:
     try:
         Path(out_path).write_text(text)
     except OSError as err:
-        return _unwritable(out_path, err)
+        raise _unwritable(out_path, err) from err
     return 0
 
 
-def _unwritable(path, err: OSError) -> int:
-    print(f"error: cannot write {path}: {err.strerror or err}",
-          file=sys.stderr)
-    return USAGE_ERROR
+def _unwritable(path, err: OSError) -> _UsageError:
+    return _UsageError(f"cannot write {path}: {err.strerror or err}")
 
 
-def _validate_sampling(args):
+def _validate_sampling(args) -> None:
     """With either flag given, fill in the other's default and enforce
     0 < floor <= step <= 1, as ``extract_flip_sequence`` does."""
     if args.step is None and args.floor is None:
-        return True
+        return
     if args.step is None:
         args.step = DEFAULT_STEP
     if args.floor is None:
         args.floor = DEFAULT_FLOOR
     if min(args.step, args.floor) <= 0:
-        print("error: --step and --floor must be positive", file=sys.stderr)
-        return False
+        raise _UsageError("--step and --floor must be positive")
     if args.step > 1:
-        print("error: --step must be at most 1", file=sys.stderr)
-        return False
+        raise _UsageError("--step must be at most 1")
     if args.floor > args.step:
-        print("error: --floor must not exceed --step", file=sys.stderr)
-        return False
-    return True
+        raise _UsageError("--floor must not exceed --step")
 
 
 def cmd_invariant(args) -> int:
-    if not _validate_sampling(args):
-        return USAGE_ERROR
-    try:
-        word = parse_word(args.word, args.n)
-    except WordSyntaxError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        result = invariant(word, step=args.step, floor=args.floor)
-    except UnresolvedEventError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return MATH_ERROR
+    _validate_sampling(args)
+    word = parse_word(args.word, args.n)
+    result = invariant(word, step=args.step, floor=args.floor)
     payload = result.to_json_dict(with_trace=args.trace,
                                   with_charpoly=args.charpoly)
     return _emit(json.dumps(payload, indent=2) + "\n", args.out)
 
 
 def cmd_verify(args) -> int:
-    if not _validate_sampling(args):
-        return USAGE_ERROR
+    _validate_sampling(args)
     if args.n < 1:
-        print("error: --n must be positive", file=sys.stderr)
-        return USAGE_ERROR
+        raise _UsageError("--n must be positive")
     if args.trials < 1:
-        print("error: --trials must be positive", file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        report = verify_relations(args.n, args.family, seed=args.seed,
-                                  trials=args.trials, step=args.step,
-                                  floor=args.floor)
-    except UnresolvedEventError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return MATH_ERROR
+        raise _UsageError("--trials must be positive")
+    report = verify_relations(args.n, args.family, seed=args.seed,
+                              trials=args.trials, step=args.step,
+                              floor=args.floor)
     if not report.instances:
-        print(f"error: family {args.family} has no instance at n={args.n}",
-              file=sys.stderr)
-        return USAGE_ERROR
+        raise _UsageError(
+            f"family {args.family} has no instance at n={args.n}")
     for inst in report.instances:
         print(f"{'PASS' if inst.ok else 'FAIL'} {inst.name}")
         if not inst.ok and inst.lhs is not None:
@@ -190,27 +171,18 @@ def cmd_fixtures(_args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if not _validate_sampling(args):
-        return USAGE_ERROR
-    try:
-        word = parse_word(args.word, args.n)
-    except WordSyntaxError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_ERROR
+    _validate_sampling(args)
+    word = parse_word(args.word, args.n)
     setup = canonical_setup(args.n)
-    try:
-        per_letter = [letter_flips(setup, letter, step=args.step,
-                                   floor=args.floor)
-                      for letter in word.letters]
-    except UnresolvedEventError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return MATH_ERROR
+    per_letter = [letter_flips(setup, letter, step=args.step,
+                               floor=args.floor)
+                  for letter in word.letters]
     if args.svg_dir:
         # snapshots first, so an unwritable directory leaves no JSON behind
         try:
             _write_snapshots(setup, per_letter, Path(args.svg_dir))
         except OSError as err:
-            return _unwritable(args.svg_dir, err)
+            raise _unwritable(args.svg_dir, err) from err
     payload = [flip_sequence_to_json(events) for _, events in per_letter]
     return _emit(json.dumps(payload, indent=2) + "\n", args.out)
 
@@ -234,6 +206,8 @@ def _write_snapshots(setup, per_letter, directory: Path):
 
 
 def main(argv=None) -> int:
+    """Run one command; map its usage and unresolved-event errors to a
+    message on stderr and the exit code."""
     args = build_parser().parse_args(argv)
     handlers = {
         "invariant": cmd_invariant,
@@ -241,7 +215,14 @@ def main(argv=None) -> int:
         "fixtures": cmd_fixtures,
         "simulate": cmd_simulate,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (_UsageError, WordSyntaxError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return USAGE_ERROR
+    except UnresolvedEventError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return MATH_ERROR
 
 
 if __name__ == "__main__":

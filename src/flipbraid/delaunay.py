@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from .geometry import Configuration, _incircle, _orient
+from .geometry import Configuration, incircle, orient2d
 
 
 def triangle(*indices) -> tuple:
@@ -45,8 +45,8 @@ def insert_point(triangles: set, positions: dict, index) -> None:
     """
     p = positions[index]
     cavity = [t for t in triangles
-              if _incircle(positions[t[0]], positions[t[1]], positions[t[2]],
-                           p) > 0]
+              if incircle(positions[t[0]], positions[t[1]], positions[t[2]],
+                          p) > 0]
     edge_count = {}
     for a, b, c in cavity:
         for e in ((a, b), (a, c), (b, c)):
@@ -112,10 +112,10 @@ def verify_delaunay(triangles: frozenset, config: Configuration) -> None:
         pa, pb = positions[edge[0]], positions[edge[1]]
         c, d = apexes
         pc, pd = positions[c], positions[d]
-        if _orient(pa, pb, pc) * _orient(pa, pb, pd) != -1:
+        if orient2d(pa, pb, pc) * orient2d(pa, pb, pd) != -1:
             raise AssertionError(
                 f"triangles across edge {edge} do not lie on opposite sides")
-        s = _incircle(pa, pb, pc, pd)
+        s = incircle(pa, pb, pc, pd)
         if s > 0:
             raise AssertionError(
                 f"triangle {triangle(*edge, c)} circumdisk contains point {d}")

@@ -1,13 +1,14 @@
 """Exact planar predicates and the labeled point configuration model.
 
-All coordinates and labels are Fractions.  Predicate signs are computed on
-integers: a configuration clears the denominators of all its coordinates
-once, into ``Configuration.int_positions``, and the triangulation code
-runs the integer cores ``_orient`` and ``_incircle`` on that map.  The
-public ``orient2d`` and ``incircle`` clear the denominators of their own
-arguments and call the same cores, so there is no epsilon anywhere.  The
-generator loops and the event engine test a path's clearance on integer
-points too, with ``_inside`` and ``_segment_meets``.
+All coordinates and labels are Fractions.  There is one predicate pair,
+``orient2d`` and ``incircle``: they only add, subtract and multiply, so
+their signs are exact on integer and Fraction points alike, and there is
+no epsilon anywhere.  A configuration clears the denominators of all its
+coordinates once, into ``Configuration.int_positions``, and the
+triangulation code runs the predicates on that map, where integer
+arithmetic is fastest.  The generator loops and the event engine test a
+path's clearance on integer points too, with ``_inside`` and
+``_segment_meets``.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .linalg import as_rational
 
-Point = tuple  # (Fraction, Fraction)
+Point = tuple  # (x, y), integers or Fractions
 
 
 class DegenerateCircleError(ValueError):
@@ -36,8 +36,8 @@ def _integer_points(points) -> list:
              y.numerator * (lcm // y.denominator)) for x, y in points]
 
 
-def _orient(a, b, c) -> int:
-    """Sign of the orientation determinant of three integer points."""
+def orient2d(a: Point, b: Point, c: Point) -> int:
+    """Sign of twice the signed area of (a, b, c); +1 = counterclockwise."""
     det = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
     return (det > 0) - (det < 0)
 
@@ -55,35 +55,6 @@ def _lifted_det(a, b, c, d) -> int:
             + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady))
 
 
-def _incircle(a, b, c, d) -> int:
-    """``incircle`` on integer points."""
-    orient = _orient(a, b, c)
-    if orient == 0:
-        raise DegenerateCircleError(f"degenerate circumcircle: {a}, {b}, {c}")
-    det = _lifted_det(a, b, c, d)
-    return ((det > 0) - (det < 0)) * orient
-
-
-def _inside(p, a, b, c) -> bool:
-    """True when integer point p lies strictly inside triangle (a, b, c)."""
-    if _orient(a, b, c) < 0:
-        a, b = b, a
-    return (_orient(a, b, p) > 0 and _orient(b, c, p) > 0
-            and _orient(c, a, p) > 0)
-
-
-def _segment_meets(a, b, p) -> bool:
-    """True when the closed segment ab meets integer point p."""
-    return (_orient(a, b, p) == 0
-            and min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
-
-
-def orient2d(a: Point, b: Point, c: Point) -> int:
-    """Sign of twice the signed area of (a, b, c); +1 = counterclockwise."""
-    return _orient(*_integer_points((a, b, c)))
-
-
 def incircle(a: Point, b: Point, c: Point, d: Point) -> int:
     """+1 iff d is strictly inside the circumcircle of (a, b, c).
 
@@ -91,9 +62,26 @@ def incircle(a: Point, b: Point, c: Point, d: Point) -> int:
     Orientation of (a, b, c) is normalized internally, so callers may pass
     the triangle vertices in any order.
     """
-    if orient2d(a, b, c) == 0:
+    orient = orient2d(a, b, c)
+    if orient == 0:
         raise DegenerateCircleError(f"degenerate circumcircle: {a}, {b}, {c}")
-    return _incircle(*_integer_points((a, b, c, d)))
+    det = _lifted_det(a, b, c, d)
+    return ((det > 0) - (det < 0)) * orient
+
+
+def _inside(p, a, b, c) -> bool:
+    """True when point p lies strictly inside triangle (a, b, c)."""
+    if orient2d(a, b, c) < 0:
+        a, b = b, a
+    return (orient2d(a, b, p) > 0 and orient2d(b, c, p) > 0
+            and orient2d(c, a, p) > 0)
+
+
+def _segment_meets(a, b, p) -> bool:
+    """True when the closed segment ab meets point p."""
+    return (orient2d(a, b, p) == 0
+            and min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
 
 
 @dataclass(frozen=True)
@@ -172,28 +160,3 @@ class Configuration:
 
     def zeta_map(self) -> dict:
         return {p.index: p.zeta for p in self.points}
-
-
-def validate_general_position(config: Configuration) -> list:
-    """Return the list of offending 4-subsets (empty means ok).
-
-    A 4-subset offends when its points are cocircular and the open
-    circumdisk contains no other configuration point.  Exhaustive O(m^4);
-    authoritative at desk scale.
-    """
-    pts = config.int_positions
-    offending = []
-    for quad in combinations(pts, 4):
-        a, b, c, d = (pts[i] for i in quad)
-        if _orient(a, b, c) == 0:
-            # no circumcircle through a,b,c; try another triple of the quad
-            if _orient(a, b, d) == 0:
-                continue
-            c, d = d, c
-        if _incircle(a, b, c, d) != 0:
-            continue
-        empty = all(_incircle(a, b, c, xy) <= 0
-                    for index, xy in pts.items() if index not in quad)
-        if empty:
-            offending.append(tuple(sorted(quad)))
-    return offending

@@ -36,9 +36,9 @@ from fractions import Fraction
 
 from .delaunay import (DegenerateConfigurationError, FlipEvent, apply_flip,
                        build_delaunay, diff_flips, triangle, verify_delaunay)
-from .geometry import (Configuration, LabeledPoint, _incircle,
-                       _integer_points, _inside, _lifted_det, _orient,
-                       _segment_meets)
+from .geometry import (Configuration, LabeledPoint, _integer_points,
+                       _inside, _lifted_det, _segment_meets, incircle,
+                       orient2d)
 from .linalg import as_rational
 
 DEFAULT_STEP = Fraction(1, 64)
@@ -179,8 +179,8 @@ def _crossing_certified(before_config: Configuration,
     i, k = event.removed
     j, l = event.inserted
     pa, pb = before_config.int_positions, after_config.int_positions
-    sa = _incircle(pa[i], pa[j], pa[k], pa[l])
-    sb = _incircle(pb[i], pb[j], pb[k], pb[l])
+    sa = incircle(pa[i], pa[j], pa[k], pa[l])
+    sb = incircle(pb[i], pb[j], pb[k], pb[l])
     return sa == -1 and sb == 1
 
 
@@ -472,7 +472,7 @@ class _MoverKDS:
                            if index != self.mover}
         self.apex = {}
         for a, b, c in start:
-            if _orient(positions[a], positions[b], positions[c]) < 0:
+            if orient2d(positions[a], positions[b], positions[c]) < 0:
                 b, c = c, b
             self.apex.update({(a, b): c, (b, c): a, (c, a): b})
         self.events = []  # (time, FlipEvent) in time order

@@ -1,11 +1,11 @@
-"""Shared helpers: random valid configurations, the exhaustive Delaunay
-check and a winding-number oracle."""
+"""Shared helpers: random valid configurations, the exhaustive general
+position and Delaunay checks and a winding-number oracle."""
 
 from fractions import Fraction
+from itertools import combinations
 
 from flipbraid import (Configuration, DegenerateConfigurationError,
-                       LabeledPoint, incircle, orient2d,
-                       validate_general_position)
+                       LabeledPoint, incircle, orient2d)
 
 BOUNDARY = (
     (Fraction(-50), Fraction(-30)),
@@ -34,15 +34,40 @@ def random_configuration(rng, n) -> Configuration:
             return config
 
 
+def validate_general_position(config: Configuration) -> list:
+    """Return the list of offending 4-subsets (empty means ok).
+
+    A 4-subset offends when its points are cocircular and the open
+    circumdisk contains no other configuration point.  Exhaustive O(m^5);
+    authoritative at desk scale.
+    """
+    pts = config.int_positions
+    offending = []
+    for quad in combinations(pts, 4):
+        a, b, c, d = (pts[i] for i in quad)
+        if orient2d(a, b, c) == 0:
+            # no circumcircle through a,b,c; try another triple of the quad
+            if orient2d(a, b, d) == 0:
+                continue
+            c, d = d, c
+        if incircle(a, b, c, d) != 0:
+            continue
+        empty = all(incircle(a, b, c, xy) <= 0
+                    for index, xy in pts.items() if index not in quad)
+        if empty:
+            offending.append(tuple(sorted(quad)))
+    return offending
+
+
 def exhaustive_delaunay_check(triangles, config) -> None:
     """Reference for ``verify_delaunay``: every triangle against every point.
 
     Raises ``AssertionError`` on a wrong triangle count, a zero-area
     triangle or any point strictly inside a circumdisk; otherwise
     ``DegenerateConfigurationError`` on any point exactly on a circle.
-    O(n^2) exact ``incircle`` calls on the configuration's Fractions.
+    O(n^2) exact ``incircle`` calls on the configuration's integer map.
     """
-    positions = config.positions
+    positions = config.int_positions
     expected = 2 * config.n + 1
     if len(triangles) != expected:
         raise AssertionError(

@@ -6,15 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import winding_number
+from conftest import validate_general_position, winding_number
 from flipbraid.braids import (BraidLetter, BraidWord, CanonicalSetup,
                               LoopGeometry, WordSyntaxError, canonical_setup,
                               generator_trajectories, invariant, parse_word,
                               verify_relations, word_from_pairs)
 from flipbraid.braids import LoopClearanceError
 from flipbraid.delaunay import build_delaunay
-from flipbraid.geometry import (Configuration, LabeledPoint,
-                                validate_general_position)
+from flipbraid.geometry import Configuration, LabeledPoint
 from flipbraid.kinetics import configuration_at
 from flipbraid.linalg import Matrix, mat_inverse
 

@@ -144,6 +144,49 @@ def test_verify_unresolved_event_is_math_error(capsys):
     assert "(letter b(1,2))" in err
 
 
+def _perturb_word(monkeypatch, pairs):
+    """Make ``braids._word_matrix`` return a wrong matrix for one word;
+    return (wrong, right) for that word."""
+    from flipbraid import braids
+
+    word_matrix = braids._word_matrix
+    right = word_matrix(4, pairs)
+    rows = [list(row) for row in right.entries()]
+    rows[0][0] += 1
+    wrong = Matrix(rows)
+
+    def perturbed(n, word, **kw):
+        return wrong if list(word) == pairs else word_matrix(n, word, **kw)
+
+    monkeypatch.setattr(braids, "_word_matrix", perturbed)
+    return wrong, right
+
+
+def test_verify_failure_prints_both_sides(monkeypatch, capsys):
+    wrong, right = _perturb_word(monkeypatch, [(1, 4), (2, 3)])
+    code, out, err = run_cli(capsys, "verify", "--n", "4", "--family",
+                             "far_comm")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "PASS commute[disjoint] b(3,4) b(1,2)"
+    assert lines[1] == "FAIL commute[nested] b(1,4) b(2,3)"
+    assert lines[2] == "  lhs: " + json.dumps(wrong.to_json_dict())
+    assert lines[3] == "  rhs: " + json.dumps(right.to_json_dict())
+    assert lines[4:] == ["far_comm at n=4: 1/2 instances pass"]
+
+
+def test_verify_inverse_failure_prints_lhs_only(monkeypatch, capsys):
+    wrong, _ = _perturb_word(monkeypatch, [(2, 3, 1), (2, 3, -1)])
+    code, out, err = run_cli(capsys, "verify", "--n", "4", "--family",
+                             "inverse")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    fail = lines.index("FAIL inverse b(2,3)")
+    assert lines[fail + 1] == "  lhs: " + json.dumps(wrong.to_json_dict())
+    assert not any(line.startswith("  rhs:") for line in lines)
+    assert lines[-1] == "inverse at n=4: 5/6 instances pass"
+
+
 def test_verify_rejects_bad_family(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--n", "3", "--family", "bogus"])
@@ -217,6 +260,10 @@ GOLDEN_STDOUT = {
         "a2fccd2df3fde986a6fd39f6fe993c1d11dc48833083d51fcbe0e4eaef847592",
     ("verify", "--n", "3", "--family", "pb_all"):
         "d5fa3860a553ee6d302f811b447d3bf96cc0bcd599d7ca0733d0a2f7495ad573",
+    # pins the order of the commuting pairs and mixed quadruples, which
+    # start at n = 4
+    ("verify", "--n", "5", "--family", "pb_all"):
+        "5b2e057b80332803b2cc376b8f6e350e832dbf29201a0f3d563dc60fdc5f03ce",
 }
 # simulate argv -> (stdout digest, snapshot count, digest of the snapshots
 # concatenated in name order); the second case runs the sampler

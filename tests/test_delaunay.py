@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exhaustive_delaunay_check, random_configuration
+from conftest import (exhaustive_delaunay_check, random_configuration,
+                      validate_general_position)
 from flipbraid import canonical_setup
 from flipbraid.delaunay import (DegenerateConfigurationError, FlipEvent,
                                 apply_flip, build_delaunay, diff_flips,
                                 insert_point, render_svg, triangle,
                                 verify_delaunay)
-from flipbraid.geometry import (Configuration, LabeledPoint,
-                                validate_general_position)
+from flipbraid.geometry import Configuration, LabeledPoint
 
 
 def test_triangle_sorted():

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import validate_general_position
 from flipbraid import braids
 from flipbraid.braids import (BraidLetter, canonical_setup,
                               generator_trajectories, verify_relations)
 from flipbraid.delaunay import DegenerateConfigurationError, build_delaunay
 from flipbraid.flips import sequence_product
 from flipbraid.geometry import (Configuration, LabeledPoint, _lifted_det,
-                                incircle, validate_general_position)
+                                incircle)
 from flipbraid.kinetics import (DEFAULT_STEP, TrajectorySet,
                                 UnresolvedEventError, _certificate, _compare,
                                 _floor_root, _floor_scaled, _past_end,

@@ -1,10 +1,14 @@
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import flipbraid
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def test_every_exported_name_resolves():
@@ -28,14 +32,16 @@ def test_retired_readers_and_duplicate_helpers_are_gone():
     from flipbraid import braids, flips, geometry, kinetics, linalg
 
     retired = {
-        geometry: ("_strictly_inside_triangle",),
+        geometry: ("_strictly_inside_triangle", "_orient", "_incircle",
+                   "validate_general_position"),
         geometry.Configuration: ("to_json_dict", "from_json_dict", "_moved"),
         kinetics: ("_trajectory_from_json", "_far_commuting"),
         kinetics.TrajectorySet: ("to_json_dict", "from_json_dict",
                                  "stationary_triangles"),
         flips: ("_event_from_json",),
         linalg: ("json_entries",),
-        braids: ("_on_segment",),
+        braids: ("_on_segment", "_commuting_pair_instances"),
+        braids.BraidLetter: ("inverse",),
     }
     for owner, names in retired.items():
         for name in names:
@@ -56,3 +62,31 @@ def test_every_traced_layer_function_resolves():
     for module_name, fn_name in targets:
         module = importlib.import_module(f"flipbraid.{module_name}")
         assert callable(getattr(module, fn_name, None)), (module_name, fn_name)
+
+
+def test_traced_worker_reports_every_layer_metric():
+    """One traced batch of ``bench/worker.py`` over all four kinds of op
+    reports every per-layer metric of BENCHMARK.json (``trace.overhead`` is
+    computed by ``bench/run.py`` from two batches), every op succeeds, and
+    the predicate counters see the predicates that the program runs."""
+    spec = {"root": str(ROOT), "n": 3, "trace": True, "ops": [
+        {"argv": ["simulate", "--n", "3", "--word", "b(1,2)"]},
+        {"argv": ["invariant", "--n", "3", "--word", "b(1,2) b(1,3)^-1",
+                  "--charpoly"]},
+        {"argv": ["fixtures"]},
+        {"pentagon": ["1", "2", "3", "4", "5"]},
+    ]}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "worker.py")],
+        input=json.dumps(spec), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    missing = [m["name"] for m in per_layer
+               if m["name"] != "trace.overhead"
+               and m["name"] not in report["layers"]]
+    assert missing == []
+    for output in report["outputs"]:
+        assert output.get("rc", 0) == 0 and not output.get("error"), output
+    assert report["layers"]["geometry.orient2d.calls"] > 0
+    assert report["layers"]["geometry.incircle.calls"] > 0

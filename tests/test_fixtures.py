@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 from fractions import Fraction
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from flipbraid.cli import main
 from flipbraid.fixtures import (FixtureError, evaluate_entry,
                                 load_fixture, run_all_suites,
                                 run_loop_suite, run_pentagon_suite,
@@ -77,3 +79,45 @@ def test_missing_fixture_in_override(tmp_path, monkeypatch):
     monkeypatch.setenv("FLIPBRAID_FIXTURES", str(tmp_path))
     with pytest.raises(FixtureError, match="not found"):
         load_fixture("pentagon_cycle.json")
+
+
+def test_suites_report_the_first_difference(tmp_path, monkeypatch, capsys):
+    """An entry changed under a rewritten manifest passes the checksum, so
+    the suites themselves must find it and name where it is."""
+    data_dir = Path(__file__).resolve().parents[1] / "src" / "flipbraid" / "data"
+    for f in data_dir.iterdir():
+        shutil.copy(f, tmp_path / f.name)
+    monkeypatch.setenv("FLIPBRAID_FIXTURES", str(tmp_path))
+
+    def edit(name, change):
+        obj = json.loads((tmp_path / name).read_text())
+        change(obj)
+        raw = (json.dumps(obj, indent=1) + "\n").encode()
+        (tmp_path / name).write_bytes(raw)
+        manifest = json.loads((tmp_path / "MANIFEST.json").read_text())
+        manifest["files"][name] = hashlib.sha256(raw).hexdigest()
+        (tmp_path / "MANIFEST.json").write_text(json.dumps(manifest))
+
+    def pentagon(obj):  # was (i-k)/(i-l), 2/3 at labels 1..5
+        obj["steps"][0]["matrix"]["entries"][1][2] = "0"
+
+    def loop(obj):  # was 4/35
+        obj["product"]["entries"][0][1] = "1/35"
+
+    edit("pentagon_cycle.json", pentagon)
+    edit("braid_loop_4_8.json", loop)
+
+    res = run_pentagon_suite()
+    assert not res.ok
+    assert res.detail == "step 1: first difference at row 2, col 3: 2/3 != 0"
+    loop_4_8 = run_loop_suite()[0]
+    assert loop_4_8.name == "loop 4-8" and not loop_4_8.ok
+    assert loop_4_8.detail == "first difference at row 1, col 2: 4/35 != 1/35"
+
+    assert main(["fixtures"]) == 1
+    out = capsys.readouterr().out
+    assert ("FAIL pentagon (step 1: first difference at row 2, col 3:"
+            " 2/3 != 0)\n") in out
+    assert ("FAIL loop 4-8 (first difference at row 1, col 2:"
+            " 4/35 != 1/35)\n") in out
+    assert "PASS two-flip\n" in out

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import validate_general_position
 from flipbraid.geometry import (Configuration, DegenerateCircleError,
-                                LabeledPoint, incircle, orient2d,
-                                validate_general_position)
+                                LabeledPoint, incircle, orient2d)
 
 O = (Fraction(0), Fraction(0))
 E1 = (Fraction(1), Fraction(0))
