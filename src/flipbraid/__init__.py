@@ -12,9 +12,9 @@ from .flips import (BasisMismatchError, build_flip_matrix,
                     gamma_generator_name, pentagon_cycle_product,
                     sequence_product)
 from .geometry import Configuration, LabeledPoint, incircle, orient2d
-from .kinetics import (Trajectory, TrajectorySet, UnresolvedEventError,
-                       configuration_at, exact_flip_sequence,
-                       extract_flip_sequence)
+from .kinetics import (ClearanceError, Trajectory, TrajectorySet,
+                       UnresolvedEventError, configuration_at,
+                       exact_flip_sequence, extract_flip_sequence)
 from .linalg import (DimensionError, Matrix, SingularMatrixError, char_poly,
                      mat_inverse, mat_mul)
 
@@ -22,12 +22,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisMismatchError", "BraidLetter", "BraidWord", "CanonicalSetup",
-    "Configuration", "DegenerateConfigurationError", "DimensionError",
-    "FlipEvent", "InvariantResult", "LabeledPoint", "LoopGeometry", "Matrix",
-    "RelationReport", "SingularMatrixError", "Trajectory", "TrajectorySet",
-    "UnresolvedEventError", "WordSyntaxError", "apply_flip",
-    "build_delaunay", "build_flip_matrix", "canonical_setup", "char_poly",
-    "configuration_at", "diff_flips", "exact_flip_sequence",
+    "ClearanceError", "Configuration", "DegenerateConfigurationError",
+    "DimensionError", "FlipEvent", "InvariantResult", "LabeledPoint",
+    "LoopGeometry", "Matrix", "RelationReport", "SingularMatrixError",
+    "Trajectory", "TrajectorySet", "UnresolvedEventError", "WordSyntaxError",
+    "apply_flip", "build_delaunay", "build_flip_matrix", "canonical_setup",
+    "char_poly", "configuration_at", "diff_flips", "exact_flip_sequence",
     "extract_flip_sequence",
     "gamma_generator_name", "generator_trajectories", "incircle", "invariant",
     "mat_inverse", "mat_mul", "orient2d", "parse_word",

@@ -18,8 +18,7 @@ from typing import Optional
 
 from .delaunay import DegenerateConfigurationError, build_delaunay
 from .flips import flip_sequence_to_json, sequence_product
-from .geometry import (Configuration, LabeledPoint, _inside,
-                       _integer_points, _segment_meets)
+from .geometry import Configuration, LabeledPoint
 from .kinetics import (DEFAULT_FLOOR, DEFAULT_STEP, TrajectorySet,
                        UnresolvedEventError, exact_flip_sequence,
                        extract_flip_sequence)
@@ -165,10 +164,6 @@ def canonical_setup(n: int) -> CanonicalSetup:
         f"canonical setup for n={n} failed to reach general position")
 
 
-class LoopClearanceError(ValueError):
-    """A generator loop would pass exactly through another point."""
-
-
 def generator_trajectories(setup: CanonicalSetup, letter: BraidLetter,
                            geometry: LoopGeometry = DEFAULT_LOOP
                            ) -> TrajectorySet:
@@ -177,7 +172,8 @@ def generator_trajectories(setup: CanonicalSetup, letter: BraidLetter,
     The loop rises to the geometry height, passes to the far side of the
     target, dips below all homes, returns underneath, and climbs back:
     winding number +-1 around the target home and 0 around every other.
-    A reversed traversal realizes the inverse letter.
+    A reversed traversal realizes the inverse letter.  The flip extractors
+    check the loop's clearance.
     """
     n = setup.n
     if not 1 <= letter.i < letter.j <= n:
@@ -200,19 +196,6 @@ def generator_trajectories(setup: CanonicalSetup, letter: BraidLetter,
     ]
     if letter.power < 0:
         waypoints = waypoints[::-1]
-    ints = _integer_points([*positions.values(), *waypoints])
-    fixed = dict(zip(positions, ints))
-    loop = ints[len(positions):]
-    for a, b in zip(loop, loop[1:]):
-        for index, p in fixed.items():
-            if index != mover and _segment_meets(a, b, p):
-                raise LoopClearanceError(
-                    f"loop of point {mover} passes through point {index}")
-    corners = [fixed[b] for b in setup.config.boundary]
-    for w, p in zip(waypoints, loop):
-        if not _inside(p, *corners):
-            raise LoopClearanceError(
-                f"loop of point {mover} leaves the boundary triangle at {w}")
     steps = len(waypoints) - 1
     path = [(Fraction(k, steps), waypoints[k]) for k in range(steps + 1)]
     return TrajectorySet.from_motion(setup.config, {mover: path})

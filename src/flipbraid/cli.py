@@ -10,6 +10,7 @@ Exit codes: 0 computed/verified, 1 mathematical failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -51,6 +52,7 @@ def _add_sampling_flags(parser):
              " --step given, 1/2^40)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flipbraid",

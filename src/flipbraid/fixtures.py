@@ -45,22 +45,36 @@ def _read_bytes(name: str) -> bytes:
     return ref.read_bytes()
 
 
+def _parse(name: str, raw: bytes):
+    try:
+        return json.loads(raw)
+    except ValueError as err:
+        raise FixtureError(f"{name} is not valid JSON: {err}") from err
+
+
+def _manifest_files() -> dict:
+    """The manifest's map of fixture file name -> SHA-256 digest."""
+    manifest = _parse(MANIFEST_NAME, _read_bytes(MANIFEST_NAME))
+    files = manifest.get("files") if isinstance(manifest, dict) else None
+    if not isinstance(files, dict):
+        raise FixtureError(f"{MANIFEST_NAME} has no 'files' object")
+    return files
+
+
 def load_fixture(name: str) -> dict:
     raw = _read_bytes(name)
-    manifest = json.loads(_read_bytes(MANIFEST_NAME))
-    want = manifest["files"].get(name)
+    want = _manifest_files().get(name)
     if want is None:
         raise FixtureError(f"{name} is not listed in the manifest")
     got = hashlib.sha256(raw).hexdigest()
     if got != want:
         raise FixtureError(f"checksum mismatch for {name}: {got} != {want}")
-    return json.loads(raw)
+    return _parse(name, raw)
 
 
 def verify_checksums() -> list:
     """Names of all fixture files, each verified against the manifest."""
-    manifest = json.loads(_read_bytes(MANIFEST_NAME))
-    names = sorted(manifest["files"])
+    names = sorted(_manifest_files())
     for name in names:
         load_fixture(name)
     return names

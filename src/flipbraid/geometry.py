@@ -6,9 +6,8 @@ their signs are exact on integer and Fraction points alike, and there is
 no epsilon anywhere.  A configuration clears the denominators of all its
 coordinates once, into ``Configuration.int_positions``, and the
 triangulation code runs the predicates on that map, where integer
-arithmetic is fastest.  The generator loops and the event engine test a
-path's clearance on integer points too, with ``_inside`` and
-``_segment_meets``.
+arithmetic is fastest.  ``kinetics`` tests a motion's clearance on
+integer points too, with ``_inside`` and ``_segment_meets``.
 """
 
 from __future__ import annotations

@@ -20,10 +20,12 @@ test oracle, the path that explicit sampling settings select, and the one
 for motions of several points.
 
 A trajectory set holds the paths of the moving points only; every other
-point keeps its initial position.  Each sample is a validated
-``Configuration`` triangulated by ``build_delaunay``.  The engine builds
-the triangulation of the initial configuration once, moves it by flips and
-checks the final one with the O(n) local edge test.
+point keeps its initial position.  Both extractors first check, once, that
+each mover stays inside the boundary triangle and misses every stationary
+point; movers are not checked against each other.  Each sample is a
+validated ``Configuration`` triangulated by ``build_delaunay``.  The engine
+builds the triangulation of the initial configuration once, moves it by
+flips and checks the final one with the O(n) local edge test.
 """
 
 from __future__ import annotations
@@ -47,6 +49,10 @@ DEFAULT_FLOOR = Fraction(1, 2 ** 40)
 
 class UnresolvedEventError(RuntimeError):
     """Bisection hit the floor on overlapping simultaneous flips."""
+
+
+class ClearanceError(ValueError):
+    """A mover leaves the boundary triangle or meets a stationary point."""
 
 
 @dataclass(frozen=True)
@@ -144,6 +150,33 @@ def configuration_at(ts: TrajectorySet, t) -> Configuration:
         ts.initial.boundary)
 
 
+def _integer_frame(ts: TrajectorySet) -> tuple:
+    """(fixed, paths), the motion scaled to integers by one common
+    denominator: stationary index -> point, mover -> ((time, point), ...).
+    Raises ``ClearanceError`` at the first segment, mover by mover, that
+    ends outside the (convex) boundary triangle or meets a stationary
+    point."""
+    fixed = {index: xy for index, xy in ts.initial.positions.items()
+             if index not in ts.movers}
+    ints = iter(_integer_points([*fixed.values(), *(
+        xy for tr in ts.trajectories for _, xy in tr.breakpoints)]))
+    fixed = {index: next(ints) for index in fixed}
+    corners = [fixed[b] for b in ts.initial.boundary]
+    paths = {}
+    for tr in ts.trajectories:
+        path = paths[tr.index] = tuple((t, next(ints)) for t in tr.times)
+        for (t0, m0), (t1, m1) in zip(path, path[1:]):
+            if not _inside(m1, *corners):
+                raise ClearanceError(
+                    f"point {tr.index} is not strictly inside the boundary"
+                    f" triangle at time {t1}")
+            for index, p in fixed.items():
+                if _segment_meets(m0, m1, p):
+                    raise ClearanceError(f"point {tr.index} meets point"
+                                         f" {index} in [{t0}, {t1}]")
+    return fixed, paths
+
+
 def _sample_at(ts: TrajectorySet, t: Fraction) -> tuple:
     """The sample (time, configuration, Delaunay triangle set) at t."""
     config = configuration_at(ts, t)
@@ -154,22 +187,15 @@ def _sample(ts: TrajectorySet, t: Fraction, lo: Fraction, hi: Fraction,
             floor: Fraction) -> tuple:
     """The sample at t, jittering the sample time inside (lo, hi) when t
     happens to be degenerate."""
-    jitter = floor / 3
-    attempt_t = t
-    last_error = None
-    for _ in range(12):
+    jitter, attempt_t = floor / 3, t
+    for attempt in range(12):
         try:
             return _sample_at(ts, attempt_t)
-        except DegenerateConfigurationError as err:
-            last_error = err
-            candidate = t + jitter
-            if not lo < candidate < hi:
-                candidate = t - jitter
-            if not lo < candidate < hi:
+        except DegenerateConfigurationError:
+            attempt_t = t + jitter if lo < t + jitter < hi else t - jitter
+            if attempt == 11 or not lo < attempt_t < hi:
                 raise
-            attempt_t = candidate
             jitter /= 3
-    raise last_error
 
 
 def _crossing_certified(before_config: Configuration,
@@ -208,6 +234,7 @@ def extract_flip_sequence(ts: TrajectorySet, step=DEFAULT_STEP,
     matrices cancel, but the log is then not the full motion; the exact
     engine logs both.
     """
+    _integer_frame(ts)
     step, floor = as_rational(step), as_rational(floor)
     if not 0 < floor <= step <= 1:
         raise ValueError("need 0 < floor <= step <= 1")
@@ -455,37 +482,30 @@ class _MoverKDS:
     orientation certificate never fails first: the mover enters the
     circumdisk across an edge before it can reach the edge.
 
-    Per segment, the constant points are lifted once relative to the
-    mover's start, and each certificate's quadratic comes from the
-    cofactors of its three constant points (``_certificate``).  A root at or
-    past the segment end is dropped by signs alone (``_past_end``); the
-    others become keyed times, so finding the earliest one compares
-    integers and runs the exact test only on key ties.
+    Per segment, the constant points, on the integer frame of
+    ``_integer_frame``, are lifted once relative to the mover's start, and
+    each certificate's quadratic comes from the cofactors of its three
+    constant points (``_certificate``).  A root at or past the segment end
+    is dropped by signs alone (``_past_end``); the others become keyed
+    times, so finding the earliest one compares integers and runs the exact
+    test only on key ties.
     """
 
-    def __init__(self, ts: TrajectorySet, start: frozenset):
-        self.mover = ts.movers[0]
+    def __init__(self, ts: TrajectorySet, start: frozenset, fixed: dict):
+        self.mover, self.fixed = ts.movers[0], fixed
         positions = ts.initial.int_positions
-        self.boundary = ts.initial.boundary
-        self.stationary = {index: xy
-                           for index, xy in ts.initial.positions.items()
-                           if index != self.mover}
         self.apex = {}
         for a, b, c in start:
             if orient2d(positions[a], positions[b], positions[c]) < 0:
                 b, c = c, b
             self.apex.update({(a, b): c, (b, c): a, (c, a): b})
-        self.events = []  # (time, FlipEvent) in time order
+        self.groups = []  # (time, [FlipEvent, ...]) with increasing times
 
-    def run_segment(self, t0: Fraction, p0, t1: Fraction, p1) -> None:
-        """Advance the mover linearly from p0 at time t0 to p1 at t1,
-        flipping every edge whose certificate fails in [t0, t1).  A failure
-        exactly at t1 belongs to the next segment, which sees the sign the
-        certificate takes after t1."""
-        ints = _integer_points([*self.stationary.values(), p0, p1])
-        m0, m1 = ints[-2:]
-        self.fixed = dict(zip(self.stationary, ints))
-        self._check_clearance(self.fixed, m0, m1, t0, t1)
+    def run_segment(self, t0: Fraction, m0, t1: Fraction, m1) -> None:
+        """Advance the mover linearly from integer point m0 at time t0 to
+        m1 at t1, flipping every edge whose certificate fails in [t0, t1).
+        A failure exactly at t1 belongs to the next segment, which sees the
+        sign the certificate takes after t1."""
         x0, y0 = m0
         # the constant points relative to the mover's start, lifted
         self.lifted = {index: (x - x0, y - y0, (x - x0) ** 2 + (y - y0) ** 2)
@@ -518,30 +538,19 @@ class _MoverKDS:
                 elif order == 0:
                     due.append(edge)
             due.sort(key=self._quad)
-            self._check_simultaneous(when, due)
+            if not self.groups or _compare(self.groups[-1][0], when):
+                self.groups.append((when, []))
+            flips = self.groups[-1][1]
+            self._check_simultaneous(when, due, flips)
             self.now = when
             for u, v in due:
                 del certs[u, v]
                 event = self._flip(u, v)
-                self.events.append((when, event))
+                flips.append(event)
                 i, k = event.removed
                 j, l = event.inserted
                 for a, b in ((i, j), (j, k), (k, l), (l, i), (j, l)):
                     self._certify(certs, a, b)
-
-    def _check_clearance(self, fixed, m0, m1, t0, t1) -> None:
-        """A typed error when the segment leaves the boundary triangle or
-        meets a constant point; the boundary triangle is convex, so checking
-        the segment's ends suffices for the first."""
-        corners = [fixed[b] for b in self.boundary]
-        for m, t in ((m0, t0), (m1, t1)):
-            if not _inside(m, *corners):
-                raise ValueError(f"point {self.mover} is not strictly inside"
-                                 f" the boundary triangle at time {t}")
-        for index, p in fixed.items():
-            if _segment_meets(m0, m1, p):
-                raise ValueError(f"point {self.mover} meets point {index}"
-                                 f" in [{t0}, {t1}]")
 
     def _quad(self, edge) -> tuple:
         u, v = edge
@@ -592,15 +601,13 @@ class _MoverKDS:
             return None
         return when
 
-    def _check_simultaneous(self, when, due) -> None:
-        """Flips at one instant must pairwise far-commute, the later ones
-        included: those run in lexicographic quad order, which is sound
-        because their matrices commute.  Others cannot be ordered."""
-        quads = [self._quad(edge) for edge in due]
-        for t, event in reversed(self.events):
-            if _compare(t, when) != 0:
-                break
-            quads.append(event.quad)
+    def _check_simultaneous(self, when, due, earlier) -> None:
+        """Flips at one instant must pairwise far-commute, the ``earlier``
+        flips of its group included: those run in lexicographic quad order,
+        which is sound because their matrices commute.  Others cannot be
+        ordered."""
+        quads = ([self._quad(edge) for edge in due]
+                 + [event.quad for event in reversed(earlier)])
         pair = _overlap(quads)
         if pair:
             raise UnresolvedEventError(
@@ -622,13 +629,7 @@ class _MoverKDS:
                          for (u, v), w in self.apex.items())
 
     def bracketed_events(self) -> list:
-        groups = []  # (time, [FlipEvent, ...]) with distinct times
-        for t, event in self.events:
-            if groups and _compare(groups[-1][0], t) == 0:
-                groups[-1][1].append(event)
-            else:
-                groups.append((t, [event]))
-        out = []
+        groups, out = self.groups, []
         for g, (t, events) in enumerate(groups):
             before = groups[g - 1][0] if g > 0 else None
             after = groups[g + 1][0] if g + 1 < len(groups) else None
@@ -645,20 +646,21 @@ def exact_flip_sequence(ts: TrajectorySet) -> list:
     the initial configuration, computes every flip time as a root of an
     integer quadratic and orders the flips exactly, and checks that the
     final triangulation is the Delaunay triangulation at t = 1.  It samples
-    nothing.  Either end must be in general position.  Simultaneous flips
-    are ordered by quad when they far-commute and raise
-    ``UnresolvedEventError`` otherwise.  Motions of several points take
-    ``extract_flip_sequence``.
+    nothing.  The motion must be clear (``_integer_frame``) and either end
+    in general position.  Simultaneous flips are ordered by quad when they
+    far-commute and raise ``UnresolvedEventError`` otherwise.  Motions of
+    several points take ``extract_flip_sequence``.
     """
+    fixed, paths = _integer_frame(ts)
     if len(ts.movers) > 1:
         raise ValueError("the exact engine moves one point; sample motions"
                          " of several with extract_flip_sequence")
     start = build_delaunay(ts.initial)
     if not ts.movers:
         return []
-    kds = _MoverKDS(ts, start)
-    path = ts.trajectories[0].breakpoints
-    for (t0, p0), (t1, p1) in zip(path, path[1:]):
-        kds.run_segment(t0, p0, t1, p1)
+    kds = _MoverKDS(ts, start, fixed)
+    (path,) = paths.values()
+    for (t0, m0), (t1, m1) in zip(path, path[1:]):
+        kds.run_segment(t0, m0, t1, m1)
     verify_delaunay(kds.triangles(), configuration_at(ts, 1))
     return kds.bracketed_events()

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 from conftest import validate_general_position, winding_number
 from flipbraid.braids import (BraidLetter, BraidWord, CanonicalSetup,
                               LoopGeometry, WordSyntaxError, canonical_setup,
-                              generator_trajectories, invariant, parse_word,
-                              verify_relations, word_from_pairs)
-from flipbraid.braids import LoopClearanceError
+                              generator_trajectories, invariant, letter_flips,
+                              parse_word, verify_relations, word_from_pairs)
 from flipbraid.delaunay import build_delaunay
 from flipbraid.geometry import Configuration, LabeledPoint
-from flipbraid.kinetics import configuration_at
+from flipbraid.kinetics import ClearanceError, configuration_at
 from flipbraid.linalg import Matrix, mat_inverse
 
 F = Fraction
@@ -96,14 +95,15 @@ def test_loop_clearance_error():
         LabeledPoint.make(6, 3, F(9, 100), 6),
     )
     setup = CanonicalSetup(3, Configuration(pts, (1, 2, 3)))
-    with pytest.raises(LoopClearanceError, match="passes through"):
-        generator_trajectories(setup, BraidLetter(1, 3, 1))
+    with pytest.raises(ClearanceError, match=re.escape(
+            "point 4 meets point 5 in [2/7, 3/7]")):
+        letter_flips(setup, BraidLetter(1, 3, 1))
     # the loop's top at height 100 is above the boundary triangle's apex
-    with pytest.raises(LoopClearanceError, match=re.escape(
-            "loop of point 4 leaves the boundary triangle at"
-            " (Fraction(1, 1), Fraction(100, 1))")):
-        generator_trajectories(canonical_setup(2), BraidLetter(1, 2, 1),
-                               LoopGeometry.make(100, "1/2", "1/4"))
+    with pytest.raises(ClearanceError, match=re.escape(
+            "point 4 is not strictly inside the boundary triangle at time"
+            " 1/7")):
+        letter_flips(canonical_setup(2), BraidLetter(1, 2, 1),
+                     LoopGeometry.make(100, "1/2", "1/4"))
 
 
 def test_invariant_empty_word():

@@ -362,3 +362,13 @@ def test_sampling_flags_help_says_what_they_select(capsys):
         assert "(default: no sampling, the exact event engine;" in text
         assert "with only --floor given, 1/64)" in text
         assert "with only --step given, 1/2^40)" in text
+
+
+def test_parser_is_built_once_per_process(capsys):
+    from flipbraid.cli import build_parser
+
+    build_parser.cache_clear()
+    for word in ("", "b(1,2)"):
+        code, _, _ = run_cli(capsys, "invariant", "--n", "2", "--word", word)
+        assert code == 0
+    assert build_parser.cache_info().misses == 1

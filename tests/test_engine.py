@@ -17,12 +17,12 @@ from flipbraid.delaunay import DegenerateConfigurationError, build_delaunay
 from flipbraid.flips import sequence_product
 from flipbraid.geometry import (Configuration, LabeledPoint, _lifted_det,
                                 incircle)
-from flipbraid.kinetics import (DEFAULT_STEP, TrajectorySet,
+from flipbraid.kinetics import (DEFAULT_STEP, ClearanceError, TrajectorySet,
                                 UnresolvedEventError, _certificate, _compare,
-                                _floor_root, _floor_scaled, _past_end,
-                                _rational_time, _sign_root, _sign_sum, _time,
-                                configuration_at, exact_flip_sequence,
-                                extract_flip_sequence)
+                                _floor_root, _floor_scaled, _integer_frame,
+                                _past_end, _rational_time, _sign_root,
+                                _sign_sum, _time, configuration_at,
+                                exact_flip_sequence, extract_flip_sequence)
 
 F = Fraction
 
@@ -204,6 +204,53 @@ def test_engine_rejects_unclear_paths():
         config, {7: [(0, (5, 5)), (F(1, 2), (500, 5)), (1, (5, 5))]})
     with pytest.raises(ValueError, match="not strictly inside"):
         exact_flip_sequence(outside)
+
+
+def test_both_extractors_refuse_an_unclear_motion():
+    """A spike of mover 4 past the apex between two of the sampler's
+    samples, and a straight run of mover 4 through the home of point 5 at
+    time 1/6, off the sampler's dyadic grid: the engine and the sampler
+    refuse each with one message, before anything else.  Unchecked, the
+    sampler logs 4 flips for the first and bisects the second down to its
+    floor."""
+    config = canonical_setup(3).config
+    home, (x5, y5) = config.positions[4], config.positions[5]
+    third = F(1, 3)
+    spike = [(0, home), (third - F(1, 1000), (2, 17)), (third, (2, 30)),
+             (third + F(1, 1000), (2, 17)), (1, home)]
+    through = [(0, home), (third, (2 * x5 - home[0], 2 * y5 - home[1])),
+               (1, home)]
+    for path, message in (
+            (spike, "point 4 is not strictly inside the boundary triangle"
+                    " at time 1/3"),
+            (through, "point 4 meets point 5 in [0, 1/3]")):
+        ts = TrajectorySet.from_motion(config, {4: path})
+        for extract in (exact_flip_sequence, extract_flip_sequence):
+            with pytest.raises(ClearanceError) as info:
+                extract(ts)
+            assert str(info.value) == message, extract
+
+
+def test_integer_frame_of_several_movers():
+    """One common denominator scales every point and breakpoint, and each
+    mover is checked against the stationary points only: mover 5 may
+    cross the home that mover 4 has left, but mover 4 may not cross the
+    stationary point 6."""
+    config = make_config([(0, 0), (10, 0), (5, 25)])
+    clear = TrajectorySet.from_motion(config, {
+        4: [(0, (0, 0)), (F(1, 2), (0, F(50, 3))), (1, (0, 0))],
+        5: [(0, (10, 0)), (1, (-10, 0))]})
+    fixed, paths = _integer_frame(clear)
+    assert fixed == {1: (-600, -600), 2: (600, -600), 3: (0, 600),
+                     6: (15, 75)}
+    assert paths == {4: ((0, (0, 0)), (F(1, 2), (0, 50)), (1, (0, 0))),
+                     5: ((0, (30, 0)), (1, (-30, 0)))}
+    blocked = TrajectorySet.from_motion(config, {
+        4: [(0, (0, 0)), (F(1, 2), (10, 50)), (1, (0, 0))],
+        5: [(0, (10, 0)), (1, (-10, 0))]})
+    with pytest.raises(ClearanceError, match=re.escape(
+            "point 4 meets point 6 in [0, 1/2]")):
+        extract_flip_sequence(blocked)
 
 
 def test_engine_takes_one_mover():

@@ -40,8 +40,10 @@ def test_retired_readers_and_duplicate_helpers_are_gone():
                                  "stationary_triangles"),
         flips: ("_event_from_json",),
         linalg: ("json_entries",),
-        braids: ("_on_segment", "_commuting_pair_instances"),
+        braids: ("_on_segment", "_commuting_pair_instances",
+                 "LoopClearanceError"),
         braids.BraidLetter: ("inverse",),
+        kinetics._MoverKDS: ("_check_clearance",),
     }
     for owner, names in retired.items():
         for name in names:

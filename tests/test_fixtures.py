@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import shutil
 from fractions import Fraction
 from pathlib import Path
@@ -121,3 +122,47 @@ def test_suites_report_the_first_difference(tmp_path, monkeypatch, capsys):
     assert ("FAIL loop 4-8 (first difference at row 1, col 2:"
             " 4/35 != 1/35)\n") in out
     assert "PASS two-flip\n" in out
+
+
+def copy_fixtures(tmp_path, monkeypatch):
+    data_dir = Path(__file__).resolve().parents[1] / "src" / "flipbraid" / "data"
+    for f in data_dir.iterdir():
+        shutil.copy(f, tmp_path / f.name)
+    monkeypatch.setenv("FLIPBRAID_FIXTURES", str(tmp_path))
+
+
+@pytest.mark.parametrize("manifest, message", [
+    ("{not json", "MANIFEST.json is not valid JSON: "),
+    ("{}", "MANIFEST.json has no 'files' object"),
+    ('{"files": ["pentagon_cycle.json"]}',
+     "MANIFEST.json has no 'files' object"),
+])
+def test_malformed_manifest_fails_the_command(tmp_path, monkeypatch, capsys,
+                                              manifest, message):
+    copy_fixtures(tmp_path, monkeypatch)
+    (tmp_path / "MANIFEST.json").write_text(manifest)
+    with pytest.raises(FixtureError, match=re.escape(message)):
+        verify_checksums()
+    with pytest.raises(FixtureError, match=re.escape(message)):
+        load_fixture("pentagon_cycle.json")
+    assert main(["fixtures"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"FAIL fixtures: {message}")
+
+
+def test_fixture_that_is_not_json_fails_the_command(tmp_path, monkeypatch,
+                                                    capsys):
+    """A fixture whose bytes match the manifest but do not parse."""
+    copy_fixtures(tmp_path, monkeypatch)
+    raw = b"{not json"
+    (tmp_path / "two_flip_commutation.json").write_bytes(raw)
+    manifest = json.loads((tmp_path / "MANIFEST.json").read_text())
+    manifest["files"]["two_flip_commutation.json"] = (
+        hashlib.sha256(raw).hexdigest())
+    (tmp_path / "MANIFEST.json").write_text(json.dumps(manifest))
+    message = "two_flip_commutation.json is not valid JSON: "
+    with pytest.raises(FixtureError, match=re.escape(message)):
+        load_fixture("two_flip_commutation.json")
+    assert main(["fixtures"]) == 1
+    assert capsys.readouterr().err.startswith(f"FAIL fixtures: {message}")
