@@ -287,20 +287,22 @@ def invariant(word: BraidWord, geometry: LoopGeometry = DEFAULT_LOOP,
     """The word's (2n+1) x (2n+1) matrix under the flip construction.
 
     Letters act left to right in time; each letter's matrix multiplies the
-    accumulated product on the left.  An inverse letter is simulated on the
-    reversed loop, not derived from the forward one.  ``step`` and
-    ``floor`` select the flip extraction as in ``letter_flips``.
+    accumulated product on the left, and the empty word gives the identity.
+    An inverse letter is simulated on the reversed loop, not derived from
+    the forward one.  ``step`` and ``floor`` select the flip extraction as
+    in ``letter_flips``.
     """
     step = None if step is None else as_rational(step)
     floor = None if floor is None else as_rational(floor)
     setup = canonical_setup(word.n)
     basis = tuple(sorted(setup.home))
-    acc = Matrix.identity(len(basis))
-    log = []
+    acc, log = None, []
     for letter in word.letters:
         mat, events = _letter_result(setup, letter, geometry, step, floor)
-        acc = mat * acc
+        acc = mat if acc is None else mat * acc
         log.append(events)
+    if acc is None:
+        acc = Matrix.identity(len(basis))
     if any(s != 1 for s in acc.column_sums()):
         raise AssertionError("invariant matrix lost the column-sum-1"
                              " property")

@@ -14,6 +14,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .braids import (FAMILIES, WordSyntaxError, canonical_setup,
@@ -90,6 +91,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dumps(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, written directly
+    for the types of the command payloads: lists, dicts with str keys, str
+    and int.  (``json`` runs its pure-Python encoder whenever an indent is
+    set.)  Any other value is handed to ``json`` with its newlines indented
+    to its depth; ``indent`` is the newline and indent of that depth."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    inner = indent + "  "
+    if kind is list:
+        if not value:
+            return "[]"
+        items = [_dumps(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if kind is dict and all(type(key) is str for key in value):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(key) + ": " + _dumps(item, inner)
+                 for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    return json.dumps(value, indent=2).replace("\n", indent)
+
+
 def _emit(text: str, out_path) -> int:
     """Write ``text`` to ``out_path``, or to stdout when it is unset."""
     if not out_path:
@@ -129,7 +156,7 @@ def cmd_invariant(args) -> int:
     result = invariant(word, step=args.step, floor=args.floor)
     payload = result.to_json_dict(with_trace=args.trace,
                                   with_charpoly=args.charpoly)
-    return _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    return _emit(_dumps(payload) + "\n", args.out)
 
 
 def cmd_verify(args) -> int:
@@ -186,7 +213,7 @@ def cmd_simulate(args) -> int:
         except OSError as err:
             raise _unwritable(args.svg_dir, err) from err
     payload = [flip_sequence_to_json(events) for _, events in per_letter]
-    return _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    return _emit(_dumps(payload) + "\n", args.out)
 
 
 def _write_snapshots(setup, per_letter, directory: Path):

@@ -61,7 +61,51 @@ def _manifest_files() -> dict:
     return files
 
 
-def load_fixture(name: str) -> dict:
+_MATRIX = {"entries": [[str]]}
+_FACTORS = [{"matrix": _MATRIX}]
+# The keys and types that the suites read from each fixture: a dict maps
+# each key that must be present to its shape, a one-item list stands for a
+# list of items of that shape, and a type for a value of that type.
+_SHAPES = {
+    "pentagon_cycle.json": {
+        "labels": [str], "initial_basis": [[str]],
+        "steps": [{"removed": [str], "inserted": [str],
+                   "basis_after": [[str]], "matrix": _MATRIX}]},
+    "two_flip_commutation.json": {
+        "labels": [str], "product": _MATRIX,
+        "orders": [{"factors": _FACTORS}]},
+    "braid_loop_4_8.json": {"product": _MATRIX, "factors": _FACTORS},
+    "braid_loop_5_7.json": {"product": _MATRIX, "factors": _FACTORS},
+    "loop_commutation.json": {"product": _MATRIX},
+}
+
+
+def _check_shape(value, shape, where: str) -> None:
+    """Raise ``FixtureError`` at the first part of ``value``, named by its
+    path from ``where``, that does not have ``shape``."""
+    if isinstance(shape, type):
+        if not isinstance(value, shape):
+            raise FixtureError(f"{where} is not a {shape.__name__}")
+    elif isinstance(shape, dict):
+        if not isinstance(value, dict):
+            raise FixtureError(f"{where} is not an object")
+        for key, inner in shape.items():
+            if key not in value:
+                raise FixtureError(f"{where} has no {key!r}")
+            _check_shape(value[key], inner, f"{where}[{key!r}]")
+    else:
+        if not isinstance(value, list):
+            raise FixtureError(f"{where} is not a list")
+        (inner,) = shape
+        if isinstance(inner, type) and all(isinstance(item, inner)
+                                           for item in value):
+            return
+        for pos, item in enumerate(value):
+            _check_shape(item, inner, f"{where}[{pos}]")
+
+
+def _checked_bytes(name: str) -> bytes:
+    """The fixture's bytes, checked against the manifest's digest."""
     raw = _read_bytes(name)
     want = _manifest_files().get(name)
     if want is None:
@@ -69,14 +113,24 @@ def load_fixture(name: str) -> dict:
     got = hashlib.sha256(raw).hexdigest()
     if got != want:
         raise FixtureError(f"checksum mismatch for {name}: {got} != {want}")
-    return _parse(name, raw)
+    return raw
+
+
+def load_fixture(name: str) -> dict:
+    """The parsed fixture, checked against the manifest's digest and
+    against the shape its suite reads."""
+    data = _parse(name, _checked_bytes(name))
+    if name in _SHAPES:
+        _check_shape(data, _SHAPES[name], name)
+    return data
 
 
 def verify_checksums() -> list:
-    """Names of all fixture files, each verified against the manifest."""
+    """Names of all fixture files, each checked against its digest in the
+    manifest; each suite parses and shape-checks the files it reads."""
     names = sorted(_manifest_files())
     for name in names:
-        load_fixture(name)
+        _checked_bytes(name)
     return names
 
 

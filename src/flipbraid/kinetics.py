@@ -24,8 +24,9 @@ point keeps its initial position.  Both extractors first check, once, that
 each mover stays inside the boundary triangle and misses every stationary
 point; movers are not checked against each other.  Each sample is a
 validated ``Configuration`` triangulated by ``build_delaunay``.  The engine
-builds the triangulation of the initial configuration once, moves it by
-flips and checks the final one with the O(n) local edge test.
+builds the triangulation of the initial configuration once and moves it by
+flips.  It checks the final one with the O(n) local edge test, or, when the
+mover's path returns to its start, by equality with the initial one.
 """
 
 from __future__ import annotations
@@ -499,7 +500,8 @@ class _MoverKDS:
             if orient2d(positions[a], positions[b], positions[c]) < 0:
                 b, c = c, b
             self.apex.update({(a, b): c, (b, c): a, (c, a): b})
-        self.groups = []  # (time, [FlipEvent, ...]) with increasing times
+        # (time, [(removed, inserted), ...]) with increasing times
+        self.groups = []
 
     def run_segment(self, t0: Fraction, m0, t1: Fraction, m1) -> None:
         """Advance the mover linearly from integer point m0 at time t0 to
@@ -537,18 +539,19 @@ class _MoverKDS:
                     when, due = t, [edge]
                 elif order == 0:
                     due.append(edge)
-            due.sort(key=self._quad)
             if not self.groups or _compare(self.groups[-1][0], when):
                 self.groups.append((when, []))
             flips = self.groups[-1][1]
-            self._check_simultaneous(when, due, flips)
+            if len(due) > 1 or flips:
+                # a lone flip opening its group overlaps nothing
+                due.sort(key=self._quad)
+                self._check_simultaneous(when, due, flips)
             self.now = when
             for u, v in due:
                 del certs[u, v]
-                event = self._flip(u, v)
-                flips.append(event)
-                i, k = event.removed
-                j, l = event.inserted
+                flip = self._flip(u, v)
+                flips.append(flip)
+                (i, k), (j, l) = flip
                 for a, b in ((i, j), (j, k), (k, l), (l, i), (j, l)):
                     self._certify(certs, a, b)
 
@@ -607,7 +610,8 @@ class _MoverKDS:
         which is sound because their matrices commute.  Others cannot be
         ordered."""
         quads = ([self._quad(edge) for edge in due]
-                 + [event.quad for event in reversed(earlier)])
+                 + [tuple(sorted(removed + inserted))
+                    for removed, inserted in reversed(earlier)])
         pair = _overlap(quads)
         if pair:
             raise UnresolvedEventError(
@@ -615,26 +619,29 @@ class _MoverKDS:
                 f" flips of quads {pair[0]} and {pair[1]} overlap; perturb"
                 " trajectories")
 
-    def _flip(self, u, v) -> FlipEvent:
+    def _flip(self, u, v) -> tuple:
         """Flip interior edge (u, v) of the counterclockwise quad
-        (u, d, v, c) to (c, d)."""
+        (u, d, v, c) to (c, d); returns the sorted pairs (removed,
+        inserted)."""
         c, d = self.apex[u, v], self.apex[v, u]
         del self.apex[u, v], self.apex[v, u]
         self.apex.update({(u, d): c, (d, c): u, (c, u): d,
                           (d, v): c, (v, c): d, (c, d): v})
-        return FlipEvent(tuple(sorted((u, v))), tuple(sorted((c, d))))
+        return ((u, v) if u < v else (v, u)), ((c, d) if c < d else (d, c))
 
     def triangles(self) -> frozenset:
         return frozenset(triangle(u, v, w)
                          for (u, v), w in self.apex.items())
 
     def bracketed_events(self) -> list:
+        """One FlipEvent per flip, in order, with its group's bracket."""
         groups, out = self.groups, []
-        for g, (t, events) in enumerate(groups):
+        for g, (t, flips) in enumerate(groups):
             before = groups[g - 1][0] if g > 0 else None
             after = groups[g + 1][0] if g + 1 < len(groups) else None
             lo, hi = _bracket(t, before, after)
-            out.extend(e.with_bracket(lo, hi) for e in events)
+            out.extend(FlipEvent(removed, inserted, lo, hi)
+                       for removed, inserted in flips)
         return out
 
 
@@ -645,7 +652,8 @@ def exact_flip_sequence(ts: TrajectorySet) -> list:
     The exact kinetic engine: it starts from the Delaunay triangulation of
     the initial configuration, computes every flip time as a root of an
     integer quadratic and orders the flips exactly, and checks that the
-    final triangulation is the Delaunay triangulation at t = 1.  It samples
+    final triangulation is the Delaunay triangulation at t = 1: for a path
+    that returns to its start, that it is the initial one.  It samples
     nothing.  The motion must be clear (``_integer_frame``) and either end
     in general position.  Simultaneous flips are ordered by quad when they
     far-commute and raise ``UnresolvedEventError`` otherwise.  Motions of
@@ -662,5 +670,9 @@ def exact_flip_sequence(ts: TrajectorySet) -> list:
     (path,) = paths.values()
     for (t0, m0), (t1, m1) in zip(path, path[1:]):
         kds.run_segment(t0, m0, t1, m1)
-    verify_delaunay(kds.triangles(), configuration_at(ts, 1))
+    end = kds.triangles()
+    # a loop back to its start ends at the configuration whose Delaunay
+    # triangulation build_delaunay has already verified: start
+    if path[-1][1] != path[0][1] or end != start:
+        verify_delaunay(end, configuration_at(ts, 1))
     return kds.bracketed_events()

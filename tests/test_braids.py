@@ -146,6 +146,29 @@ def test_homomorphism_on_random_words():
             == invariant(v).matrix * invariant(u).matrix
 
 
+def test_word_product_starts_from_the_first_letter(monkeypatch):
+    """A word of k letters takes k - 1 matrix products once its letters are
+    cached: the product starts from the first letter's matrix, not from I."""
+    from flipbraid import linalg
+
+    word = parse_word("b(1,2) b(2,3)^-1 b(1,3)", 3)
+    letters = [invariant(BraidWord(3, (letter,))).matrix
+               for letter in word.letters]
+    calls = []
+    mat_mul = linalg.mat_mul
+
+    def counted(a, b):
+        calls.append((a, b))
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(linalg, "mat_mul", counted)
+    assert invariant(word).matrix == mat_mul(letters[2],
+                                             mat_mul(letters[1], letters[0]))
+    assert len(calls) == 2
+    assert invariant(BraidWord(3, word.letters[:1])).matrix == letters[0]
+    assert len(calls) == 2
+
+
 def test_inverse_letter_is_matrix_inverse():
     """The reversed loop's matrix inverts the forward one, and its flips are
     the forward flips reflected: reversed in order and in direction."""

@@ -3,8 +3,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flipbraid.cli import main
+from flipbraid.cli import _dumps, main
 from flipbraid.linalg import Matrix
 
 
@@ -372,3 +374,38 @@ def test_parser_is_built_once_per_process(capsys):
         code, _, _ = run_cli(capsys, "invariant", "--n", "2", "--word", word)
         assert code == 0
     assert build_parser.cache_info().misses == 1
+
+
+# text with quotes, backslashes, control characters and non-ASCII
+TEXT = st.text(st.characters() | st.sampled_from(
+    '"\\/\b\f\n\r\t\x00\x1f\x7f az\xe9\u20ac\U0001f600'))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.integers(-2 ** 200, 2 ** 200) | TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(TEXT, inner, max_size=4)
+    # handed to json: floats, tuples and dicts with int keys
+    | st.floats() | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.integers(), inner, max_size=3),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(JSON_VALUES)
+def test_writer_is_json_dumps_with_indent_2(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+def test_command_output_is_json_dumps_with_indent_2(capsys):
+    """``invariant --charpoly --trace`` and ``simulate`` of every signed
+    generator at n = 4 print json.dumps(payload, indent=2), whose types
+    survive a round trip through json.loads."""
+    for i in range(1, 5):
+        for j in range(i + 1, 5):
+            for word in (f"b({i},{j})", f"b({i},{j})^-1"):
+                for argv in (("invariant", "--charpoly", "--trace"),
+                             ("simulate",)):
+                    code, out, err = run_cli(capsys, *argv, "--n", "4",
+                                             "--word", word)
+                    assert code == 0 and err == ""
+                    assert out == json.dumps(json.loads(out), indent=2) + "\n"

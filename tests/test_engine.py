@@ -13,16 +13,18 @@ from conftest import validate_general_position
 from flipbraid import braids
 from flipbraid.braids import (BraidLetter, canonical_setup,
                               generator_trajectories, verify_relations)
-from flipbraid.delaunay import DegenerateConfigurationError, build_delaunay
+from flipbraid.delaunay import (DegenerateConfigurationError, apply_flip,
+                                build_delaunay)
 from flipbraid.flips import sequence_product
 from flipbraid.geometry import (Configuration, LabeledPoint, _lifted_det,
                                 incircle)
 from flipbraid.kinetics import (DEFAULT_STEP, ClearanceError, TrajectorySet,
                                 UnresolvedEventError, _certificate, _compare,
                                 _floor_root, _floor_scaled, _integer_frame,
-                                _past_end, _rational_time, _sign_root,
-                                _sign_sum, _time, configuration_at,
-                                exact_flip_sequence, extract_flip_sequence)
+                                _MoverKDS, _past_end, _rational_time,
+                                _sign_root, _sign_sum, _time,
+                                configuration_at, exact_flip_sequence,
+                                extract_flip_sequence)
 
 F = Fraction
 
@@ -192,6 +194,70 @@ def test_simultaneous_overlapping_events_unresolved():
              for q in match.group(2, 3)]
     assert all(9 in q for q in quads)
     assert len(set(quads[0]) & set(quads[1])) > 2
+
+
+def test_a_later_batch_at_one_instant_joins_its_group():
+    """A flip due at the instant of earlier flips joins their group, and a
+    lone due flip is still checked against them, the latest first.
+
+    No clear motion is known to reach this: an edge that fails at the
+    instant of the flip that made it puts five points on one empty circle,
+    four of them constant, and the mover then meets that circle from
+    inside, where every diagonal of its fan fails at once, in one batch
+    whose flips overlap.  So the group of t = 1/2 is seeded with two
+    far-commuting flips, each overlapping the one flip of this motion."""
+    config, ts = motion(STATIC_TRIPLE + [OUTSIDE], [(0, OUTSIDE), (1, INSIDE)])
+    fixed, paths = _integer_frame(ts)
+    kds = _MoverKDS(ts, build_delaunay(config), fixed)
+    kds.groups.append((_rational_time(F(1, 2)),
+                       [((1, 5), (4, 7)), ((2, 6), (4, 7))]))
+    with pytest.raises(UnresolvedEventError) as info:
+        kds.run_segment(*paths[7][0], *paths[7][1])
+    assert str(info.value) == (
+        "unresolved codimension-2 event at t = 1/2: flips of quads"
+        " (4, 5, 6, 7) and (2, 4, 6, 7) overlap; perturb trajectories")
+
+
+def test_end_check_only_where_the_path_does_not_close(monkeypatch):
+    """A loop that returns to its start ends at the triangulation that
+    ``build_delaunay`` verified at the start; any other end is checked.
+    Each ``verify_delaunay`` call is recorded as "build" (by
+    ``build_delaunay``) or "end" (the engine's end check)."""
+    from flipbraid import delaunay, kinetics
+
+    loop = generator_trajectories(canonical_setup(4), BraidLetter(1, 3, 1))
+    _, open_path = motion(STATIC_TRIPLE + [OUTSIDE],
+                          [(0, OUTSIDE), (1, INSIDE)])
+    calls = []
+
+    def counted(name, function):
+        def run(*args):
+            calls.append(name)
+            return function(*args)
+        return run
+
+    monkeypatch.setattr(delaunay, "verify_delaunay",
+                        counted("build", delaunay.verify_delaunay))
+    monkeypatch.setattr(kinetics, "verify_delaunay",
+                        counted("end", kinetics.verify_delaunay))
+    monkeypatch.setattr(kinetics, "configuration_at",
+                        counted("configuration_at", kinetics.configuration_at))
+    assert exact_flip_sequence(loop)
+    assert calls == ["build"]
+    calls.clear()
+    assert exact_flip_sequence(open_path)
+    assert calls == ["build", "configuration_at", "end"]
+
+
+def test_end_check_catches_a_wrong_final_triangulation(monkeypatch):
+    """A closed loop whose engine ends one flip away from its start."""
+    loop = generator_trajectories(canonical_setup(4), BraidLetter(1, 3, 1))
+    first = exact_flip_sequence(loop)[0]
+    triangles = _MoverKDS.triangles
+    monkeypatch.setattr(_MoverKDS, "triangles",
+                        lambda kds: apply_flip(triangles(kds), first))
+    with pytest.raises(AssertionError, match="circumdisk contains point"):
+        exact_flip_sequence(loop)
 
 
 def test_engine_rejects_unclear_paths():

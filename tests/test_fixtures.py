@@ -151,18 +151,60 @@ def test_malformed_manifest_fails_the_command(tmp_path, monkeypatch, capsys,
     assert captured.err.startswith(f"FAIL fixtures: {message}")
 
 
+def replace_fixture(tmp_path, name, raw: bytes):
+    """Write ``raw`` as fixture ``name`` and its digest into the manifest."""
+    (tmp_path / name).write_bytes(raw)
+    manifest = json.loads((tmp_path / "MANIFEST.json").read_text())
+    manifest["files"][name] = hashlib.sha256(raw).hexdigest()
+    (tmp_path / "MANIFEST.json").write_text(json.dumps(manifest))
+
+
 def test_fixture_that_is_not_json_fails_the_command(tmp_path, monkeypatch,
                                                     capsys):
     """A fixture whose bytes match the manifest but do not parse."""
     copy_fixtures(tmp_path, monkeypatch)
-    raw = b"{not json"
-    (tmp_path / "two_flip_commutation.json").write_bytes(raw)
-    manifest = json.loads((tmp_path / "MANIFEST.json").read_text())
-    manifest["files"]["two_flip_commutation.json"] = (
-        hashlib.sha256(raw).hexdigest())
-    (tmp_path / "MANIFEST.json").write_text(json.dumps(manifest))
+    replace_fixture(tmp_path, "two_flip_commutation.json", b"{not json")
     message = "two_flip_commutation.json is not valid JSON: "
     with pytest.raises(FixtureError, match=re.escape(message)):
         load_fixture("two_flip_commutation.json")
     assert main(["fixtures"]) == 1
     assert capsys.readouterr().err.startswith(f"FAIL fixtures: {message}")
+
+
+def without_first_factor_matrix(data):
+    del data["factors"][0]["matrix"]
+    return data
+
+
+def with_int_entry(data):
+    data["product"]["entries"][2][1] = 0
+    return data
+
+
+@pytest.mark.parametrize("name, reshape, message", [
+    ("two_flip_commutation.json", lambda data: {},
+     "two_flip_commutation.json has no 'labels'"),
+    ("loop_commutation.json", lambda data: [data],
+     "loop_commutation.json is not an object"),
+    ("pentagon_cycle.json", lambda data: {**data, "steps": {}},
+     "pentagon_cycle.json['steps'] is not a list"),
+    ("braid_loop_4_8.json", without_first_factor_matrix,
+     "braid_loop_4_8.json['factors'][0] has no 'matrix'"),
+    ("braid_loop_5_7.json", with_int_entry,
+     "braid_loop_5_7.json['product']['entries'][2][1] is not a str"),
+])
+def test_fixture_of_the_wrong_shape_fails_the_command(tmp_path, monkeypatch,
+                                                      capsys, name, reshape,
+                                                      message):
+    """Valid JSON under a matching digest, but not the keys and types its
+    suite reads."""
+    copy_fixtures(tmp_path, monkeypatch)
+    data = reshape(json.loads((tmp_path / name).read_text()))
+    replace_fixture(tmp_path, name, json.dumps(data).encode())
+    with pytest.raises(FixtureError) as info:
+        load_fixture(name)
+    assert str(info.value) == message
+    assert main(["fixtures"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"FAIL fixtures: {message}\n"
