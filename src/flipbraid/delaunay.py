@@ -211,15 +211,23 @@ def diff_flips(before: frozenset, after: frozenset) -> Optional[list]:
     return events
 
 
+def flip_triangles(triangles, event: FlipEvent) -> tuple:
+    """The event's (removed, inserted) triangle pairs; ``ValueError`` unless
+    the flip applies to ``triangles``, any container of triangles."""
+    old, new = event.removed_triangles(), event.inserted_triangles()
+    if old[0] not in triangles or old[1] not in triangles:
+        raise ValueError(
+            f"flip {event} does not apply: {set(old)} not present")
+    if new[0] in triangles or new[1] in triangles:
+        raise ValueError(
+            f"flip {event} does not apply: {set(new)} already present")
+    return old, new
+
+
 def apply_flip(triangles: frozenset, event: FlipEvent) -> frozenset:
     """Replace the event's two removed triangles with its two inserted ones."""
-    old = set(event.removed_triangles())
-    new = set(event.inserted_triangles())
-    if not old <= triangles:
-        raise ValueError(f"flip {event} does not apply: {old} not present")
-    if new & triangles:
-        raise ValueError(f"flip {event} does not apply: {new} already present")
-    return frozenset((triangles - old) | new)
+    old, new = flip_triangles(triangles, event)
+    return triangles.difference(old).union(new)
 
 
 # --- SVG snapshot -----------------------------------------------------------

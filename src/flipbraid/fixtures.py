@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -116,6 +117,17 @@ def _checked_bytes(name: str) -> bytes:
     return raw
 
 
+@contextmanager
+def _evaluating(name: str):
+    """Turn a data error that a suite raises while it evaluates fixture
+    ``name`` (a value of the right shape that the suite cannot use) into a
+    ``FixtureError`` that names the file."""
+    try:
+        yield
+    except (ValueError, KeyError, IndexError, ZeroDivisionError) as err:
+        raise FixtureError(f"{name}: {type(err).__name__}: {err}") from err
+
+
 def load_fixture(name: str) -> dict:
     """The parsed fixture, checked against the manifest's digest and
     against the shape its suite reads."""
@@ -177,70 +189,72 @@ def run_pentagon_suite() -> SuiteResult:
     step's flip against the canonical cycle, and check that the product is
     the identity and equals ``pentagon_cycle_product``, at labels
     (1, 2, 3, 4, 5)."""
-    data = load_fixture("pentagon_cycle.json")
-    letters = data["labels"]
-    point_of = {name: idx + 1 for idx, name in enumerate(letters)}
-    labels = {name: Fraction(point_of[name]) for name in letters}
-    zeta = {point_of[name]: labels[name] for name in letters}
+    with _evaluating("pentagon_cycle.json"):
+        data = load_fixture("pentagon_cycle.json")
+        letters = data["labels"]
+        point_of = {name: idx + 1 for idx, name in enumerate(letters)}
+        labels = {name: Fraction(point_of[name]) for name in letters}
+        zeta = {point_of[name]: labels[name] for name in letters}
 
-    def tri(names):
-        return tuple(sorted(point_of[x] for x in names))
+        def tri(names):
+            return tuple(sorted(point_of[x] for x in names))
 
-    basis = [tri(t) for t in data["initial_basis"]]
-    acc = Matrix.identity(3)
-    for step_no, step in enumerate(data["steps"]):
-        removed = tuple(sorted(point_of[x] for x in step["removed"]))
-        inserted = tuple(sorted(point_of[x] for x in step["inserted"]))
-        after = [tri(t) for t in step["basis_after"]]
-        expected = evaluate_matrix(step["matrix"], labels)
-        m = build_flip_matrix(FlipEvent(removed, inserted), basis, after,
-                              zeta)
-        if m != expected:
-            return SuiteResult(
-                "pentagon", False,
-                f"step {step_no + 1}: " + _first_difference(m, expected))
-        if (removed, inserted) != PENTAGON_FLIPS[step_no]:
-            return SuiteResult(
-                "pentagon", False,
-                f"step {step_no + 1} differs from the canonical cycle")
-        acc = m * acc
-        basis = after
-    if not acc.is_identity():
-        return SuiteResult("pentagon", False, "cycle product is not I")
-    if pentagon_cycle_product([zeta[i] for i in range(1, 6)]) != acc:
-        return SuiteResult("pentagon", False,
-                           "product differs from the canonical cycle")
-    return SuiteResult("pentagon", True)
+        basis = [tri(t) for t in data["initial_basis"]]
+        acc = Matrix.identity(3)
+        for step_no, step in enumerate(data["steps"]):
+            removed = tuple(sorted(point_of[x] for x in step["removed"]))
+            inserted = tuple(sorted(point_of[x] for x in step["inserted"]))
+            after = [tri(t) for t in step["basis_after"]]
+            expected = evaluate_matrix(step["matrix"], labels)
+            m = build_flip_matrix(FlipEvent(removed, inserted), basis, after,
+                                  zeta)
+            if m != expected:
+                return SuiteResult(
+                    "pentagon", False,
+                    f"step {step_no + 1}: " + _first_difference(m, expected))
+            if (removed, inserted) != PENTAGON_FLIPS[step_no]:
+                return SuiteResult(
+                    "pentagon", False,
+                    f"step {step_no + 1} differs from the canonical cycle")
+            acc = m * acc
+            basis = after
+        if not acc.is_identity():
+            return SuiteResult("pentagon", False, "cycle product is not I")
+        if pentagon_cycle_product([zeta[i] for i in range(1, 6)]) != acc:
+            return SuiteResult("pentagon", False,
+                               "product differs from the canonical cycle")
+        return SuiteResult("pentagon", True)
 
 
 def run_two_flip_suite() -> SuiteResult:
     """Both orders of the two-flip pair must give the recorded product."""
-    data = load_fixture("two_flip_commutation.json")
-    labels = {name: Fraction(name[1:]) for name in data["labels"]}
-    expected = evaluate_matrix(data["product"], labels)
-    for order_no, order in enumerate(data["orders"]):
-        acc = None
-        for factor in order["factors"]:
-            m = evaluate_matrix(factor["matrix"], labels)
-            acc = m if acc is None else acc * m
-        if acc != expected:
-            return SuiteResult(
-                "two-flip", False,
-                f"order {order_no + 1}: " + _first_difference(acc, expected))
-    return SuiteResult("two-flip", True)
+    with _evaluating("two_flip_commutation.json"):
+        data = load_fixture("two_flip_commutation.json")
+        labels = {name: Fraction(name[1:]) for name in data["labels"]}
+        expected = evaluate_matrix(data["product"], labels)
+        for order_no, order in enumerate(data["orders"]):
+            acc = None
+            for factor in order["factors"]:
+                m = evaluate_matrix(factor["matrix"], labels)
+                acc = m if acc is None else acc * m
+            if acc != expected:
+                return SuiteResult("two-flip", False, f"order {order_no + 1}: "
+                                   + _first_difference(acc, expected))
+        return SuiteResult("two-flip", True)
 
 
 def _loop_product(name: str):
-    data = load_fixture(name)
-    expected = evaluate_matrix(data["product"])
-    acc = None
-    for pos, factor in enumerate(data["factors"]):
-        m = evaluate_matrix(factor["matrix"])
-        if any(s != 1 for s in m.column_sums()):
-            raise FixtureError(
-                f"{name} factor {pos + 1}: column sums are not all 1")
-        acc = m if acc is None else acc * m
-    return acc, expected, len(data["factors"])
+    with _evaluating(name):
+        data = load_fixture(name)
+        expected = evaluate_matrix(data["product"])
+        acc = None
+        for pos, factor in enumerate(data["factors"]):
+            m = evaluate_matrix(factor["matrix"])
+            if any(s != 1 for s in m.column_sums()):
+                raise FixtureError(
+                    f"{name} factor {pos + 1}: column sums are not all 1")
+            acc = m if acc is None else acc * m
+        return acc, expected, len(data["factors"])
 
 
 def run_loop_suite() -> list:
@@ -256,9 +270,12 @@ def run_loop_suite() -> list:
             detail = f"{count} factors"
         results.append(SuiteResult(label, ok, detail))
         products[label] = expected
-    commute = evaluate_matrix(load_fixture("loop_commutation.json")["product"])
-    ab = products["loop 4-8"] * products["loop 5-7"]
-    ba = products["loop 5-7"] * products["loop 4-8"]
+    with _evaluating("loop_commutation.json"):
+        commute = evaluate_matrix(
+            load_fixture("loop_commutation.json")["product"])
+    with _evaluating("braid_loop_4_8.json, braid_loop_5_7.json"):
+        ab = products["loop 4-8"] * products["loop 5-7"]
+        ba = products["loop 5-7"] * products["loop 4-8"]
     ok = ab == commute and ba == commute
     detail = "" if ok else (_first_difference(ab, commute)
                             or _first_difference(ba, commute))

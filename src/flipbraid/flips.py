@@ -9,7 +9,7 @@ multiply on the left.
 ``build_flip_matrix`` gives one flip as a dense matrix of Fractions; it is
 the reference the fixtures and tests check against.  ``sequence_product``,
 the one product path (letters and the pentagon cycle alike), never builds
-one and does no Fraction arithmetic.  Scaling every label by the same
+one, and its arithmetic is on integers.  Scaling every label by the same
 number leaves each ratio of label differences unchanged, so it clears the
 labels' denominators once and works on integer labels.  A flip rewrites
 only the rows of its two exchanged triangles, so the product is kept as one
@@ -22,8 +22,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .delaunay import FlipEvent, apply_flip
-from .linalg import Matrix, as_rational
+from .delaunay import FlipEvent, flip_triangles
+from .linalg import Matrix, as_rational, clear_denominators
 
 
 def gamma_generator_name(event: FlipEvent) -> str:
@@ -97,42 +97,31 @@ def sequence_product(events, start_triangles, zeta):
     coordinates in the starting basis to coordinates in the final one.
     Returns (matrix, final_triangles).
 
-    The product is held as one row per current triangle: an integer vector
-    over a positive denominator, with no common factor.  A flip replaces
-    the rows r1, r2 of its two removed triangles by (a*r1 + b*r2) / p and
-    (c*r1 + d*r2) / p, the integer block of ``_flip_block``; every other
-    row is unchanged.  The rows are ordered by the final basis and put over
-    one denominator once, at the end.
+    The product is one row per current triangle, keyed by it, so the keys
+    are the triangulation.  A flip replaces the rows r1, r2 of its removed
+    triangles by (a*r1 + b*r2) / p and (c*r1 + d*r2) / p, the integer block
+    of ``_flip_block``, each reduced by ``_mix_rows``.  The rows are put in
+    the final basis order and over one denominator once, at the end.
     """
-    labels = _integer_labels(zeta)
-    tris = frozenset(start_triangles)
-    size = len(tris)
-    row_of = {t: ([int(i == j) for j in range(size)], 1)
-              for i, t in enumerate(sorted(tris))}
+    ints, _ = clear_denominators(as_rational(z) for z in zeta.values())
+    labels = dict(zip(zeta, ints))
+    start = sorted(set(start_triangles))
+    row_of = {t: ([int(i == j) for j in range(len(start))], 1)
+              for i, t in enumerate(start)}
     for event in events:
-        tris = apply_flip(tris, event)
+        (t_ijk, t_ikl), (t_ijl, t_jkl) = flip_triangles(row_of, event)
         a, b, c, d, p = _flip_block(event, labels)
-        t_ijk, t_ikl = event.removed_triangles()
-        t_ijl, t_jkl = event.inserted_triangles()
         r1, r2 = row_of.pop(t_ijk), row_of.pop(t_ikl)
         row_of[t_ijl] = _mix_rows(a, r1, b, r2, p)
         row_of[t_jkl] = _mix_rows(c, r1, d, r2, p)
-    rows = [row_of[t] for t in sorted(tris)]
-    den = math.lcm(*(q for _, q in rows))
-    num = [[x * (den // q) for x in v] for v, q in rows]
+    final = sorted(row_of)
+    # clearing the 1 / q of the rows v / q gives each row's multiplier
+    scales, den = clear_denominators(Fraction(1, row_of[t][1]) for t in final)
+    num = [[x * s for x in row_of[t][0]] for t, s in zip(final, scales)]
     # every flip block's columns sum to 1, so the product's do too
     if any(sum(col) != den for col in zip(*num)):
         raise AssertionError("flip product column sums are not all 1")
-    return Matrix._from_ints(num, den), tris
-
-
-def _integer_labels(zeta) -> dict:
-    """The labels ``zeta`` scaled by the least common denominator of all of
-    them: integers with the same flip blocks."""
-    values = {index: as_rational(z) for index, z in zeta.items()}
-    scale = math.lcm(*(z.denominator for z in values.values()))
-    return {index: z.numerator * (scale // z.denominator)
-            for index, z in values.items()}
+    return Matrix._from_ints(num, den), frozenset(final)
 
 
 def _flip_block(event: FlipEvent, zeta) -> tuple:

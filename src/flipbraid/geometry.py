@@ -13,11 +13,11 @@ integer points too, with ``_inside`` and ``_segment_meets``.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
-from .linalg import as_rational
+from .linalg import as_rational, clear_denominators
 
 Point = tuple  # (x, y), integers or Fractions
 
@@ -27,12 +27,9 @@ class DegenerateCircleError(ValueError):
 
 
 def _integer_points(points) -> list:
-    """The points scaled by the least common denominator of all their
-    coordinates, as integer pairs.  A positive common scale keeps every
-    orientation and incircle sign."""
-    lcm = math.lcm(*(v.denominator for p in points for v in p))
-    return [(x.numerator * (lcm // x.denominator),
-             y.numerator * (lcm // y.denominator)) for x, y in points]
+    """The points as integer pairs, all scaled by one common denominator."""
+    ints, _ = clear_denominators(chain.from_iterable(points))
+    return list(zip(ints[::2], ints[1::2]))
 
 
 def orient2d(a: Point, b: Point, c: Point) -> int:

@@ -42,7 +42,7 @@ from .delaunay import (DegenerateConfigurationError, FlipEvent, apply_flip,
 from .geometry import (Configuration, LabeledPoint, _integer_points,
                        _inside, _lifted_det, _segment_meets, incircle,
                        orient2d)
-from .linalg import as_rational
+from .linalg import as_rational, clear_denominators
 
 DEFAULT_STEP = Fraction(1, 64)
 DEFAULT_FLOOR = Fraction(1, 2 ** 40)
@@ -513,10 +513,8 @@ class _MoverKDS:
         self.lifted = {index: (x - x0, y - y0, (x - x0) ** 2 + (y - y0) ** 2)
                        for index, (x, y) in self.fixed.items()}
         self.delta = (m1[0] - x0, m1[1] - y0)
-        dt = t1 - t0
-        q = math.lcm(t0.denominator, dt.denominator)
-        self.segment = (t0.numerator * (q // t0.denominator),
-                        dt.numerator * (q // dt.denominator), q)
+        # ([t0 * q, (t1 - t0) * q], q), integers over one denominator q
+        self.segment = clear_denominators((t0, t1 - t0))
         self.now = _rational_time(t0)
 
         certs = {}  # sorted edge -> failure time
@@ -588,7 +586,7 @@ class _MoverKDS:
         touches zero from above, (-b2 + sqrt(b2^2 - 4 a2 c2)) / (2 a2).
         ``_past_end`` drops a root at or past the segment end before it is
         computed."""
-        a0, a1, q = self.segment
+        (a0, a1), q = self.segment
         if a2 == 0:
             if b2 == 0 and c2 == 0:
                 raise DegenerateConfigurationError(quad)

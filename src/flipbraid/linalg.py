@@ -30,6 +30,15 @@ def as_rational(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+def clear_denominators(values) -> tuple:
+    """(ints, scale): the rationals ``values`` (ints or Fractions) times
+    ``scale``, their least common denominator, which keeps every sign and
+    ratio; for reduced values ``scale`` and ``ints`` share no factor."""
+    values = list(values)
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
 class DimensionError(ValueError):
     """Matrix dimensions do not admit the requested operation."""
 
@@ -52,13 +61,11 @@ class Matrix:
         width = len(grid[0])
         if any(len(row) != width for row in grid):
             raise DimensionError("ragged rows")
-        # the lcm of reduced denominators leaves no common factor
-        den = math.lcm(*(e.denominator for row in grid for e in row))
+        num, self._den = clear_denominators(chain.from_iterable(grid))
         self.rows = len(grid)
         self.cols = width
-        self._num = tuple(tuple(e.numerator * (den // e.denominator)
-                                for e in row) for row in grid)
-        self._den = den
+        self._num = tuple(tuple(num[i:i + width])
+                          for i in range(0, len(num), width))
 
     @staticmethod
     def _from_ints(num, den: int) -> "Matrix":

@@ -38,7 +38,7 @@ def test_retired_readers_and_duplicate_helpers_are_gone():
         kinetics: ("_trajectory_from_json", "_far_commuting"),
         kinetics.TrajectorySet: ("to_json_dict", "from_json_dict",
                                  "stationary_triangles"),
-        flips: ("_event_from_json",),
+        flips: ("_event_from_json", "_integer_labels"),
         linalg: ("json_entries",),
         braids: ("_on_segment", "_commuting_pair_instances",
                  "LoopClearanceError"),

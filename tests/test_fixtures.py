@@ -208,3 +208,67 @@ def test_fixture_of_the_wrong_shape_fails_the_command(tmp_path, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"FAIL fixtures: {message}\n"
+
+
+def with_entry(path, value):
+    """A reshape that sets the entry at ``path`` to ``value``."""
+    def change(data):
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return data
+    return change
+
+
+def with_sixth_pentagon_step(data):
+    data["steps"].append(data["steps"][0])
+    return data
+
+
+def with_ragged_factor(data):
+    data["factors"][0]["matrix"]["entries"][3].pop()
+    return data
+
+
+def with_smaller_product(data):
+    data["product"]["entries"] = [row[:-1]
+                                  for row in data["product"]["entries"][:-1]]
+    return data
+
+
+@pytest.mark.parametrize("name, reshape, message", [
+    ("braid_loop_5_7.json", with_entry(("product", "entries", 0, 0), "x"),
+     "braid_loop_5_7.json: ValueError: Invalid literal for Fraction: 'x'"),
+    ("two_flip_commutation.json",
+     with_entry(("product", "entries", 2, 2), "(z1-z9)/(z1-z5)"),
+     "two_flip_commutation.json: KeyError: 'z9'"),
+    ("pentagon_cycle.json",
+     with_entry(("steps", 0, "removed"), ["i", "l", "m"]),
+     "pentagon_cycle.json: ValueError: flip needs four distinct indices:"
+     " (1, 4, 5), (3, 5)"),
+    ("braid_loop_4_8.json", with_ragged_factor,
+     "braid_loop_4_8.json: DimensionError: ragged rows"),
+    ("pentagon_cycle.json", with_sixth_pentagon_step,
+     "pentagon_cycle.json: IndexError: tuple index out of range"),
+    ("braid_loop_4_8.json", with_smaller_product,
+     "braid_loop_4_8.json, braid_loop_5_7.json: DimensionError:"
+     " cannot multiply 10x10 by 11x11"),
+], ids=["bad-rational", "unknown-label", "three-name-removed",
+        "ragged-matrix", "sixth-pentagon-step", "products-of-two-sizes"])
+def test_fixture_with_a_bad_value_fails_the_command(tmp_path, monkeypatch,
+                                                    capsys, name, reshape,
+                                                    message):
+    """The right shape under a matching digest, but a value that its suite
+    cannot evaluate: the command names the file and prints no result."""
+    copy_fixtures(tmp_path, monkeypatch)
+    data = reshape(json.loads((tmp_path / name).read_text()))
+    replace_fixture(tmp_path, name, json.dumps(data).encode())
+    load_fixture(name)
+    with pytest.raises(FixtureError) as info:
+        run_all_suites()
+    assert str(info.value) == message
+    assert main(["fixtures"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"FAIL fixtures: {message}\n"

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from flipbraid.braids import (BraidLetter, BraidWord, canonical_setup,
                               invariant)
+from flipbraid.cli import main
 from flipbraid.delaunay import FlipEvent, apply_flip, build_delaunay
 from flipbraid.fixtures import evaluate_matrix, load_fixture
 from flipbraid.flips import (PENTAGON_FLIPS, PENTAGON_START,
@@ -331,6 +333,37 @@ def test_sequence_product_rejects_inapplicable_event():
     flipped = FlipEvent((1, 3), (2, 4))
     with pytest.raises(ValueError, match="does not apply"):
         sequence_product([flipped, flipped], start, ZETA_ID)
+
+
+
+def test_flip_onto_present_triangles_does_not_apply():
+    """The removed triangles are present, but so is an inserted one."""
+    start = frozenset({(1, 2, 3), (1, 3, 4), (1, 2, 4)})
+    event = FlipEvent((1, 3), (2, 4))
+    message = r"does not apply: \{\(2, 3, 4\), \(1, 2, 4\)\} already present"
+    with pytest.raises(ValueError, match=message):
+        sequence_product([event], start, ZETA_ID)
+    with pytest.raises(ValueError, match=message):
+        apply_flip(start, event)
+
+
+def test_invariant_json_replays_to_its_matrix(capsys):
+    """Each letter's logged flips, replayed from the JSON's basis at the
+    canonical labels (the point indices), return to that basis, and the
+    letters' products, later letters on the left, give its matrix."""
+    assert main(["invariant", "--n", "4", "--word",
+                 "b(1,3) b(2,4)^-1 b(1,2)"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    basis = frozenset(map(tuple, data["basis"]))
+    labels = {index: index for t in basis for index in t}
+    acc = None
+    for log in data["flips"]:
+        matrix, final = sequence_product(flip_sequence_from_json(log), basis,
+                                         labels)
+        assert final == basis
+        acc = matrix if acc is None else matrix * acc
+    assert len(data["flips"]) == 3
+    assert acc == Matrix(data["matrix"]["entries"])
 
 
 def test_flip_sequence_json_round_trip():
