@@ -17,11 +17,10 @@ from itertools import combinations
 from typing import Optional
 
 from .delaunay import DegenerateConfigurationError, build_delaunay
-from .flips import flip_sequence_to_json, sequence_product
+from .flips import flip_sequence_to_json, loop_product
 from .geometry import Configuration, LabeledPoint
-from .kinetics import (DEFAULT_FLOOR, DEFAULT_STEP, TrajectorySet,
-                       UnresolvedEventError, exact_flip_sequence,
-                       extract_flip_sequence)
+from .kinetics import (TrajectorySet, UnresolvedEventError,
+                       exact_flip_sequence, extract_flip_sequence)
 from .linalg import Matrix, as_rational, char_poly
 
 
@@ -245,17 +244,15 @@ def letter_flips(setup: CanonicalSetup, letter: BraidLetter,
 
     With neither ``step`` nor ``floor`` the exact event engine finds the
     events.  Giving either selects the sampler, ``extract_flip_sequence``,
-    with the other at its default.  An ``UnresolvedEventError`` names the
-    letter.
+    which fills in the other's default.  An ``UnresolvedEventError`` names
+    the letter.
     """
     ts = generator_trajectories(setup, letter, geometry)
     try:
         if step is None and floor is None:
             events = exact_flip_sequence(ts)
         else:
-            events = extract_flip_sequence(
-                ts, step=DEFAULT_STEP if step is None else step,
-                floor=DEFAULT_FLOOR if floor is None else floor)
+            events = extract_flip_sequence(ts, step, floor)
     except UnresolvedEventError as err:
         raise UnresolvedEventError(f"{err} (letter {letter})") from err
     return ts, events
@@ -274,11 +271,7 @@ def _letter_result(setup: CanonicalSetup, letter: BraidLetter,
     ``_letter_result.cache_info()`` counts the hits and misses.
     """
     _, events = letter_flips(setup, letter, geometry, step, floor)
-    matrix, final = sequence_product(events, setup.home,
-                                     setup.config.zeta_map())
-    if final != setup.home:
-        raise AssertionError("letter loop did not return to the home"
-                             " triangulation")
+    matrix = loop_product(events, setup.home, setup.config.zeta_map())
     return matrix, tuple(events)
 
 

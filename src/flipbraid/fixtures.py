@@ -53,15 +53,6 @@ def _parse(name: str, raw: bytes):
         raise FixtureError(f"{name} is not valid JSON: {err}") from err
 
 
-def _manifest_files() -> dict:
-    """The manifest's map of fixture file name -> SHA-256 digest."""
-    manifest = _parse(MANIFEST_NAME, _read_bytes(MANIFEST_NAME))
-    files = manifest.get("files") if isinstance(manifest, dict) else None
-    if not isinstance(files, dict):
-        raise FixtureError(f"{MANIFEST_NAME} has no 'files' object")
-    return files
-
-
 _MATRIX = {"entries": [[str]]}
 _FACTORS = [{"matrix": _MATRIX}]
 # The keys and types that the suites read from each fixture: a dict maps
@@ -105,18 +96,6 @@ def _check_shape(value, shape, where: str) -> None:
             _check_shape(item, inner, f"{where}[{pos}]")
 
 
-def _checked_bytes(name: str) -> bytes:
-    """The fixture's bytes, checked against the manifest's digest."""
-    raw = _read_bytes(name)
-    want = _manifest_files().get(name)
-    if want is None:
-        raise FixtureError(f"{name} is not listed in the manifest")
-    got = hashlib.sha256(raw).hexdigest()
-    if got != want:
-        raise FixtureError(f"checksum mismatch for {name}: {got} != {want}")
-    return raw
-
-
 @contextmanager
 def _evaluating(name: str):
     """Turn a data error that a suite raises while it evaluates fixture
@@ -129,21 +108,25 @@ def _evaluating(name: str):
 
 
 def load_fixture(name: str) -> dict:
-    """The parsed fixture, checked against the manifest's digest and
-    against the shape its suite reads."""
-    data = _parse(name, _checked_bytes(name))
+    """The parsed fixture, the one gate every fixture file passes: its
+    bytes are read, found in the manifest and checked against their
+    SHA-256 digest there, then parsed and checked against the shape its
+    suite reads."""
+    raw = _read_bytes(name)
+    manifest = _parse(MANIFEST_NAME, _read_bytes(MANIFEST_NAME))
+    files = manifest.get("files") if isinstance(manifest, dict) else None
+    if not isinstance(files, dict):
+        raise FixtureError(f"{MANIFEST_NAME} has no 'files' object")
+    want = files.get(name)
+    if want is None:
+        raise FixtureError(f"{name} is not listed in the manifest")
+    got = hashlib.sha256(raw).hexdigest()
+    if got != want:
+        raise FixtureError(f"checksum mismatch for {name}: {got} != {want}")
+    data = _parse(name, raw)
     if name in _SHAPES:
         _check_shape(data, _SHAPES[name], name)
     return data
-
-
-def verify_checksums() -> list:
-    """Names of all fixture files, each checked against its digest in the
-    manifest; each suite parses and shape-checks the files it reads."""
-    names = sorted(_manifest_files())
-    for name in names:
-        _checked_bytes(name)
-    return names
 
 
 _RATIO = re.compile(
@@ -233,28 +216,24 @@ def run_two_flip_suite() -> SuiteResult:
         labels = {name: Fraction(name[1:]) for name in data["labels"]}
         expected = evaluate_matrix(data["product"], labels)
         for order_no, order in enumerate(data["orders"]):
-            acc = None
-            for factor in order["factors"]:
-                m = evaluate_matrix(factor["matrix"], labels)
-                acc = m if acc is None else acc * m
+            acc = _fold("two_flip_commutation.json", order["factors"], labels)
             if acc != expected:
                 return SuiteResult("two-flip", False, f"order {order_no + 1}: "
                                    + _first_difference(acc, expected))
         return SuiteResult("two-flip", True)
 
 
-def _loop_product(name: str):
-    with _evaluating(name):
-        data = load_fixture(name)
-        expected = evaluate_matrix(data["product"])
-        acc = None
-        for pos, factor in enumerate(data["factors"]):
-            m = evaluate_matrix(factor["matrix"])
-            if any(s != 1 for s in m.column_sums()):
-                raise FixtureError(
-                    f"{name} factor {pos + 1}: column sums are not all 1")
-            acc = m if acc is None else acc * m
-        return acc, expected, len(data["factors"])
+def _fold(name: str, factors, labels) -> Matrix:
+    """The product of the factor matrices of fixture ``name``, left to
+    right; each factor's columns must sum to 1."""
+    acc = None
+    for pos, factor in enumerate(factors):
+        m = evaluate_matrix(factor["matrix"], labels)
+        if any(s != 1 for s in m.column_sums()):
+            raise FixtureError(
+                f"{name} factor {pos + 1}: column sums are not all 1")
+        acc = m if acc is None else acc * m
+    return acc
 
 
 def run_loop_suite() -> list:
@@ -263,11 +242,13 @@ def run_loop_suite() -> list:
     products = {}
     for name, label in (("braid_loop_4_8.json", "loop 4-8"),
                         ("braid_loop_5_7.json", "loop 5-7")):
-        acc, expected, count = _loop_product(name)
+        with _evaluating(name):
+            data = load_fixture(name)
+            expected = evaluate_matrix(data["product"])
+            acc = _fold(name, data["factors"], None)
         ok = acc == expected
-        detail = "" if ok else _first_difference(acc, expected)
-        if ok:
-            detail = f"{count} factors"
+        detail = (f"{len(data['factors'])} factors" if ok
+                  else _first_difference(acc, expected))
         results.append(SuiteResult(label, ok, detail))
         products[label] = expected
     with _evaluating("loop_commutation.json"):
@@ -284,7 +265,6 @@ def run_loop_suite() -> list:
 
 
 def run_all_suites() -> list:
-    verify_checksums()
     results = [run_pentagon_suite(), run_two_flip_suite()]
     results.extend(run_loop_suite())
     return results

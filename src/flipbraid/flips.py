@@ -124,6 +124,15 @@ def sequence_product(events, start_triangles, zeta):
     return Matrix._from_ints(num, den), frozenset(final)
 
 
+def loop_product(events, start, zeta) -> Matrix:
+    """The matrix of a closed flip log: ``sequence_product`` from the
+    triangle set ``start``, which the log must return to."""
+    matrix, final = sequence_product(events, start, zeta)
+    if final != frozenset(start):
+        raise AssertionError("flip log does not return to its start")
+    return matrix
+
+
 def _flip_block(event: FlipEvent, zeta) -> tuple:
     """The flip's 2x2 block as (a, b, c, d, den), the block being
     (a, b; c, d) / den: differences of the labels ``zeta``, so integers
@@ -173,17 +182,15 @@ PENTAGON_START = frozenset({(1, 2, 3), (1, 3, 4), (1, 4, 5)})
 def pentagon_cycle_product(labels) -> Matrix:
     """Product of the five cycle matrices, later flips on the left.
 
-    ``labels`` assigns the five points 1..5 their rational labels.
+    ``labels`` assigns the five points 1..5 five distinct rational labels.
     """
+    labels = [as_rational(z) for z in labels]
     if len(labels) != 5 or len(set(labels)) != 5:
         raise ValueError("need five distinct labels")
     zeta = {i + 1: v for i, v in enumerate(labels)}
     events = [FlipEvent(removed, inserted)
               for removed, inserted in PENTAGON_FLIPS]
-    product, final = sequence_product(events, PENTAGON_START, zeta)
-    if final != PENTAGON_START:
-        raise AssertionError("pentagon cycle did not close up")
-    return product
+    return loop_product(events, PENTAGON_START, zeta)
 
 
 # --- flip sequence JSON ------------------------------------------------------

@@ -221,13 +221,14 @@ def _overlap(quads):
     return None
 
 
-def extract_flip_sequence(ts: TrajectorySet, step=DEFAULT_STEP,
-                          floor=DEFAULT_FLOOR) -> list:
+def extract_flip_sequence(ts: TrajectorySet, step=None, floor=None) -> list:
     """Time-ordered FlipEvents of the motion, each with a rational bracket.
 
-    The endpoint configurations must be in general position.  Inside the
-    interval, degenerate sample times are jittered (the trajectory, which
-    defines the braid, is never perturbed).
+    ``step`` is the sample grid's spacing and ``floor`` the narrowest
+    bracket; either one left as None takes its default, ``DEFAULT_STEP``
+    or ``DEFAULT_FLOOR``.  The endpoint configurations must be in general
+    position.  Inside the interval, degenerate sample times are jittered
+    (the trajectory, which defines the braid, is never perturbed).
 
     The log can miss flips.  When a flip and its inverse both fall between
     two adjacent samples, the two triangulations agree and ``_refine``
@@ -236,7 +237,8 @@ def extract_flip_sequence(ts: TrajectorySet, step=DEFAULT_STEP,
     engine logs both.
     """
     _integer_frame(ts)
-    step, floor = as_rational(step), as_rational(floor)
+    step = DEFAULT_STEP if step is None else as_rational(step)
+    floor = DEFAULT_FLOOR if floor is None else as_rational(floor)
     if not 0 < floor <= step <= 1:
         raise ValueError("need 0 < floor <= step <= 1")
     start = _sample_at(ts, Fraction(0))
@@ -373,13 +375,21 @@ def _compare(x, y) -> int:
 
 def _format_time(t) -> str:
     """The exact time, and for an irrational one also its first six
-    decimals, truncated."""
+    decimals, truncated.
+
+    An irrational time is a root of its primitive minimal polynomial
+    A x^2 + B x + C, with A = w^2, B = -2uw and C = u^2 - v^2 d over their
+    gcd, and prints as (-B +- 1*sqrt(B^2 - 4AC))/(2A), the sign that of v:
+    one form whatever integer frame the time was computed in."""
     u, v, d, w, _ = t
     if v == 0:
         return str(Fraction(u, w))
+    a, b, c = w * w, -2 * u * w, u * u - v * v * d
+    g = math.gcd(a, b, c)
+    a, b, c = a // g, b // g, c // g
     sign = "+" if v > 0 else "-"
     micros = _floor_scaled(t, 10 ** 6)
-    return (f"({u} {sign} {abs(v)}*sqrt({d}))/{w}"
+    return (f"({-b} {sign} 1*sqrt({b * b - 4 * a * c}))/{2 * a}"
             f" = {micros // 10 ** 6}.{micros % 10 ** 6:06d}...")
 
 

@@ -169,6 +169,24 @@ def test_word_product_starts_from_the_first_letter(monkeypatch):
     assert len(calls) == 2
 
 
+def test_a_letter_that_does_not_return_home_is_refused(monkeypatch):
+    """A letter's flip log with its last flip dropped stops one flip short
+    of the home triangulation."""
+    from flipbraid import braids
+
+    letter_flips = braids.letter_flips
+
+    def without_last_flip(*args):
+        ts, events = letter_flips(*args)
+        return ts, events[:-1]
+
+    monkeypatch.setattr(braids, "letter_flips", without_last_flip)
+    braids._letter_result.cache_clear()
+    with pytest.raises(AssertionError,
+                       match="flip log does not return to its start"):
+        invariant(parse_word("b(1,2)", 3))
+
+
 def test_inverse_letter_is_matrix_inverse():
     """The reversed loop's matrix inverts the forward one, and its flips are
     the forward flips reflected: reversed in order and in direction."""

@@ -20,9 +20,9 @@ from flipbraid.geometry import (Configuration, LabeledPoint, _lifted_det,
                                 incircle)
 from flipbraid.kinetics import (DEFAULT_STEP, ClearanceError, TrajectorySet,
                                 UnresolvedEventError, _certificate, _compare,
-                                _floor_root, _floor_scaled, _integer_frame,
-                                _MoverKDS, _past_end, _rational_time,
-                                _sign_root, _sign_sum, _time,
+                                _floor_root, _floor_scaled, _format_time,
+                                _integer_frame, _MoverKDS, _past_end,
+                                _rational_time, _sign_root, _sign_sum, _time,
                                 configuration_at, exact_flip_sequence,
                                 extract_flip_sequence)
 
@@ -194,6 +194,20 @@ def test_simultaneous_overlapping_events_unresolved():
              for q in match.group(2, 3)]
     assert all(9 in q for q in quads)
     assert len(set(quads[0]) & set(quads[1])) > 2
+
+
+@pytest.mark.parametrize("scale", [F(1), F(3, 11)])
+def test_event_time_prints_the_same_in_every_frame(scale):
+    """The motion above with its interior points and path scaled: the
+    integer frame changes, and the printed time does not."""
+    interior = [(5, 0), (0, 5), (-5, 0), (0, -5), (4, 4), (0, 0)]
+    path = [(0, (0, 0)), (F(1, 2), (4, -4)), (1, (0, 0))]
+    _, ts = motion([(x * scale, y * scale) for x, y in interior],
+                   [(t, (x * scale, y * scale)) for t, (x, y) in path])
+    with pytest.raises(UnresolvedEventError) as info:
+        exact_flip_sequence(ts)
+    assert " at t = (0 + 1*sqrt(12800))/256 = 0.441941...: " \
+        in str(info.value)
 
 
 def test_a_later_batch_at_one_instant_joins_its_group():
@@ -463,6 +477,24 @@ def test_keyed_compare_agrees_with_exact_sign(data):
          else data.draw(engine_times()))
     event("one key" if x[4] == y[4] else "two keys")
     assert _compare(x, y) == unkeyed_compare(x, y) == -_compare(y, x)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(engine_times(), st.integers(2, 10 ** 3))
+def test_a_time_prints_one_form_however_it_is_written(t, factor):
+    """(u + v sqrt(d)) / w prints from its primitive minimal polynomial,
+    so scaling u, v, w, or moving a square from v into d, changes no
+    character."""
+    u, v, d, w, _ = t
+    text = _format_time(t)
+    assert _format_time(_time(u * factor, v * factor, d, w * factor)) == text
+    assert _format_time(
+        _time(u * factor, v, d * factor ** 2, w * factor)) == text
+    if v:
+        sign = "+" if v > 0 else "-"
+        assert re.fullmatch(
+            rf"\(-?\d+ \{sign} 1\*sqrt\(\d+\)\)/\d+ = -?\d+\.\d{{6}}\.\.\.",
+            text), text
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

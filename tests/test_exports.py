@@ -29,7 +29,7 @@ def test_retired_flip_records_are_gone():
 
 
 def test_retired_readers_and_duplicate_helpers_are_gone():
-    from flipbraid import braids, flips, geometry, kinetics, linalg
+    from flipbraid import braids, fixtures, flips, geometry, kinetics, linalg
 
     retired = {
         geometry: ("_strictly_inside_triangle", "_orient", "_incircle",
@@ -39,6 +39,8 @@ def test_retired_readers_and_duplicate_helpers_are_gone():
         kinetics.TrajectorySet: ("to_json_dict", "from_json_dict",
                                  "stationary_triangles"),
         flips: ("_event_from_json", "_integer_labels"),
+        fixtures: ("verify_checksums", "_manifest_files", "_checked_bytes",
+                   "_loop_product"),
         linalg: ("json_entries",),
         braids: ("_on_segment", "_commuting_pair_instances",
                  "LoopClearanceError"),
@@ -49,6 +51,23 @@ def test_retired_readers_and_duplicate_helpers_are_gone():
         for name in names:
             assert not hasattr(owner, name), (owner, name)
             assert name not in flipbraid.__all__
+
+
+def test_package_imports_only_the_standard_library():
+    """The package has no runtime dependency: every module it imports is
+    in the standard library or is the package itself."""
+    for path in sorted((ROOT / "src" / "flipbraid").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names or top == "flipbraid", (
+                    path.name, name)
 
 
 def test_every_traced_layer_function_resolves():

@@ -7,11 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from flipbraid import fixtures
 from flipbraid.cli import main
 from flipbraid.fixtures import (FixtureError, evaluate_entry,
                                 load_fixture, run_all_suites,
                                 run_loop_suite, run_pentagon_suite,
-                                run_two_flip_suite, verify_checksums)
+                                run_two_flip_suite)
 
 F = Fraction
 
@@ -26,10 +27,29 @@ def test_evaluate_entry():
 
 
 def test_checksums():
-    names = verify_checksums()
+    manifest = json.loads(fixtures._read_bytes(fixtures.MANIFEST_NAME))
+    names = sorted(manifest["files"])
     assert names == ["braid_loop_4_8.json", "braid_loop_5_7.json",
                      "loop_commutation.json", "pentagon_cycle.json",
                      "two_flip_commutation.json"]
+    for name in names:
+        load_fixture(name)
+
+
+def test_each_fixture_file_is_read_once_per_run(monkeypatch):
+    """``load_fixture`` is the one gate: a run reads each data file once."""
+    reads = []
+    read_bytes = fixtures._read_bytes
+
+    def counting(name):
+        reads.append(name)
+        return read_bytes(name)
+
+    monkeypatch.setattr(fixtures, "_read_bytes", counting)
+    assert all(r.ok for r in run_all_suites())
+    manifest = json.loads(read_bytes(fixtures.MANIFEST_NAME))
+    assert sorted(r for r in reads if r != fixtures.MANIFEST_NAME) == sorted(
+        manifest["files"])
 
 
 def test_pentagon_suite():
@@ -141,8 +161,6 @@ def test_malformed_manifest_fails_the_command(tmp_path, monkeypatch, capsys,
                                               manifest, message):
     copy_fixtures(tmp_path, monkeypatch)
     (tmp_path / "MANIFEST.json").write_text(manifest)
-    with pytest.raises(FixtureError, match=re.escape(message)):
-        verify_checksums()
     with pytest.raises(FixtureError, match=re.escape(message)):
         load_fixture("pentagon_cycle.json")
     assert main(["fixtures"]) == 1
@@ -267,6 +285,25 @@ def test_fixture_with_a_bad_value_fails_the_command(tmp_path, monkeypatch,
     load_fixture(name)
     with pytest.raises(FixtureError) as info:
         run_all_suites()
+    assert str(info.value) == message
+    assert main(["fixtures"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"FAIL fixtures: {message}\n"
+
+
+def test_two_flip_factor_whose_columns_do_not_sum_to_one(tmp_path,
+                                                         monkeypatch, capsys):
+    """Both orders of the two-flip pair pass the column-sum check of the
+    loop factors."""
+    copy_fixtures(tmp_path, monkeypatch)
+    name = "two_flip_commutation.json"
+    data = with_entry(("orders", 0, "factors", 0, "matrix", "entries", 0, 0),
+                      "2")(json.loads((tmp_path / name).read_text()))
+    replace_fixture(tmp_path, name, json.dumps(data).encode())
+    message = f"{name} factor 1: column sums are not all 1"
+    with pytest.raises(FixtureError) as info:
+        run_two_flip_suite()
     assert str(info.value) == message
     assert main(["fixtures"]) == 1
     captured = capsys.readouterr()

@@ -14,8 +14,8 @@ from flipbraid.fixtures import evaluate_matrix, load_fixture
 from flipbraid.flips import (PENTAGON_FLIPS, PENTAGON_START,
                              BasisMismatchError, build_flip_matrix,
                              flip_sequence_from_json, flip_sequence_to_json,
-                             gamma_generator_name, pentagon_cycle_product,
-                             sequence_product)
+                             gamma_generator_name, loop_product,
+                             pentagon_cycle_product, sequence_product)
 from flipbraid.linalg import Matrix, mat_inverse
 
 ZETA_ID = {i: Fraction(i) for i in range(1, 12)}
@@ -244,6 +244,30 @@ def test_pentagon_cycle_product_matches_dense_fold():
 def test_pentagon_cycle_product_needs_five_distinct_labels(labels):
     with pytest.raises(ValueError, match="need five distinct labels"):
         pentagon_cycle_product([Fraction(v) for v in labels])
+
+
+def test_pentagon_cycle_product_compares_labels_as_rationals():
+    """Labels are coerced before the distinct check, so one rational
+    written two ways is one label."""
+    for labels in (["1", "1/1", "2", "3", "4"], [2, Fraction(4, 2), 3, 4, 5],
+                   ["-1/2", Fraction(-1, 2), 0, 1, 2]):
+        with pytest.raises(ValueError, match="need five distinct labels"):
+            pentagon_cycle_product(labels)
+    mixed = [1, Fraction(5, 2), "3", 4, Fraction(-7, 3)]
+    product = pentagon_cycle_product(mixed)
+    assert product.is_identity()
+    assert product == pentagon_cycle_product([Fraction(v) for v in mixed])
+
+
+def test_loop_product_refuses_an_open_log():
+    events = [FlipEvent(removed, inserted)
+              for removed, inserted in PENTAGON_FLIPS]
+    assert loop_product(events, PENTAGON_START, ZETA_ID).is_identity()
+    assert loop_product([], PENTAGON_START, ZETA_ID).is_identity()
+    for open_log in (events[:1], events[:-1]):
+        with pytest.raises(AssertionError,
+                           match="flip log does not return to its start"):
+            loop_product(open_log, PENTAGON_START, ZETA_ID)
 
 
 @pytest.mark.parametrize("n", [4, 5])

@@ -7,9 +7,9 @@ from flipbraid.delaunay import (DegenerateConfigurationError, apply_flip,
                                 build_delaunay)
 from flipbraid.flips import sequence_product
 from flipbraid.geometry import Configuration, LabeledPoint, incircle
-from flipbraid.kinetics import (Trajectory, TrajectorySet,
-                                UnresolvedEventError, configuration_at,
-                                extract_flip_sequence)
+from flipbraid.kinetics import (DEFAULT_FLOOR, DEFAULT_STEP, Trajectory,
+                                TrajectorySet, UnresolvedEventError,
+                                configuration_at, extract_flip_sequence)
 
 F = Fraction
 
@@ -89,6 +89,21 @@ def test_static_trajectories_no_events():
     config = make_config(STATIC_TRIPLE + [(5, 5)])
     ts = TrajectorySet.from_motion(config, {})
     assert extract_flip_sequence(ts) == []
+
+
+def test_sampler_fills_in_its_defaults():
+    """A step or floor left as None is ``DEFAULT_STEP`` or
+    ``DEFAULT_FLOOR``."""
+    from flipbraid.braids import (BraidLetter, canonical_setup,
+                                  generator_trajectories)
+
+    ts = generator_trajectories(canonical_setup(3), BraidLetter(1, 2, 1))
+    floor = F(1, 2 ** 20)
+    events = extract_flip_sequence(ts)
+    assert events
+    assert events == extract_flip_sequence(ts, DEFAULT_STEP, DEFAULT_FLOOR)
+    assert extract_flip_sequence(ts, None, floor) \
+        == extract_flip_sequence(ts, DEFAULT_STEP, floor)
 
 
 def square_crossing_ts():

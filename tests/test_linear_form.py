@@ -3,9 +3,11 @@
 Write N_g = M(g) - I for each generator g = b(i,j), and e_g(w) for the
 exponent sum of g in a word w.  Every product N_g N_h is zero, so the
 letters' matrices commute and M(w) = I + sum_g e_g(w) N_g: the invariant
-is abelian and records the pairwise winding numbers.  These tests pin
-that linear form; the ``far_comm`` and ``pb_all`` families cannot see it,
-since any commuting letter matrices pass them.
+is abelian and records the pairwise winding numbers.  The images of the
+N_g span an n-dimensional space V inside their common kernel K, of
+dimension n + 1.  These tests pin that linear form; the ``far_comm`` and
+``pb_all`` families cannot see it, since any commuting letter matrices
+pass them.
 """
 
 import random
@@ -16,7 +18,7 @@ import pytest
 
 from flipbraid.braids import invariant, parse_word, word_from_pairs
 
-STRANDS = (3, 4, 5)
+STRANDS = (3, 4, 5, 6)
 
 
 def generator_parts(n) -> dict:
@@ -65,6 +67,23 @@ def test_generator_parts_multiply_to_zero(n):
 def test_generator_parts_have_rank_two(n):
     for g, n_g in generator_parts(n).items():
         assert rank(n_g) == 2, g
+
+
+@pytest.mark.parametrize("n", STRANDS)
+def test_images_span_n_dimensions_inside_the_common_kernel(n):
+    """V, the span of the images of the N_g, has dimension n; K, their
+    common kernel, has dimension n + 1; V lies in K; and the n(n-1)/2
+    matrices N_g are linearly independent."""
+    parts = generator_parts(n)
+    size = 2 * n + 1
+    images = [list(col) for n_g in parts.values() for col in zip(*n_g)]
+    stacked = [row for n_g in parts.values() for row in n_g]
+    assert rank(images) == n
+    assert size - rank(stacked) == n + 1
+    assert all(sum(x * y for x, y in zip(row, image)) == 0
+               for row in stacked for image in images)
+    flat = [[x for row in n_g for x in row] for n_g in parts.values()]
+    assert rank(flat) == len(parts) == n * (n - 1) // 2
 
 
 @pytest.mark.parametrize("n", STRANDS)
