@@ -225,7 +225,10 @@ def run_two_flip_suite() -> SuiteResult:
 
 def _fold(name: str, factors, labels) -> Matrix:
     """The product of the factor matrices of fixture ``name``, left to
-    right; each factor's columns must sum to 1."""
+    right; there must be at least one, and each one's columns must sum to
+    1."""
+    if not factors:
+        raise FixtureError(f"{name} has no factors")
     acc = None
     for pos, factor in enumerate(factors):
         m = evaluate_matrix(factor["matrix"], labels)

@@ -6,10 +6,10 @@ rational bracket (t_lo, t_hi) around its time.
 ``exact_flip_sequence`` is the kinetic event engine for a motion of one
 point, the default path of the invariant and the command line.  On each
 linear segment of the mover's path, the certificate of every interior edge
-whose quad holds the mover is its lifted incircle determinant, a quadratic
-in time.  Each flip happens at a root of one of them; the roots lie in
-Q(sqrt(D)) and are computed and ordered exactly, with integer arithmetic.
-It samples nothing.
+whose quad holds the mover, its lifted incircle determinant, is a quadratic
+in time, seven products from a per-motion table of cofactors.  Each flip
+happens at a root of one of them; the roots lie in Q(sqrt(D)) and are
+computed and ordered exactly, with integer arithmetic.  It samples nothing.
 
 ``extract_flip_sequence`` samples: configurations are evaluated at exact
 rational sample times, adjacent Delaunay triangulations are diffed, and
@@ -435,34 +435,31 @@ def _bracket(t, before, after) -> tuple:
         m += 1
 
 
-def _certificate(a, b, c, r, delta) -> tuple:
-    """(a2, b2, c2), twice the coefficients of the lifted incircle
-    determinant of a quad as a quadratic in s, when the mover holds place r
-    of the quad at m0 + s*delta and a, b, c are the other three points in
-    quad order, each given as (x, y, x^2 + y^2) relative to m0.
+def _cofactors(a, b, c, odd: int) -> tuple:
+    """(alpha, beta_x, beta_y, gamma) with alpha |p|^2 + beta.p + gamma
+    twice the lifted incircle determinant of a quad, when the mover at p
+    holds an odd place in it if ``odd`` (an even one if not) and a, b, c
+    are the other three integer points in quad order.
 
     Expanding the 4x4 lifted determinant along the mover's row leaves the
-    cofactors of the three fixed points: their lifted 3x3 determinant, the
-    orientation of (a, b, c) and two minors of the lift; moving the mover's
-    row to the bottom gives the sign (-1)^(3-r).
+    cofactors of the three constant points: their lifted 3x3 determinant,
+    the orientation of (a, b, c) and two minors of the lift; moving the
+    mover's row from place r to the bottom gives the sign (-1)^(3-r).
     """
-    (ax, ay, an), (bx, by, bn), (cx, cy, cn) = a, b, c
-    dx, dy = delta
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    an, bn, cn = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
     bax, bay, ban = bx - ax, by - ay, bn - an
     cax, cay, can = cx - ax, cy - ay, cn - an
     lifted = (an * (bx * cy - by * cx) + bn * (cx * ay - cy * ax)
               + cn * (ax * by - ay * bx))
-    orient = bax * cay - bay * cax
-    minor_y = bay * can - cay * ban
-    minor_x = bax * can - cax * ban
-    sign = 2 if r % 2 else -2
-    return (-sign * (dx * dx + dy * dy) * orient,
-            sign * (dy * minor_x - dx * minor_y), sign * lifted)
+    sign = 2 if odd else -2
+    return (sign * (cax * bay - bax * cay), sign * (cay * ban - bay * can),
+            sign * (bax * can - cax * ban), sign * lifted)
 
 
 def _past_end(a2, b2, c2) -> bool:
     """True when the failure root of a2 s^2 + b2 s + c2, which
-    ``_MoverKDS._failure`` asks about only when that root exists, lies at
+    ``_MoverKDS._certify`` asks about only when that root exists, lies at
     s >= 1; decided from signs, with no square root.
 
     g = a2 + b2 + c2 and h = 2 a2 + b2 are the value and the slope at
@@ -493,19 +490,20 @@ class _MoverKDS:
     orientation certificate never fails first: the mover enters the
     circumdisk across an edge before it can reach the edge.
 
-    Per segment, the constant points, on the integer frame of
-    ``_integer_frame``, are lifted once relative to the mover's start, and
-    each certificate's quadratic comes from the cofactors of its three
-    constant points (``_certificate``).  A root at or past the segment end
-    is dropped by signs alone (``_past_end``); the others become keyed
-    times, so finding the earliest one compares integers and runs the exact
-    test only on key ties.
+    On the integer frame of ``_integer_frame``, a certificate is
+    alpha |p|^2 + beta.p + gamma in the mover's position p; the table
+    ``cofactors`` holds these cofactors of each quad's constant points
+    (``_cofactors``), once per motion, and a segment adds seven products.
+    A root at or past the segment end is dropped by signs alone
+    (``_past_end``); the others become keyed times, so finding the earliest
+    one compares integers and runs the exact test only on key ties.
     """
 
     def __init__(self, ts: TrajectorySet, start: frozenset, fixed: dict):
         self.mover, self.fixed = ts.movers[0], fixed
         positions = ts.initial.int_positions
         self.apex = {}
+        self.cofactors = {}  # quad, edge increasing -> its cofactors
         for a, b, c in start:
             if orient2d(positions[a], positions[b], positions[c]) < 0:
                 b, c = c, b
@@ -519,10 +517,10 @@ class _MoverKDS:
         A failure exactly at t1 belongs to the next segment, which sees the
         sign the certificate takes after t1."""
         x0, y0 = m0
-        # the constant points relative to the mover's start, lifted
-        self.lifted = {index: (x - x0, y - y0, (x - x0) ** 2 + (y - y0) ** 2)
-                       for index, (x, y) in self.fixed.items()}
-        self.delta = (m1[0] - x0, m1[1] - y0)
+        dx, dy = m1[0] - x0, m1[1] - y0
+        # |delta|^2, 2 m0.delta, delta, |m0|^2 and m0: see _certify
+        self.terms = (dx * dx + dy * dy, 2 * (x0 * dx + y0 * dy), dx, dy,
+                      x0 * x0 + y0 * y0, x0, y0)
         # ([t0 * q, (t1 - t0) * q], q), integers over one denominator q
         self.segment = clear_denominators((t0, t1 - t0))
         self.now = _rational_time(t0)
@@ -571,46 +569,48 @@ class _MoverKDS:
         """(Re)schedule the certificate of edge (u, v).  Edges of the
         boundary triangle carry none; a quad of constant points is checked
         once, when the edge gets it, and never changes.  A quad holding the
-        mover gets its quadratic from ``_certificate``."""
-        edge = (u, v) if u < v else (v, u)
-        certs.pop(edge, None)
+        mover is (a2 s^2 + b2 s + c2) / 2 at m0 + s delta, where
+        a2 = alpha |delta|^2, b2 = 2 alpha m0.delta + beta.delta and
+        c2 = alpha |m0|^2 + beta.m0 + gamma.  Valid certificates are
+        negative just after ``now``, so it fails at the root where the
+        derivative is positive, or a double root where it only touches
+        zero from above, (-b2 + sqrt(b2^2 - 4 a2 c2)) / (2 a2), unless
+        ``_past_end`` puts that at or past the segment end."""
+        if u > v:
+            u, v = v, u
+        certs.pop((u, v), None)
         c, d = self.apex.get((u, v)), self.apex.get((v, u))
         if c is None or d is None:
             return
         quad = (u, v, c, d)
-        if self.mover not in quad:
-            if _lifted_det(*(self.fixed[i] for i in quad)):
-                return
-            raise DegenerateConfigurationError(quad)
-        r = quad.index(self.mover)
-        a, b, c = map(self.lifted.__getitem__, quad[:r] + quad[r + 1:])
-        when = self._failure(*_certificate(a, b, c, r, self.delta), quad)
-        if when is not None:
-            certs[edge] = when
-
-    def _failure(self, a2, b2, c2, quad):
-        """The time in [now, segment end) at which the certificate
-        (a2 s^2 + b2 s + c2) / 2 turns positive, or None.  Valid certificates
-        are negative just after ``now``, so that time is the root where the
-        derivative is positive, or a double root where the certificate only
-        touches zero from above, (-b2 + sqrt(b2^2 - 4 a2 c2)) / (2 a2).
-        ``_past_end`` drops a root at or past the segment end before it is
-        computed."""
+        cofactors = self.cofactors.get(quad)
+        if cofactors is None:
+            if self.mover not in quad:
+                if _lifted_det(*(self.fixed[i] for i in quad)):
+                    return
+                raise DegenerateConfigurationError(quad)
+            r = quad.index(self.mover)
+            cofactors = self.cofactors[quad] = _cofactors(*map(
+                self.fixed.__getitem__, quad[:r] + quad[r + 1:]), r & 1)
+        alpha, beta_x, beta_y, gamma = cofactors
+        dd, md, dx, dy, mm, x0, y0 = self.terms
+        a2 = alpha * dd
+        b2 = alpha * md + beta_x * dx + beta_y * dy
+        c2 = alpha * mm + beta_x * x0 + beta_y * y0 + gamma
         (a0, a1), q = self.segment
         if a2 == 0:
             if b2 == 0 and c2 == 0:
                 raise DegenerateConfigurationError(quad)
             if b2 <= 0 or _past_end(a2, b2, c2):
-                return None
+                return
             when = _time(a0 * b2 - a1 * c2, 0, 0, b2 * q)
         else:
             disc = b2 * b2 - 4 * a2 * c2
             if disc < 0 or (disc == 0 and a2 < 0) or _past_end(a2, b2, c2):
-                return None
+                return
             when = _time(2 * a2 * a0 - a1 * b2, a1, disc, 2 * a2 * q)
-        if _compare(when, self.now) < 0:
-            return None
-        return when
+        if _compare(when, self.now) >= 0:
+            certs[u, v] = when
 
     def _check_simultaneous(self, when, due, earlier) -> None:
         """Flips at one instant must pairwise far-commute, the ``earlier``
@@ -638,8 +638,8 @@ class _MoverKDS:
         return ((u, v) if u < v else (v, u)), ((c, d) if c < d else (d, c))
 
     def triangles(self) -> frozenset:
-        return frozenset(triangle(u, v, w)
-                         for (u, v), w in self.apex.items())
+        return frozenset(triangle(u, v, w) for (u, v), w in self.apex.items()
+                         if u < v and u < w)
 
     def bracketed_events(self) -> list:
         """One FlipEvent per flip, in order, with its group's bracket."""

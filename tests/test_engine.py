@@ -4,6 +4,7 @@ import hashlib
 import math
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, event, example, given, settings
@@ -19,10 +20,10 @@ from flipbraid.flips import sequence_product
 from flipbraid.geometry import (Configuration, LabeledPoint, _lifted_det,
                                 incircle)
 from flipbraid.kinetics import (DEFAULT_STEP, ClearanceError, TrajectorySet,
-                                UnresolvedEventError, _certificate, _compare,
-                                _floor_root, _floor_scaled, _format_time,
-                                _integer_frame, _MoverKDS, _past_end,
-                                _rational_time, _sign_root, _sign_sum, _time,
+                                UnresolvedEventError, _compare, _floor_root,
+                                _floor_scaled, _format_time, _integer_frame,
+                                _MoverKDS, _past_end, _rational_time,
+                                _sign_root, _sign_sum, _time,
                                 configuration_at, exact_flip_sequence,
                                 extract_flip_sequence)
 
@@ -421,20 +422,54 @@ BIG = st.integers(-10 ** 6, 10 ** 6)
 INT_POINT = st.tuples(BIG, BIG)
 
 
+def failure_before_one(a2, b2, c2):
+    """The time in [0, 1) at which a2 s^2 + b2 s + c2, negative just after
+    0, turns positive, or None: a root where the slope is positive, or a
+    double root where the quadratic only touches zero from above."""
+    if a2 == 0:
+        when = _time(-c2, 0, 0, b2) if b2 > 0 else None
+    else:
+        disc = b2 * b2 - 4 * a2 * c2
+        when = (_time(-b2, 1, disc, 2 * a2)
+                if disc > 0 or (disc == 0 and a2 > 0) else None)
+    if (when is None or _compare(when, _rational_time(F(0))) < 0
+            or _compare(when, _rational_time(F(1))) >= 0):
+        return None
+    return when
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.lists(INT_POINT, min_size=3, max_size=3), INT_POINT, INT_POINT,
        st.integers(0, 3))
 def test_certificate_matches_three_lifted_determinants(others, m0, delta, r):
-    """The cofactor quadratic equals the one fitted through the lifted
-    determinants with the mover, in place r of the quad, at s = 0, 1, 2."""
-    f0, f1, f2 = (
-        _lifted_det(*others[:r], (m0[0] + s * delta[0], m0[1] + s * delta[1]),
-                    *others[r:])
-        for s in range(3))
-    lifted = [(x - m0[0], y - m0[1], (x - m0[0]) ** 2 + (y - m0[1]) ** 2)
-              for x, y in others]
-    assert (_certificate(*lifted, r, delta)
-            == (f2 - 2 * f1 + f0, 4 * f1 - f2 - 3 * f0, 2 * f0))
+    """The quadratic fitted through the lifted determinants with the mover,
+    in place r of the quad (1, 2, 3, 4), at s = 0, 1, 2 on the segment
+    m0 + s delta for s in [0, 1]: the cofactor table's entry gives those
+    determinants, and the certificate that ``_certify`` evaluates from it
+    on the segment fails at the fitted quadratic's failure root."""
+    points = [(m0[0] + s * delta[0], m0[1] + s * delta[1]) for s in range(3)]
+    f0, f1, f2 = (_lifted_det(*others[:r], p, *others[r:]) for p in points)
+    a2, b2, c2 = f2 - 2 * f1 + f0, 4 * f1 - f2 - 3 * f0, 2 * f0
+    ts = SimpleNamespace(movers=(r + 1,),
+                         initial=SimpleNamespace(int_positions={}))
+    kds = _MoverKDS(ts, frozenset(),
+                    dict(zip((1, 2, 3, 4)[:r] + (1, 2, 3, 4)[r + 1:], others)))
+    kds.run_segment(F(0), m0, F(1), points[1])
+    kds.apex = {(1, 2): 3, (2, 1): 4}
+    certs = {}
+    if a2 == b2 == c2 == 0:
+        event("degenerate")
+        with pytest.raises(DegenerateConfigurationError):
+            kds._certify(certs, 2, 1)
+    else:
+        kds._certify(certs, 2, 1)
+        event("fails in the segment" if certs else "holds through the segment")
+    (alpha, beta_x, beta_y, gamma), = kds.cofactors.values()
+    assert list(kds.cofactors) == [(1, 2, 3, 4)]
+    assert [alpha * (x * x + y * y) + beta_x * x + beta_y * y + gamma
+            for x, y in points] == [2 * f0, 2 * f1, 2 * f2]
+    when = failure_before_one(a2, b2, c2)
+    assert certs == ({} if when is None else {(1, 2): when})
 
 
 NONSQUARE = st.integers(2, 10 ** 6).filter(

@@ -35,7 +35,8 @@ def test_retired_readers_and_duplicate_helpers_are_gone():
         geometry: ("_strictly_inside_triangle", "_orient", "_incircle",
                    "validate_general_position"),
         geometry.Configuration: ("to_json_dict", "from_json_dict", "_moved"),
-        kinetics: ("_trajectory_from_json", "_far_commuting"),
+        kinetics: ("_trajectory_from_json", "_far_commuting",
+                   "_certificate"),
         kinetics.TrajectorySet: ("to_json_dict", "from_json_dict",
                                  "stationary_triangles"),
         flips: ("_event_from_json", "_integer_labels"),
@@ -45,7 +46,7 @@ def test_retired_readers_and_duplicate_helpers_are_gone():
         braids: ("_on_segment", "_commuting_pair_instances",
                  "LoopClearanceError"),
         braids.BraidLetter: ("inverse",),
-        kinetics._MoverKDS: ("_check_clearance",),
+        kinetics._MoverKDS: ("_check_clearance", "_failure"),
     }
     for owner, names in retired.items():
         for name in names:
@@ -68,6 +69,58 @@ def test_package_imports_only_the_standard_library():
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names or top == "flipbraid", (
                     path.name, name)
+
+
+EXACT_MATH = {"gcd", "isqrt", "lcm"}
+
+
+def float_uses(source: str, exempt=()) -> list:
+    """(line, what) for each float literal, use of the name ``float`` and
+    ``math`` name other than those of ``EXACT_MATH`` in ``source``, outside
+    the functions named in ``exempt``."""
+    tree = ast.parse(source)
+    skipped = {id(inner) for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name in exempt
+               for inner in ast.walk(node)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Constant) and isinstance(node.value,
+                                                         (float, complex)):
+            found.append((node.lineno, repr(node.value)))
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append((node.lineno, "float"))
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name) and node.value.id == "math"
+              and node.attr not in EXACT_MATH):
+            found.append((node.lineno, f"math.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found.extend((node.lineno, f"math.{alias.name}")
+                         for alias in node.names
+                         if alias.name not in EXACT_MATH)
+    return found
+
+
+def test_no_float_decides_anything():
+    """Exactness: the package computes with integers and Fractions only.
+    No module has a float literal, uses the name ``float`` or takes from
+    ``math`` more than its integer functions; only ``render_svg``, which
+    draws, converts coordinates to floats."""
+    for path in sorted((ROOT / "src" / "flipbraid").glob("*.py")):
+        exempt = ("render_svg",) if path.name == "delaunay.py" else ()
+        assert float_uses(path.read_text(), exempt) == [], path.name
+
+
+def test_float_guard_sees_each_kind_of_float():
+    """The guard above finds what it looks for, and skips an exempt
+    function."""
+    source = ("import math\nfrom math import sqrt, gcd\n"
+              "def f(x):\n    return float(x) + 0.5 + math.floor(x)"
+              " + math.isqrt(x)\n"
+              "def render_svg(x):\n    return float(x)\n")
+    assert sorted(float_uses(source, ("render_svg",))) == [
+        (2, "math.sqrt"), (4, "0.5"), (4, "float"), (4, "math.floor")]
 
 
 def test_every_traced_layer_function_resolves():

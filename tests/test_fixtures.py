@@ -309,3 +309,25 @@ def test_two_flip_factor_whose_columns_do_not_sum_to_one(tmp_path,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"FAIL fixtures: {message}\n"
+
+
+@pytest.mark.parametrize("name, path", [
+    ("braid_loop_4_8.json", ("factors",)),
+    ("two_flip_commutation.json", ("orders", 1, "factors")),
+], ids=["loop", "two-flip-order"])
+def test_empty_factor_list_fails_the_command(tmp_path, monkeypatch, capsys,
+                                              name, path):
+    """A factor list that is empty under a matching digest has the right
+    shape but no product: the command names the file, not a traceback."""
+    copy_fixtures(tmp_path, monkeypatch)
+    data = with_entry(path, [])(json.loads((tmp_path / name).read_text()))
+    replace_fixture(tmp_path, name, json.dumps(data).encode())
+    load_fixture(name)
+    message = f"{name} has no factors"
+    with pytest.raises(FixtureError) as info:
+        run_all_suites()
+    assert str(info.value) == message
+    assert main(["fixtures"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"FAIL fixtures: {message}\n"
