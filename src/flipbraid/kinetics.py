@@ -3,13 +3,16 @@
 Two extractors return the time-ordered FlipEvents of a motion, each with a
 rational bracket (t_lo, t_hi) around its time.
 
-``exact_flip_sequence`` is the kinetic event engine for a motion of one
-point, the default path of the invariant and the command line.  On each
-linear segment of the mover's path, the certificate of every interior edge
-whose quad holds the mover, its lifted incircle determinant, is a quadratic
-in time, seven products from a per-motion table of cofactors.  Each flip
-happens at a root of one of them; the roots lie in Q(sqrt(D)) and are
-computed and ordered exactly, with integer arithmetic.  It samples nothing.
+``exact_flip_sequence`` is the exact event engine for a motion of one
+point, the default path of the invariant and the command line.  With the
+other points P fixed, Bowyer-Watson insertion (Bowyer, Comput. J. 24(2),
+1981; Watson, same issue) makes the triangulation the Delaunay
+triangulation DT(P) less the cavity of triangles whose circumdisk holds the
+mover, plus the mover's fan over it.  So each flip happens when the mover
+crosses the circumcircle of a triangle of DT(P): on each linear segment of
+its path, a root of that circle's polynomial, a quadratic in time.  The
+roots lie in Q(sqrt(D)) and are computed and ordered exactly, with integer
+arithmetic.  It samples nothing.
 
 ``extract_flip_sequence`` samples: configurations are evaluated at exact
 rational sample times, adjacent Delaunay triangulations are diffed, and
@@ -24,24 +27,27 @@ point keeps its initial position.  Both extractors first check, once, that
 each mover stays inside the boundary triangle and misses every stationary
 point; movers are not checked against each other.  Each sample is a
 validated ``Configuration`` triangulated by ``build_delaunay``.  The engine
-builds the triangulation of the initial configuration once and moves it by
-flips.  It checks the final one with the O(n) local edge test, or, when the
-mover's path returns to its start, by equality with the initial one.
+builds the triangulation of the initial configuration and DT(P) once, and
+checks that inserting the mover's start into DT(P) gives the former.  It
+moves the triangulation by flips and checks the final one with the O(n)
+local edge test, or, when the mover's path returns to its start, by
+equality with the initial one.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .delaunay import (DegenerateConfigurationError, FlipEvent, apply_flip,
-                       build_delaunay, diff_flips, triangle, verify_delaunay)
+                       build_delaunay, diff_flips, insert_point, triangle,
+                       verify_delaunay)
 from .geometry import (Configuration, LabeledPoint, _integer_points,
-                       _inside, _lifted_det, _segment_meets, incircle,
-                       orient2d)
+                       _inside, _segment_meets, incircle, orient2d)
 from .linalg import as_rational, clear_denominators
 
 DEFAULT_STEP = Fraction(1, 64)
@@ -354,10 +360,6 @@ def _time(u, v, d, w) -> tuple:
     return (u, v, d, w, _floor_root(u, v, d, w, 1 << _KEY_BITS))
 
 
-def _rational_time(t) -> tuple:
-    return _time(t.numerator, 0, 0, t.denominator)
-
-
 def _dyadic_time(k, m) -> tuple:
     """The time k / 2^m, with its key from a shift."""
     key = k << (_KEY_BITS - m) if m <= _KEY_BITS else k >> (m - _KEY_BITS)
@@ -435,16 +437,15 @@ def _bracket(t, before, after) -> tuple:
         m += 1
 
 
-def _cofactors(a, b, c, odd: int) -> tuple:
-    """(alpha, beta_x, beta_y, gamma) with alpha |p|^2 + beta.p + gamma
-    twice the lifted incircle determinant of a quad, when the mover at p
-    holds an odd place in it if ``odd`` (an even one if not) and a, b, c
-    are the other three integer points in quad order.
+def _cofactors(a, b, c) -> tuple:
+    """(alpha, beta_x, beta_y, gamma) with alpha |p|^2 + beta.p + gamma the
+    lifted incircle determinant of integer points (a, b, c, p): positive
+    exactly when p lies inside the circumcircle of a counterclockwise
+    triangle (a, b, c), where alpha < 0.
 
-    Expanding the 4x4 lifted determinant along the mover's row leaves the
-    cofactors of the three constant points: their lifted 3x3 determinant,
-    the orientation of (a, b, c) and two minors of the lift; moving the
-    mover's row from place r to the bottom gives the sign (-1)^(3-r).
+    Expanding the 4x4 lifted determinant along the row of p leaves the
+    cofactors of a, b and c: their lifted 3x3 determinant, minus their
+    doubled signed area and two minors of the lift.
     """
     (ax, ay), (bx, by), (cx, cy) = a, b, c
     an, bn, cn = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
@@ -452,180 +453,175 @@ def _cofactors(a, b, c, odd: int) -> tuple:
     cax, cay, can = cx - ax, cy - ay, cn - an
     lifted = (an * (bx * cy - by * cx) + bn * (cx * ay - cy * ax)
               + cn * (ax * by - ay * bx))
-    sign = 2 if odd else -2
-    return (sign * (cax * bay - bax * cay), sign * (cay * ban - bay * can),
-            sign * (bax * can - cax * ban), sign * lifted)
+    return (cax * bay - bax * cay, cay * ban - bay * can,
+            bax * can - cax * ban, lifted)
 
 
-def _past_end(a2, b2, c2) -> bool:
-    """True when the failure root of a2 s^2 + b2 s + c2, which
-    ``_MoverKDS._certify`` asks about only when that root exists, lies at
-    s >= 1; decided from signs, with no square root.
+def _segment_quadratics(circles: dict, m0, m1):
+    """(triangle, a2, b2, c2) for each entry of ``circles``, triangle ->
+    cofactors: a2 s^2 + b2 s + c2 is its circle's polynomial at the point
+    m0 + s delta, delta = m1 - m0, with a2 = alpha |delta|^2,
+    b2 = 2 alpha m0.delta + beta.delta and c2 = alpha |m0|^2 + beta.m0 +
+    gamma: seven products on terms shared by the segment."""
+    x0, y0 = m0
+    dx, dy = m1[0] - x0, m1[1] - y0
+    dd, md = dx * dx + dy * dy, 2 * (x0 * dx + y0 * dy)
+    mm = x0 * x0 + y0 * y0
+    for tri, (alpha, beta_x, beta_y, gamma) in circles.items():
+        yield (tri, alpha * dd, alpha * md + beta_x * dx + beta_y * dy,
+               alpha * mm + beta_x * x0 + beta_y * y0 + gamma)
+
+
+def _crossings(a2, b2, c2, inside: bool) -> tuple:
+    """The crossings in [0, 1) of a circle whose polynomial is
+    a2 s^2 + b2 s + c2 with a2 < 0, positive inside it, between its roots
+    r1 <= r2 = (-b2 -+ sqrt(D)) / (2 a2), D = b2^2 - 4 a2 c2: +1 for
+    entering at r1, -1 for leaving at r2, in order.  ``inside`` is whether
+    the point is inside just before s = 0, so c2 >= 0 if it is and c2 <= 0
+    if not.  Decided from signs, with no square root.
 
     g = a2 + b2 + c2 and h = 2 a2 + b2 are the value and the slope at
-    s = 1.  For a2 > 0 the failure root is the larger root, at s >= 1 iff
-    g <= 0 or the vertex -b2 / (2 a2) is at s >= 1 (h <= 0); for a2 < 0 it
-    is the smaller root, at s >= 1 iff g <= 0 and h >= 0.  A linear
-    certificate fails at -c2 / b2 with b2 > 0.
+    s = 1, and r2 < 1 iff g < 0 and h < 0.  From inside, r2 >= 0, so the
+    point leaves iff r2 < 1, at a double root at s = 0 too.  From outside
+    it enters iff D > 0 and 0 <= r1 < 1: iff b2 > 0, as c2 <= 0, and
+    g > 0 or h < 0.  A root at s = 1 belongs to the next segment, and a
+    double root from outside only touches the circle.
     """
-    if a2 == 0:
-        return b2 + c2 <= 0
     g, h = a2 + b2 + c2, 2 * a2 + b2
-    if a2 > 0:
-        return g <= 0 or h <= 0
-    return g <= 0 and h >= 0
+    leaves = g < 0 and h < 0
+    if inside:
+        return (-1,) if leaves else ()
+    if b2 <= 0 or (g <= 0 and h >= 0) or b2 * b2 <= 4 * a2 * c2:
+        return ()
+    return (1, -1) if leaves else (1,)
 
 
 class _MoverKDS:
-    """Kinetic Delaunay triangulation of one moving point among constant
-    points (Basch, Guibas and Hershberger, J. Algorithms 1999).
+    """Delaunay triangulation of one moving point m among stationary points
+    P, moved by flips where m crosses the circumcircles of DT(P).
+
+    Bowyer-Watson insertion (Bowyer, Comput. J. 24(2), 1981; Watson, same
+    issue) gives DT(P + m) as DT(P) less the cavity, the triangles whose
+    circumdisk holds m, plus the fan from m over the cavity's boundary.
+    DT(P) stays fixed, so the triangulation changes only when m crosses the
+    circumcircle of a triangle T of DT(P), and then by one flip: T joins
+    the cavity by the flip of its edge that faces m, and leaves it by the
+    flip of the spoke from m to its middle vertex.  Unlike the per-edge
+    certificates of a kinetic data structure (Basch, Guibas and
+    Hershberger, J. Algorithms 1999), a segment needs one circle
+    polynomial per triangle of DT(P) and one exact time per flip.
 
     The triangulation is held as ``apex``: directed edge (u, v) -> w for
-    every counterclockwise triangle (u, v, w).  The certificate of an
-    interior edge (u, v) is the lifted incircle determinant of
-    (u, v, apex[u, v], apex[v, u]), negative while the edge is locally
-    Delaunay.  Only quads holding the mover change, and on a linear segment
-    of its path each such certificate is a quadratic in the segment
-    parameter; an edge fails at the root where it turns positive.  An
-    orientation certificate never fails first: the mover enters the
-    circumdisk across an edge before it can reach the edge.
-
-    On the integer frame of ``_integer_frame``, a certificate is
-    alpha |p|^2 + beta.p + gamma in the mover's position p; the table
-    ``cofactors`` holds these cofactors of each quad's constant points
-    (``_cofactors``), once per motion, and a segment adds seven products.
-    A root at or past the segment end is dropped by signs alone
-    (``_past_end``); the others become keyed times, so finding the earliest
-    one compares integers and runs the exact test only on key ties.
+    every counterclockwise triangle (u, v, w).  ``circles`` maps each
+    counterclockwise triangle of DT(P), on the integer frame of
+    ``_integer_frame``, to its ``_cofactors``; ``cavity`` holds those whose
+    circumdisk holds m.  On a segment each circle is a quadratic in the
+    segment parameter (``_segment_quadratics``), whose crossings are found
+    by signs (``_crossings``); only they become keyed times, ordered by
+    integer keys with the exact test only on key ties.
     """
 
-    def __init__(self, ts: TrajectorySet, start: frozenset, fixed: dict):
-        self.mover, self.fixed = ts.movers[0], fixed
-        positions = ts.initial.int_positions
+    def __init__(self, ts: TrajectorySet, start: frozenset, fixed: dict, m0):
+        """``start`` is the verified initial triangulation, ``fixed`` the
+        stationary points and m0 the mover's start on the integer frame.
+        DT(P) is checked once: inserting m0 into it must give ``start``."""
+        self.mover = mover = ts.movers[0]
+        positions = {**fixed, mover: m0}
+        stationary = {triangle(*ts.initial.boundary)}
+        for index in ts.initial.interior:
+            if index != mover:
+                insert_point(stationary, fixed, index)
+        moved = set(stationary)
+        insert_point(moved, positions, mover)
+        if moved != start:
+            raise AssertionError("inserting the mover into DT(P) does not"
+                                 " give the initial triangulation")
+
+        def ccw(tri):
+            a, b, c = tri
+            turn = orient2d(positions[a], positions[b], positions[c])
+            return (a, b, c) if turn > 0 else (a, c, b)
+
         self.apex = {}
-        self.cofactors = {}  # quad, edge increasing -> its cofactors
-        for a, b, c in start:
-            if orient2d(positions[a], positions[b], positions[c]) < 0:
-                b, c = c, b
+        for a, b, c in map(ccw, start):
             self.apex.update({(a, b): c, (b, c): a, (c, a): b})
+        self.circles = {tri: _cofactors(*map(fixed.__getitem__, tri))
+                        for tri in map(ccw, stationary)}
+        self.cavity = {tri for tri in self.circles
+                       if triangle(*tri) not in start}
         # (time, [(removed, inserted), ...]) with increasing times
         self.groups = []
 
     def run_segment(self, t0: Fraction, m0, t1: Fraction, m1) -> None:
         """Advance the mover linearly from integer point m0 at time t0 to
-        m1 at t1, flipping every edge whose certificate fails in [t0, t1).
-        A failure exactly at t1 belongs to the next segment, which sees the
-        sign the certificate takes after t1."""
-        x0, y0 = m0
-        dx, dy = m1[0] - x0, m1[1] - y0
-        # |delta|^2, 2 m0.delta, delta, |m0|^2 and m0: see _certify
-        self.terms = (dx * dx + dy * dy, 2 * (x0 * dx + y0 * dy), dx, dy,
-                      x0 * x0 + y0 * y0, x0, y0)
-        # ([t0 * q, (t1 - t0) * q], q), integers over one denominator q
-        self.segment = clear_denominators((t0, t1 - t0))
-        self.now = _rational_time(t0)
-
-        certs = {}  # sorted edge -> failure time
-        live = set()
+        m1 at t1, flipping at every circle crossing in [t0, t1).  A
+        crossing exactly at t1 belongs to the next segment, which sees the
+        sign the circle's polynomial takes after t1.  The mover pausing on
+        a circle is a degeneracy."""
         mover = self.mover
-        for (a, b), c in self.apex.items():
-            if a == mover:
-                live.update((tuple(sorted((a, b))), tuple(sorted((b, c)))))
-        for u, v in live:
-            self._certify(certs, u, v)
-        while certs:
-            # the earliest time has the least key; only ties need exact tests
-            first = min(t[4] for t in certs.values())
-            when, due = None, []
-            for edge, t in certs.items():
-                if t[4] != first:
-                    continue
-                order = -1 if when is None else _compare(t, when)
-                if order < 0:
-                    when, due = t, [edge]
-                elif order == 0:
-                    due.append(edge)
+        # ([t0 * q, (t1 - t0) * q], q), integers over one denominator q
+        (a0, a1), q = clear_denominators((t0, t1 - t0))
+        crossings = []  # (time, quad, triangle)
+        for tri, a2, b2, c2 in _segment_quadratics(self.circles, m0, m1):
+            if a2 == 0:  # a pause at m0
+                if c2 == 0:
+                    raise DegenerateConfigurationError(tri + (mover,))
+                continue
+            for v in _crossings(a2, b2, c2, tri in self.cavity):
+                when = _time(2 * a2 * a0 - a1 * b2, v * a1,
+                             b2 * b2 - 4 * a2 * c2, 2 * a2 * q)
+                crossings.append((when, tuple(sorted(tri + (mover,))), tri))
+        # by time, the least key first and exact tests only on key ties,
+        # and by quad at one instant
+        by_time = functools.cmp_to_key(_compare)
+        crossings.sort(key=lambda c: (by_time(c[0]), c[1]))
+        # a root outside [t0, t1) is a fault that _bracket could not end on
+        if crossings and (
+                _compare(crossings[0][0], _time(a0, 0, 0, q)) < 0
+                or _compare(crossings[-1][0], _time(a0 + a1, 0, 0, q)) >= 0):
+            raise AssertionError(f"a crossing outside [{t0}, {t1})")
+        for _, batch in itertools.groupby(crossings,
+                                          lambda c: by_time(c[0])):
+            batch = list(batch)
+            when = batch[0][0]
             if not self.groups or _compare(self.groups[-1][0], when):
                 self.groups.append((when, []))
             flips = self.groups[-1][1]
-            if len(due) > 1 or flips:
+            if len(batch) > 1 or flips:
                 # a lone flip opening its group overlaps nothing
-                due.sort(key=self._quad)
-                self._check_simultaneous(when, due, flips)
-            self.now = when
-            for u, v in due:
-                del certs[u, v]
-                flip = self._flip(u, v)
-                flips.append(flip)
-                (i, k), (j, l) = flip
-                for a, b in ((i, j), (j, k), (k, l), (l, i), (j, l)):
-                    self._certify(certs, a, b)
+                self._check_simultaneous(when, [c[1] for c in batch], flips)
+            flips.extend(self._cross(tri) for _, _, tri in batch)
 
-    def _quad(self, edge) -> tuple:
-        u, v = edge
-        return tuple(sorted((u, v, self.apex[u, v], self.apex[v, u])))
-
-    def _certify(self, certs: dict, u, v) -> None:
-        """(Re)schedule the certificate of edge (u, v).  Edges of the
-        boundary triangle carry none; a quad of constant points is checked
-        once, when the edge gets it, and never changes.  A quad holding the
-        mover is (a2 s^2 + b2 s + c2) / 2 at m0 + s delta, where
-        a2 = alpha |delta|^2, b2 = 2 alpha m0.delta + beta.delta and
-        c2 = alpha |m0|^2 + beta.m0 + gamma.  Valid certificates are
-        negative just after ``now``, so it fails at the root where the
-        derivative is positive, or a double root where it only touches
-        zero from above, (-b2 + sqrt(b2^2 - 4 a2 c2)) / (2 a2), unless
-        ``_past_end`` puts that at or past the segment end."""
-        if u > v:
-            u, v = v, u
-        certs.pop((u, v), None)
-        c, d = self.apex.get((u, v)), self.apex.get((v, u))
-        if c is None or d is None:
-            return
-        quad = (u, v, c, d)
-        cofactors = self.cofactors.get(quad)
-        if cofactors is None:
-            if self.mover not in quad:
-                if _lifted_det(*(self.fixed[i] for i in quad)):
-                    return
-                raise DegenerateConfigurationError(quad)
-            r = quad.index(self.mover)
-            cofactors = self.cofactors[quad] = _cofactors(*map(
-                self.fixed.__getitem__, quad[:r] + quad[r + 1:]), r & 1)
-        alpha, beta_x, beta_y, gamma = cofactors
-        dd, md, dx, dy, mm, x0, y0 = self.terms
-        a2 = alpha * dd
-        b2 = alpha * md + beta_x * dx + beta_y * dy
-        c2 = alpha * mm + beta_x * x0 + beta_y * y0 + gamma
-        (a0, a1), q = self.segment
-        if a2 == 0:
-            if b2 == 0 and c2 == 0:
-                raise DegenerateConfigurationError(quad)
-            if b2 <= 0 or _past_end(a2, b2, c2):
-                return
-            when = _time(a0 * b2 - a1 * c2, 0, 0, b2 * q)
-        else:
-            disc = b2 * b2 - 4 * a2 * c2
-            if disc < 0 or (disc == 0 and a2 < 0) or _past_end(a2, b2, c2):
-                return
-            when = _time(2 * a2 * a0 - a1 * b2, a1, disc, 2 * a2 * q)
-        if _compare(when, self.now) >= 0:
-            certs[u, v] = when
-
-    def _check_simultaneous(self, when, due, earlier) -> None:
+    def _check_simultaneous(self, when, quads, earlier) -> None:
         """Flips at one instant must pairwise far-commute, the ``earlier``
         flips of its group included: those run in lexicographic quad order,
         which is sound because their matrices commute.  Others cannot be
         ordered."""
-        quads = ([self._quad(edge) for edge in due]
-                 + [tuple(sorted(removed + inserted))
-                    for removed, inserted in reversed(earlier)])
-        pair = _overlap(quads)
+        pair = _overlap(quads + [tuple(sorted(removed + inserted))
+                                 for removed, inserted in reversed(earlier)])
         if pair:
             raise UnresolvedEventError(
                 f"unresolved codimension-2 event at t = {_format_time(when)}:"
                 f" flips of quads {pair[0]} and {pair[1]} overlap; perturb"
                 " trajectories")
+
+    def _cross(self, tri) -> tuple:
+        """Flip for the mover crossing the circumcircle of ``tri``, a
+        counterclockwise triangle (u, v, w) of DT(P): entering, the edge
+        (u, v) across which the mover's fan meets it; leaving, the spoke to
+        its middle vertex v, whose fan triangles are (mover, u, v) and
+        (mover, v, w)."""
+        mover, apex = self.mover, self.apex
+        leaving = tri in self.cavity
+        self.cavity ^= {tri}
+        a, b, c = tri
+        for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
+            if leaving and apex.get((mover, v)) == w \
+                    and apex.get((v, mover)) == u:
+                return self._flip(mover, v)
+            if not leaving and apex.get((v, u)) == mover:
+                return self._flip(u, v)
+        raise AssertionError(f"triangle {tri} does not meet the mover's fan")
 
     def _flip(self, u, v) -> tuple:
         """Flip interior edge (u, v) of the counterclockwise quad
@@ -657,15 +653,19 @@ def exact_flip_sequence(ts: TrajectorySet) -> list:
     """Time-ordered FlipEvents of a motion with at most one moving point,
     each bracketed as by ``_bracket``.
 
-    The exact kinetic engine: it starts from the Delaunay triangulation of
-    the initial configuration, computes every flip time as a root of an
-    integer quadratic and orders the flips exactly, and checks that the
-    final triangulation is the Delaunay triangulation at t = 1: for a path
-    that returns to its start, that it is the initial one.  It samples
-    nothing.  The motion must be clear (``_integer_frame``) and either end
-    in general position.  Simultaneous flips are ordered by quad when they
-    far-commute and raise ``UnresolvedEventError`` otherwise.  Motions of
-    several points take ``extract_flip_sequence``.
+    The exact event engine: with the stationary points P fixed, the
+    Delaunay triangulation changes exactly when the mover crosses the
+    circumcircle of a triangle of DT(P), by one flip (Bowyer-Watson
+    insertion; see ``_MoverKDS``).  It starts from the Delaunay
+    triangulation of the initial configuration, computes each crossing
+    time as a root of an integer quadratic and orders the flips exactly,
+    and checks that the final triangulation is the Delaunay triangulation
+    at t = 1: for a path that returns to its start, that it is the initial
+    one.  It samples nothing.  The motion must be clear
+    (``_integer_frame``) and either end in general position.  Simultaneous
+    flips are ordered by quad when they far-commute and raise
+    ``UnresolvedEventError`` otherwise.  Motions of several points take
+    ``extract_flip_sequence``.
     """
     fixed, paths = _integer_frame(ts)
     if len(ts.movers) > 1:
@@ -674,8 +674,8 @@ def exact_flip_sequence(ts: TrajectorySet) -> list:
     start = build_delaunay(ts.initial)
     if not ts.movers:
         return []
-    kds = _MoverKDS(ts, start, fixed)
     (path,) = paths.values()
+    kds = _MoverKDS(ts, start, fixed, path[0][1])
     for (t0, m0), (t1, m1) in zip(path, path[1:]):
         kds.run_segment(t0, m0, t1, m1)
     end = kds.triangles()

@@ -4,7 +4,6 @@ import hashlib
 import math
 import re
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, event, example, given, settings
@@ -20,11 +19,11 @@ from flipbraid.flips import sequence_product
 from flipbraid.geometry import (Configuration, LabeledPoint, _lifted_det,
                                 incircle)
 from flipbraid.kinetics import (DEFAULT_STEP, ClearanceError, TrajectorySet,
-                                UnresolvedEventError, _compare, _floor_root,
-                                _floor_scaled, _format_time, _integer_frame,
-                                _MoverKDS, _past_end, _rational_time,
-                                _sign_root, _sign_sum, _time,
-                                configuration_at, exact_flip_sequence,
+                                UnresolvedEventError, _cofactors, _compare,
+                                _crossings, _floor_root, _floor_scaled,
+                                _format_time, _integer_frame, _MoverKDS,
+                                _segment_quadratics, _sign_root, _sign_sum,
+                                _time, configuration_at, exact_flip_sequence,
                                 extract_flip_sequence)
 
 F = Fraction
@@ -164,6 +163,35 @@ def test_event_at_a_breakpoint(start, turn, expected):
         assert quad_incircle(ts, event, event.t_hi) == 1
 
 
+def test_a_pause_crosses_no_circle():
+    """The mover waits outside the circle x^2 + y^2 = x + y, crosses into
+    it at t = 3/10, waits inside and leaves at t = 4/5: one flip in each
+    moving segment, none while it waits, on both extractors."""
+    _, ts = motion(STATIC_TRIPLE + [OUTSIDE],
+                   [(0, OUTSIDE), (F(1, 5), OUTSIDE), (F(2, 5), INSIDE),
+                    (F(3, 5), INSIDE), (1, OUTSIDE)])
+    events = exact_flip_sequence(ts)
+    assert events == extract_flip_sequence(ts)
+    assert [e.quad for e in events] == [(4, 5, 6, 7)] * 2
+    for event, t in zip(events, (F(3, 10), F(4, 5))):
+        assert event.t_lo < t < event.t_hi
+        assert quad_incircle(ts, event, event.t_lo) == -1
+        assert quad_incircle(ts, event, event.t_hi) == 1
+
+
+def test_a_pause_on_a_circle_is_degenerate():
+    """The mover waits at (1, 1), on the circle x^2 + y^2 = x + y of the
+    constant points 4, 5, 6, for a third of the motion: both extractors
+    report that cocircular quad."""
+    _, ts = motion(STATIC_TRIPLE + [OUTSIDE],
+                   [(0, OUTSIDE), (F(1, 3), (1, 1)), (F(2, 3), (1, 1)),
+                    (1, OUTSIDE)])
+    for extract in (exact_flip_sequence, extract_flip_sequence):
+        with pytest.raises(DegenerateConfigurationError) as info:
+            extract(ts)
+        assert info.value.subset == (4, 5, 6, 7), extract
+
+
 def test_simultaneous_far_commuting_events_in_quad_order():
     """Point 10 crosses (0, 0) at t = 1/2, leaving the circle through
     points 7, 8, 9 (centre (-1, 0)) as it enters the one through 4, 5, 6
@@ -176,6 +204,19 @@ def test_simultaneous_far_commuting_events_in_quad_order():
     at_half = [e for e in events if e.t_lo < F(1, 2) < e.t_hi]
     assert [e.quad for e in at_half] == [(4, 5, 6, 10), (7, 8, 9, 10)]
     assert at_half[0].t_lo == at_half[1].t_lo
+    assert flips(events) == flips(extract_flip_sequence(ts))
+
+
+def test_simultaneous_events_in_quad_order_among_more_points():
+    """The motion above with two far points first in the configuration:
+    the flips at t = 1/2 still come in quad order, whatever order the
+    engine meets the two circles in."""
+    interior = [(50, 60), (-70, 40), (4, 0), (3, 3), (3, -1), (-2, 0),
+                (-1, 1), (-1, -1), (F(-1, 2), 0)]
+    _, ts = motion(interior, [(0, (F(-1, 2), 0)), (1, (F(1, 2), 0))])
+    events = exact_flip_sequence(ts)
+    at_half = [e.quad for e in events if e.t_lo < F(1, 2) < e.t_hi]
+    assert at_half == [(6, 7, 8, 12), (9, 10, 11, 12)]
     assert flips(events) == flips(extract_flip_sequence(ts))
 
 
@@ -215,16 +256,14 @@ def test_a_later_batch_at_one_instant_joins_its_group():
     """A flip due at the instant of earlier flips joins their group, and a
     lone due flip is still checked against them, the latest first.
 
-    No clear motion is known to reach this: an edge that fails at the
-    instant of the flip that made it puts five points on one empty circle,
-    four of them constant, and the mover then meets that circle from
-    inside, where every diagonal of its fan fails at once, in one batch
-    whose flips overlap.  So the group of t = 1/2 is seeded with two
+    No motion is known to reach this: a segment groups all of its crossings
+    at one instant before it flips, and a crossing at the end of a segment
+    belongs to the next one.  So the group of t = 1/2 is seeded with two
     far-commuting flips, each overlapping the one flip of this motion."""
     config, ts = motion(STATIC_TRIPLE + [OUTSIDE], [(0, OUTSIDE), (1, INSIDE)])
     fixed, paths = _integer_frame(ts)
-    kds = _MoverKDS(ts, build_delaunay(config), fixed)
-    kds.groups.append((_rational_time(F(1, 2)),
+    kds = _MoverKDS(ts, build_delaunay(config), fixed, paths[7][0][1])
+    kds.groups.append((_time(1, 0, 0, 2),
                        [((1, 5), (4, 7)), ((2, 6), (4, 7))]))
     with pytest.raises(UnresolvedEventError) as info:
         kds.run_segment(*paths[7][0], *paths[7][1])
@@ -273,6 +312,18 @@ def test_end_check_catches_a_wrong_final_triangulation(monkeypatch):
                         lambda kds: apply_flip(triangles(kds), first))
     with pytest.raises(AssertionError, match="circumdisk contains point"):
         exact_flip_sequence(loop)
+
+
+def test_start_check_catches_a_wrong_initial_triangulation():
+    """The engine checks DT(P), the triangulation of the stationary points,
+    once: inserting the mover's start into it must give the initial
+    triangulation, and one flip away from it is refused."""
+    config, ts = motion(STATIC_TRIPLE + [OUTSIDE], [(0, OUTSIDE), (1, INSIDE)])
+    fixed, paths = _integer_frame(ts)
+    wrong = apply_flip(build_delaunay(config), exact_flip_sequence(ts)[0])
+    with pytest.raises(AssertionError, match=re.escape(
+            "inserting the mover into DT(P) does not give the initial")):
+        _MoverKDS(ts, wrong, fixed, paths[7][0][1])
 
 
 def test_engine_rejects_unclear_paths():
@@ -399,6 +450,46 @@ def test_engine_matches_sampler_on_random_loops(loop):
         assert a.t_hi <= b.t_lo or (a.t_lo, a.t_hi) == (b.t_lo, b.t_hi)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(single_mover_loops())
+def test_between_flips_the_triangulation_is_the_cavity_fan(loop):
+    """At a time inside each gap between flip groups, the engine's
+    triangulation is ``build_delaunay`` of the configuration then, and the
+    triangles of the stationary points' triangulation DT(P) that it lacks
+    are exactly those whose circumdisk holds the mover: Bowyer-Watson
+    insertion of the mover into DT(P)."""
+    config, ts = loop
+    (mover,) = ts.movers
+    try:
+        events = exact_flip_sequence(ts)
+        stationary = build_delaunay(Configuration(
+            tuple(p for p in config.points if p.index != mover),
+            config.boundary))
+    except (UnresolvedEventError, ValueError):
+        assume(False)
+    groups = []  # [bracket, events]
+    for e in events:
+        if not groups or groups[-1][0] != (e.t_lo, e.t_hi):
+            groups.append([(e.t_lo, e.t_hi), []])
+        groups[-1][1].append(e)
+    ends = [F(0), *(t for bracket, _ in groups for t in bracket), F(1)]
+    gaps = [(lo + hi) / 2 for lo, hi in zip(ends[::2], ends[1::2])]
+    triangles = build_delaunay(config)
+    for g, t in enumerate(gaps):
+        now = configuration_at(ts, t)
+        try:
+            assert triangles == build_delaunay(now)
+        except DegenerateConfigurationError:
+            event("the mover touches a circle at a gap time")
+        p = now.int_positions
+        assert stationary - triangles == {
+            (a, b, c) for a, b, c in stationary
+            if incircle(p[a], p[b], p[c], p[mover]) > 0}
+        for e in groups[g][1] if g < len(groups) else ():
+            triangles = apply_flip(triangles, e)
+    event("with flips" if events else "without flips")
+
+
 def test_engine_events_are_pinned():
     """SHA-256 over the reprs of the engine's bracketed events for every
     signed generator at n = 2..9, one letter at a time in the order n, i,
@@ -422,54 +513,28 @@ BIG = st.integers(-10 ** 6, 10 ** 6)
 INT_POINT = st.tuples(BIG, BIG)
 
 
-def failure_before_one(a2, b2, c2):
-    """The time in [0, 1) at which a2 s^2 + b2 s + c2, negative just after
-    0, turns positive, or None: a root where the slope is positive, or a
-    double root where the quadratic only touches zero from above."""
-    if a2 == 0:
-        when = _time(-c2, 0, 0, b2) if b2 > 0 else None
-    else:
-        disc = b2 * b2 - 4 * a2 * c2
-        when = (_time(-b2, 1, disc, 2 * a2)
-                if disc > 0 or (disc == 0 and a2 > 0) else None)
-    if (when is None or _compare(when, _rational_time(F(0))) < 0
-            or _compare(when, _rational_time(F(1))) >= 0):
-        return None
-    return when
-
-
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.lists(INT_POINT, min_size=3, max_size=3), INT_POINT, INT_POINT,
        st.integers(0, 3))
 def test_certificate_matches_three_lifted_determinants(others, m0, delta, r):
     """The quadratic fitted through the lifted determinants with the mover,
     in place r of the quad (1, 2, 3, 4), at s = 0, 1, 2 on the segment
-    m0 + s delta for s in [0, 1]: the cofactor table's entry gives those
-    determinants, and the certificate that ``_certify`` evaluates from it
-    on the segment fails at the fitted quadratic's failure root."""
+    m0 + s delta for s in [0, 1]: the circle cofactors of the other three
+    points give those determinants, up to the sign (-1)^(3 - r) of moving
+    the mover's row last, and the engine's evaluation on the segment from
+    m0 to m0 + delta gives the fitted quadratic."""
     points = [(m0[0] + s * delta[0], m0[1] + s * delta[1]) for s in range(3)]
     f0, f1, f2 = (_lifted_det(*others[:r], p, *others[r:]) for p in points)
     a2, b2, c2 = f2 - 2 * f1 + f0, 4 * f1 - f2 - 3 * f0, 2 * f0
-    ts = SimpleNamespace(movers=(r + 1,),
-                         initial=SimpleNamespace(int_positions={}))
-    kds = _MoverKDS(ts, frozenset(),
-                    dict(zip((1, 2, 3, 4)[:r] + (1, 2, 3, 4)[r + 1:], others)))
-    kds.run_segment(F(0), m0, F(1), points[1])
-    kds.apex = {(1, 2): 3, (2, 1): 4}
-    certs = {}
-    if a2 == b2 == c2 == 0:
-        event("degenerate")
-        with pytest.raises(DegenerateConfigurationError):
-            kds._certify(certs, 2, 1)
-    else:
-        kds._certify(certs, 2, 1)
-        event("fails in the segment" if certs else "holds through the segment")
-    (alpha, beta_x, beta_y, gamma), = kds.cofactors.values()
-    assert list(kds.cofactors) == [(1, 2, 3, 4)]
+    sign = (-1) ** (3 - r)
+    alpha, beta_x, beta_y, gamma = cofactors = _cofactors(*others)
     assert [alpha * (x * x + y * y) + beta_x * x + beta_y * y + gamma
-            for x, y in points] == [2 * f0, 2 * f1, 2 * f2]
-    when = failure_before_one(a2, b2, c2)
-    assert certs == ({} if when is None else {(1, 2): when})
+            for x, y in points] == [sign * f0, sign * f1, sign * f2]
+    ((tri, *quadratic),) = _segment_quadratics({"T": cofactors}, m0,
+                                               points[1])
+    event("degenerate" if a2 == b2 == c2 == 0 else "a circle")
+    assert tri == "T"
+    assert [2 * sign * x for x in quadratic] == [a2, b2, c2]
 
 
 NONSQUARE = st.integers(2, 10 ** 6).filter(
@@ -550,32 +615,50 @@ SMALL = st.integers(-12, 12)
 
 
 @st.composite
-def certificate_quadratics(draw):
-    """(a2, b2, c2) whose failure root exists: random coefficients, or a
-    product of two integer linear factors, whose roots often sit at s = 1."""
+def circle_quadratics(draw):
+    """(a2, b2, c2, inside): a circle's polynomial a2 s^2 + b2 s + c2 on a
+    segment, a2 < 0, and whether the point is inside just before s = 0, as
+    the sign of c2 allows: random coefficients, or -(p s - q)(p2 s - q2),
+    whose roots often sit at s = 0 or s = 1."""
     if draw(st.booleans()):
         a2, b2, c2 = draw(BIG), draw(BIG), draw(BIG)
     else:
         p, q, p2, q2 = draw(SMALL), draw(SMALL), draw(SMALL), draw(SMALL)
-        a2, b2, c2 = p * p2, -(p * q2 + p2 * q), q * q2
-    if a2 == 0:
-        assume(b2 > 0)
-    else:
-        disc = b2 * b2 - 4 * a2 * c2
-        assume(disc > 0 or (disc == 0 and a2 > 0))
-    return a2, b2, c2
+        a2, b2, c2 = -p * p2, p * q2 + p2 * q, -q * q2
+    assume(a2 < 0)
+    return a2, b2, c2, c2 > 0 or (c2 == 0 and draw(st.booleans()))
+
+
+def crossings_by_the_roots(a2, b2, c2, inside):
+    """The real roots in [0, 1), in increasing order, after which the sign
+    of the polynomial differs from the membership before them: +1 for the
+    smaller root, entering, -1 for the larger (or a double) one, leaving."""
+    disc = b2 * b2 - 4 * a2 * c2
+    if disc < 0:
+        return []
+    out = []
+    for v in ((1, -1) if disc > 0 else (-1,)):
+        root = _time(-b2, v, disc, 2 * a2)
+        if (_compare(root, _time(0, 0, 0, 1)) >= 0
+                and _compare(root, _time(1, 0, 0, 1)) < 0
+                and (v == 1) != inside):
+            out.append(v)
+            inside = v == 1
+    return out
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(certificate_quadratics())
+@given(circle_quadratics())
+@example((-1, 1, 0, False))   # roots at s = 0 and s = 1, entering at 0
+@example((-1, 1, 0, True))    # the same, already inside
+@example((-1, 0, 0, True))    # a double root at s = 0, leaving
+@example((-1, 2, -1, False))  # a double root at s = 1
 def test_past_end_agrees_with_the_root(quadratic):
-    """The root-free window test against the root itself, for the segment
-    [0, 1], where the segment parameter is the time."""
-    a2, b2, c2 = quadratic
-    if a2 == 0:
-        when = _time(-c2, 0, 0, b2)
-    else:
-        when = _time(-b2, 1, b2 * b2 - 4 * a2 * c2, 2 * a2)
-    past = _compare(when, _rational_time(F(1))) >= 0
-    event("at or past the end" if past else "before the end")
-    assert _past_end(a2, b2, c2) == past
+    """The sign-only window test of ``_crossings`` against the exact roots
+    themselves, for the segment [0, 1], where the segment parameter is the
+    time."""
+    a2, b2, c2, inside = quadratic
+    expected = crossings_by_the_roots(a2, b2, c2, inside)
+    ends = [s for s in (0, 1) if a2 * s * s + b2 * s + c2 == 0]
+    event(f"crossings {expected}, roots at {ends}")
+    assert list(_crossings(a2, b2, c2, inside)) == expected

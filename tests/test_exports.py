@@ -36,7 +36,7 @@ def test_retired_readers_and_duplicate_helpers_are_gone():
                    "validate_general_position"),
         geometry.Configuration: ("to_json_dict", "from_json_dict", "_moved"),
         kinetics: ("_trajectory_from_json", "_far_commuting",
-                   "_certificate"),
+                   "_certificate", "_past_end", "_rational_time"),
         kinetics.TrajectorySet: ("to_json_dict", "from_json_dict",
                                  "stationary_triangles"),
         flips: ("_event_from_json", "_integer_labels"),
@@ -46,7 +46,8 @@ def test_retired_readers_and_duplicate_helpers_are_gone():
         braids: ("_on_segment", "_commuting_pair_instances",
                  "LoopClearanceError"),
         braids.BraidLetter: ("inverse",),
-        kinetics._MoverKDS: ("_check_clearance", "_failure"),
+        kinetics._MoverKDS: ("_check_clearance", "_failure", "_certify",
+                             "_quad"),
     }
     for owner, names in retired.items():
         for name in names:
