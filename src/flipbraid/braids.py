@@ -47,11 +47,6 @@ class BraidWord:
     def __str__(self):
         return " ".join(str(letter) for letter in self.letters)
 
-    def __mul__(self, other: "BraidWord") -> "BraidWord":
-        if self.n != other.n:
-            raise ValueError("strand counts differ")
-        return BraidWord(self.n, self.letters + other.letters)
-
 
 _TOKEN = re.compile(r"^b\((\d+),(\d+)\)(\^-1)?$")
 
@@ -296,7 +291,7 @@ def invariant(word: BraidWord, geometry: LoopGeometry = DEFAULT_LOOP,
         log.append(events)
     if acc is None:
         acc = Matrix.identity(len(basis))
-    if any(s != 1 for s in acc.column_sums()):
+    if not acc.columns_sum_to_one():
         raise AssertionError("invariant matrix lost the column-sum-1"
                              " property")
     return InvariantResult(word, acc, basis, tuple(log))

@@ -232,7 +232,7 @@ def _fold(name: str, factors, labels) -> Matrix:
     acc = None
     for pos, factor in enumerate(factors):
         m = evaluate_matrix(factor["matrix"], labels)
-        if any(s != 1 for s in m.column_sums()):
+        if not m.columns_sum_to_one():
             raise FixtureError(
                 f"{name} factor {pos + 1}: column sums are not all 1")
         acc = m if acc is None else acc * m

@@ -85,7 +85,7 @@ def build_flip_matrix(event: FlipEvent, from_basis, to_basis,
     grid[row_of[t_jkl]][col_of[t_ijk]] = c
     grid[row_of[t_jkl]][col_of[t_ikl]] = d
     m = Matrix(grid)
-    if any(s != 1 for s in m.column_sums()):
+    if not m.columns_sum_to_one():
         raise AssertionError("flip matrix column sums are not all 1")
     return m
 

@@ -25,7 +25,7 @@ for motions of several points.
 A trajectory set holds the paths of the moving points only; every other
 point keeps its initial position.  Both extractors first check, once, that
 each mover stays inside the boundary triangle and misses every stationary
-point; movers are not checked against each other.  Each sample is a
+point, and that no two movers meet.  Each sample is a
 validated ``Configuration`` triangulated by ``build_delaunay``.  The engine
 builds the triangulation of the initial configuration and DT(P) once, and
 checks that inserting the mover's start into DT(P) gives the former.  It
@@ -59,7 +59,7 @@ class UnresolvedEventError(RuntimeError):
 
 
 class ClearanceError(ValueError):
-    """A mover leaves the boundary triangle or meets a stationary point."""
+    """A mover leaves the boundary triangle or meets another point."""
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,10 @@ def _integer_frame(ts: TrajectorySet) -> tuple:
     denominator: stationary index -> point, mover -> ((time, point), ...).
     Raises ``ClearanceError`` at the first segment, mover by mover, that
     ends outside the (convex) boundary triangle or meets a stationary
-    point."""
+    point, then at the first interval between the merged breakpoints of
+    two movers, pair by pair, in which they meet: there the two move
+    linearly, so they meet when the segment of their difference meets the
+    origin."""
     fixed = {index: xy for index, xy in ts.initial.positions.items()
              if index not in ts.movers}
     ints = iter(_integer_points([*fixed.values(), *(
@@ -181,6 +184,15 @@ def _integer_frame(ts: TrajectorySet) -> tuple:
                 if _segment_meets(m0, m1, p):
                     raise ClearanceError(f"point {tr.index} meets point"
                                          f" {index} in [{t0}, {t1}]")
+    for a, b in itertools.combinations(ts.trajectories, 2):
+        times = sorted({*a.times, *b.times})
+        apart = [tuple(u - v for u, v in zip(a.position_at(t),
+                                              b.position_at(t)))
+                 for t in times]
+        for t0, t1, d0, d1 in zip(times, times[1:], apart, apart[1:]):
+            if _segment_meets(d0, d1, (0, 0)):
+                raise ClearanceError(f"point {a.index} meets point"
+                                     f" {b.index} in [{t0}, {t1}]")
     return fixed, paths
 
 

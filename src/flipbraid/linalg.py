@@ -6,9 +6,13 @@ no common factor.  Equal matrices therefore have equal representations,
 and ``==`` and ``hash`` are structural.  ``mat_mul`` multiplies the
 numerators as plain ints, skipping zero entries, and reduces once per
 product, so products of the mostly-zero flip and letter matrices stay
-cheap and nothing is ever rounded.  Entries are read out as reduced
-``fractions.Fraction`` values.  Matrices are immutable; all operations
-return new values and are safe to share between threads.
+cheap and nothing is ever rounded.  ``char_poly`` works on the integers
+too: it reduces the matrix to Hessenberg form H = R^-1 N C^-1, an integer
+matrix N with one positive integer scale per row (R) and per column (C),
+and with T = diag(r_m c_m) returns det(xT - N) / det T.  Entries are read
+out as reduced ``fractions.Fraction`` values; ``to_json_dict`` writes them
+as strings straight from the integers.  Matrices are immutable; all
+operations return new values and are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -128,13 +132,25 @@ class Matrix:
     def column_sums(self) -> list:
         return [Fraction(sum(col), self._den) for col in zip(*self._num)]
 
+    def columns_sum_to_one(self) -> bool:
+        """True when every column sums to 1: each numerator column sums to
+        ``_den``."""
+        den = self._den
+        return all(sum(col) == den for col in zip(*self._num))
+
     def to_json_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [[str(e) for e in row]
-                        for row in self.entries()],
-        }
+        """Rows, columns and each entry as its reduced 'p/q' (or 'p')
+        string, as ``str(Fraction)`` writes it, from one gcd per entry."""
+        den = self._den
+        entries = []
+        for row in self._num:
+            texts = []
+            for x in row:
+                g = math.gcd(x, den)
+                texts.append(str(x // g) if g == den
+                             else f"{x // g}/{den // g}")
+            entries.append(texts)
+        return {"rows": self.rows, "cols": self.cols, "entries": entries}
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -185,44 +201,77 @@ def mat_inverse(a: Matrix) -> Matrix:
 def char_poly(a: Matrix) -> list:
     """Monic characteristic polynomial coefficients, highest degree first.
 
-    Exact Hessenberg method (Cohen, A Course in Computational Algebraic
-    Number Theory, Alg. 2.2.9), O(n^3): a similarity by elementary row and
-    column operations brings ``a`` to upper Hessenberg form H, and the
-    characteristic polynomial p_m of H's leading m x m block satisfies
-    p_{m+1} = (x - h_mm) p_m - sum_{i=1..m} (h_{m,m-1} ... h_{m-i+1,m-i})
-    h_{m-i,m} p_{m-i}.  For an n x n matrix returns [1, c_{n-1}, ..., c_0]
-    with trace(a) == -c_{n-1}.
+    Hessenberg method (Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 2.2.9), O(n^3), in integer arithmetic.  A similarity by
+    elementary row and column operations brings ``a`` to upper Hessenberg
+    form H, carried as H = R^-1 N C^-1: an integer matrix N and positive
+    integer scales R = diag(r_i) and C = diag(c_j), from N = ``a._num``,
+    r_i = ``a._den``, c_j = 1.  Subtracting u times row m from row i
+    rewrites row i of N and r_i; the matching column operation, adding u
+    times column i to column m, rewrites column m of N and c_m; each is
+    then divided by its gcd.  With T = diag(r_m c_m), H is similar to
+    N T^-1, so the characteristic polynomial is det(xT - N) / det T.  The
+    leading minors q_m of xT - N satisfy the division-free recurrence
+    q_{m+1} = (x t_m - n_mm) q_m - sum_{i=1..m} (n_{m,m-1} ... n_{m-i+1,m-i})
+    n_{m-i,m} q_{m-i} on integer polynomials, and only the n + 1 final
+    coefficients become Fractions.  For an n x n matrix returns
+    [1, c_{n-1}, ..., c_0] with trace(a) == -c_{n-1}.
     """
     if a.rows != a.cols:
         raise DimensionError(f"char_poly of {a.rows}x{a.cols} matrix")
     n = a.rows
-    h = [list(row) for row in a.entries()]
+    num = [list(row) for row in a._num]
+    r = [a._den] * n
+    c = [1] * n
     for m in range(1, n - 1):
-        pivot = next((i for i in range(m, n) if h[i][m - 1]), None)
+        pivot = next((i for i in range(m, n) if num[i][m - 1]), None)
         if pivot is None:
             continue  # column m-1 is already reduced
         if pivot != m:
-            h[m], h[pivot] = h[pivot], h[m]
-            for row in h:
+            num[m], num[pivot] = num[pivot], num[m]
+            r[m], r[pivot] = r[pivot], r[m]
+            for row in num:
                 row[m], row[pivot] = row[pivot], row[m]
+            c[m], c[pivot] = c[pivot], c[m]
+        p = num[m][m - 1]
+        sign = 1 if p > 0 else -1
+        row_m = num[m]
         for i in range(m + 1, n):
-            u = h[i][m - 1] / h[m][m - 1]
-            if u:
-                h[i] = [x - u * y for x, y in zip(h[i], h[m])]
-                for row in h:
-                    row[m] += u * row[i]
-    polys = [[Fraction(1)]]  # p_0, p_1, ..., lowest degree first
+            q = num[i][m - 1]
+            if not q:
+                continue
+            # u = h_{i,m-1} / h_{m,m-1} = (q r_m) / (p r_i)
+            u_num, u_den = sign * q * r[m], sign * p * r[i]
+            g = math.gcd(u_num, u_den)
+            u_num, u_den = u_num // g, u_den // g
+            # row i -= u row m: h_ij - u h_mj = (p n_ij - q n_mj) / (p r_i c_j)
+            new_row = [sign * (p * x - q * y) for x, y in zip(num[i], row_m)]
+            r_i = r[i] * sign * p
+            g = math.gcd(r_i, *new_row)
+            num[i] = [x // g for x in new_row]
+            r[i] = r_i // g
+            # column m += u column i: h_km + u h_ki
+            #   = (u_den c_i n_km + u_num c_m n_ki) / (r_k c_m u_den c_i)
+            s, t = u_den * c[i], u_num * c[m]
+            new_col = [s * row[m] + t * row[i] for row in num]
+            c_m = c[m] * s
+            g = math.gcd(c_m, *new_col)
+            for row, x in zip(num, new_col):
+                row[m] = x // g
+            c[m] = c_m // g
+    polys = [[1]]  # q_0, q_1, ..., lowest degree first
     for m in range(n):
-        p = [Fraction(0)] + polys[m]
-        for k, c in enumerate(polys[m]):
-            p[k] -= h[m][m] * c
-        t = Fraction(1)
+        p = [0] + [r[m] * c[m] * x for x in polys[m]]
+        for k, x in enumerate(polys[m]):
+            p[k] -= num[m][m] * x
+        t = 1
         for i in range(1, m + 1):
-            t *= h[m - i + 1][m - i]
+            t *= num[m - i + 1][m - i]
             if not t:
                 break  # a zero subdiagonal splits H into blocks
-            coef = t * h[m - i][m]
-            for k, c in enumerate(polys[m - i]):
-                p[k] -= coef * c
+            coef = t * num[m - i][m]
+            for k, x in enumerate(polys[m - i]):
+                p[k] -= coef * x
         polys.append(p)
-    return polys[n][::-1]
+    det_t = polys[n][-1]  # the leading coefficient of det(xT - N)
+    return [Fraction(x, det_t) for x in reversed(polys[n])]

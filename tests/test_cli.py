@@ -260,6 +260,10 @@ GOLDEN_STDOUT = {
     ("invariant", "--n", "3", "--word", "b(1,3) b(2,3)^-1 b(1,2)",
      "--trace", "--charpoly"):
         "a2fccd2df3fde986a6fd39f6fe993c1d11dc48833083d51fcbe0e4eaef847592",
+    # the word-n8 benchmark op: a 17 x 17 matrix, its trace and charpoly
+    ("invariant", "--n", "8", "--word", "b(1,8) b(3,5)^-1 b(2,7)",
+     "--trace", "--charpoly"):
+        "d4863488730bc976b4df9b65d8b73410bc7cfa3ba8c8fb460e5e78095057711c",
     ("verify", "--n", "3", "--family", "pb_all"):
         "d5fa3860a553ee6d302f811b447d3bf96cc0bcd599d7ca0733d0a2f7495ad573",
     # pins the order of the commuting pairs and mixed quadruples, which

@@ -365,9 +365,9 @@ def test_both_extractors_refuse_an_unclear_motion():
 
 def test_integer_frame_of_several_movers():
     """One common denominator scales every point and breakpoint, and each
-    mover is checked against the stationary points only: mover 5 may
-    cross the home that mover 4 has left, but mover 4 may not cross the
-    stationary point 6."""
+    mover is checked against the stationary points and against the other
+    movers: mover 5 may cross the home that mover 4 has left, but mover 4
+    may not cross the stationary point 6."""
     config = make_config([(0, 0), (10, 0), (5, 25)])
     clear = TrajectorySet.from_motion(config, {
         4: [(0, (0, 0)), (F(1, 2), (0, F(50, 3))), (1, (0, 0))],
@@ -383,6 +383,37 @@ def test_integer_frame_of_several_movers():
     with pytest.raises(ClearanceError, match=re.escape(
             "point 4 meets point 6 in [0, 1/2]")):
         extract_flip_sequence(blocked)
+
+
+def test_movers_that_meet_are_refused():
+    """Movers 4 and 5 both at (3/2, 1/2) at the sample time 1/2, and both
+    there at t = 1/3, off the sampler's grid, with breakpoints at 1/2 and
+    1/4: each extractor names the pair and the interval between the merged
+    breakpoints that holds the meeting.  Unchecked, the sampler raises a
+    bare "coincident points" for the first and an unresolved event that
+    names neither point for the second."""
+    config = canonical_setup(3).config
+    h4, h5 = config.positions[4], config.positions[5]
+    meet = (F(3, 2), F(1, 2))
+    at_sample = {4: [(0, h4), (F(1, 2), meet), (1, h4)],
+                 5: [(0, h5), (F(1, 2), meet), (1, h5)]}
+    # mover 4 reaches `meet` after 2/3 of its first segment, mover 5 after
+    # 1/9 of its second
+    far4 = tuple(h + F(3, 2) * (m - h) for h, m in zip(h4, meet))
+    far5 = tuple((9 * m - h) / 8 for h, m in zip(h5, meet))
+    between = {4: [(0, h4), (F(1, 2), far4), (1, h4)],
+               5: [(0, h5), (F(1, 4), far5), (1, h5)]}
+    assert configuration_at(TrajectorySet.from_motion(
+        config, {4: between[4]}), F(1, 3)).positions[4] == meet
+    assert configuration_at(TrajectorySet.from_motion(
+        config, {5: between[5]}), F(1, 3)).positions[5] == meet
+    for paths, interval in ((at_sample, "[0, 1/2]"),
+                            (between, "[1/4, 1/2]")):
+        ts = TrajectorySet.from_motion(config, paths)
+        for extract in (exact_flip_sequence, extract_flip_sequence):
+            with pytest.raises(ClearanceError) as info:
+                extract(ts)
+            assert str(info.value) == f"point 4 meets point 5 in {interval}"
 
 
 def test_engine_takes_one_mover():

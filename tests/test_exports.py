@@ -46,6 +46,7 @@ def test_retired_readers_and_duplicate_helpers_are_gone():
         braids: ("_on_segment", "_commuting_pair_instances",
                  "LoopClearanceError"),
         braids.BraidLetter: ("inverse",),
+        braids.BraidWord: ("__mul__",),
         kinetics._MoverKDS: ("_check_clearance", "_failure", "_certify",
                              "_quad"),
     }

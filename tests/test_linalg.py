@@ -121,10 +121,19 @@ def poly_eval_matrix(coeffs, m: Matrix) -> Matrix:
 
 
 def test_cayley_hamilton_random():
+    """Ten random 4 x 4 matrices, then dense ones of every size up to
+    9 x 9 with denominators up to 10: each is a root of its monic
+    characteristic polynomial, whose coefficients are Fractions."""
     rng = random.Random(12)
-    for _ in range(10):
-        m = random_matrix(rng, 4, 4)
-        assert poly_eval_matrix(char_poly(m), m) == Matrix([[0] * 4] * 4)
+    mats = [random_matrix(rng, 4, 4) for _ in range(10)]
+    mats += [Matrix([[Fraction(rng.randint(-30, 30), rng.randint(1, 10))
+                      for _ in range(k)] for _ in range(k)])
+             for k in range(1, 10)]
+    for m in mats:
+        coeffs = char_poly(m)
+        assert len(coeffs) == m.rows + 1 and coeffs[0] == 1
+        assert all(type(c) is Fraction for c in coeffs)
+        assert poly_eval_matrix(coeffs, m) == Matrix([[0] * m.rows] * m.rows)
 
 
 def cofactor_det(rows) -> Fraction:

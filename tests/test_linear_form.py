@@ -13,10 +13,12 @@ pass them.
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
 from flipbraid.braids import invariant, parse_word, word_from_pairs
+from flipbraid.linalg import char_poly
 
 STRANDS = (3, 4, 5, 6)
 
@@ -109,3 +111,22 @@ def test_commutator_is_in_the_kernel(n):
     its matrix is the identity."""
     word = parse_word("b(1,2) b(2,3) b(1,2)^-1 b(2,3)^-1", n)
     assert invariant(word).matrix.is_identity()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_char_poly_is_a_power_of_x_minus_one(n):
+    """N_g N_h = 0 gives (M(w) - I)^2 = 0, so char_poly(M(w)) is
+    (x - 1)^(2n+1), up to the benchmark's n = 8: on the empty word, a
+    repeated letter, a letter and its inverse, an inverse letter alone and
+    seeded random words."""
+    size = 2 * n + 1
+    expected = [Fraction((-1) ** k * comb(size, k)) for k in range(size + 1)]
+    gens = list(combinations(range(1, n + 1), 2))
+    rng = random.Random(100 + n)
+    words = [[], [(1, n)] * 3, [(1, 2, 1), (1, 2, -1)], [(1, n, -1)]]
+    words += [[(*rng.choice(gens), rng.choice((1, -1)))
+               for _ in range(rng.randint(2, 5))] for _ in range(4)]
+    for pairs in words:
+        coeffs = char_poly(invariant(word_from_pairs(n, pairs)).matrix)
+        assert coeffs == expected, pairs
+        assert all(type(c) is Fraction for c in coeffs)
