@@ -37,16 +37,23 @@ def insert_point(triangles: set, positions: dict, index) -> None:
     """One Bowyer-Watson step: add point ``index`` to ``triangles`` in place.
 
     The triangles whose open circumdisk strictly contains the point form
-    its cavity; they are replaced by the fan from the point to the cavity's
-    boundary edges.  ``positions`` is a configuration's ``int_positions``.
-    Inserting into a Delaunay triangle set gives the Delaunay triangle set
-    of the larger point set (Bowyer, Comput. J. 1981; Watson, Comput. J.
-    1981).
+    its cavity, which ``fan_cavity`` replaces by the point's fan.
+    ``positions`` maps each index to an integer point, such as a
+    configuration's ``int_positions``.  Inserting into a Delaunay triangle
+    set gives the Delaunay triangle set of the larger point set (Bowyer,
+    Comput. J. 1981; Watson, Comput. J. 1981).
     """
     p = positions[index]
     cavity = [t for t in triangles
               if incircle(positions[t[0]], positions[t[1]], positions[t[2]],
                           p) > 0]
+    fan_cavity(triangles, cavity, index)
+
+
+def fan_cavity(triangles: set, cavity, index) -> None:
+    """Replace the ``cavity`` triangles of ``triangles``, all ascending
+    triples, in place by the fan from point ``index`` to the cavity's
+    boundary edges: those that lie on one cavity triangle."""
     edge_count = {}
     for a, b, c in cavity:
         for e in ((a, b), (a, c), (b, c)):

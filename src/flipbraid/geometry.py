@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .linalg import as_rational, clear_denominators
+from .linalg import as_rational, clear_denominators, require_rational
 
 Point = tuple  # (x, y), integers or Fractions
 
@@ -82,12 +82,18 @@ def _segment_meets(a, b, p) -> bool:
 
 @dataclass(frozen=True)
 class LabeledPoint:
-    """A point with its configuration index and rational label."""
+    """A point with its configuration index and rational label.
+
+    Coordinates and label must be ints or Fractions (``TypeError``
+    otherwise); ``make`` also coerces ``'p/q'`` strings."""
 
     index: int
     x: Fraction
     y: Fraction
     zeta: Fraction
+
+    def __post_init__(self):
+        require_rational(self.x, self.y, self.zeta)
 
     @staticmethod
     def make(index, x, y, zeta) -> "LabeledPoint":

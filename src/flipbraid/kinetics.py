@@ -27,11 +27,12 @@ point keeps its initial position.  Both extractors first check, once, that
 each mover stays inside the boundary triangle and misses every stationary
 point, and that no two movers meet.  Each sample is a
 validated ``Configuration`` triangulated by ``build_delaunay``.  The engine
-builds the triangulation of the initial configuration and DT(P) once, and
-checks that inserting the mover's start into DT(P) gives the former.  It
-moves the triangulation by flips and checks the final one with the O(n)
-local edge test, or, when the mover's path returns to its start, by
-equality with the initial one.
+holds the triangulation as its cavity alone: it builds DT(P) once, inserts
+the mover's start into it and checks that start once with the O(n) local
+edge test.  Each flip moves one triangle into or out of the cavity.  The
+final triangulation is checked with the same test, or, when the mover's
+path returns to its start with its initial cavity, not at all: it is then
+the start.
 """
 
 from __future__ import annotations
@@ -44,11 +45,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .delaunay import (DegenerateConfigurationError, FlipEvent, apply_flip,
-                       build_delaunay, diff_flips, insert_point, triangle,
-                       verify_delaunay)
+                       build_delaunay, diff_flips, fan_cavity, insert_point,
+                       triangle, verify_delaunay)
 from .geometry import (Configuration, LabeledPoint, _integer_points,
                        _inside, _segment_meets, incircle, orient2d)
-from .linalg import as_rational, clear_denominators
+from .linalg import as_rational, clear_denominators, require_rational
 
 DEFAULT_STEP = Fraction(1, 64)
 DEFAULT_FLOOR = Fraction(1, 2 ** 40)
@@ -64,12 +65,17 @@ class ClearanceError(ValueError):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Piecewise-linear path of one point over [0, 1]."""
+    """Piecewise-linear path of one point over [0, 1].
+
+    Times and coordinates must be ints or Fractions (``TypeError``
+    otherwise); ``piecewise`` also coerces ``'p/q'`` strings."""
 
     index: int
     breakpoints: tuple  # ((time, (x, y)), ...) with strictly increasing times
 
     def __post_init__(self):
+        for t, (x, y) in self.breakpoints:
+            require_rational(t, x, y)
         times = self.times
         if not times or times[0] != 0 or times[-1] != 1:
             raise ValueError("breakpoints must start at 0 and end at 1")
@@ -510,57 +516,52 @@ def _crossings(a2, b2, c2, inside: bool) -> tuple:
 
 class _MoverKDS:
     """Delaunay triangulation of one moving point m among stationary points
-    P, moved by flips where m crosses the circumcircles of DT(P).
+    P, held as its cavity and moved by flips where m crosses the
+    circumcircles of DT(P).
 
     Bowyer-Watson insertion (Bowyer, Comput. J. 24(2), 1981; Watson, same
     issue) gives DT(P + m) as DT(P) less the cavity, the triangles whose
     circumdisk holds m, plus the fan from m over the cavity's boundary.
-    DT(P) stays fixed, so the triangulation changes only when m crosses the
-    circumcircle of a triangle T of DT(P), and then by one flip: T joins
-    the cavity by the flip of its edge that faces m, and leaves it by the
-    flip of the spoke from m to its middle vertex.  Unlike the per-edge
+    DT(P) stays fixed, so the cavity alone determines the triangulation,
+    and it changes only when m crosses the circumcircle of a triangle T of
+    DT(P): T enters or leaves the cavity, by one flip.  Unlike the per-edge
     certificates of a kinetic data structure (Basch, Guibas and
-    Hershberger, J. Algorithms 1999), a segment needs one circle
-    polynomial per triangle of DT(P) and one exact time per flip.
+    Hershberger, J. Algorithms 1999), a segment needs one circle polynomial
+    per triangle of DT(P) and one exact time per flip.
 
-    The triangulation is held as ``apex``: directed edge (u, v) -> w for
-    every counterclockwise triangle (u, v, w).  ``circles`` maps each
-    counterclockwise triangle of DT(P), on the integer frame of
-    ``_integer_frame``, to its ``_cofactors``; ``cavity`` holds those whose
-    circumdisk holds m.  On a segment each circle is a quadratic in the
-    segment parameter (``_segment_quadratics``), whose crossings are found
-    by signs (``_crossings``); only they become keyed times, ordered by
-    integer keys with the exact test only on key ties.
+    ``circles`` maps each counterclockwise triangle of DT(P), on the
+    integer frame of ``_integer_frame``, to its ``_cofactors``; ``cavity``
+    holds those whose circumdisk holds m; ``owner`` maps each directed edge
+    (u, v) of DT(P) to its counterclockwise triangle, so the triangle
+    across (u, v) is ``owner[v, u]``.  On a segment each circle is a
+    quadratic in the segment parameter (``_segment_quadratics``), whose
+    crossings are found by signs (``_crossings``); only they become keyed
+    times, ordered by integer keys with the exact test only on key ties.
     """
 
-    def __init__(self, ts: TrajectorySet, start: frozenset, fixed: dict, m0):
-        """``start`` is the verified initial triangulation, ``fixed`` the
-        stationary points and m0 the mover's start on the integer frame.
-        DT(P) is checked once: inserting m0 into it must give ``start``."""
+    def __init__(self, ts: TrajectorySet, fixed: dict, m0):
+        """``fixed`` holds the stationary points and m0 is the mover's
+        start, on the integer frame.  DT(P) is built once, and the start,
+        the mover inserted into it by ``triangles``, is checked once by
+        ``verify_delaunay``."""
         self.mover = mover = ts.movers[0]
-        positions = {**fixed, mover: m0}
         stationary = {triangle(*ts.initial.boundary)}
         for index in ts.initial.interior:
             if index != mover:
                 insert_point(stationary, fixed, index)
-        moved = set(stationary)
-        insert_point(moved, positions, mover)
-        if moved != start:
-            raise AssertionError("inserting the mover into DT(P) does not"
-                                 " give the initial triangulation")
 
         def ccw(tri):
             a, b, c = tri
-            turn = orient2d(positions[a], positions[b], positions[c])
+            turn = orient2d(fixed[a], fixed[b], fixed[c])
             return (a, b, c) if turn > 0 else (a, c, b)
 
-        self.apex = {}
-        for a, b, c in map(ccw, start):
-            self.apex.update({(a, b): c, (b, c): a, (c, a): b})
         self.circles = {tri: _cofactors(*map(fixed.__getitem__, tri))
                         for tri in map(ccw, stationary)}
+        self.owner = {(u, v): tri for tri in self.circles
+                      for u, v in zip(tri, tri[1:] + tri[:1])}
         self.cavity = {tri for tri in self.circles
-                       if triangle(*tri) not in start}
+                       if incircle(*map(fixed.__getitem__, tri), m0) > 0}
+        verify_delaunay(self.triangles(), ts.initial)
         # (time, [(removed, inserted), ...]) with increasing times
         self.groups = []
 
@@ -619,35 +620,27 @@ class _MoverKDS:
 
     def _cross(self, tri) -> tuple:
         """Flip for the mover crossing the circumcircle of ``tri``, a
-        counterclockwise triangle (u, v, w) of DT(P): entering, the edge
-        (u, v) across which the mover's fan meets it; leaving, the spoke to
-        its middle vertex v, whose fan triangles are (mover, u, v) and
-        (mover, v, w)."""
-        mover, apex = self.mover, self.apex
-        leaving = tri in self.cavity
-        self.cavity ^= {tri}
-        a, b, c = tri
-        for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
-            if leaving and apex.get((mover, v)) == w \
-                    and apex.get((v, mover)) == u:
-                return self._flip(mover, v)
-            if not leaving and apex.get((v, u)) == mover:
-                return self._flip(u, v)
-        raise AssertionError(f"triangle {tri} does not meet the mover's fan")
-
-    def _flip(self, u, v) -> tuple:
-        """Flip interior edge (u, v) of the counterclockwise quad
-        (u, d, v, c) to (c, d); returns the sorted pairs (removed,
+        counterclockwise triangle of DT(P), which shares exactly one edge e
+        with the rest of the cavity: entering exchanges e for the spoke
+        from the mover to the vertex w of ``tri`` opposite e, and leaving
+        exchanges that spoke for e.  Returns the sorted pairs (removed,
         inserted)."""
-        c, d = self.apex[u, v], self.apex[v, u]
-        del self.apex[u, v], self.apex[v, u]
-        self.apex.update({(u, d): c, (d, c): u, (c, u): d,
-                          (d, v): c, (v, c): d, (c, d): v})
-        return ((u, v) if u < v else (v, u)), ((c, d) if c < d else (d, c))
+        a, b, c = tri
+        shared = [(u, v, w) for u, v, w in ((a, b, c), (b, c, a), (c, a, b))
+                  if self.owner.get((v, u)) in self.cavity]
+        if len(shared) != 1:
+            raise AssertionError(f"triangle {tri} shares {len(shared)} edges"
+                                 " with the rest of the cavity, not 1")
+        ((u, v, w),) = shared
+        edge, spoke = tuple(sorted((u, v))), tuple(sorted((self.mover, w)))
+        self.cavity ^= {tri}
+        return (edge, spoke) if tri in self.cavity else (spoke, edge)
 
     def triangles(self) -> frozenset:
-        return frozenset(triangle(u, v, w) for (u, v), w in self.apex.items()
-                         if u < v and u < w)
+        """DT(P) less the cavity plus the mover's fan over it."""
+        out = {triangle(*tri) for tri in self.circles}
+        fan_cavity(out, [triangle(*tri) for tri in self.cavity], self.mover)
+        return frozenset(out)
 
     def bracketed_events(self) -> list:
         """One FlipEvent per flip, in order, with its group's bracket."""
@@ -668,12 +661,13 @@ def exact_flip_sequence(ts: TrajectorySet) -> list:
     The exact event engine: with the stationary points P fixed, the
     Delaunay triangulation changes exactly when the mover crosses the
     circumcircle of a triangle of DT(P), by one flip (Bowyer-Watson
-    insertion; see ``_MoverKDS``).  It starts from the Delaunay
-    triangulation of the initial configuration, computes each crossing
-    time as a root of an integer quadratic and orders the flips exactly,
-    and checks that the final triangulation is the Delaunay triangulation
-    at t = 1: for a path that returns to its start, that it is the initial
-    one.  It samples nothing.  The motion must be clear
+    insertion; see ``_MoverKDS``).  It builds and checks the initial
+    triangulation once, as DT(P) with the mover inserted, computes each
+    crossing time as a root of an integer quadratic and orders the flips
+    exactly, and checks that the final triangulation is the Delaunay
+    triangulation at t = 1: for a path that returns to its start, that its
+    final cavity is its initial one.  It samples nothing; a motion with no
+    mover is checked by ``build_delaunay``.  The motion must be clear
     (``_integer_frame``) and either end in general position.  Simultaneous
     flips are ordered by quad when they far-commute and raise
     ``UnresolvedEventError`` otherwise.  Motions of several points take
@@ -683,16 +677,16 @@ def exact_flip_sequence(ts: TrajectorySet) -> list:
     if len(ts.movers) > 1:
         raise ValueError("the exact engine moves one point; sample motions"
                          " of several with extract_flip_sequence")
-    start = build_delaunay(ts.initial)
     if not ts.movers:
+        build_delaunay(ts.initial)
         return []
     (path,) = paths.values()
-    kds = _MoverKDS(ts, start, fixed, path[0][1])
+    kds = _MoverKDS(ts, fixed, path[0][1])
+    start = frozenset(kds.cavity)
     for (t0, m0), (t1, m1) in zip(path, path[1:]):
         kds.run_segment(t0, m0, t1, m1)
-    end = kds.triangles()
-    # a loop back to its start ends at the configuration whose Delaunay
-    # triangulation build_delaunay has already verified: start
-    if path[-1][1] != path[0][1] or end != start:
-        verify_delaunay(end, configuration_at(ts, 1))
+    # a loop back to its start with the start's cavity ends at the start,
+    # which _MoverKDS has verified
+    if path[-1][1] != path[0][1] or kds.cavity != start:
+        verify_delaunay(kds.triangles(), configuration_at(ts, 1))
     return kds.bracketed_events()

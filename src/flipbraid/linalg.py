@@ -34,6 +34,15 @@ def as_rational(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+def require_rational(*values) -> None:
+    """``TypeError``, as from ``as_rational``, unless every value is an
+    int or a Fraction: the check of a constructor that does not coerce,
+    such as ``LabeledPoint(...)``."""
+    for value in values:
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"not an exact rational: {value!r}")
+
+
 def clear_denominators(values) -> tuple:
     """(ints, scale): the rationals ``values`` (ints or Fractions) times
     ``scale``, their least common denominator, which keeps every sign and

@@ -1,8 +1,12 @@
 """Shared helpers: random valid configurations, the exhaustive general
-position and Delaunay checks and a winding-number oracle."""
+position and Delaunay checks and a winding-number oracle; and a time limit
+on every test."""
 
+import signal
 from fractions import Fraction
 from itertools import combinations
+
+import pytest
 
 from flipbraid import (Configuration, DegenerateConfigurationError,
                        LabeledPoint, incircle, orient2d)
@@ -12,6 +16,31 @@ BOUNDARY = (
     (Fraction(50), Fraction(-30)),
     (Fraction(0), Fraction(60)),
 )
+
+TEST_SECONDS = 300
+
+
+class TimeLimitExceeded(BaseException):
+    """A test ran past ``TEST_SECONDS``.  Not an ``Exception``, so that
+    neither Hypothesis, which would shrink it, nor the command line's error
+    handling takes it for a failure of the code under test."""
+
+
+@pytest.fixture(autouse=True)
+def time_limit(request):
+    """Fail a test that runs past ``TEST_SECONDS``, from ``SIGALRM``, so
+    that code which stalls fails its test instead of stalling the suite."""
+    def expire(signum, frame):
+        raise TimeLimitExceeded(
+            f"{request.node.nodeid} ran past {TEST_SECONDS} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_SECONDS)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def random_configuration(rng, n) -> Configuration:

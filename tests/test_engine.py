@@ -6,7 +6,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, event, example, given, settings
+from hypothesis import Phase, assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import validate_general_position
@@ -260,9 +260,9 @@ def test_a_later_batch_at_one_instant_joins_its_group():
     at one instant before it flips, and a crossing at the end of a segment
     belongs to the next one.  So the group of t = 1/2 is seeded with two
     far-commuting flips, each overlapping the one flip of this motion."""
-    config, ts = motion(STATIC_TRIPLE + [OUTSIDE], [(0, OUTSIDE), (1, INSIDE)])
+    _, ts = motion(STATIC_TRIPLE + [OUTSIDE], [(0, OUTSIDE), (1, INSIDE)])
     fixed, paths = _integer_frame(ts)
-    kds = _MoverKDS(ts, build_delaunay(config), fixed, paths[7][0][1])
+    kds = _MoverKDS(ts, fixed, paths[7][0][1])
     kds.groups.append((_time(1, 0, 0, 2),
                        [((1, 5), (4, 7)), ((2, 6), (4, 7))]))
     with pytest.raises(UnresolvedEventError) as info:
@@ -273,10 +273,11 @@ def test_a_later_batch_at_one_instant_joins_its_group():
 
 
 def test_end_check_only_where_the_path_does_not_close(monkeypatch):
-    """A loop that returns to its start ends at the triangulation that
-    ``build_delaunay`` verified at the start; any other end is checked.
-    Each ``verify_delaunay`` call is recorded as "build" (by
-    ``build_delaunay``) or "end" (the engine's end check)."""
+    """A loop that returns to its start with its start's cavity ends at the
+    start, which the engine verified; any other end is checked.  Each
+    ``verify_delaunay`` call is recorded as "build" (by ``build_delaunay``,
+    which a motion with a mover never calls) or "engine" (the engine's
+    start and end checks)."""
     from flipbraid import delaunay, kinetics
 
     loop = generator_trajectories(canonical_setup(4), BraidLetter(1, 3, 1))
@@ -293,37 +294,82 @@ def test_end_check_only_where_the_path_does_not_close(monkeypatch):
     monkeypatch.setattr(delaunay, "verify_delaunay",
                         counted("build", delaunay.verify_delaunay))
     monkeypatch.setattr(kinetics, "verify_delaunay",
-                        counted("end", kinetics.verify_delaunay))
+                        counted("engine", kinetics.verify_delaunay))
     monkeypatch.setattr(kinetics, "configuration_at",
                         counted("configuration_at", kinetics.configuration_at))
     assert exact_flip_sequence(loop)
-    assert calls == ["build"]
+    assert calls == ["engine"]
     calls.clear()
     assert exact_flip_sequence(open_path)
-    assert calls == ["build", "configuration_at", "end"]
+    assert calls == ["engine", "configuration_at", "engine"]
 
 
 def test_end_check_catches_a_wrong_final_triangulation(monkeypatch):
-    """A closed loop whose engine ends one flip away from its start."""
+    """A closed loop whose engine ends one flip away from its start: after
+    the last segment, the triangle of DT(P) of its first flip crosses the
+    final cavity once more."""
     loop = generator_trajectories(canonical_setup(4), BraidLetter(1, 3, 1))
     first = exact_flip_sequence(loop)[0]
-    triangles = _MoverKDS.triangles
-    monkeypatch.setattr(_MoverKDS, "triangles",
-                        lambda kds: apply_flip(triangles(kds), first))
+    run_segment = _MoverKDS.run_segment
+
+    def one_flip_more(kds, t0, m0, t1, m1):
+        run_segment(kds, t0, m0, t1, m1)
+        if t1 == 1:
+            (tri,) = (tri for tri in kds.circles
+                      if {*tri, kds.mover} == set(first.quad))
+            kds._cross(tri)
+
+    monkeypatch.setattr(_MoverKDS, "run_segment", one_flip_more)
     with pytest.raises(AssertionError, match="circumdisk contains point"):
         exact_flip_sequence(loop)
 
 
-def test_start_check_catches_a_wrong_initial_triangulation():
-    """The engine checks DT(P), the triangulation of the stationary points,
-    once: inserting the mover's start into it must give the initial
-    triangulation, and one flip away from it is refused."""
-    config, ts = motion(STATIC_TRIPLE + [OUTSIDE], [(0, OUTSIDE), (1, INSIDE)])
+def test_start_check_catches_a_wrong_initial_triangulation(monkeypatch):
+    """The engine checks its start, the mover inserted into DT(P), once
+    with ``verify_delaunay``: a DT(P) one flip off is refused.  Points 4..7
+    bound a convex quad whose Delaunay diagonal is (5, 6), and the mover 8
+    runs a loop far from it, which no end check covers."""
+    from flipbraid import kinetics
+
+    _, ts = motion(STATIC_TRIPLE + [(F(6, 5), F(6, 5)), (0, -150)],
+                   [(0, (0, -150)), (F(1, 2), (10, -150)), (1, (0, -150))])
+    assert exact_flip_sequence(ts) == []
+    insert_point = kinetics.insert_point
+
+    def one_flip_off(triangles, positions, index):
+        insert_point(triangles, positions, index)
+        if index == 7:  # the last stationary point: DT(P) is complete
+            assert {(4, 5, 6), (5, 6, 7)} <= triangles
+            triangles.difference_update({(4, 5, 6), (5, 6, 7)})
+            triangles.update({(4, 5, 7), (4, 6, 7)})
+
+    monkeypatch.setattr(kinetics, "insert_point", one_flip_off)
+    with pytest.raises(AssertionError, match="circumdisk contains point"):
+        exact_flip_sequence(ts)
+
+
+@pytest.mark.parametrize("shared", [0, 2])
+def test_a_crossed_triangle_shares_one_edge_with_the_cavity(shared):
+    """A triangle of DT(P) that meets the rest of the cavity in no edge or
+    in two cannot cross it by one flip."""
+    _, ts = motion(STATIC_TRIPLE + [OUTSIDE], [(0, OUTSIDE), (1, INSIDE)])
     fixed, paths = _integer_frame(ts)
-    wrong = apply_flip(build_delaunay(config), exact_flip_sequence(ts)[0])
-    with pytest.raises(AssertionError, match=re.escape(
-            "inserting the mover into DT(P) does not give the initial")):
-        _MoverKDS(ts, wrong, fixed, paths[7][0][1])
+    kds = _MoverKDS(ts, fixed, paths[7][0][1])
+    tried = 0
+    for tri in sorted(kds.circles):
+        a, b, c = tri
+        neighbours = [kds.owner[v, u] for u, v in ((a, b), (b, c), (c, a))
+                      if (v, u) in kds.owner]
+        if len(neighbours) < 2:
+            continue
+        kds.cavity = set(neighbours[:shared])
+        with pytest.raises(AssertionError, match=re.escape(
+                f"triangle {tri} shares {shared} edges with the rest of the"
+                " cavity, not 1")):
+            kds._cross(tri)
+        assert kds.cavity == set(neighbours[:shared])
+        tried += 1
+    assert tried
 
 
 def test_engine_rejects_unclear_paths():
@@ -425,6 +471,10 @@ def test_engine_takes_one_mover():
 
 
 COORD = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+# Each example of the loop tests below runs an oracle that triangulates
+# many configurations, so a failing example is reported as found, not
+# shrunk: on a broken engine, shrinking one took 257 s.
+UNSHRUNK = [phase for phase in Phase if phase is not Phase.shrink]
 
 
 @st.composite
@@ -455,7 +505,7 @@ def missed_pair_loop():
         (F(2, 3), (-13, 13)), (1, interior[-1])]})
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, derandomize=True, phases=UNSHRUNK)
 @given(single_mover_loops())
 @example(missed_pair_loop())
 def test_engine_matches_sampler_on_random_loops(loop):
@@ -481,7 +531,7 @@ def test_engine_matches_sampler_on_random_loops(loop):
         assert a.t_hi <= b.t_lo or (a.t_lo, a.t_hi) == (b.t_lo, b.t_hi)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, derandomize=True, phases=UNSHRUNK)
 @given(single_mover_loops())
 def test_between_flips_the_triangulation_is_the_cavity_fan(loop):
     """At a time inside each gap between flip groups, the engine's

@@ -48,7 +48,7 @@ def test_retired_readers_and_duplicate_helpers_are_gone():
         braids.BraidLetter: ("inverse",),
         braids.BraidWord: ("__mul__",),
         kinetics._MoverKDS: ("_check_clearance", "_failure", "_certify",
-                             "_quad"),
+                             "_quad", "_flip"),
     }
     for owner, names in retired.items():
         for name in names:

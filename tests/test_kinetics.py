@@ -36,6 +36,29 @@ def test_trajectory_validation():
         Trajectory.piecewise(1, [(F(1, 2), (0, 0)), (1, (1, 1))])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: LabeledPoint(4, 0.5, F(1), F(4)),
+    lambda: LabeledPoint(4, F(1), "1/2", F(4)),
+    lambda: LabeledPoint(4, F(1), F(1), 4.0),
+    lambda: Trajectory(4, ((F(0), (F(1), F(1))), (F(1, 2), (2.5, F(1))),
+                           (F(1), (F(1), F(1))))),
+    lambda: Trajectory(4, ((F(0), (F(1), F(1))), (F(1, 2), (F(2), "1")),
+                           (F(1), (F(1), F(1))))),
+    lambda: Trajectory(4, ((F(0), (F(1), F(1))), (0.5, (F(2), F(1))),
+                           (F(1), (F(1), F(1))))),
+], ids=["float-x", "str-y", "float-label", "float-coordinate",
+        "str-coordinate", "float-time"])
+def test_direct_construction_takes_exact_rationals_only(build):
+    """The constructors that ``make`` and ``piecewise`` wrap coerce nothing,
+    so a float or a string is refused there, not as an ``AttributeError``
+    in whatever reads it later; the wrappers still coerce strings."""
+    with pytest.raises(TypeError, match="not an exact rational"):
+        build()
+    assert LabeledPoint.make(4, "1/2", 1, 4).x == F(1, 2)
+    assert Trajectory.piecewise(4, [(0, ("1/2", 0)), ("1", (1, 1))]).times \
+        == (0, 1)
+
+
 def test_trajectory_set_requires_constant_boundary():
     config = make_config([(0, 0)])
     with pytest.raises(ValueError, match="boundary point 1 must stay fixed"):
