@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .delaunay import DegenerateConfigurationError, build_delaunay
 from .flips import flip_sequence_to_json, loop_product
@@ -28,21 +27,52 @@ class WordSyntaxError(ValueError):
     """A braid word failed to parse; the message carries the position."""
 
 
-@dataclass(frozen=True)
-class BraidLetter:
+class _LetterFields(NamedTuple):
     i: int
     j: int
     power: int  # +1 or -1
+
+
+class BraidLetter(_LetterFields):
+    """The generator b(i,j) or its inverse; any other power is refused."""
+
+    __slots__ = ()
+
+    def __new__(cls, i, j, power):
+        if power not in (1, -1):
+            raise ValueError(f"letter b({i},{j}): power must be +1 or -1,"
+                             f" got {power!r}")
+        return super().__new__(cls, i, j, power)
 
     def __str__(self):
         suffix = "^-1" if self.power < 0 else ""
         return f"b({self.i},{self.j}){suffix}"
 
 
-@dataclass(frozen=True)
 class BraidWord:
-    n: int
-    letters: tuple
+    """A word in the generators on n strands.  Not a tuple, so ``*`` and
+    ``+`` do not silently repeat or join words; frozen, and equal by value."""
+
+    def __init__(self, n: int, letters: tuple):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "letters", letters)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not BraidWord:
+            return NotImplemented
+        return (self.n, self.letters) == (other.n, other.letters)
+
+    def __hash__(self):
+        return hash((self.n, self.letters))
+
+    def __repr__(self):
+        return f"BraidWord(n={self.n!r}, letters={self.letters!r})"
 
     def __str__(self):
         return " ".join(str(letter) for letter in self.letters)
@@ -74,17 +104,20 @@ def parse_word(text: str, n: int) -> BraidWord:
 
 
 def word_from_pairs(n: int, pairs) -> BraidWord:
-    """Build a word from ((i, j) | (i, j, power)) tuples."""
+    """Build a word from ((i, j) | (i, j, power)) tuples; any other entry,
+    or a power other than +1 or -1, raises ``ValueError``."""
     letters = []
     for p in pairs:
-        i, j = p[0], p[1]
-        power = p[2] if len(p) > 2 else 1
-        letters.append(BraidLetter(i, j, power))
+        if len(p) == 2:
+            p = (*p, 1)
+        elif len(p) != 3:
+            raise ValueError(f"letter {p!r}: expected (i, j) or"
+                             " (i, j, power)")
+        letters.append(BraidLetter(*p))
     return BraidWord(n, tuple(letters))
 
 
-@dataclass(frozen=True)
-class LoopGeometry:
+class LoopGeometry(NamedTuple):
     """Shape of a generator loop: rise height, dip depth, lateral offset."""
 
     height: Fraction = Fraction(1)
@@ -100,18 +133,27 @@ class LoopGeometry:
 DEFAULT_LOOP = LoopGeometry()
 
 
-@dataclass(frozen=True, eq=False)
 class CanonicalSetup:
     """Deterministic start position: boundary triangle, parabolic homes,
     labels equal to point indices.
 
     Equality and hashing are by identity: ``canonical_setup`` builds one
     setup per n, so the letter cache keys on the setup without hashing its
-    configuration.
+    configuration.  Frozen; the instance dict holds the cached ``home``.
     """
 
-    n: int
-    config: Configuration
+    def __init__(self, n: int, config: Configuration):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "config", config)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"CanonicalSetup(n={self.n!r}, config={self.config!r})"
 
     @functools.cached_property
     def home(self) -> frozenset:
@@ -195,8 +237,7 @@ def generator_trajectories(setup: CanonicalSetup, letter: BraidLetter,
     return TrajectorySet.from_motion(setup.config, {mover: path})
 
 
-@dataclass
-class InvariantResult:
+class InvariantResult(NamedTuple):
     """Matrix of a word together with the basis and per-letter flip logs.
 
     The matrix is the image of the word in the pure braid group PB_n of
@@ -299,19 +340,25 @@ def invariant(word: BraidWord, geometry: LoopGeometry = DEFAULT_LOOP,
 
 # --- relation verification ---------------------------------------------------
 
-@dataclass(frozen=True)
-class RelationInstance:
+class RelationInstance(NamedTuple):
     name: str
     ok: bool
     lhs: Optional[Matrix] = None
     rhs: Optional[Matrix] = None
 
 
-@dataclass
 class RelationReport:
-    family: str
-    n: int
-    instances: list = field(default_factory=list)
+    """A family's instances, appended as they are checked."""
+
+    def __init__(self, family: str, n: int,
+                 instances: Optional[list] = None):
+        self.family = family
+        self.n = n
+        self.instances = [] if instances is None else instances
+
+    def __repr__(self):
+        return (f"RelationReport(family={self.family!r}, n={self.n!r},"
+                f" instances={self.instances!r})")
 
     @property
     def ok(self) -> bool:

@@ -10,10 +10,9 @@ integer predicates on ``Configuration.int_positions``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .geometry import Configuration, incircle, orient2d
 
@@ -132,25 +131,28 @@ def verify_delaunay(triangles: frozenset, config: Configuration) -> None:
         raise DegenerateConfigurationError(degenerate)
 
 
-@dataclass(frozen=True)
-class FlipEvent:
+class _FlipFields(NamedTuple):
+    removed: tuple   # pair (i, k)
+    inserted: tuple  # pair (j, l)
+    t_lo: Optional[Fraction] = None
+    t_hi: Optional[Fraction] = None
+
+
+class FlipEvent(_FlipFields):
     """One diagonal exchange: edge {i,k} replaced by {j,l} in quad ijkl.
 
     Either order within each pair names the same flip and gives the same
     matrix; events found by ``diff_flips`` carry sorted pairs.
     """
 
-    removed: tuple   # pair (i, k)
-    inserted: tuple  # pair (j, l)
-    t_lo: Optional[Fraction] = None
-    t_hi: Optional[Fraction] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (len(self.removed) != 2 or len(self.inserted) != 2
-                or len({*self.removed, *self.inserted}) != 4):
+    def __new__(cls, removed, inserted, t_lo=None, t_hi=None):
+        if (len(removed) != 2 or len(inserted) != 2
+                or len({*removed, *inserted}) != 4):
             raise ValueError(
-                f"flip needs four distinct indices: {self.removed},"
-                f" {self.inserted}")
+                f"flip needs four distinct indices: {removed}, {inserted}")
+        return super().__new__(cls, removed, inserted, t_lo, t_hi)
 
     @property
     def quad(self) -> tuple:

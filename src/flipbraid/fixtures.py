@@ -15,11 +15,9 @@ import json
 import os
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .delaunay import FlipEvent
 from .flips import PENTAGON_FLIPS, build_flip_matrix, pentagon_cycle_product
@@ -27,6 +25,7 @@ from .linalg import Matrix
 
 MANIFEST_NAME = "MANIFEST.json"
 ENV_DIR = "FLIPBRAID_FIXTURES"
+DATA_DIR = Path(__file__).parent / "data"
 
 
 class FixtureError(RuntimeError):
@@ -40,10 +39,10 @@ def _read_bytes(name: str) -> bytes:
         if not path.is_file():
             raise FixtureError(f"fixture {name} not found in {override}")
         return path.read_bytes()
-    ref = resources.files("flipbraid").joinpath("data").joinpath(name)
-    if not ref.is_file():
+    path = DATA_DIR / name
+    if not path.is_file():
         raise FixtureError(f"bundled fixture {name} missing")
-    return ref.read_bytes()
+    return path.read_bytes()
 
 
 def _parse(name: str, raw: bytes):
@@ -160,8 +159,7 @@ def _first_difference(a: Matrix, b: Matrix) -> str:
     return ""
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""

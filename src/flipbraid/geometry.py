@@ -13,9 +13,9 @@ integer points too, with ``_inside`` and ``_segment_meets``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from typing import NamedTuple
 
 from .linalg import as_rational, clear_denominators, require_rational
 
@@ -80,20 +80,24 @@ def _segment_meets(a, b, p) -> bool:
             and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
 
 
-@dataclass(frozen=True)
-class LabeledPoint:
-    """A point with its configuration index and rational label.
-
-    Coordinates and label must be ints or Fractions (``TypeError``
-    otherwise); ``make`` also coerces ``'p/q'`` strings."""
-
+class _PointFields(NamedTuple):
     index: int
     x: Fraction
     y: Fraction
     zeta: Fraction
 
-    def __post_init__(self):
-        require_rational(self.x, self.y, self.zeta)
+
+class LabeledPoint(_PointFields):
+    """A point with its configuration index and rational label.
+
+    Coordinates and label must be ints or Fractions (``TypeError``
+    otherwise); ``make`` also coerces ``'p/q'`` strings."""
+
+    __slots__ = ()
+
+    def __new__(cls, index, x, y, zeta):
+        require_rational(x, y, zeta)
+        return super().__new__(cls, index, x, y, zeta)
 
     @staticmethod
     def make(index, x, y, zeta) -> "LabeledPoint":
@@ -105,19 +109,22 @@ class LabeledPoint:
         return (self.x, self.y)
 
 
-@dataclass(frozen=True)
-class Configuration:
+class _ConfigurationFields(NamedTuple):
+    points: tuple
+    boundary: tuple
+
+
+class Configuration(_ConfigurationFields):
     """All n+3 labeled points: 3 fixed triangle vertices plus n mobile ones.
 
     Construction checks index/label uniqueness and strict containment of the
     interior points.  General position is not checked here: it may fail
     mid-motion, and ``build_delaunay`` reports the degeneracy it meets.
+    The instance dict (no ``__slots__``) holds the cached position maps.
     """
 
-    points: tuple
-    boundary: tuple
-
-    def __post_init__(self):
+    def __new__(cls, points, boundary):
+        self = super().__new__(cls, points, boundary)
         indices = [p.index for p in self.points]
         if len(set(indices)) != len(indices):
             raise ValueError("duplicate point indices")
@@ -137,6 +144,7 @@ class Configuration:
                 raise ValueError(
                     f"point {index} is not strictly inside the boundary"
                     " triangle")
+        return self
 
     @property
     def n(self) -> int:

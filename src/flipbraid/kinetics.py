@@ -41,8 +41,8 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .delaunay import (DegenerateConfigurationError, FlipEvent, apply_flip,
                        build_delaunay, diff_flips, fan_cavity, insert_point,
@@ -63,17 +63,20 @@ class ClearanceError(ValueError):
     """A mover leaves the boundary triangle or meets another point."""
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Piecewise-linear path of one point over [0, 1].
-
-    Times and coordinates must be ints or Fractions (``TypeError``
-    otherwise); ``piecewise`` also coerces ``'p/q'`` strings."""
-
+class _TrajectoryFields(NamedTuple):
     index: int
     breakpoints: tuple  # ((time, (x, y)), ...) with strictly increasing times
 
-    def __post_init__(self):
+
+class Trajectory(_TrajectoryFields):
+    """Piecewise-linear path of one point over [0, 1].
+
+    Times and coordinates must be ints or Fractions (``TypeError``
+    otherwise); ``piecewise`` also coerces ``'p/q'`` strings.  The
+    instance dict (no ``__slots__``) holds the cached ``times``."""
+
+    def __new__(cls, index, breakpoints):
+        self = super().__new__(cls, index, breakpoints)
         for t, (x, y) in self.breakpoints:
             require_rational(t, x, y)
         times = self.times
@@ -81,6 +84,7 @@ class Trajectory:
             raise ValueError("breakpoints must start at 0 and end at 1")
         if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
             raise ValueError("breakpoint times must strictly increase")
+        return self
 
     @staticmethod
     def piecewise(index: int, points) -> "Trajectory":
@@ -107,8 +111,12 @@ class Trajectory:
         return (x0 + u * (x1 - x0), y0 + u * (y1 - y0))
 
 
-@dataclass(frozen=True)
-class TrajectorySet:
+class _TrajectorySetFields(NamedTuple):
+    initial: Configuration
+    trajectories: tuple  # the movers' trajectories, sorted by point index
+
+
+class TrajectorySet(_TrajectorySetFields):
     """The paths of the moving points of a configuration.
 
     ``trajectories`` holds one Trajectory per moving point, sorted by
@@ -117,10 +125,10 @@ class TrajectorySet:
     Labels and boundary roles come from the initial configuration.
     """
 
-    initial: Configuration
-    trajectories: tuple  # the movers' trajectories, sorted by point index
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, initial, trajectories):
+        self = super().__new__(cls, initial, trajectories)
         if list(self.movers) != sorted(set(self.movers)):
             raise ValueError("trajectories must be sorted by distinct index")
         positions = self.initial.positions
@@ -134,6 +142,7 @@ class TrajectorySet:
                 raise ValueError(
                     f"trajectory of point {tr.index} does not start at its"
                     " initial position")
+        return self
 
     @property
     def movers(self) -> tuple:

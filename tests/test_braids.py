@@ -37,6 +37,21 @@ def test_parse_word_errors():
         parse_word("b(1,2) b(1,3) b(2,2)", 3)
 
 
+@pytest.mark.parametrize("power", [2, 0, -2])
+def test_a_letter_power_other_than_one_is_refused(power):
+    """b(1,2)^2 and b(1,2)^0 are not letters: they must not pass as b(1,2)."""
+    with pytest.raises(ValueError, match=r"letter b\(1,2\): power must be"):
+        BraidLetter(1, 2, power)
+    with pytest.raises(ValueError, match=r"letter b\(1,2\): power must be"):
+        word_from_pairs(3, [(1, 2, power)])
+
+
+@pytest.mark.parametrize("entry", [(), (1,), (1, 2, 1, 1)])
+def test_word_from_pairs_refuses_a_malformed_entry(entry):
+    with pytest.raises(ValueError, match=r"expected \(i, j\) or"):
+        word_from_pairs(3, [(1, 2), entry])
+
+
 def test_canonical_setup_shapes():
     s1 = canonical_setup(1)
     assert len(s1.config.points) == 4

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -54,6 +55,21 @@ def test_retired_readers_and_duplicate_helpers_are_gone():
         for name in names:
             assert not hasattr(owner, name), (owner, name)
             assert name not in flipbraid.__all__
+
+
+def test_import_loads_no_code_generators():
+    """The records are built without ``dataclasses``, and the data files
+    are found without ``importlib.resources``: a fresh interpreter that
+    imports the package and its CLI loads neither, nor ``inspect``."""
+    probe = ("import sys, flipbraid, flipbraid.cli; print(sorted(m for m in"
+             " ('dataclasses', 'inspect', 'importlib.resources')"
+             " if m in sys.modules))")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-B", "-c", probe], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_package_imports_only_the_standard_library():

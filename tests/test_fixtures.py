@@ -102,6 +102,17 @@ def test_missing_fixture_in_override(tmp_path, monkeypatch):
         load_fixture("pentagon_cycle.json")
 
 
+def test_missing_bundled_fixture(tmp_path, monkeypatch):
+    """Without the override, the files are read from the package's own
+    ``data`` directory."""
+    assert (fixtures.DATA_DIR / fixtures.MANIFEST_NAME).is_file()
+    monkeypatch.delenv(fixtures.ENV_DIR, raising=False)
+    monkeypatch.setattr(fixtures, "DATA_DIR", tmp_path)
+    with pytest.raises(FixtureError,
+                       match="bundled fixture pentagon_cycle.json missing"):
+        load_fixture("pentagon_cycle.json")
+
+
 def test_suites_report_the_first_difference(tmp_path, monkeypatch, capsys):
     """An entry changed under a rewritten manifest passes the checksum, so
     the suites themselves must find it and name where it is."""
