@@ -258,13 +258,17 @@ class InvariantResult(NamedTuple):
         return char_poly(self.matrix)
 
     def to_json_dict(self, with_trace: bool = True,
-                     with_charpoly: bool = False) -> dict:
+                     with_charpoly: bool = False, *,
+                     flips=flip_sequence_to_json) -> dict:
+        """The payload of ``flipbraid invariant``.  ``flips`` makes each
+        letter's flip log from its events; the command line keeps them as
+        a list, which its writer renders with ``flip_entry_json``."""
         out = {
             "n": self.word.n,
             "word": str(self.word),
             "matrix": self.matrix.to_json_dict(),
             "basis": [list(t) for t in self.basis],
-            "flips": [flip_sequence_to_json(evts) for evts in self.flip_log],
+            "flips": [flips(evts) for evts in self.flip_log],
         }
         if with_trace:
             out["trace"] = str(self.trace)

@@ -19,9 +19,9 @@ from pathlib import Path
 
 from .braids import (FAMILIES, WordSyntaxError, canonical_setup,
                      invariant, letter_flips, parse_word, verify_relations)
-from .delaunay import apply_flip, render_svg
+from .delaunay import FlipEvent, apply_flip, render_svg
 from .fixtures import FixtureError, run_all_suites
-from .flips import flip_sequence_to_json
+from .flips import flip_entry_json
 from .kinetics import (DEFAULT_FLOOR, DEFAULT_STEP, UnresolvedEventError,
                        configuration_at)
 
@@ -94,10 +94,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _dumps(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2)``, byte for byte, written directly
     for the types of the command payloads: lists, dicts with str keys, str
-    and int.  (``json`` runs its pure-Python encoder whenever an indent is
-    set.)  Any other value is handed to ``json`` with its newlines indented
-    to its depth; ``indent`` is the newline and indent of that depth."""
+    and int, with a ``FlipEvent`` standing for its flip-log entry, which
+    ``flip_entry_json`` writes.  (``json`` runs its pure-Python encoder
+    whenever an indent is set.)  Any other value is handed to ``json`` with
+    its newlines indented to its depth; ``indent`` is the newline and
+    indent of that depth."""
     kind = type(value)
+    if kind is FlipEvent:
+        return flip_entry_json(value, indent)
     if kind is str:
         return encode_basestring_ascii(value)
     if kind is int:
@@ -155,7 +159,7 @@ def cmd_invariant(args) -> int:
     word = parse_word(args.word, args.n)
     result = invariant(word, step=args.step, floor=args.floor)
     payload = result.to_json_dict(with_trace=args.trace,
-                                  with_charpoly=args.charpoly)
+                                  with_charpoly=args.charpoly, flips=list)
     return _emit(_dumps(payload) + "\n", args.out)
 
 
@@ -212,7 +216,7 @@ def cmd_simulate(args) -> int:
             _write_snapshots(setup, per_letter, Path(args.svg_dir))
         except OSError as err:
             raise _unwritable(args.svg_dir, err) from err
-    payload = [flip_sequence_to_json(events) for _, events in per_letter]
+    payload = [list(events) for _, events in per_letter]
     return _emit(_dumps(payload) + "\n", args.out)
 
 

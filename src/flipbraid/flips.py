@@ -19,6 +19,8 @@ O(n).
 
 from __future__ import annotations
 
+import functools
+import json
 import math
 from fractions import Fraction
 
@@ -32,14 +34,12 @@ def gamma_generator_name(event: FlipEvent) -> str:
     The eight tuples obtained by the dihedral symmetries of the
     quadrilateral ijkl, with (i, k) = ``removed`` and (j, l) = ``inserted``,
     name the same generator; the lexicographically least one is the
-    canonical representative.
+    canonical representative.  With i < k and j < l it starts with
+    min(i, j): it is (i, j, k, l) when i < j, and (j, i, l, k) otherwise.
     """
-    i, k = event.removed
-    j, l = event.inserted
-    variants = [(i, j, k, l), (k, j, i, l), (i, l, k, j), (k, l, i, j),
-                (j, k, l, i), (j, i, l, k), (l, k, j, i), (l, i, j, k)]
-    a, b, c, d = min(variants)
-    return f"d({a} {b} {c} {d})"
+    i, k = sorted(event.removed)
+    j, l = sorted(event.inserted)
+    return f"d({i} {j} {k} {l})" if i < j else f"d({j} {i} {l} {k})"
 
 
 class BasisMismatchError(ValueError):
@@ -195,26 +195,47 @@ def pentagon_cycle_product(labels) -> Matrix:
 
 # --- flip sequence JSON ------------------------------------------------------
 
+def flip_entry_json(event: FlipEvent, indent: str = "\n") -> str:
+    """The flip log's entry of ``event``, written as ``json.dumps(entry,
+    indent=2)`` writes it at the depth whose newline and indent is
+    ``indent``: ``removed``, ``inserted``, ``quad`` and ``gamma``, then
+    ``t_lo`` and ``t_hi`` when both are set.  The one definition of an
+    entry, for integer indices; ``flip_sequence_to_json`` reads it back."""
+    plain, bracketed = _entry_templates(indent)
+    (i, k), (j, l), lo, hi = event
+    fields = (i, k, j, l, *event.quad, gamma_generator_name(event))
+    if lo is None or hi is None:
+        return plain % fields
+    return bracketed % (*fields, lo, hi)
+
+
+@functools.cache
+def _entry_templates(indent: str) -> tuple:
+    """The %-templates of an entry at one depth, without and with its
+    bracket."""
+    a, b = indent + "  ", indent + "    "
+
+    def ints(count):
+        return "[" + b + ("," + b).join(["%d"] * count) + a + "]"
+
+    head = (f'{{{a}"removed": {ints(2)},{a}"inserted": {ints(2)},'
+            f'{a}"quad": {ints(4)},{a}"gamma": "%s"')
+    return (head + indent + "}",
+            head + f',{a}"t_lo": "%s",{a}"t_hi": "%s"{indent}}}')
+
+
 def flip_sequence_to_json(events) -> list:
-    out = []
-    for e in events:
-        d = {
-            "removed": list(e.removed),
-            "inserted": list(e.inserted),
-            "quad": list(e.quad),
-            "gamma": gamma_generator_name(e),
-        }
-        if e.t_lo is not None and e.t_hi is not None:
-            d["t_lo"] = str(e.t_lo)
-            d["t_hi"] = str(e.t_hi)
-        out.append(d)
-    return out
+    """The flip log of ``events`` as JSON values: the entries of
+    ``flip_entry_json``, read back."""
+    return json.loads("[" + ",".join(map(flip_entry_json, events)) + "]")
 
 
 def flip_sequence_from_json(data) -> list:
     """The events that ``flip_sequence_to_json`` wrote.
 
-    A malformed entry raises ``ValueError`` naming its 1-based position.
+    A malformed entry raises ``ValueError`` naming its 1-based position:
+    one whose bracket is half given, reversed or outside [0, 1], or whose
+    ``quad`` or ``gamma`` is not the one its pairs give.
     """
     if not isinstance(data, (list, tuple)):
         raise ValueError(f"expected a list of flip entries, got {data!r}")
@@ -223,11 +244,24 @@ def flip_sequence_from_json(data) -> list:
         try:
             if not isinstance(d, dict):
                 raise ValueError(f"expected an object, got {d!r}")
-            events.append(FlipEvent(
+            event = FlipEvent(
                 _index_pair(d, "removed"), _index_pair(d, "inserted"),
-                _time(d, "t_lo"), _time(d, "t_hi")))
+                _time(d, "t_lo"), _time(d, "t_hi"))
+            lo, hi = event.t_lo, event.t_hi
+            if (lo is None) != (hi is None):
+                raise ValueError("'t_lo' and 't_hi' must be given together")
+            if lo is not None and not 0 <= lo <= hi <= 1:
+                raise ValueError(f"bracket [{lo}, {hi}] is not ordered"
+                                 " inside [0, 1]")
+            for key, value in (("quad", list(event.quad)),
+                               ("gamma", gamma_generator_name(event))):
+                got = d.get(key, value)
+                if got != value:
+                    raise ValueError(f"{key!r} is {got!r}, but 'removed'"
+                                     f" and 'inserted' give {value!r}")
         except ValueError as err:
             raise ValueError(f"flip entry {pos}: {err}") from None
+        events.append(event)
     return events
 
 

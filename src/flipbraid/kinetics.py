@@ -12,7 +12,10 @@ mover, plus the mover's fan over it.  So each flip happens when the mover
 crosses the circumcircle of a triangle of DT(P): on each linear segment of
 its path, a root of that circle's polynomial, a quadratic in time.  The
 roots lie in Q(sqrt(D)) and are computed and ordered exactly, with integer
-arithmetic.  It samples nothing.
+arithmetic.  Each time carries the integer key floor(t * 2^64): a
+segment's crossings are sorted by key and quad, and a bracket's dyadic
+ends are placed among the neighbouring events by keys, so exact
+comparisons run only where two keys are equal.  It samples nothing.
 
 ``extract_flip_sequence`` samples: configurations are evaluated at exact
 rational sample times, adjacent Delaunay triangulations are diffed, and
@@ -432,7 +435,8 @@ def _floor_scaled(t, scale: int) -> int:
 
 def _bracket(t, before, after) -> tuple:
     """The rational bracket (t_lo, t_hi) of an event at time t, given the
-    times of the previous and next events (None at either end).
+    times of the previous and next events (None at either end), all in
+    [0, 1).
 
     It is the coarsest dyadic cell [k/2^m, (k+1)/2^m], with 2^m at least
     64 (the sampler's default grid), that holds t in its open interior and
@@ -456,12 +460,22 @@ def _bracket(t, before, after) -> tuple:
         on_grid = t[1] == 0 and t[0] * scale == k * t[3]
         lo, hi = k - on_grid, k + 1
         if (0 <= lo and hi <= scale
-                and (before is None
-                     or _compare(before, _dyadic_time(lo, m)) < 0)
-                and (after is None
-                     or _compare(_dyadic_time(hi, m), after) < 0)):
+                and (before is None or _compare_dyadic(before, lo, m) < 0)
+                and (after is None or _compare_dyadic(after, hi, m) > 0)):
             return Fraction(lo, scale), Fraction(hi, scale)
         m += 1
+
+
+def _compare_dyadic(x, k, m) -> int:
+    """Sign of x - k/2^m for a time x.  At a level m <= 64, k/2^m has the
+    exact key k << (64 - m), and x is below it if its key is smaller and
+    above it if its key is larger; only an equal key takes the exact test
+    (x is then at or above it)."""
+    if m <= _KEY_BITS:
+        key = k << (_KEY_BITS - m)
+        if x[4] != key:
+            return 1 if x[4] > key else -1
+    return _compare(x, _dyadic_time(k, m))
 
 
 def _cofactors(a, b, c) -> tuple:
@@ -523,6 +537,26 @@ def _crossings(a2, b2, c2, inside: bool) -> tuple:
     return (1, -1) if leaves else (1,)
 
 
+def _instants(crossings) -> list:
+    """The crossings (time, quad, triangle), sorted by (key, quad), as the
+    lists of those at one instant, in time order and each in quad order.
+    Only neighbours with one key reach ``_compare``: when there are any,
+    a stable sort by exact time reorders each run of one key in place,
+    keeping the quad order of each instant.  Either way ``crossings`` ends
+    in time order."""
+    ties = [a[0][4] == b[0][4] for a, b in zip(crossings, crossings[1:])]
+    if any(ties):
+        crossings.sort(key=functools.cmp_to_key(
+            lambda x, y: _compare(x[0], y[0])))
+    instants = []
+    for c, tie in zip(crossings, [False] + ties):
+        if tie and not _compare(instants[-1][0][0], c[0]):
+            instants[-1].append(c)
+        else:
+            instants.append([c])
+    return instants
+
+
 class _MoverKDS:
     """Delaunay triangulation of one moving point m among stationary points
     P, held as its cavity and moved by flips where m crosses the
@@ -545,7 +579,10 @@ class _MoverKDS:
     across (u, v) is ``owner[v, u]``.  On a segment each circle is a
     quadratic in the segment parameter (``_segment_quadratics``), whose
     crossings are found by signs (``_crossings``); only they become keyed
-    times, ordered by integer keys with the exact test only on key ties.
+    times.  A segment sorts its crossings by (key, quad), and
+    ``_instants`` groups them into instants in one pass, comparing exact
+    times only where two keys are equal; the first instant of a segment
+    joins the last group when their times are equal.
     """
 
     def __init__(self, ts: TrajectorySet, fixed: dict, m0):
@@ -593,20 +630,18 @@ class _MoverKDS:
                 when = _time(2 * a2 * a0 - a1 * b2, v * a1,
                              b2 * b2 - 4 * a2 * c2, 2 * a2 * q)
                 crossings.append((when, tuple(sorted(tri + (mover,))), tri))
-        # by time, the least key first and exact tests only on key ties,
-        # and by quad at one instant
-        by_time = functools.cmp_to_key(_compare)
-        crossings.sort(key=lambda c: (by_time(c[0]), c[1]))
+        # by key, and by quad within one key
+        crossings.sort(key=lambda c: (c[0][4], c[1]))
+        instants = _instants(crossings)
         # a root outside [t0, t1) is a fault that _bracket could not end on
         if crossings and (
                 _compare(crossings[0][0], _time(a0, 0, 0, q)) < 0
                 or _compare(crossings[-1][0], _time(a0 + a1, 0, 0, q)) >= 0):
             raise AssertionError(f"a crossing outside [{t0}, {t1})")
-        for _, batch in itertools.groupby(crossings,
-                                          lambda c: by_time(c[0])):
-            batch = list(batch)
+        for pos, batch in enumerate(instants):
             when = batch[0][0]
-            if not self.groups or _compare(self.groups[-1][0], when):
+            # the first instant of a segment may be the previous one's last
+            if pos or not self.groups or _compare(self.groups[-1][0], when):
                 self.groups.append((when, []))
             flips = self.groups[-1][1]
             if len(batch) > 1 or flips:

@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flipbraid.cli import _dumps, main
+from flipbraid.delaunay import FlipEvent
+from flipbraid.flips import (flip_entry_json, flip_sequence_to_json,
+                             gamma_generator_name)
 from flipbraid.linalg import Matrix
 
 
@@ -81,7 +84,6 @@ def test_step_above_one_is_usage(capsys, step):
 def test_floor_equal_to_step_is_accepted(capsys):
     from flipbraid import parse_word
     from flipbraid.braids import canonical_setup, generator_trajectories
-    from flipbraid.flips import flip_sequence_to_json
     from flipbraid.kinetics import extract_flip_sequence
 
     code, out, err = run_cli(capsys, "simulate", "--n", "2", "--word",
@@ -287,6 +289,104 @@ GOLDEN_SIMULATE = {
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def test_golden_benchmark_outputs(capsys):
+    """The outputs of the extract-n7 and word-n8 benchmark ops: simulate
+    of every signed generator at n = 7, b(i,j) then b(i,j)^-1 for i < j,
+    and invariant --charpoly --trace of two 3-letter words at n = 8, each
+    digest over the concatenated stdout."""
+    outs = []
+    for i in range(1, 8):
+        for j in range(i + 1, 8):
+            for word in (f"b({i},{j})", f"b({i},{j})^-1"):
+                outs.append(run_cli(capsys, "simulate", "--n", "7",
+                                    "--word", word))
+    assert len(outs) == 42 and all(o[0] == 0 and o[2] == "" for o in outs)
+    assert _sha256("".join(o[1] for o in outs).encode()) == (
+        "847028f8c0e3fbcfa435c4f7c3e893d543c7091866900ddda4b789ca3fd0b543")
+    outs = [run_cli(capsys, "invariant", "--n", "8", "--word", word,
+                    "--charpoly", "--trace")
+            for word in ("b(1,2) b(3,8)^-1 b(2,7)",
+                         "b(4,5)^-1 b(1,8) b(6,7)")]
+    assert all(o[0] == 0 and o[2] == "" for o in outs)
+    assert _sha256("".join(o[1] for o in outs).encode()) == (
+        "0edff9a6bc9f328b0df72dfe3e2ac00766b9bb731964a2e6a5f41488162001e2")
+
+
+@pytest.mark.parametrize("word", ["", "b(1,3) b(2,3)^-1"])
+def test_command_output_is_the_payload_dumped(capsys, word):
+    """``invariant`` prints json.dumps of ``to_json_dict`` with its default
+    flip logs, and ``simulate`` that of ``flip_sequence_to_json`` per
+    letter, the empty word included."""
+    from flipbraid import invariant, parse_word
+    from flipbraid.braids import canonical_setup, letter_flips
+
+    parsed = parse_word(word, 3)
+    code, out, err = run_cli(capsys, "invariant", "--n", "3", "--word",
+                             word, "--trace", "--charpoly")
+    assert code == 0 and err == ""
+    payload = invariant(parsed).to_json_dict(with_charpoly=True)
+    assert out == json.dumps(payload, indent=2) + "\n"
+    code, out, err = run_cli(capsys, "simulate", "--n", "3", "--word", word)
+    assert code == 0 and err == ""
+    payload = [flip_sequence_to_json(letter_flips(canonical_setup(3),
+                                                  letter)[1])
+               for letter in parsed.letters]
+    assert out == json.dumps(payload, indent=2) + "\n"
+    assert (out == "[]\n") == (word == "")
+
+
+@pytest.mark.parametrize("command", ["invariant", "simulate"])
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, command):
+    argv = (command, "--n", "3", "--word", "b(1,3) b(2,3)^-1")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "out.json"
+    code, quiet, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0 and quiet == ""
+    assert path.read_bytes() == out.encode()
+
+
+TIME = st.fractions(min_value=0, max_value=1, max_denominator=2 ** 40)
+
+
+@st.composite
+def unsorted_flip_events(draw):
+    """A flip on four distinct indices, each pair in either order, with a
+    bracket, with none, or with one end only."""
+    i, j, k, l = draw(st.lists(st.integers(0, 10 ** 4), min_size=4,
+                               max_size=4, unique=True))
+    ends = draw(st.sampled_from(("both", "none", "t_lo", "t_hi")))
+    lo, hi = sorted(draw(st.tuples(TIME, TIME)))
+    return FlipEvent((i, k), (j, l), lo if ends in ("both", "t_lo") else None,
+                     hi if ends in ("both", "t_hi") else None)
+
+
+def entry_dict(event):
+    """A flip-log entry built field by field, as the log is specified."""
+    out = {"removed": list(event.removed), "inserted": list(event.inserted),
+           "quad": sorted(event.removed + event.inserted),
+           "gamma": gamma_generator_name(event)}
+    if event.t_lo is not None and event.t_hi is not None:
+        out.update(t_lo=str(event.t_lo), t_hi=str(event.t_hi))
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(unsorted_flip_events(), max_size=5), st.integers(0, 4))
+def test_entry_writer_is_json_dumps_of_the_entry(events, depth):
+    """``flip_entry_json`` at any depth, ``_dumps`` of FlipEvents and
+    ``flip_sequence_to_json`` all give the entry built field by field."""
+    indent = "\n" + "  " * depth
+    for e in events:
+        text = flip_entry_json(e, indent)
+        assert text == json.dumps(entry_dict(e), indent=2).replace(
+            "\n", indent)
+        assert json.loads(text) == flip_sequence_to_json([e])[0]
+    entries = [entry_dict(e) for e in events]
+    assert flip_sequence_to_json(events) == entries
+    assert _dumps([events]) == json.dumps([entries], indent=2)
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN_STDOUT))

@@ -1,6 +1,8 @@
 """The exact kinetic event engine against the sampler, and its edge cases."""
 
+import functools
 import hashlib
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -19,9 +21,10 @@ from flipbraid.flips import sequence_product
 from flipbraid.geometry import (Configuration, LabeledPoint, _lifted_det,
                                 incircle)
 from flipbraid.kinetics import (DEFAULT_STEP, ClearanceError, TrajectorySet,
-                                UnresolvedEventError, _cofactors, _compare,
-                                _crossings, _floor_root, _floor_scaled,
-                                _format_time, _integer_frame, _MoverKDS,
+                                UnresolvedEventError, _bracket, _cofactors,
+                                _compare, _crossings, _dyadic_time,
+                                _floor_root, _floor_scaled, _format_time,
+                                _instants, _integer_frame, _MoverKDS,
                                 _segment_quadratics, _sign_root, _sign_sum,
                                 _time, configuration_at, exact_flip_sequence,
                                 extract_flip_sequence)
@@ -690,6 +693,103 @@ def test_floor_scaled_is_the_exact_floor(t):
         assert k == _floor_root(u, v, d, w, scale)
         assert _sign_root(u * scale - k * w, v * scale, d) >= 0
         assert _sign_root(u * scale - (k + 1) * w, v * scale, d) < 0
+
+
+def exact_bracket(t, before, after) -> tuple:
+    """The definition ``_bracket`` keeps: from level 6 up, the first
+    dyadic cell (or, with t on its grid, the pair of cells) around t whose
+    ends are compared with the neighbours by ``_compare``, strictly."""
+    m = DEFAULT_STEP.denominator.bit_length() - 1
+    while True:
+        scale = 1 << m
+        k = _floor_scaled(t, scale)
+        on_grid = t[1] == 0 and t[0] * scale == k * t[3]
+        lo, hi = k - on_grid, k + 1
+        if (0 <= lo and hi <= scale
+                and (before is None
+                     or _compare(before, _dyadic_time(lo, m)) < 0)
+                and (after is None
+                     or _compare(_dyadic_time(hi, m), after) < 0)):
+            return Fraction(lo, scale), Fraction(hi, scale)
+        m += 1
+
+
+def unit_time(t):
+    """The fractional part of a time, in [0, 1): its floor is its key's
+    integer part."""
+    u, v, d, w, key = t
+    return _time(u - (key >> 64) * w, v, d, w)
+
+
+def neighbour(draw, t, side):
+    """An event time in [0, 1) on the side of t that ``side`` names (-1
+    below, +1 above), or None: near t, so often with its key; a dyadic end
+    of a cell at or next to t's at a level from 6 to 80; another time in
+    [0, 1); or none.  A draw outside [0, 1) or on the wrong side gives
+    None."""
+    kind = draw(st.sampled_from(("none", "near", "dyadic", "other")))
+    if kind == "none":
+        event(f"none {'after' if side > 0 else 'before'}")
+        return None
+    if kind == "near":
+        x = near_time(t, draw)
+    elif kind == "dyadic":
+        m = draw(st.integers(6, 80))
+        k = _floor_scaled(t, 1 << m) + (side > 0) + side * draw(
+            st.integers(0, 1))
+        x = _dyadic_time(k, m)
+    else:
+        x = unit_time(draw(engine_times()))
+    if _compare(x, t) != side or x[4] >> 64 != 0:
+        return None
+    event(f"{kind} {'after' if side > 0 else 'before'}"
+          + (", one key" if x[4] == t[4] else ""))
+    return x
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_bracket_agrees_with_exact_comparisons(data):
+    """``_bracket``, which decides a dyadic end at a level up to 64 from
+    the keys unless they are equal, against the exact comparisons, for t
+    in (0, 1) from ``engine_times`` or on a dyadic grid."""
+    if data.draw(st.booleans()):
+        t = unit_time(data.draw(engine_times()))
+    else:
+        m = data.draw(st.integers(1, 80))
+        t = _dyadic_time(data.draw(st.integers(1, (1 << m) - 1)), m)
+        event("t on a grid")
+    assume(t[0] or t[1])
+    before, after = neighbour(data.draw, t, -1), neighbour(data.draw, t, 1)
+    lo, hi = _bracket(t, before, after)
+    assert (lo, hi) == exact_bracket(t, before, after)
+    assert _compare(_time(lo.numerator, 0, 0, lo.denominator), t) < 0
+    assert _compare(t, _time(hi.numerator, 0, 0, hi.denominator)) < 0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_instants_are_the_exact_time_order(data):
+    """``_instants`` of crossings sorted by (key, quad) against the exact
+    order: sorted by ``_compare`` and quad, and grouped by equal times.
+    The times lie near one another, so mostly share a key, and some are
+    one time written differently."""
+    t = data.draw(engine_times())
+    times = [t] + [near_time(t, data.draw) if data.draw(st.booleans())
+                   else data.draw(engine_times())
+                   for _ in range(data.draw(st.integers(0, 6)))]
+    quads = data.draw(st.lists(st.tuples(*[st.integers(1, 9)] * 4),
+                               min_size=len(times), max_size=len(times),
+                               unique=True))
+    crossings = [(x, quad, None) for x, quad in zip(times, quads)]
+    by_time = functools.cmp_to_key(_compare)
+    expected = [list(group) for _, group in itertools.groupby(
+        sorted(crossings, key=lambda c: (by_time(c[0]), c[1])),
+        lambda c: by_time(c[0]))]
+    event("an instant of several" if len(expected) < len(times)
+          else "one crossing an instant")
+    crossings.sort(key=lambda c: (c[0][4], c[1]))
+    assert _instants(crossings) == expected
 
 
 SMALL = st.integers(-12, 12)

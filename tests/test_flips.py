@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -128,6 +129,34 @@ def test_gamma_names():
     assert gamma_generator_name(FlipEvent((3, 1), (2, 4))) == "d(1 2 3 4)"
     assert gamma_generator_name(FlipEvent((2, 4), (3, 1))) == "d(1 2 3 4)"
     assert gamma_generator_name(FlipEvent((2, 4), (1, 3))) == "d(1 2 3 4)"
+
+
+def dihedral_least_name(event):
+    """The name from the least of the eight dihedral variants of the quad
+    ijkl, with (i, k) = removed and (j, l) = inserted: the definition."""
+    i, k = event.removed
+    j, l = event.inserted
+    variants = [(i, j, k, l), (k, j, i, l), (i, l, k, j), (k, l, i, j),
+                (j, k, l, i), (j, i, l, k), (l, k, j, i), (l, i, j, k)]
+    return "d({} {} {} {})".format(*min(variants))
+
+
+def test_gamma_name_is_the_least_dihedral_variant():
+    """Every flip on every 4-subset of 1..7: three ways to split it into
+    two pairs, either pair removed, each pair in either order."""
+    count = 0
+    for quad in itertools.combinations(range(1, 8), 4):
+        for a, b in ((0, 1), (0, 2), (0, 3)):
+            first = (quad[a], quad[b])
+            second = tuple(x for x in quad if x not in first)
+            for removed, inserted in ((first, second), (second, first)):
+                for r, s in itertools.product((removed, removed[::-1]),
+                                              (inserted, inserted[::-1])):
+                    event = FlipEvent(r, s)
+                    assert gamma_generator_name(event) == \
+                        dihedral_least_name(event)
+                    count += 1
+    assert count == 840
 
 
 def test_basis_mismatch_errors():
@@ -456,7 +485,43 @@ def test_repeated_indices_rejected(quad):
     (5, "expected a list of flip entries"),
     (None, "expected a list of flip entries"),
     ({"a": 1}, "expected a list of flip entries"),
+    ([{"removed": [1, 2], "inserted": [3, 4], "t_lo": "1/4"}],
+     "entry 1: 't_lo' and 't_hi' must be given together"),
+    ([{"removed": [1, 2], "inserted": [3, 4], "t_hi": "1/4"}],
+     "entry 1: 't_lo' and 't_hi' must be given together"),
+    ([{"removed": [1, 2], "inserted": [3, 4]},
+      {"removed": [1, 2], "inserted": [3, 4], "t_lo": "1/2", "t_hi": "1/4"}],
+     r"entry 2: bracket \[1/2, 1/4\] is not ordered inside \[0, 1\]"),
+    ([{"removed": [1, 2], "inserted": [3, 4], "t_lo": "-1/8", "t_hi": "0"}],
+     r"entry 1: bracket \[-1/8, 0\] is not ordered inside"),
+    ([{"removed": [1, 2], "inserted": [3, 4], "t_lo": "1", "t_hi": "9/8"}],
+     r"entry 1: bracket \[1, 9/8\] is not ordered inside"),
+    ([{"removed": [1, 3], "inserted": [2, 4], "quad": [9, 9, 9, 9]}],
+     r"entry 1: 'quad' is \[9, 9, 9, 9\], but 'removed' and 'inserted'"
+     r" give \[1, 2, 3, 4\]"),
+    ([{"removed": [1, 3], "inserted": [2, 4], "quad": [4, 3, 2, 1]}],
+     "entry 1: 'quad' is"),
+    ([{"removed": [1, 3], "inserted": [2, 4], "quad": 5}],
+     "entry 1: 'quad' is 5"),
+    ([{"removed": [1, 3], "inserted": [2, 4], "gamma": "bogus"}],
+     "entry 1: 'gamma' is 'bogus', but 'removed' and 'inserted' give"
+     " 'd\\(1 2 3 4\\)'"),
+    ([{"removed": [1, 3], "inserted": [2, 4], "gamma": "d(1 4 3 2)"}],
+     "entry 1: 'gamma' is 'd"),
 ])
 def test_flip_sequence_from_json_rejects_malformed_entries(data, message):
     with pytest.raises(ValueError, match=message):
         flip_sequence_from_json(data)
+
+
+def test_flip_sequence_from_json_accepts_what_the_writer_leaves_out():
+    """An entry without its derived fields, or with a bracket whose ends
+    are equal, reads as written."""
+    data = [{"removed": [3, 1], "inserted": [2, 4]},
+            {"removed": [1, 3], "inserted": [2, 4], "quad": [1, 2, 3, 4],
+             "gamma": "d(1 2 3 4)", "t_lo": "1/2", "t_hi": "1/2"},
+            {"removed": [1, 3], "inserted": [2, 4], "t_lo": 0, "t_hi": 1}]
+    assert flip_sequence_from_json(data) == [
+        FlipEvent((1, 3), (2, 4)),
+        FlipEvent((1, 3), (2, 4), Fraction(1, 2), Fraction(1, 2)),
+        FlipEvent((1, 3), (2, 4), Fraction(0), Fraction(1))]
