@@ -258,17 +258,21 @@ class InvariantResult(NamedTuple):
         return char_poly(self.matrix)
 
     def to_json_dict(self, with_trace: bool = True,
-                     with_charpoly: bool = False, *,
-                     flips=flip_sequence_to_json) -> dict:
-        """The payload of ``flipbraid invariant``.  ``flips`` makes each
-        letter's flip log from its events; the command line keeps them as
-        a list, which its writer renders with ``flip_entry_json``."""
+                     with_charpoly: bool = False) -> dict:
+        out = self._payload(with_trace, with_charpoly)
+        out["flips"] = [flip_sequence_to_json(evts) for evts in out["flips"]]
+        return out
+
+    def _payload(self, with_trace: bool, with_charpoly: bool) -> dict:
+        """The payload of ``flipbraid invariant``, each flip log a list of
+        FlipEvents, which the command line writes with ``flip_entry_json``
+        and ``to_json_dict`` makes JSON values."""
         out = {
             "n": self.word.n,
             "word": str(self.word),
             "matrix": self.matrix.to_json_dict(),
             "basis": [list(t) for t in self.basis],
-            "flips": [flips(evts) for evts in self.flip_log],
+            "flips": [list(evts) for evts in self.flip_log],
         }
         if with_trace:
             out["trace"] = str(self.trace)

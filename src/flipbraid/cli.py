@@ -158,8 +158,7 @@ def cmd_invariant(args) -> int:
     _validate_sampling(args)
     word = parse_word(args.word, args.n)
     result = invariant(word, step=args.step, floor=args.floor)
-    payload = result.to_json_dict(with_trace=args.trace,
-                                  with_charpoly=args.charpoly, flips=list)
+    payload = result._payload(args.trace, args.charpoly)
     return _emit(_dumps(payload) + "\n", args.out)
 
 

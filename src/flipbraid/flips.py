@@ -256,7 +256,7 @@ def flip_sequence_from_json(data) -> list:
             for key, value in (("quad", list(event.quad)),
                                ("gamma", gamma_generator_name(event))):
                 got = d.get(key, value)
-                if got != value:
+                if (list(got) if type(got) is tuple else got) != value:
                     raise ValueError(f"{key!r} is {got!r}, but 'removed'"
                                      f" and 'inserted' give {value!r}")
         except ValueError as err:

@@ -12,10 +12,8 @@ mover, plus the mover's fan over it.  So each flip happens when the mover
 crosses the circumcircle of a triangle of DT(P): on each linear segment of
 its path, a root of that circle's polynomial, a quadratic in time.  The
 roots lie in Q(sqrt(D)) and are computed and ordered exactly, with integer
-arithmetic.  Each time carries the integer key floor(t * 2^64): a
-segment's crossings are sorted by key and quad, and a bracket's dyadic
-ends are placed among the neighbouring events by keys, so exact
-comparisons run only where two keys are equal.  It samples nothing.
+arithmetic, and ordered by their integer keys (see ``_MoverKDS``).  It
+samples nothing.
 
 ``extract_flip_sequence`` samples: configurations are evaluated at exact
 rational sample times, adjacent Delaunay triangulations are diffed, and
@@ -460,22 +458,12 @@ def _bracket(t, before, after) -> tuple:
         on_grid = t[1] == 0 and t[0] * scale == k * t[3]
         lo, hi = k - on_grid, k + 1
         if (0 <= lo and hi <= scale
-                and (before is None or _compare_dyadic(before, lo, m) < 0)
-                and (after is None or _compare_dyadic(after, hi, m) > 0)):
+                and (before is None
+                     or _compare(before, _dyadic_time(lo, m)) < 0)
+                and (after is None
+                     or _compare(_dyadic_time(hi, m), after) < 0)):
             return Fraction(lo, scale), Fraction(hi, scale)
         m += 1
-
-
-def _compare_dyadic(x, k, m) -> int:
-    """Sign of x - k/2^m for a time x.  At a level m <= 64, k/2^m has the
-    exact key k << (64 - m), and x is below it if its key is smaller and
-    above it if its key is larger; only an equal key takes the exact test
-    (x is then at or above it)."""
-    if m <= _KEY_BITS:
-        key = k << (_KEY_BITS - m)
-        if x[4] != key:
-            return 1 if x[4] > key else -1
-    return _compare(x, _dyadic_time(k, m))
 
 
 def _cofactors(a, b, c) -> tuple:
@@ -540,10 +528,8 @@ def _crossings(a2, b2, c2, inside: bool) -> tuple:
 def _instants(crossings) -> list:
     """The crossings (time, quad, triangle), sorted by (key, quad), as the
     lists of those at one instant, in time order and each in quad order.
-    Only neighbours with one key reach ``_compare``: when there are any,
-    a stable sort by exact time reorders each run of one key in place,
-    keeping the quad order of each instant.  Either way ``crossings`` ends
-    in time order."""
+    Only neighbours with one key reach ``_compare``, and a stable exact
+    sort, run only when there are any, leaves ``crossings`` in time order."""
     ties = [a[0][4] == b[0][4] for a, b in zip(crossings, crossings[1:])]
     if any(ties):
         crossings.sort(key=functools.cmp_to_key(
@@ -580,9 +566,8 @@ class _MoverKDS:
     quadratic in the segment parameter (``_segment_quadratics``), whose
     crossings are found by signs (``_crossings``); only they become keyed
     times.  A segment sorts its crossings by (key, quad), and
-    ``_instants`` groups them into instants in one pass, comparing exact
-    times only where two keys are equal; the first instant of a segment
-    joins the last group when their times are equal.
+    ``_instants`` groups them into instants, comparing exact times only
+    where two keys are equal.
     """
 
     def __init__(self, ts: TrajectorySet, fixed: dict, m0):

@@ -316,9 +316,9 @@ def test_golden_benchmark_outputs(capsys):
 
 @pytest.mark.parametrize("word", ["", "b(1,3) b(2,3)^-1"])
 def test_command_output_is_the_payload_dumped(capsys, word):
-    """``invariant`` prints json.dumps of ``to_json_dict`` with its default
-    flip logs, and ``simulate`` that of ``flip_sequence_to_json`` per
-    letter, the empty word included."""
+    """``invariant`` prints json.dumps of ``to_json_dict``, and
+    ``simulate`` that of ``flip_sequence_to_json`` per letter, the empty
+    word included."""
     from flipbraid import invariant, parse_word
     from flipbraid.braids import canonical_setup, letter_flips
 

@@ -750,9 +750,10 @@ def neighbour(draw, t, side):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(st.data())
 def test_bracket_agrees_with_exact_comparisons(data):
-    """``_bracket``, which decides a dyadic end at a level up to 64 from
-    the keys unless they are equal, against the exact comparisons, for t
-    in (0, 1) from ``engine_times`` or on a dyadic grid."""
+    """``_bracket``, which starts at the first level whose cells can part
+    t from its neighbours by their keys, against the exact comparisons
+    from level 6 up, for t in (0, 1) from ``engine_times`` or on a dyadic
+    grid."""
     if data.draw(st.booleans()):
         t = unit_time(data.draw(engine_times()))
     else:

@@ -515,13 +515,15 @@ def test_flip_sequence_from_json_rejects_malformed_entries(data, message):
 
 
 def test_flip_sequence_from_json_accepts_what_the_writer_leaves_out():
-    """An entry without its derived fields, or with a bracket whose ends
-    are equal, reads as written."""
+    """An entry without its derived fields, with a bracket whose ends
+    are equal, or with tuples for lists, reads as written."""
     data = [{"removed": [3, 1], "inserted": [2, 4]},
             {"removed": [1, 3], "inserted": [2, 4], "quad": [1, 2, 3, 4],
              "gamma": "d(1 2 3 4)", "t_lo": "1/2", "t_hi": "1/2"},
-            {"removed": [1, 3], "inserted": [2, 4], "t_lo": 0, "t_hi": 1}]
-    assert flip_sequence_from_json(data) == [
+            {"removed": [1, 3], "inserted": [2, 4], "t_lo": 0, "t_hi": 1},
+            {"removed": (1, 3), "inserted": (4, 2), "quad": (1, 2, 3, 4)}]
+    assert flip_sequence_from_json(tuple(data)) == [
         FlipEvent((1, 3), (2, 4)),
         FlipEvent((1, 3), (2, 4), Fraction(1, 2), Fraction(1, 2)),
-        FlipEvent((1, 3), (2, 4), Fraction(0), Fraction(1))]
+        FlipEvent((1, 3), (2, 4), Fraction(0), Fraction(1)),
+        FlipEvent((1, 3), (2, 4))]
