@@ -133,33 +133,29 @@ class LoopGeometry(NamedTuple):
 DEFAULT_LOOP = LoopGeometry()
 
 
-class CanonicalSetup:
+class _SetupFields(NamedTuple):
+    n: int
+    config: Configuration
+    home: frozenset
+
+
+class CanonicalSetup(_SetupFields):
     """Deterministic start position: boundary triangle, parabolic homes,
     labels equal to point indices.
 
-    Equality and hashing are by identity: ``canonical_setup`` builds one
-    setup per n, so the letter cache keys on the setup without hashing its
-    configuration.  Frozen; the instance dict holds the cached ``home``.
+    ``home`` is the Delaunay triangle set of the homes, where every
+    letter's loop starts and ends; its triangles are the module basis.
+    The constructor builds it, so a configuration that is not in general
+    position raises ``DegenerateConfigurationError``.
     """
 
-    def __init__(self, n: int, config: Configuration):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "config", config)
+    __slots__ = ()
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+    def __new__(cls, n: int, config: Configuration):
+        return super().__new__(cls, n, config, build_delaunay(config))
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self):
-        return f"CanonicalSetup(n={self.n!r}, config={self.config!r})"
-
-    @functools.cached_property
-    def home(self) -> frozenset:
-        """Delaunay triangle set of the homes, where every letter's loop
-        starts and ends; its triangles are the module basis."""
-        return build_delaunay(self.config)
+    def __getnewargs__(self):
+        return self.n, self.config
 
 
 @functools.cache
@@ -189,13 +185,11 @@ def canonical_setup(n: int) -> CanonicalSetup:
                 k + 3)
             for k in range(1, n + 1)
         ]
-        setup = CanonicalSetup(
-            n, Configuration(tuple(boundary + interior), (1, 2, 3)))
         try:
-            setup.home
+            return CanonicalSetup(
+                n, Configuration(tuple(boundary + interior), (1, 2, 3)))
         except DegenerateConfigurationError:
             continue
-        return setup
     raise RuntimeError(
         f"canonical setup for n={n} failed to reach general position")
 
@@ -306,14 +300,15 @@ LETTER_CACHE_SIZE = 1024
 
 
 @functools.lru_cache(maxsize=LETTER_CACHE_SIZE)
-def _letter_result(setup: CanonicalSetup, letter: BraidLetter,
-                   geometry: LoopGeometry, step, floor):
-    """Matrix and flip events of one letter's loop.
+def _letter_result(n: int, letter: BraidLetter, geometry: LoopGeometry,
+                   step, floor):
+    """Matrix and flip events of one letter's loop on ``canonical_setup(n)``.
 
     Every argument is frozen and hashable, so results are memoized for
-    equal arguments, the setup compared by identity;
-    ``_letter_result.cache_info()`` counts the hits and misses.
+    equal arguments; ``_letter_result.cache_info()`` counts the hits and
+    misses.
     """
+    setup = canonical_setup(n)
     _, events = letter_flips(setup, letter, geometry, step, floor)
     matrix = loop_product(events, setup.home, setup.config.zeta_map())
     return matrix, tuple(events)
@@ -331,11 +326,10 @@ def invariant(word: BraidWord, geometry: LoopGeometry = DEFAULT_LOOP,
     """
     step = None if step is None else as_rational(step)
     floor = None if floor is None else as_rational(floor)
-    setup = canonical_setup(word.n)
-    basis = tuple(sorted(setup.home))
+    basis = tuple(sorted(canonical_setup(word.n).home))
     acc, log = None, []
     for letter in word.letters:
-        mat, events = _letter_result(setup, letter, geometry, step, floor)
+        mat, events = _letter_result(word.n, letter, geometry, step, floor)
         acc = mat if acc is None else mat * acc
         log.append(events)
     if acc is None:

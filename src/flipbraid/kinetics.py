@@ -264,10 +264,11 @@ def extract_flip_sequence(ts: TrajectorySet, step=None, floor=None) -> list:
     position.  Inside the interval, degenerate sample times are jittered
     (the trajectory, which defines the braid, is never perturbed).
 
-    The log can miss flips.  When a flip and its inverse both fall between
-    two adjacent samples, the two triangulations agree and ``_refine``
-    logs neither.  The product is still right, because the two flip
-    matrices cancel, but the log is then not the full motion; the exact
+    ``_refine`` takes a cell whose ends triangulate alike to hold no flip.
+    A cell over two or more corners of the paths can hold a whole closed
+    cycle of flips, so it is first split at each of them.  A cell over at
+    most one corner can still hide a flip and its inverse; ``_refine``
+    then logs neither, and the log is not the full motion.  The exact
     engine logs both.
     """
     _integer_frame(ts)
@@ -302,6 +303,15 @@ def _refine(ts, a, b, floor, events):
     """Append the flips between samples a and b, bisecting until each
     bracket holds one certified flip or reaches the width floor."""
     (ta, config_a, tria), (tb, config_b, trib) = a, b
+    # a cell over several corners of a path can hold a whole flip cycle,
+    # which leaves its ends alike: split it at each of them first
+    corners = sorted({t for tr in ts.trajectories for t in tr.times
+                      if ta < t < tb})
+    if len(corners) > 1:
+        cells = [a, *(_sample(ts, t, ta, tb, floor) for t in corners), b]
+        for x, y in zip(cells, cells[1:]):
+            _refine(ts, x, y, floor, events)
+        return
     diff = diff_flips(tria, trib)
     if diff == []:
         return
@@ -567,7 +577,9 @@ class _MoverKDS:
     crossings are found by signs (``_crossings``); only they become keyed
     times.  A segment sorts its crossings by (key, quad), and
     ``_instants`` groups them into instants, comparing exact times only
-    where two keys are equal.
+    where two keys are equal.  Each instant is one entry of ``groups``: a
+    segment's crossings lie in [t0, t1), and one at t1 is the next
+    segment's, so no instant spans two segments.
     """
 
     def __init__(self, ts: TrajectorySet, fixed: dict, m0):
@@ -601,7 +613,9 @@ class _MoverKDS:
         m1 at t1, flipping at every circle crossing in [t0, t1).  A
         crossing exactly at t1 belongs to the next segment, which sees the
         sign the circle's polynomial takes after t1.  The mover pausing on
-        a circle is a degeneracy."""
+        a circle is a degeneracy.  Each instant appends one group, its
+        flips in quad order, which is sound only when they pairwise
+        far-commute; otherwise ``UnresolvedEventError`` is raised."""
         mover = self.mover
         # ([t0 * q, (t1 - t0) * q], q), integers over one denominator q
         (a0, a1), q = clear_denominators((t0, t1 - t0))
@@ -623,29 +637,15 @@ class _MoverKDS:
                 _compare(crossings[0][0], _time(a0, 0, 0, q)) < 0
                 or _compare(crossings[-1][0], _time(a0 + a1, 0, 0, q)) >= 0):
             raise AssertionError(f"a crossing outside [{t0}, {t1})")
-        for pos, batch in enumerate(instants):
+        for batch in instants:
             when = batch[0][0]
-            # the first instant of a segment may be the previous one's last
-            if pos or not self.groups or _compare(self.groups[-1][0], when):
-                self.groups.append((when, []))
-            flips = self.groups[-1][1]
-            if len(batch) > 1 or flips:
-                # a lone flip opening its group overlaps nothing
-                self._check_simultaneous(when, [c[1] for c in batch], flips)
-            flips.extend(self._cross(tri) for _, _, tri in batch)
-
-    def _check_simultaneous(self, when, quads, earlier) -> None:
-        """Flips at one instant must pairwise far-commute, the ``earlier``
-        flips of its group included: those run in lexicographic quad order,
-        which is sound because their matrices commute.  Others cannot be
-        ordered."""
-        pair = _overlap(quads + [tuple(sorted(removed + inserted))
-                                 for removed, inserted in reversed(earlier)])
-        if pair:
-            raise UnresolvedEventError(
-                f"unresolved codimension-2 event at t = {_format_time(when)}:"
-                f" flips of quads {pair[0]} and {pair[1]} overlap; perturb"
-                " trajectories")
+            pair = len(batch) > 1 and _overlap([c[1] for c in batch])
+            if pair:
+                raise UnresolvedEventError(
+                    "unresolved codimension-2 event at t ="
+                    f" {_format_time(when)}: flips of quads {pair[0]} and"
+                    f" {pair[1]} overlap; perturb trajectories")
+            self.groups.append((when, [self._cross(tri) for *_, tri in batch]))
 
     def _cross(self, tri) -> tuple:
         """Flip for the mover crossing the circumcircle of ``tri``, a

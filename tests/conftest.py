@@ -1,12 +1,13 @@
 """Shared helpers: random valid configurations, the exhaustive general
-position and Delaunay checks and a winding-number oracle; and a time limit
-on every test."""
+position and Delaunay checks and a winding-number oracle; a time limit on
+every test; and the Hypothesis profile of every test."""
 
 import signal
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import settings
 
 from flipbraid import (Configuration, DegenerateConfigurationError,
                        LabeledPoint, incircle, orient2d)
@@ -18,6 +19,12 @@ BOUNDARY = (
 )
 
 TEST_SECONDS = 300
+
+# A derandomized test can draw other examples in a full run than in a run
+# of its own file, so a failure prints the blob that replays its example
+# under ``@reproduce_failure``.  Each test's own settings are unchanged.
+settings.register_profile("flipbraid", print_blob=True)
+settings.load_profile("flipbraid")
 
 
 class TimeLimitExceeded(BaseException):

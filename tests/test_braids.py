@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -11,7 +12,7 @@ from flipbraid.braids import (BraidLetter, BraidWord, CanonicalSetup,
                               LoopGeometry, WordSyntaxError, canonical_setup,
                               generator_trajectories, invariant, letter_flips,
                               parse_word, verify_relations, word_from_pairs)
-from flipbraid.delaunay import build_delaunay
+from flipbraid.delaunay import DegenerateConfigurationError, build_delaunay
 from flipbraid.geometry import Configuration, LabeledPoint
 from flipbraid.kinetics import ClearanceError, configuration_at
 from flipbraid.linalg import Matrix, mat_inverse
@@ -132,6 +133,18 @@ def test_invariant_cancellation():
     res = invariant(parse_word("b(1,2) b(1,2)^-1", 2))
     assert res.matrix.is_identity()
     assert len(res.flip_log) == 2
+
+
+@pytest.mark.parametrize("step", ["1", "1/2", "1/3", "1/5", "1/7"])
+def test_coarse_sampling_gives_the_engine_matrix(step):
+    """Every signed generator at n <= 4, at steps whose cells span up to
+    all seven corners of a loop."""
+    for n in (2, 3, 4):
+        for i, j in itertools.combinations(range(1, n + 1), 2):
+            for power in (1, -1):
+                word = BraidWord(n, (BraidLetter(i, j, power),))
+                assert invariant(word, step=step).matrix \
+                    == invariant(word).matrix, (n, i, j, power)
 
 
 def test_invariant_matrix_shape_and_regularity():
@@ -263,8 +276,8 @@ def test_home_triangulation_built_once(monkeypatch):
 
 
 def test_letter_cache_does_not_hash_the_configuration(monkeypatch):
-    """The letter cache keys on the setup by identity, so a lookup never
-    hashes the setup's points."""
+    """The letter cache keys on n, so a lookup never hashes the setup's
+    points."""
     from flipbraid import braids
 
     def refuse(self):
@@ -278,6 +291,40 @@ def test_letter_cache_does_not_hash_the_configuration(monkeypatch):
         assert invariant(word).matrix == expected
     info = braids._letter_result.cache_info()
     assert (info.hits, info.misses) == (2, 2)
+
+
+def test_letter_cache_is_keyed_on_n():
+    from flipbraid import braids
+
+    braids._letter_result.cache_clear()
+    for _ in range(2):
+        for n in (3, 4):
+            assert invariant(parse_word("b(1,3)", n)).matrix.rows == 2 * n + 1
+    info = braids._letter_result.cache_info()
+    assert (info.hits, info.misses) == (2, 2)
+
+
+def test_setup_builds_its_home():
+    for n in (0, 1, 4):
+        setup = canonical_setup(n)
+        assert setup.home == build_delaunay(setup.config)
+
+
+def test_setup_of_cocircular_points_is_refused_at_construction():
+    """Four homes on the unit circle, with its disk empty: the constructor
+    builds the home triangulation, so it raises."""
+    pts = (
+        LabeledPoint.make(1, -10, -10, 1),
+        LabeledPoint.make(2, 10, -10, 2),
+        LabeledPoint.make(3, 0, 10, 3),
+        LabeledPoint.make(4, 1, 0, 4),
+        LabeledPoint.make(5, 0, 1, 5),
+        LabeledPoint.make(6, -1, 0, 6),
+        LabeledPoint.make(7, 0, -1, 7),
+    )
+    config = Configuration(pts, (1, 2, 3))
+    with pytest.raises(DegenerateConfigurationError):
+        CanonicalSetup(4, config)
 
 
 def test_verify_unknown_family():

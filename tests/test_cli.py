@@ -96,6 +96,72 @@ def test_floor_equal_to_step_is_accepted(capsys):
     assert json.loads(out) == [flip_sequence_to_json(events)]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("invariant", "--n", "0", "--word", ""),
+     "error: strand count must be positive, got 0\n"),
+    (("simulate", "--n", "0", "--word", ""),
+     "error: strand count must be positive, got 0\n"),
+    (("invariant", "--n", "2", "--word", "b(0,1)"),
+     "error: token 1: strands start at 1\n"),
+    (("simulate", "--n", "2", "--word", "b(1,2)", "--floor", "0"),
+     "error: --step and --floor must be positive\n"),
+])
+def test_refusals_are_usage(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == message
+
+
+def test_step_that_is_not_a_rational_is_usage(capsys):
+    """argparse refuses it, with exit code 2 and its usage line."""
+    with pytest.raises(SystemExit) as info:
+        main(["invariant", "--n", "2", "--word", "", "--step", "abc"])
+    captured = capsys.readouterr()
+    assert info.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("usage: flipbraid invariant")
+    assert captured.err.endswith(
+        "error: argument --step: not a rational: 'abc'\n")
+
+
+@pytest.mark.parametrize("step", ["1", "1/2"])
+def test_coarse_step_gives_the_engine_matrix(capsys, step):
+    """A sampling cell over several corners of a letter's loop can hold a
+    closed cycle of flips, whose ends triangulate alike; it is split at
+    the corners, so even one cell per loop finds the letter's flips."""
+    argv = ("invariant", "--n", "3", "--word", "b(1,3) b(2,3)^-1")
+    _, exact, _ = run_cli(capsys, *argv)
+    code, sampled, err = run_cli(capsys, *argv, "--step", step)
+    assert code == 0 and err == ""
+    exact, sampled = json.loads(exact), json.loads(sampled)
+    assert sampled["matrix"] == exact["matrix"]
+    assert Matrix(exact["matrix"]["entries"]) != Matrix.identity(7)
+    assert all(letter for letter in sampled["flips"])
+
+
+def test_verify_at_step_one_compares_the_engine_matrices(monkeypatch,
+                                                         capsys):
+    """``verify --step 1`` passes on the matrices that the engine gives,
+    none of which is the identity."""
+    from flipbraid import braids
+
+    compared = []
+    check = braids._check
+
+    def recording(report, name, lhs, rhs):
+        compared.append((name, lhs, rhs))
+        check(report, name, lhs, rhs)
+
+    monkeypatch.setattr(braids, "_check", recording)
+    argv = ("verify", "--n", "3", "--family", "pb_all")
+    code, out, _ = run_cli(capsys, *argv, "--step", "1")
+    assert code == 0 and out.endswith("pb_all at n=3: 2/2 instances pass\n")
+    sampled = compared[:]
+    compared.clear()
+    assert run_cli(capsys, *argv)[0] == 0
+    assert sampled == compared and len(sampled) == 2
+    assert not any(lhs.is_identity() for _, lhs, _ in sampled)
+
+
 def test_invariant_out_file(tmp_path, capsys):
     path = tmp_path / "result.json"
     code, out, _ = run_cli(capsys, "invariant", "--n", "2", "--word",

@@ -255,26 +255,6 @@ def test_event_time_prints_the_same_in_every_frame(scale):
         in str(info.value)
 
 
-def test_a_later_batch_at_one_instant_joins_its_group():
-    """A flip due at the instant of earlier flips joins their group, and a
-    lone due flip is still checked against them, the latest first.
-
-    No motion is known to reach this: a segment groups all of its crossings
-    at one instant before it flips, and a crossing at the end of a segment
-    belongs to the next one.  So the group of t = 1/2 is seeded with two
-    far-commuting flips, each overlapping the one flip of this motion."""
-    _, ts = motion(STATIC_TRIPLE + [OUTSIDE], [(0, OUTSIDE), (1, INSIDE)])
-    fixed, paths = _integer_frame(ts)
-    kds = _MoverKDS(ts, fixed, paths[7][0][1])
-    kds.groups.append((_time(1, 0, 0, 2),
-                       [((1, 5), (4, 7)), ((2, 6), (4, 7))]))
-    with pytest.raises(UnresolvedEventError) as info:
-        kds.run_segment(*paths[7][0], *paths[7][1])
-    assert str(info.value) == (
-        "unresolved codimension-2 event at t = 1/2: flips of quads"
-        " (4, 5, 6, 7) and (2, 4, 6, 7) overlap; perturb trajectories")
-
-
 def test_end_check_only_where_the_path_does_not_close(monkeypatch):
     """A loop that returns to its start with its start's cavity ends at the
     start, which the engine verified; any other end is checked.  Each

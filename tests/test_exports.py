@@ -49,7 +49,7 @@ def test_retired_readers_and_duplicate_helpers_are_gone():
         braids.BraidLetter: ("inverse",),
         braids.BraidWord: ("__mul__",),
         kinetics._MoverKDS: ("_check_clearance", "_failure", "_certify",
-                             "_quad", "_flip"),
+                             "_quad", "_flip", "_check_simultaneous"),
     }
     for owner, names in retired.items():
         for name in names:

@@ -129,6 +129,16 @@ def test_sampler_fills_in_its_defaults():
         == extract_flip_sequence(ts, DEFAULT_STEP, floor)
 
 
+@pytest.mark.parametrize("step, floor", [
+    (2, None), (F(3, 2), F(1, 64)), (F(1, 64), F(1, 32)), (F(1, 64), 0),
+    (0, 0)])
+def test_sampler_refuses_a_step_or_floor_out_of_range(step, floor):
+    _, ts = square_crossing_ts()
+    with pytest.raises(ValueError, match=re.escape(
+            "need 0 < floor <= step <= 1")):
+        extract_flip_sequence(ts, step, floor)
+
+
 def square_crossing_ts():
     """Point 7 moves straight through the cocircular position at t=1/2.
 

@@ -3,8 +3,7 @@
 Each is built by keyword with its defaults, prints as
 ``Name(field=value, ...)`` and survives ``pickle``.  The value records
 compare and hash as their field tuples, the formerly frozen ones refuse
-assignment to a field, the canonical setup is equal only to itself, and a
-braid word is not a tuple.
+assignment to a field, and a braid word is not a tuple.
 """
 
 import pickle
@@ -15,7 +14,7 @@ import pytest
 from flipbraid.braids import (BraidLetter, BraidWord, CanonicalSetup,
                               InvariantResult, LoopGeometry, RelationInstance,
                               RelationReport, canonical_setup)
-from flipbraid.delaunay import FlipEvent, apply_flip
+from flipbraid.delaunay import FlipEvent, apply_flip, build_delaunay
 from flipbraid.fixtures import SuiteResult
 from flipbraid.geometry import Configuration, LabeledPoint
 from flipbraid.kinetics import Trajectory, TrajectorySet
@@ -50,7 +49,9 @@ RECORDS = [
      ("instances",)),
     (SuiteResult, dict(name="pentagon", ok=True, detail=""), ("detail",)),
 ]
-IDENTITY_EQUAL = {CanonicalSetup, RelationReport}
+# the fields that a record's constructor computes from the others
+DERIVED = {CanonicalSetup: dict(home=build_delaunay(CONFIG))}
+IDENTITY_EQUAL = {RelationReport}
 MUTABLE = {InvariantResult, RelationReport}
 VALUES = [r for r in RECORDS if r[0] not in IDENTITY_EQUAL]
 FROZEN = [r for r in RECORDS if r[0] not in MUTABLE]
@@ -61,6 +62,11 @@ def _build(cls, fields, defaulted):
     ones."""
     return cls(**{name: value for name, value in fields.items()
                   if name not in defaulted})
+
+
+def _all_fields(cls, fields):
+    """Every field of the record with its value, the derived ones last."""
+    return {**fields, **DERIVED.get(cls, {})}
 
 
 def _ids(records):
@@ -76,10 +82,11 @@ def test_thirteen_records():
 def test_built_by_keyword_with_defaults_and_printed_by_field(cls, fields,
                                                              defaulted):
     record = _build(cls, fields, defaulted)
-    for name, value in fields.items():
+    for name, value in _all_fields(cls, fields).items():
         assert getattr(record, name) == value, name
     assert repr(record) == cls.__name__ + "(" + ", ".join(
-        f"{name}={value!r}" for name, value in fields.items()) + ")"
+        f"{name}={value!r}" for name, value in _all_fields(cls, fields).items()
+    ) + ")"
     assert repr(pickle.loads(pickle.dumps(record))) == repr(record)
 
 
@@ -88,7 +95,7 @@ def test_value_records_compare_and_hash_as_their_fields(cls, fields,
                                                         defaulted):
     a, b = _build(cls, fields, defaulted), _build(cls, fields, defaulted)
     assert a == b and not a != b
-    assert hash(a) == hash(b) == hash(tuple(fields.values()))
+    assert hash(a) == hash(b) == hash(tuple(_all_fields(cls, fields).values()))
 
 
 @pytest.mark.parametrize("cls, fields, defaulted", FROZEN, ids=_ids(FROZEN))
@@ -100,12 +107,6 @@ def test_frozen_records_refuse_field_assignment(cls, fields, defaulted):
         with pytest.raises(AttributeError):
             delattr(record, name)
         assert getattr(record, name) == value
-
-
-def test_canonical_setup_is_equal_only_to_itself():
-    a, b = CanonicalSetup(1, CONFIG), CanonicalSetup(1, CONFIG)
-    assert a == a and a != b and hash(a) != hash((1, CONFIG))
-    assert canonical_setup(1) is canonical_setup(1)
 
 
 def test_relation_reports_do_not_share_their_instances():
