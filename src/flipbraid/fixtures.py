@@ -10,7 +10,6 @@ directory with the same layout.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -119,6 +118,10 @@ def load_fixture(name: str) -> dict:
     want = files.get(name)
     if want is None:
         raise FixtureError(f"{name} is not listed in the manifest")
+    # Imported here, not at module level: hashlib loads OpenSSL, and only
+    # the fixtures gate uses it.
+    import hashlib
+
     got = hashlib.sha256(raw).hexdigest()
     if got != want:
         raise FixtureError(f"checksum mismatch for {name}: {got} != {want}")
@@ -143,9 +146,14 @@ def evaluate_entry(text: str, labels: dict) -> Fraction:
 
 
 def evaluate_matrix(data: dict, labels: Optional[dict] = None) -> Matrix:
+    """The matrix of ``data["entries"]`` at ``labels``. Each distinct entry
+    text is evaluated once, in row-major order of first occurrence: a
+    matrix repeats a few texts, mostly "0" and "1"."""
     labels = labels or {}
-    return Matrix([[evaluate_entry(e, labels) for e in row]
-                   for row in data["entries"]])
+    rows = data["entries"]
+    value = {text: evaluate_entry(text, labels)
+             for text in dict.fromkeys(e for row in rows for e in row)}
+    return Matrix([[value[e] for e in row] for row in rows])
 
 
 def _first_difference(a: Matrix, b: Matrix) -> str:

@@ -48,8 +48,9 @@ from typing import NamedTuple
 from .delaunay import (DegenerateConfigurationError, FlipEvent, apply_flip,
                        build_delaunay, diff_flips, fan_cavity, insert_point,
                        triangle, verify_delaunay)
-from .geometry import (Configuration, LabeledPoint, _integer_points,
-                       _inside, _segment_meets, incircle, orient2d)
+from .geometry import (Configuration, DegenerateCircleError, LabeledPoint,
+                       _integer_points, _inside, _segment_meets, incircle,
+                       orient2d)
 from .linalg import as_rational, clear_denominators, require_rational
 
 DEFAULT_STEP = Fraction(1, 64)
@@ -236,12 +237,17 @@ def _sample(ts: TrajectorySet, t: Fraction, lo: Fraction, hi: Fraction,
 def _crossing_certified(before_config: Configuration,
                         after_config: Configuration, event: FlipEvent) -> bool:
     """True when the event's quadrilateral changes incircle sign across the
-    bracket, certifying a genuine cocircularity crossing."""
+    bracket, certifying a genuine cocircularity crossing.  Three of its
+    points collinear at an end leave the bracket uncertified, so that
+    ``_refine`` bisects it."""
     i, k = event.removed
     j, l = event.inserted
     pa, pb = before_config.int_positions, after_config.int_positions
-    sa = incircle(pa[i], pa[j], pa[k], pa[l])
-    sb = incircle(pb[i], pb[j], pb[k], pb[l])
+    try:
+        sa = incircle(pa[i], pa[j], pa[k], pa[l])
+        sb = incircle(pb[i], pb[j], pb[k], pb[l])
+    except DegenerateCircleError:
+        return False
     return sa == -1 and sb == 1
 
 

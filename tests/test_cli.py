@@ -271,6 +271,16 @@ def test_fixtures_command(capsys):
         assert f"PASS {name}" in out
 
 
+def test_fixtures_command_prints_one_pass_per_suite(capsys):
+    code, out, err = run_cli(capsys, "fixtures")
+    assert code == 0
+    assert err == ""
+    assert out.splitlines() == ["PASS pentagon", "PASS two-flip",
+                                "PASS loop 4-8 (20 factors)",
+                                "PASS loop 5-7 (14 factors)",
+                                "PASS loop commutation"]
+
+
 def test_simulate_empty_word(tmp_path, capsys):
     svg_dir = tmp_path / "snaps"
     code, out, _ = run_cli(capsys, "simulate", "--n", "2", "--word", "",

@@ -488,9 +488,22 @@ def missed_pair_loop():
         (F(2, 3), (-13, 13)), (1, interior[-1])]})
 
 
+def collinear_end_loop():
+    """A loop on the n = 5 canonical setup whose mover 7 is at (3, 3/625)
+    at t = 15/16, on the line x = 3 through point 6 and boundary vertex 3.
+    15/16 lies on every dyadic grid from 1/16 down, so a sampling cell ends
+    where three points of a flip's quadrilateral are collinear."""
+    config = canonical_setup(5).config
+    home = (F(4), F(4, 625))
+    return config, TrajectorySet.from_motion(config, {7: [
+        (0, home), (F(1, 6), (1, F(-1, 2))), (F(1, 3), (6, F(7, 2))),
+        (F(2, 3), (F(11, 2), F(5, 2))), (F(3, 4), (0, 0)), (1, home)]})
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, phases=UNSHRUNK)
 @given(single_mover_loops())
 @example(missed_pair_loop())
+@example(collinear_end_loop())
 def test_engine_matches_sampler_on_random_loops(loop):
     """Equal flips and matrices whenever the sampler resolves.  A flip and
     its inverse inside one sampling cell leave its diff empty, so it misses
@@ -498,7 +511,8 @@ def test_engine_matches_sampler_on_random_loops(loop):
     config, ts = loop
     try:
         sampled = extract_flip_sequence(ts)
-    except (UnresolvedEventError, DegenerateConfigurationError, ValueError):
+    except (UnresolvedEventError, DegenerateConfigurationError,
+            ClearanceError):
         assume(False)
     exact = exact_flip_sequence(ts)
     home = build_delaunay(config)
@@ -512,6 +526,21 @@ def test_engine_matches_sampler_on_random_loops(loop):
     event("with flips" if exact else "without flips")
     for a, b in zip(exact, exact[1:]):
         assert a.t_hi <= b.t_lo or (a.t_lo, a.t_hi) == (b.t_lo, b.t_hi)
+
+
+@pytest.mark.parametrize("step", [F(1, 64), F(1, 1024)])
+def test_sampler_bisects_a_cell_that_ends_on_a_collinear_triple(step):
+    """A degenerate circumcircle at a cell end leaves the cell uncertified,
+    so the sampler bisects it and logs the engine's 28 flips and matrix."""
+    config, ts = collinear_end_loop()
+    exact = exact_flip_sequence(ts)
+    sampled = extract_flip_sequence(ts, step=step)
+    assert len(exact) == 28
+    assert flips(sampled) == flips(exact)
+    home = build_delaunay(config)
+    zeta = config.zeta_map()
+    assert (sequence_product(sampled, home, zeta)
+            == sequence_product(exact, home, zeta))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, phases=UNSHRUNK)

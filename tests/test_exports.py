@@ -60,16 +60,19 @@ def test_retired_readers_and_duplicate_helpers_are_gone():
 def test_import_loads_no_code_generators():
     """The records are built without ``dataclasses``, and the data files
     are found without ``importlib.resources``: a fresh interpreter that
-    imports the package and its CLI loads neither, nor ``inspect``."""
+    imports the package and its CLI loads neither, nor ``inspect``.  Only
+    the fixtures gate checks a SHA-256 digest, so neither ``hashlib`` nor
+    OpenSSL's ``_hashlib`` is loaded either, though ``flipbraid.fixtures``
+    is."""
     probe = ("import sys, flipbraid, flipbraid.cli; print(sorted(m for m in"
-             " ('dataclasses', 'inspect', 'importlib.resources')"
-             " if m in sys.modules))")
+             " ('dataclasses', 'inspect', 'importlib.resources', 'hashlib',"
+             " '_hashlib', 'flipbraid.fixtures') if m in sys.modules))")
     proc = subprocess.run(
         [sys.executable, "-S", "-B", "-c", probe], capture_output=True,
         text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "['flipbraid.fixtures']"
 
 
 def test_package_imports_only_the_standard_library():

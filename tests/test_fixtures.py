@@ -13,6 +13,7 @@ from flipbraid.fixtures import (FixtureError, evaluate_entry,
                                 load_fixture, run_all_suites,
                                 run_loop_suite, run_pentagon_suite,
                                 run_two_flip_suite)
+from flipbraid.linalg import Matrix
 
 F = Fraction
 
@@ -24,6 +25,71 @@ def test_evaluate_entry():
     assert evaluate_entry("(i-m)/(i-m)", labels) == 1
     assert evaluate_entry("(z3-z5)/(i-m)", labels) == F(1, 2)
     assert evaluate_entry("-(z3-z5)/(i-m)", labels) == F(-1, 2)
+
+
+@pytest.fixture
+def entry_calls(monkeypatch):
+    """The texts that ``evaluate_entry`` is called on, in call order."""
+    calls = []
+    evaluate = fixtures.evaluate_entry
+
+    def counting(text, labels):
+        calls.append(text)
+        return evaluate(text, labels)
+
+    monkeypatch.setattr(fixtures, "evaluate_entry", counting)
+    return calls
+
+
+def test_evaluate_matrix_evaluates_each_distinct_entry_once(entry_calls):
+    m = fixtures.evaluate_matrix(
+        {"entries": [["1", "0", "(a-b)/(a-c)"], ["0", "1", "(a-b)/(a-c)"],
+                     ["0", "0", "1"]]}, {"a": F(1), "b": F(2), "c": F(3)})
+    assert entry_calls == ["1", "0", "(a-b)/(a-c)"]
+    assert m == Matrix([[1, 0, F(1, 2)], [0, 1, F(1, 2)], [0, 0, 1]])
+
+
+def bundled_matrices():
+    """(file, labels, matrix data) of every matrix in the bundled files, at
+    the labels their suites evaluate them with."""
+    pentagon = load_fixture("pentagon_cycle.json")
+    two_flip = load_fixture("two_flip_commutation.json")
+    labels = {
+        "pentagon_cycle.json": {name: F(pos + 1) for pos, name
+                                in enumerate(pentagon["labels"])},
+        "two_flip_commutation.json": {name: F(name[1:])
+                                      for name in two_flip["labels"]},
+    }
+
+    def walk(value):
+        if isinstance(value, dict):
+            if "entries" in value:
+                yield value
+            for inner in value.values():
+                yield from walk(inner)
+        elif isinstance(value, list):
+            for inner in value:
+                yield from walk(inner)
+
+    for name in sorted(json.loads(
+            fixtures._read_bytes(fixtures.MANIFEST_NAME))["files"]):
+        for data in walk(load_fixture(name)):
+            yield name, labels.get(name), data
+
+
+def test_evaluate_matrix_matches_entrywise_evaluation(entry_calls):
+    """On every bundled matrix, one evaluation per distinct entry gives the
+    matrix that evaluating each entry gives."""
+    files = set()
+    for name, labels, data in bundled_matrices():
+        files.add(name)
+        entry_calls.clear()
+        got = fixtures.evaluate_matrix(data, labels)
+        rows = data["entries"]
+        assert sorted(entry_calls) == sorted({e for row in rows for e in row})
+        assert got == Matrix([[evaluate_entry(e, labels or {}) for e in row]
+                              for row in rows]), name
+    assert len(files) == 5
 
 
 def test_checksums():
