@@ -159,14 +159,12 @@ class FlipEvent(_FlipFields):
         return tuple(sorted(self.removed + self.inserted))
 
     def removed_triangles(self) -> tuple:
-        i, k = self.removed
-        j, l = self.inserted
-        return (triangle(i, j, k), triangle(i, k, l))
+        (i, k), (j, l) = self.removed, self.inserted
+        return tuple(sorted((i, j, k))), tuple(sorted((i, k, l)))
 
     def inserted_triangles(self) -> tuple:
-        i, k = self.removed
-        j, l = self.inserted
-        return (triangle(i, j, l), triangle(j, k, l))
+        (i, k), (j, l) = self.removed, self.inserted
+        return tuple(sorted((i, j, l))), tuple(sorted((j, k, l)))
 
     def reversed(self) -> "FlipEvent":
         return FlipEvent(self.inserted, self.removed, self.t_lo, self.t_hi)

@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 
 from .delaunay import FlipEvent
 from .flips import PENTAGON_FLIPS, build_flip_matrix, pentagon_cycle_product
-from .linalg import Matrix
+from .linalg import Matrix, clear_denominators, grid_width
 
 MANIFEST_NAME = "MANIFEST.json"
 ENV_DIR = "FLIPBRAID_FIXTURES"
@@ -147,13 +147,17 @@ def evaluate_entry(text: str, labels: dict) -> Fraction:
 
 def evaluate_matrix(data: dict, labels: Optional[dict] = None) -> Matrix:
     """The matrix of ``data["entries"]`` at ``labels``. Each distinct entry
-    text is evaluated once, in row-major order of first occurrence: a
-    matrix repeats a few texts, mostly "0" and "1"."""
+    text is evaluated once, in row-major order of first occurrence (a
+    matrix repeats a few texts, mostly "0" and "1"), and the distinct
+    values are put over one denominator before the matrix is built."""
     labels = labels or {}
     rows = data["entries"]
-    value = {text: evaluate_entry(text, labels)
-             for text in dict.fromkeys(e for row in rows for e in row)}
-    return Matrix([[value[e] for e in row] for row in rows])
+    grid_width(rows)
+    texts = list(dict.fromkeys(e for row in rows for e in row))
+    ints, den = clear_denominators(evaluate_entry(text, labels)
+                                   for text in texts)
+    value = dict(zip(texts, ints))
+    return Matrix._from_ints([[value[e] for e in row] for row in rows], den)
 
 
 def _first_difference(a: Matrix, b: Matrix) -> str:

@@ -13,8 +13,9 @@ one, and its arithmetic is on integers.  Scaling every label by the same
 number leaves each ratio of label differences unchanged, so it clears the
 labels' denominators once and works on integer labels.  A flip rewrites
 only the rows of its two exchanged triangles, so the product is kept as one
-integer row over a positive denominator per triangle, and each flip costs
-O(n).
+integer row over a denominator per triangle.  Each flip is one O(n) pass
+that takes its triangles from the ``FlipEvent`` and one gcd per new row;
+the rows go over one lcm at the end.  The pentagon events are built once.
 """
 
 from __future__ import annotations
@@ -97,27 +98,41 @@ def sequence_product(events, start_triangles, zeta):
     coordinates in the starting basis to coordinates in the final one.
     Returns (matrix, final_triangles).
 
-    The product is one row per current triangle, keyed by it, so the keys
-    are the triangulation.  A flip replaces the rows r1, r2 of its removed
-    triangles by (a*r1 + b*r2) / p and (c*r1 + d*r2) / p, the integer block
-    of ``_flip_block``, each reduced by ``_mix_rows``.  The rows are put in
-    the final basis order and over one denominator once, at the end.
+    The product is one integer row over a denominator per current
+    triangle, keyed by it, so the keys are the triangulation.  Each flip is
+    one pass: its four triangles come from the ``FlipEvent``, it is checked
+    to apply against the keys, and the rows r1, r2 of its removed triangles
+    become (a*r1 + b*r2) / p and (c*r1 + d*r2) / p, the integer block of
+    ``_flip_block``, each reduced by one gcd to a denominator of either
+    sign.  At the end each row, in the final basis order, is scaled by the
+    lcm of the denominators over its own, so all share that lcm.
     """
     ints, _ = clear_denominators(as_rational(z) for z in zeta.values())
     labels = dict(zip(zeta, ints))
     start = sorted(set(start_triangles))
-    row_of = {t: ([int(i == j) for j in range(len(start))], 1)
+    row_of = {t: ([0] * i + [1] + [0] * (len(start) - i - 1), 1)
               for i, t in enumerate(start)}
+    gcd = math.gcd
     for event in events:
-        (t_ijk, t_ikl), (t_ijl, t_jkl) = flip_triangles(row_of, event)
+        t_ijk, t_ikl = event.removed_triangles()
+        t_ijl, t_jkl = event.inserted_triangles()
+        if (t_ijk not in row_of or t_ikl not in row_of or t_ijl in row_of
+                or t_jkl in row_of):
+            flip_triangles(row_of, event)  # raises its "does not apply"
         a, b, c, d, p = _flip_block(event, labels)
-        r1, r2 = row_of.pop(t_ijk), row_of.pop(t_ikl)
-        row_of[t_ijl] = _mix_rows(a, r1, b, r2, p)
-        row_of[t_jkl] = _mix_rows(c, r1, d, r2, p)
+        v1, d1 = row_of.pop(t_ijk)
+        v2, d2 = row_of.pop(t_ikl)
+        s, t, den = a * d2, b * d1, p * d1 * d2
+        vec = [s * x + t * y for x, y in zip(v1, v2)]
+        g = gcd(den, *vec)
+        row_of[t_ijl] = [x // g for x in vec], den // g
+        s, t = c * d2, d * d1
+        vec = [s * x + t * y for x, y in zip(v1, v2)]
+        g = gcd(den, *vec)
+        row_of[t_jkl] = [x // g for x in vec], den // g
     final = sorted(row_of)
-    # clearing the 1 / q of the rows v / q gives each row's multiplier
-    scales, den = clear_denominators(Fraction(1, row_of[t][1]) for t in final)
-    num = [[x * s for x in row_of[t][0]] for t, s in zip(final, scales)]
+    den = math.lcm(*(row_of[t][1] for t in final))
+    num = [[x * (den // d) for x in v] for v, d in map(row_of.get, final)]
     # every flip block's columns sum to 1, so the product's do too
     if any(sum(col) != den for col in zip(*num)):
         raise AssertionError("flip product column sums are not all 1")
@@ -151,19 +166,6 @@ def _flip_block(event: FlipEvent, zeta) -> tuple:
     return zi - zl, zi - zj, zl - zk, zj - zk, den
 
 
-def _mix_rows(a, r1, b, r2, p) -> tuple:
-    """The row (a*r1 + b*r2) / p of two rows (vector, denominator), reduced
-    to a positive denominator with no common factor."""
-    (v1, d1), (v2, d2) = r1, r2
-    s, t = a * d2, b * d1
-    vec = [s * x + t * y for x, y in zip(v1, v2)]
-    den = p * d1 * d2
-    g = math.gcd(den, *vec)
-    if den < 0:
-        g = -g
-    return [x // g for x in vec], den // g
-
-
 # --- pentagon cycle ----------------------------------------------------------
 
 # Five cocircular points admit a cycle of five flips that returns the
@@ -177,6 +179,7 @@ PENTAGON_FLIPS = (
     ((2, 4), (1, 3)),
 )
 PENTAGON_START = frozenset({(1, 2, 3), (1, 3, 4), (1, 4, 5)})
+_PENTAGON_EVENTS = tuple(FlipEvent(*flip) for flip in PENTAGON_FLIPS)
 
 
 def pentagon_cycle_product(labels) -> Matrix:
@@ -185,12 +188,10 @@ def pentagon_cycle_product(labels) -> Matrix:
     ``labels`` assigns the five points 1..5 five distinct rational labels.
     """
     labels = [as_rational(z) for z in labels]
-    if len(labels) != 5 or len(set(labels)) != 5:
+    if len(labels) != 5 or len(set(clear_denominators(labels)[0])) != 5:
         raise ValueError("need five distinct labels")
-    zeta = {i + 1: v for i, v in enumerate(labels)}
-    events = [FlipEvent(removed, inserted)
-              for removed, inserted in PENTAGON_FLIPS]
-    return loop_product(events, PENTAGON_START, zeta)
+    zeta = dict(zip(range(1, 6), labels))
+    return loop_product(_PENTAGON_EVENTS, PENTAGON_START, zeta)
 
 
 # --- flip sequence JSON ------------------------------------------------------

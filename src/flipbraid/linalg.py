@@ -56,6 +56,20 @@ class DimensionError(ValueError):
     """Matrix dimensions do not admit the requested operation."""
 
 
+_EMPTY = "matrix must have at least one row and column"
+
+
+def grid_width(rows) -> int:
+    """The common length of the sequences ``rows``; ``DimensionError``
+    unless they are the rows of a matrix with a row and a column."""
+    if not rows or not rows[0]:
+        raise DimensionError(_EMPTY)
+    width = len(rows[0])
+    if any(len(row) != width for row in rows):
+        raise DimensionError("ragged rows")
+    return width
+
+
 class SingularMatrixError(ValueError):
     """Inverse requested for a singular matrix."""
 
@@ -69,11 +83,7 @@ class Matrix:
 
     def __init__(self, entries: Iterable[Iterable]):
         grid = tuple(tuple(as_rational(e) for e in row) for row in entries)
-        if not grid or not grid[0]:
-            raise DimensionError("matrix must have at least one row and column")
-        width = len(grid[0])
-        if any(len(row) != width for row in grid):
-            raise DimensionError("ragged rows")
+        width = grid_width(grid)
         num, self._den = clear_denominators(chain.from_iterable(grid))
         self.rows = len(grid)
         self.cols = width
@@ -84,6 +94,8 @@ class Matrix:
     def _from_ints(num, den: int) -> "Matrix":
         """The matrix ``num / den`` for integer rows ``num`` and a positive
         integer ``den``, reduced to the normal form."""
+        if not num:
+            raise DimensionError(_EMPTY)
         g = math.gcd(den, *chain.from_iterable(num))
         m = Matrix.__new__(Matrix)
         m.rows = len(num)

@@ -40,7 +40,7 @@ def test_retired_readers_and_duplicate_helpers_are_gone():
                    "_certificate", "_past_end", "_rational_time"),
         kinetics.TrajectorySet: ("to_json_dict", "from_json_dict",
                                  "stationary_triangles"),
-        flips: ("_event_from_json", "_integer_labels"),
+        flips: ("_event_from_json", "_integer_labels", "_mix_rows"),
         fixtures: ("verify_checksums", "_manifest_files", "_checked_bytes",
                    "_loop_product"),
         linalg: ("json_entries",),

@@ -17,7 +17,7 @@ from flipbraid.flips import (PENTAGON_FLIPS, PENTAGON_START,
                              flip_sequence_from_json, flip_sequence_to_json,
                              gamma_generator_name, loop_product,
                              pentagon_cycle_product, sequence_product)
-from flipbraid.linalg import Matrix, mat_inverse
+from flipbraid.linalg import DimensionError, Matrix, mat_inverse
 
 ZETA_ID = {i: Fraction(i) for i in range(1, 12)}
 
@@ -299,20 +299,23 @@ def test_loop_product_refuses_an_open_log():
             loop_product(open_log, PENTAGON_START, ZETA_ID)
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [4, 5, 8])
 def test_sequence_product_matches_dense_fold(n):
+    """Every signed generator at n = 4 and 5; a seeded sample of six at
+    n = 8, the size of the word benchmark."""
     setup = canonical_setup(n)
     home = build_delaunay(setup.config)
     zeta = setup.config.zeta_map()
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for power in (1, -1):
-                letter = BraidLetter(i, j, power)
-                events = invariant(BraidWord(n, (letter,))).flip_log[0]
-                assert events, f"{letter} must flip"
-                product, final = sequence_product(events, home, zeta)
-                assert (product, final) == dense_product(events, home, zeta)
-                assert final == home
+    letters = [BraidLetter(i, j, power) for i in range(1, n + 1)
+               for j in range(i + 1, n + 1) for power in (1, -1)]
+    if n == 8:
+        letters = random.Random(8).sample(letters, 6)
+    for letter in letters:
+        events = invariant(BraidWord(n, (letter,))).flip_log[0]
+        assert events, f"{letter} must flip"
+        product, final = sequence_product(events, home, zeta)
+        assert (product, final) == dense_product(events, home, zeta)
+        assert final == home
 
 
 def letter_events(n):
@@ -369,6 +372,51 @@ def test_sequence_product_random_quad_sequences():
             events.append(event)
         assert sequence_product(events, start, zeta) \
             == dense_product(events, start, zeta)
+
+
+def random_flip_walk(rng, start, steps):
+    """``steps`` flips from ``start``, each of an interior edge of the
+    current triangulation picked at random whose new diagonal is not an
+    edge yet: combinatorial flips, the quad need not be convex.  Each pair
+    of an event is in a random order."""
+    tris, events = frozenset(start), []
+    for _ in range(steps):
+        across = {}
+        for t in tris:
+            for apex in t:
+                edge = tuple(v for v in t if v != apex)
+                across.setdefault(edge, []).append(apex)
+        (i, k), (j, l) = rng.choice(
+            [(edge, apexes) for edge, apexes in sorted(across.items())
+             if len(apexes) == 2 and tuple(sorted(apexes)) not in across])
+        event = FlipEvent(*rng.choice([((i, k), (j, l)), ((k, i), (j, l)),
+                                       ((i, k), (l, j)), ((k, i), (l, j))]))
+        tris = apply_flip(tris, event)
+        events.append(event)
+    return events
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_sequence_product_random_flip_walks(n):
+    """Random walks of any interior edge flips from the home triangulation,
+    at random rational labels with unequal denominators, against the dense
+    fold."""
+    setup = canonical_setup(n)
+    rng = random.Random(2700 + n)
+    for _ in range(20):
+        zeta = random_labels(rng, sorted(setup.config.zeta_map()))
+        assert len({z.denominator for z in zeta.values()}) > 1
+        events = random_flip_walk(rng, setup.home, rng.randint(1, 30))
+        assert sequence_product(events, setup.home, zeta) \
+            == dense_product(events, setup.home, zeta)
+
+
+def test_product_from_no_triangles_is_a_dimension_error():
+    message = "matrix must have at least one row and column"
+    with pytest.raises(DimensionError, match=message):
+        sequence_product([], frozenset(), ZETA_ID)
+    with pytest.raises(DimensionError, match=message):
+        loop_product([], frozenset(), ZETA_ID)
 
 
 def test_sequence_product_coincident_labels():

@@ -268,5 +268,12 @@ def test_matrix_rejects_inexact_and_malformed_entries():
         Matrix([[1], [1, 2]])
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_identity_of_no_rows_is_a_dimension_error(n):
+    with pytest.raises(DimensionError,
+                       match="matrix must have at least one row and column"):
+        Matrix.identity(n)
+
+
 def test_json_integer_rendering():
     assert Matrix([[1]]).to_json_dict()["entries"] == [["1"]]
