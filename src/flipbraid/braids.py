@@ -202,8 +202,14 @@ def generator_trajectories(setup: CanonicalSetup, letter: BraidLetter,
     The loop rises to the geometry height, passes to the far side of the
     target, dips below all homes, returns underneath, and climbs back:
     winding number +-1 around the target home and 0 around every other.
-    A reversed traversal realizes the inverse letter.  The flip extractors
-    check the loop's clearance.
+    A reversed traversal realizes the inverse letter.
+
+    So the geometry must make the rectangle [xj - offset, xj + offset] x
+    [-depth, height] hold the target's home and no other: a ``ValueError``
+    names the field of an offset that is not positive or passes another
+    home's abscissa, a height not above every home, or a depth that leaves
+    the target below -depth.  The flip extractors check the loop's
+    clearance, so a home on the loop raises ``ClearanceError`` there.
     """
     n = setup.n
     if not 1 <= letter.i < letter.j <= n:
@@ -212,15 +218,29 @@ def generator_trajectories(setup: CanonicalSetup, letter: BraidLetter,
     target = letter.j + 3
     positions = setup.config.positions
     xi, yi = positions[mover]
-    xj, _ = positions[target]
+    xj, yj = positions[target]
     h, hp, d = geometry.height, geometry.depth, geometry.offset
+    left, right = xj - d, xj + d
+    if d <= 0:
+        raise ValueError(f"loop offset {d} must be positive")
+    for index in setup.config.interior:
+        x, y = positions[index]
+        if y >= h:
+            raise ValueError(f"loop height {h} is not above the home of"
+                             f" point {index}")
+        if left < x < right and index != target:
+            raise ValueError(f"loop offset {d} passes the home of point"
+                             f" {index}")
+    if -hp >= yj:
+        raise ValueError(f"loop depth {hp} does not pass below the home of"
+                         f" point {target}")
     waypoints = [
         (xi, yi),
         (xi, h),
-        (xj + d, h),
-        (xj + d, -hp),
-        (xj - d, -hp),
-        (xj - d, h),
+        (right, h),
+        (right, -hp),
+        (left, -hp),
+        (left, h),
         (xi, h),
         (xi, yi),
     ]

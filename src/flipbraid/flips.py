@@ -38,8 +38,9 @@ def gamma_generator_name(event: FlipEvent) -> str:
     canonical representative.  With i < k and j < l it starts with
     min(i, j): it is (i, j, k, l) when i < j, and (j, i, l, k) otherwise.
     """
-    i, k = sorted(event.removed)
-    j, l = sorted(event.inserted)
+    (i, k), (j, l) = event.removed, event.inserted
+    i, k = (i, k) if i < k else (k, i)
+    j, l = (j, l) if j < l else (l, j)
     return f"d({i} {j} {k} {l})" if i < j else f"d({j} {i} {l} {k})"
 
 
@@ -204,7 +205,8 @@ def flip_entry_json(event: FlipEvent, indent: str = "\n") -> str:
     entry, for integer indices; ``flip_sequence_to_json`` reads it back."""
     plain, bracketed = _entry_templates(indent)
     (i, k), (j, l), lo, hi = event
-    fields = (i, k, j, l, *event.quad, gamma_generator_name(event))
+    fields = (i, k, j, l, *sorted((i, k, j, l)),
+              gamma_generator_name(event))
     if lo is None or hi is None:
         return plain % fields
     return bracketed % (*fields, lo, hi)

@@ -11,8 +11,8 @@ triangulation DT(P) less the cavity of triangles whose circumdisk holds the
 mover, plus the mover's fan over it.  So each flip happens when the mover
 crosses the circumcircle of a triangle of DT(P): on each linear segment of
 its path, a root of that circle's polynomial, a quadratic in time.  The
-roots lie in Q(sqrt(D)) and are computed and ordered exactly, with integer
-arithmetic, and ordered by their integer keys (see ``_MoverKDS``).  It
+roots lie in Q(sqrt(D)) and are computed exactly, with integer arithmetic,
+and ordered by integer keys, each from one isqrt (see ``_MoverKDS``).  It
 samples nothing.
 
 ``extract_flip_sequence`` samples: configurations are evaluated at exact
@@ -28,9 +28,10 @@ point keeps its initial position.  Both extractors first check, once, that
 each mover stays inside the boundary triangle and misses every stationary
 point, and that no two movers meet.  Each sample is a
 validated ``Configuration`` triangulated by ``build_delaunay``.  The engine
-holds the triangulation as its cavity alone: it builds DT(P) once, inserts
-the mover's start into it and checks that start once with the O(n) local
-edge test.  Each flip moves one triangle into or out of the cavity.  The
+holds the triangulation as its cavity alone: it builds DT(P) once, reads
+the start's cavity off the circle polynomials and checks that start once
+with the O(n) local edge test, 57 ``incircle`` calls a letter at n = 7 in
+all.  Each flip moves one triangle into or out of the cavity.  The
 final triangulation is checked with the same test, or, when the mover's
 path returns to its start with its initial cavity, not at all: it is then
 the start.
@@ -183,8 +184,9 @@ def _integer_frame(ts: TrajectorySet) -> tuple:
     two movers, pair by pair, in which they meet: there the two move
     linearly, so they meet when the segment of their difference meets the
     origin."""
+    movers = ts.movers
     fixed = {index: xy for index, xy in ts.initial.positions.items()
-             if index not in ts.movers}
+             if index not in movers}
     ints = iter(_integer_points([*fixed.values(), *(
         xy for tr in ts.trajectories for _, xy in tr.breakpoints)]))
     fixed = {index: next(ints) for index in fixed}
@@ -273,9 +275,9 @@ def extract_flip_sequence(ts: TrajectorySet, step=None, floor=None) -> list:
     ``_refine`` takes a cell whose ends triangulate alike to hold no flip.
     A cell over two or more corners of the paths can hold a whole closed
     cycle of flips, so it is first split at each of them.  A cell over at
-    most one corner can still hide a flip and its inverse; ``_refine``
-    then logs neither, and the log is not the full motion.  The exact
-    engine logs both.
+    most one corner can still hide such a cycle (8 flips in one random
+    loop); the matrices cancel it, but the log misses it and is not the
+    full motion.  The exact engine logs every flip.
     """
     _integer_frame(ts)
     step = DEFAULT_STEP if step is None else as_rational(step)
@@ -346,9 +348,9 @@ def _refine(ts, a, b, floor, events):
 #
 # A time is a tuple (u, v, d, w, key) of integers.  Its value is the real
 # number (u + v*sqrt(d)) / w with w > 0, d >= 0, and v == 0 whenever d is a
-# perfect square, so a rational time has v == 0.  Every event time of one
-# linear segment is a root of a quadratic with integer coefficients, so it
-# has this form.  The key is floor(time * 2^64), computed once in integers.
+# perfect square, so a rational time has v == d == 0.  Every event time of
+# one linear segment is a root of a quadratic with integer coefficients, so
+# it has this form.  The key is floor(time * 2^64), computed once in integers.
 # Two times with different keys are ordered by their keys; two with one key
 # are compared by the signs of integer expressions.  Keys are exact floors,
 # so their width changes only how often that exact test runs, never a result.
@@ -395,13 +397,20 @@ def _floor_root(u, v, d, w, scale: int) -> int:
 
 
 def _time(u, v, d, w) -> tuple:
-    """The normalized time (u + v*sqrt(d)) / w, for w != 0, with its key."""
+    """The normalized time (u + v*sqrt(d)) / w, for w != 0, with its key.
+    One isqrt serves both: r = isqrt(v^2 d 2^128) squares back exactly when
+    d is a perfect square, where the time is rational (v == d == 0), and is
+    otherwise floor(|v| sqrt(d) 2^64), the root ``_floor_root`` takes."""
     if w < 0:
         u, v, w = -u, -v, -w
-    root = math.isqrt(d)
-    if root * root == d:
-        u, v, d = u + v * root, 0, 0
-    return (u, v, d, w, _floor_root(u, v, d, w, 1 << _KEY_BITS))
+    if v and d:
+        square = v * v * d << 2 * _KEY_BITS
+        root = math.isqrt(square)
+        if root * root != square:
+            whole = (u << _KEY_BITS) + (root if v > 0 else -root - 1)
+            return (u, v, d, w, whole // w)
+        u += _sign(v) * (root >> _KEY_BITS)
+    return (u, 0, 0, w, (u << _KEY_BITS) // w)
 
 
 def _dyadic_time(k, m) -> tuple:
@@ -576,22 +585,23 @@ class _MoverKDS:
 
     ``circles`` maps each counterclockwise triangle of DT(P), on the
     integer frame of ``_integer_frame``, to its ``_cofactors``; ``cavity``
-    holds those whose circumdisk holds m; ``owner`` maps each directed edge
-    (u, v) of DT(P) to its counterclockwise triangle, so the triangle
-    across (u, v) is ``owner[v, u]``.  On a segment each circle is a
-    quadratic in the segment parameter (``_segment_quadratics``), whose
-    crossings are found by signs (``_crossings``); only they become keyed
-    times.  A segment sorts its crossings by (key, quad), and
-    ``_instants`` groups them into instants, comparing exact times only
-    where two keys are equal.  Each instant is one entry of ``groups``: a
-    segment's crossings lie in [t0, t1), and one at t1 is the next
-    segment's, so no instant spans two segments.
+    holds those whose circle polynomial is positive at m, at the start read
+    off the cofactors; ``owner`` maps each directed edge (u, v) of DT(P) to
+    its counterclockwise triangle, so the triangle across (u, v) is
+    ``owner[v, u]``. On a segment each circle is a quadratic in the segment
+    parameter (``_segment_quadratics``), whose crossings are found by signs
+    (``_crossings``); only they become keyed times.  A segment sorts its
+    crossings by (key, quad), and ``_instants`` groups them into instants,
+    comparing exact times only where two keys are equal.  Each instant is
+    one entry of ``groups``: a segment's crossings lie in [t0, t1), and one
+    at t1 is the next segment's, so no instant spans two segments.
     """
 
     def __init__(self, ts: TrajectorySet, fixed: dict, m0):
         """``fixed`` holds the stationary points and m0 is the mover's
-        start, on the integer frame.  DT(P) is built once, and the start,
-        the mover inserted into it by ``triangles``, is checked once by
+        start, on the integer frame.  DT(P) is built once, the start's
+        cavity is read off the cofactors with no ``incircle`` call, and the
+        start, made by ``triangles``, is checked once by
         ``verify_delaunay``."""
         self.mover = mover = ts.movers[0]
         stationary = {triangle(*ts.initial.boundary)}
@@ -608,8 +618,8 @@ class _MoverKDS:
                         for tri in map(ccw, stationary)}
         self.owner = {(u, v): tri for tri in self.circles
                       for u, v in zip(tri, tri[1:] + tri[:1])}
-        self.cavity = {tri for tri in self.circles
-                       if incircle(*map(fixed.__getitem__, tri), m0) > 0}
+        self.cavity = {tri for tri, _, _, c2 in _segment_quadratics(
+            self.circles, m0, m0) if c2 > 0}
         verify_delaunay(self.triangles(), ts.initial)
         # (time, [(removed, inserted), ...]) with increasing times
         self.groups = []
@@ -623,8 +633,9 @@ class _MoverKDS:
         flips in quad order, which is sound only when they pairwise
         far-commute; otherwise ``UnresolvedEventError`` is raised."""
         mover = self.mover
-        # ([t0 * q, (t1 - t0) * q], q), integers over one denominator q
-        (a0, a1), q = clear_denominators((t0, t1 - t0))
+        # t0 = a0 / q and t1 - t0 = a1 / q, integers over one denominator q
+        (a0, b1), q = clear_denominators((t0, t1))
+        a1 = b1 - a0
         crossings = []  # (time, quad, triangle)
         for tri, a2, b2, c2 in _segment_quadratics(self.circles, m0, m1):
             if a2 == 0:  # a pause at m0
@@ -641,7 +652,7 @@ class _MoverKDS:
         # a root outside [t0, t1) is a fault that _bracket could not end on
         if crossings and (
                 _compare(crossings[0][0], _time(a0, 0, 0, q)) < 0
-                or _compare(crossings[-1][0], _time(a0 + a1, 0, 0, q)) >= 0):
+                or _compare(crossings[-1][0], _time(b1, 0, 0, q)) >= 0):
             raise AssertionError(f"a crossing outside [{t0}, {t1})")
         for batch in instants:
             when = batch[0][0]
@@ -668,8 +679,11 @@ class _MoverKDS:
                                  " with the rest of the cavity, not 1")
         ((u, v, w),) = shared
         edge, spoke = tuple(sorted((u, v))), tuple(sorted((self.mover, w)))
-        self.cavity ^= {tri}
-        return (edge, spoke) if tri in self.cavity else (spoke, edge)
+        if tri in self.cavity:
+            self.cavity.remove(tri)
+            return spoke, edge
+        self.cavity.add(tri)
+        return edge, spoke
 
     def triangles(self) -> frozenset:
         """DT(P) less the cavity plus the mover's fan over it."""

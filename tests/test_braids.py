@@ -235,6 +235,41 @@ def test_isotopy_invariance_loop_geometry():
     assert base == wide
 
 
+@pytest.mark.parametrize("geometry, field", [
+    (LoopGeometry.make(1, "1/2", "-1/4"), "offset -1/4"),
+    (LoopGeometry.make(1, "1/2", "5/4"), "offset 5/4"),
+    (LoopGeometry.make(1, "1/2", "3/2"), "offset 3/2"),
+    (LoopGeometry.make(1, "-1/2", "1/4"), "depth -1/2"),
+    (LoopGeometry.make("1/1000", "1/2", "1/4"), "height 1/1000"),
+])
+def test_a_loop_that_does_not_wind_once_around_the_target_is_refused(
+        geometry, field):
+    """Each of these loops for b(1,3) at n = 4 would give a wrong matrix:
+    that of the inverse letter (offset -1/4), one around a neighbouring
+    home too (5/4, 3/2), or the identity (depth -1/2, height 1/1000)."""
+    letter = BraidLetter(1, 3, 1)
+    with pytest.raises(ValueError, match=re.escape(f"loop {field} ")):
+        generator_trajectories(canonical_setup(4), letter, geometry)
+    with pytest.raises(ValueError, match=re.escape(f"loop {field} ")):
+        letter_flips(canonical_setup(4), letter, geometry)
+    with pytest.raises(ValueError, match=re.escape(f"loop {field} ")):
+        invariant(BraidWord(4, (letter,)), geometry=geometry)
+
+
+@pytest.mark.parametrize("geometry", [LoopGeometry(),
+                                      LoopGeometry.make(1, 0, "1/4")])
+def test_a_loop_once_around_the_target_is_accepted(geometry):
+    """The default loop, and one whose dip stops at height 0, between the
+    target's home and the boundary, give the letter's matrix."""
+    word = parse_word("b(1,3)", 4)
+    ts = generator_trajectories(canonical_setup(4), word.letters[0],
+                                geometry)
+    loop = [pos for _, pos in ts.trajectories[0].breakpoints]
+    homes = canonical_setup(4).config.positions
+    assert [winding_number(loop, homes[k]) for k in (5, 6, 7)] == [0, -1, 0]
+    assert invariant(word, geometry=geometry).matrix == invariant(word).matrix
+
+
 def test_verify_inverse_family():
     report = verify_relations(2, "inverse")
     assert report.ok and len(report.instances) == 1

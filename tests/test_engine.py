@@ -1,10 +1,13 @@
 """The exact kinetic event engine against the sampler, and its edge cases."""
 
+import collections
 import functools
 import hashlib
 import itertools
+import json
 import math
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -189,6 +192,20 @@ def test_a_pause_on_a_circle_is_degenerate():
     _, ts = motion(STATIC_TRIPLE + [OUTSIDE],
                    [(0, OUTSIDE), (F(1, 3), (1, 1)), (F(2, 3), (1, 1)),
                     (1, OUTSIDE)])
+    for extract in (exact_flip_sequence, extract_flip_sequence):
+        with pytest.raises(DegenerateConfigurationError) as info:
+            extract(ts)
+        assert info.value.subset == (4, 5, 6, 7), extract
+
+
+@pytest.mark.parametrize("start", [(1, 1), (F(6, 5), F(2, 5)),
+                                   (F(2, 5), F(-1, 5))])
+def test_a_start_on_a_circle_is_degenerate(start):
+    """The mover starts on the circle x^2 + y^2 = x + y of the constant
+    points 4, 5, 6, on each of its three arcs: the start's cavity, read off
+    the cofactors, leaves that triangle out, and the start check reports
+    the cocircular quad, as the sampler does."""
+    _, ts = motion(STATIC_TRIPLE + [start], [(0, start), (1, (7, 9))])
     for extract in (exact_flip_sequence, extract_flip_sequence):
         with pytest.raises(DegenerateConfigurationError) as info:
             extract(ts)
@@ -602,6 +619,37 @@ def test_engine_events_are_pinned():
     assert digest.hexdigest() == ENGINE_EVENTS_SHA256
 
 
+def test_engine_predicate_budget(monkeypatch, capsys):
+    """``simulate`` of the 42 signed generators at n = 7, on a setup built
+    beforehand, makes 2,394 ``incircle`` and 8,526 ``orient2d`` calls (57
+    and 203 a letter) and logs 1,508 flips.  The predicates are counted at
+    every ``flipbraid.*`` attribute bound to them, as the traced benchmark
+    wraps them, so calls from inside ``geometry`` count too."""
+    from flipbraid import cli, geometry
+
+    canonical_setup(7)
+    calls = collections.Counter()
+    for name in ("incircle", "orient2d"):
+        predicate = getattr(geometry, name)
+
+        def counted(*points, name=name, predicate=predicate):
+            calls[name] += 1
+            return predicate(*points)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.partition(".")[0] == "flipbraid":
+                for attr, value in list(vars(module).items()):
+                    if value is predicate:
+                        monkeypatch.setattr(module, attr, counted)
+    flips = 0
+    for i, j in itertools.combinations(range(1, 8), 2):
+        for word in (f"b({i},{j})", f"b({i},{j})^-1"):
+            assert cli.main(["simulate", "--n", "7", "--word", word]) == 0
+            (log,) = json.loads(capsys.readouterr().out)
+            flips += len(log)
+    assert (calls["incircle"], calls["orient2d"], flips) == (2394, 8526, 1508)
+
+
 BIG = st.integers(-10 ** 6, 10 ** 6)
 INT_POINT = st.tuples(BIG, BIG)
 
@@ -632,16 +680,46 @@ def test_certificate_matches_three_lifted_determinants(others, m0, delta, r):
 
 NONSQUARE = st.integers(2, 10 ** 6).filter(
     lambda d: math.isqrt(d) ** 2 != d)
+SQUARE = st.one_of(st.just(0), st.integers(1, 10 ** 3).map(lambda r: r * r))
+TIME_FORMS = ["non-square d"] * 3 + ["square d", "v = 0"]
 
 
 @st.composite
-def engine_times(draw):
-    """A time (u + v sqrt(d)) / w in about [-4, 4], rational or not."""
+def raw_times(draw):
+    """(u, v, d, w), a time (u + v sqrt(d)) / w in about [-4, 4], rational
+    or not: d a non-square, a perfect square or 0, v possibly 0, and w of
+    either sign."""
     w = draw(st.integers(1, 10 ** 9))
-    v = draw(st.integers(-10 ** 3, 10 ** 3))
-    d = draw(NONSQUARE)
+    form = draw(st.sampled_from(TIME_FORMS))
+    v = 0 if form == "v = 0" else draw(st.integers(-10 ** 3, 10 ** 3))
+    d = draw(SQUARE if form == "square d" else NONSQUARE)
     u = draw(st.integers(-4 * w, 4 * w)) - v * math.isqrt(d)
-    return _time(u, v, d, w)
+    sign = draw(st.sampled_from((1, -1)))
+    return sign * u, sign * v, d, sign * w
+
+
+def engine_times():
+    """A time of ``raw_times``, normalized by ``_time``."""
+    return raw_times().map(lambda raw: _time(*raw))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(raw_times())
+def test_time_normalizes_and_keeps_the_value(raw):
+    """``_time`` makes w positive, sets v and d to 0 exactly when v sqrt(d)
+    is rational, keeps the value, and keys it by its floor at 2^64, all
+    checked by exact signs."""
+    u, v, d, w = raw
+    rational = v == 0 or math.isqrt(d) ** 2 == d
+    event(("rational" if rational else "irrational")
+          + (", w > 0" if w > 0 else ", w < 0"))
+    u2, v2, d2, w2, key = _time(*raw)
+    assert w2 > 0
+    assert (v2 == 0) == (d2 == 0) == rational
+    assert _sign_sum(u * w2 - u2 * w, v * w2, d, -v2 * w, d2) == 0
+    scale = 1 << 64
+    assert _sign_root(u2 * scale - key * w2, v2 * scale, d2) >= 0
+    assert _sign_root(u2 * scale - (key + 1) * w2, v2 * scale, d2) < 0
 
 
 def near_time(t, draw):
