@@ -34,11 +34,15 @@ class _LetterFields(NamedTuple):
 
 
 class BraidLetter(_LetterFields):
-    """The generator b(i,j) or its inverse; any other power is refused."""
+    """The generator b(i,j) or its inverse; any other power, or a strand or
+    power that is not an ``int``, is refused."""
 
     __slots__ = ()
 
     def __new__(cls, i, j, power):
+        if {type(i), type(j), type(power)} != {int}:
+            raise TypeError(f"letter {(i, j, power)!r}: strands and power"
+                            " must be int")
         if power not in (1, -1):
             raise ValueError(f"letter b({i},{j}): power must be +1 or -1,"
                              f" got {power!r}")
@@ -54,6 +58,8 @@ class BraidWord:
     ``+`` do not silently repeat or join words; frozen, and equal by value."""
 
     def __init__(self, n: int, letters: tuple):
+        if type(n) is not int:
+            raise TypeError(f"strand count must be int, got {n!r}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "letters", letters)
 
@@ -105,7 +111,8 @@ def parse_word(text: str, n: int) -> BraidWord:
 
 def word_from_pairs(n: int, pairs) -> BraidWord:
     """Build a word from ((i, j) | (i, j, power)) tuples; any other entry,
-    or a power other than +1 or -1, raises ``ValueError``."""
+    or a power other than +1 or -1, raises ``ValueError``, and a strand or
+    power that is not an ``int`` raises ``TypeError``."""
     letters = []
     for p in pairs:
         if len(p) == 2:

@@ -3,15 +3,12 @@
 The data files under ``flipbraid/data`` hold hand-entered matrices: the
 five-step pentagon cycle in symbolic label form, the two-flip commutation
 example on six points, and the two 11x11 braid-loop factorizations together
-with their printed products.  A manifest pins each file's SHA-256.  The
-FLIPBRAID_FIXTURES environment variable points the loader at an alternate
-directory with the same layout.
+with their printed products.  A manifest pins each file's SHA-256.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import re
 from contextlib import contextmanager
 from fractions import Fraction
@@ -23,7 +20,6 @@ from .flips import PENTAGON_FLIPS, build_flip_matrix, pentagon_cycle_product
 from .linalg import Matrix, clear_denominators, grid_width
 
 MANIFEST_NAME = "MANIFEST.json"
-ENV_DIR = "FLIPBRAID_FIXTURES"
 DATA_DIR = Path(__file__).parent / "data"
 
 
@@ -32,12 +28,6 @@ class FixtureError(RuntimeError):
 
 
 def _read_bytes(name: str) -> bytes:
-    override = os.environ.get(ENV_DIR)
-    if override:
-        path = Path(override) / name
-        if not path.is_file():
-            raise FixtureError(f"fixture {name} not found in {override}")
-        return path.read_bytes()
     path = DATA_DIR / name
     if not path.is_file():
         raise FixtureError(f"bundled fixture {name} missing")

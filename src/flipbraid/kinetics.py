@@ -30,11 +30,10 @@ point, and that no two movers meet.  Each sample is a
 validated ``Configuration`` triangulated by ``build_delaunay``.  The engine
 holds the triangulation as its cavity alone: it builds DT(P) once, reads
 the start's cavity off the circle polynomials and checks that start once
-with the O(n) local edge test, 57 ``incircle`` calls a letter at n = 7 in
-all.  Each flip moves one triangle into or out of the cavity.  The
-final triangulation is checked with the same test, or, when the mover's
-path returns to its start with its initial cavity, not at all: it is then
-the start.
+with the O(n) local edge test.  Each flip moves one triangle into or out
+of the cavity.  The final triangulation is checked with the same test, or,
+when the mover's path returns to its start with its initial cavity, not at
+all: it is then the start.
 """
 
 from __future__ import annotations

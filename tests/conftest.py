@@ -1,6 +1,7 @@
 """Shared helpers: random valid configurations, the exhaustive general
-position and Delaunay checks and a winding-number oracle; a time limit on
-every test; and the Hypothesis profile of every test."""
+position and Delaunay checks, a winding-number oracle and the definition
+of a flip's generator name; a time limit on every test; and the Hypothesis
+profile of every test."""
 
 import signal
 from fractions import Fraction
@@ -9,8 +10,9 @@ from itertools import combinations
 import pytest
 from hypothesis import settings
 
-from flipbraid import (Configuration, DegenerateConfigurationError,
-                       LabeledPoint, incircle, orient2d)
+from flipbraid.delaunay import DegenerateConfigurationError
+from flipbraid.geometry import (Configuration, LabeledPoint, incircle,
+                                orient2d)
 
 BOUNDARY = (
     (Fraction(-50), Fraction(-30)),
@@ -144,3 +146,13 @@ def winding_number(loop, center) -> int:
         if x_cross > cx:
             total += 1 if qy > py else -1
     return total
+
+
+def dihedral_least_name(event):
+    """The name from the least of the eight dihedral variants of the quad
+    ijkl, with (i, k) = removed and (j, l) = inserted: the definition."""
+    i, k = event.removed
+    j, l = event.inserted
+    variants = [(i, j, k, l), (k, j, i, l), (i, l, k, j), (k, l, i, j),
+                (j, k, l, i), (j, i, l, k), (l, k, j, i), (l, i, j, k)]
+    return "d({} {} {} {})".format(*min(variants))

@@ -47,10 +47,58 @@ def test_a_letter_power_other_than_one_is_refused(power):
         word_from_pairs(3, [(1, 2, power)])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: word_from_pairs(3, [(1.0, 2)]),
+    lambda: word_from_pairs(3, [(True, 2)]),
+    lambda: word_from_pairs(3, [(1, 2, 1.0)]),
+    lambda: word_from_pairs(3, [(1, 2, True)]),
+    lambda: word_from_pairs(3, [(1, 2.5)]),
+    lambda: word_from_pairs(3, [("1", 2)]),
+    lambda: BraidWord(2.0, ()),
+], ids=["float i", "bool i", "float power", "bool power", "float j",
+        "str i", "float n"])
+def test_a_strand_or_power_that_is_not_an_int_is_refused(build):
+    """An equal float or bool must not pass as an int strand or power, and
+    any other type fails with a ``TypeError`` before any work is done."""
+    with pytest.raises(TypeError, match=r"^(letter \(|strand count)"):
+        invariant(build())
+
+
 @pytest.mark.parametrize("entry", [(), (1,), (1, 2, 1, 1)])
 def test_word_from_pairs_refuses_a_malformed_entry(entry):
     with pytest.raises(ValueError, match=r"expected \(i, j\) or"):
         word_from_pairs(3, [(1, 2), entry])
+
+
+def test_canonical_setup_falls_back_to_nudged_homes(monkeypatch):
+    """When the homes of the first attempts are degenerate, the setup is
+    built from the next attempt's nudged homes; when every attempt is,
+    ``canonical_setup`` gives up.  The unwrapped function is called, so
+    the cache is left alone."""
+    from flipbraid import braids
+
+    def failing(k):
+        calls = []
+
+        def setup(n, config):
+            calls.append(n)
+            if len(calls) <= k:
+                raise DegenerateConfigurationError((1, 2, 3, 4))
+            return CanonicalSetup(n, config)
+        return setup
+
+    n = 4
+    monkeypatch.setattr(braids, "CanonicalSetup", failing(2))
+    setup = canonical_setup.__wrapped__(n)
+    homes = {p.index: (p.x, p.y) for p in setup.config.points}
+    for k in range(1, n + 1):
+        assert homes[k + 3] == (k, F(k * k, 100 * n * n) + F(2 * k, 10007))
+    assert setup.home == build_delaunay(setup.config)
+
+    monkeypatch.setattr(braids, "CanonicalSetup", failing(10 ** 6))
+    with pytest.raises(RuntimeError,
+                       match="n=4 failed to reach general position"):
+        canonical_setup.__wrapped__(n)
 
 
 def test_canonical_setup_shapes():

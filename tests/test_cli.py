@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dihedral_least_name
 from flipbraid.cli import _dumps, main
 from flipbraid.delaunay import FlipEvent
-from flipbraid.flips import (flip_entry_json, flip_sequence_to_json,
-                             gamma_generator_name)
+from flipbraid.flips import flip_entry_json, flip_sequence_to_json
 from flipbraid.linalg import Matrix
 
 
@@ -440,10 +440,11 @@ def unsorted_flip_events(draw):
 
 
 def entry_dict(event):
-    """A flip-log entry built field by field, as the log is specified."""
+    """A flip-log entry built field by field, as the log is specified, with
+    ``gamma`` from the dihedral definition of the generator name."""
     out = {"removed": list(event.removed), "inserted": list(event.inserted),
            "quad": sorted(event.removed + event.inserted),
-           "gamma": gamma_generator_name(event)}
+           "gamma": dihedral_least_name(event)}
     if event.t_lo is not None and event.t_hi is not None:
         out.update(t_lo=str(event.t_lo), t_hi=str(event.t_hi))
     return out

@@ -18,6 +18,29 @@ def test_every_exported_name_resolves():
         assert getattr(flipbraid, name) is not None, name
 
 
+INTERNAL = {
+    "braids": ("generator_trajectories",),
+    "delaunay": ("apply_flip", "diff_flips", "render_svg", "triangle",
+                 "verify_delaunay"),
+    "flips": ("gamma_generator_name", "pentagon_cycle_product"),
+    "geometry": ("incircle", "orient2d"),
+    "kinetics": ("configuration_at",),
+    "linalg": ("SingularMatrixError", "mat_inverse", "mat_mul"),
+}
+
+
+def test_internal_names_stay_in_their_modules():
+    """The package exports the documented API only; these names are no
+    ``flipbraid`` attribute, and each still imports from its module."""
+    for module_name, names in INTERNAL.items():
+        module = importlib.import_module(f"flipbraid.{module_name}")
+        for name in names:
+            assert not hasattr(flipbraid, name), name
+            assert name not in flipbraid.__all__
+            assert getattr(module, name, None) is not None, (module_name,
+                                                              name)
+
+
 def test_retired_flip_records_are_gone():
     from flipbraid import delaunay, flips
 

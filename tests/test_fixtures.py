@@ -3,7 +3,6 @@ import json
 import re
 import shutil
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -140,6 +139,14 @@ def test_loop_factor_counts():
     assert len(load_fixture("braid_loop_5_7.json")["factors"]) == 14
 
 
+def copy_fixtures(tmp_path, monkeypatch):
+    """Copy the bundled data files to ``tmp_path`` and read them from
+    there."""
+    for f in fixtures.DATA_DIR.iterdir():
+        shutil.copy(f, tmp_path / f.name)
+    monkeypatch.setattr(fixtures, "DATA_DIR", tmp_path)
+
+
 def test_run_all_suites():
     results = run_all_suites()
     assert len(results) == 5
@@ -147,10 +154,9 @@ def test_run_all_suites():
 
 
 def test_env_override_and_tamper_detection(tmp_path, monkeypatch):
-    data_dir = Path(__file__).resolve().parents[1] / "src" / "flipbraid" / "data"
-    for f in data_dir.iterdir():
-        shutil.copy(f, tmp_path / f.name)
-    monkeypatch.setenv("FLIPBRAID_FIXTURES", str(tmp_path))
+    """A copy of the data files, read from another ``DATA_DIR``, passes its
+    suite, and an entry edited in the copy fails the checksum."""
+    copy_fixtures(tmp_path, monkeypatch)
     assert run_pentagon_suite().ok
 
     # tamper with one entry; the checksum must catch it
@@ -163,16 +169,18 @@ def test_env_override_and_tamper_detection(tmp_path, monkeypatch):
 
 
 def test_missing_fixture_in_override(tmp_path, monkeypatch):
+    """The loader has no environment override: with FLIPBRAID_FIXTURES set
+    to an empty directory, the bundled file is still read."""
     monkeypatch.setenv("FLIPBRAID_FIXTURES", str(tmp_path))
-    with pytest.raises(FixtureError, match="not found"):
-        load_fixture("pentagon_cycle.json")
+    bundled = fixtures.DATA_DIR / "pentagon_cycle.json"
+    assert load_fixture("pentagon_cycle.json") == json.loads(
+        bundled.read_bytes())
 
 
 def test_missing_bundled_fixture(tmp_path, monkeypatch):
-    """Without the override, the files are read from the package's own
-    ``data`` directory."""
+    """The files are read from the package's own ``data`` directory,
+    ``fixtures.DATA_DIR``, and from nowhere else."""
     assert (fixtures.DATA_DIR / fixtures.MANIFEST_NAME).is_file()
-    monkeypatch.delenv(fixtures.ENV_DIR, raising=False)
     monkeypatch.setattr(fixtures, "DATA_DIR", tmp_path)
     with pytest.raises(FixtureError,
                        match="bundled fixture pentagon_cycle.json missing"):
@@ -182,10 +190,7 @@ def test_missing_bundled_fixture(tmp_path, monkeypatch):
 def test_suites_report_the_first_difference(tmp_path, monkeypatch, capsys):
     """An entry changed under a rewritten manifest passes the checksum, so
     the suites themselves must find it and name where it is."""
-    data_dir = Path(__file__).resolve().parents[1] / "src" / "flipbraid" / "data"
-    for f in data_dir.iterdir():
-        shutil.copy(f, tmp_path / f.name)
-    monkeypatch.setenv("FLIPBRAID_FIXTURES", str(tmp_path))
+    copy_fixtures(tmp_path, monkeypatch)
 
     def edit(name, change):
         obj = json.loads((tmp_path / name).read_text())
@@ -221,11 +226,6 @@ def test_suites_report_the_first_difference(tmp_path, monkeypatch, capsys):
     assert "PASS two-flip\n" in out
 
 
-def copy_fixtures(tmp_path, monkeypatch):
-    data_dir = Path(__file__).resolve().parents[1] / "src" / "flipbraid" / "data"
-    for f in data_dir.iterdir():
-        shutil.copy(f, tmp_path / f.name)
-    monkeypatch.setenv("FLIPBRAID_FIXTURES", str(tmp_path))
 
 
 @pytest.mark.parametrize("manifest, message", [

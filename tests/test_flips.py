@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dihedral_least_name
 from flipbraid.braids import (BraidLetter, BraidWord, canonical_setup,
                               invariant)
 from flipbraid.cli import main
@@ -129,16 +130,6 @@ def test_gamma_names():
     assert gamma_generator_name(FlipEvent((3, 1), (2, 4))) == "d(1 2 3 4)"
     assert gamma_generator_name(FlipEvent((2, 4), (3, 1))) == "d(1 2 3 4)"
     assert gamma_generator_name(FlipEvent((2, 4), (1, 3))) == "d(1 2 3 4)"
-
-
-def dihedral_least_name(event):
-    """The name from the least of the eight dihedral variants of the quad
-    ijkl, with (i, k) = removed and (j, l) = inserted: the definition."""
-    i, k = event.removed
-    j, l = event.inserted
-    variants = [(i, j, k, l), (k, j, i, l), (i, l, k, j), (k, l, i, j),
-                (j, k, l, i), (j, i, l, k), (l, k, j, i), (l, i, j, k)]
-    return "d({} {} {} {})".format(*min(variants))
 
 
 def test_gamma_name_is_the_least_dihedral_variant():
