@@ -60,6 +60,10 @@ class BraidWord:
     def __init__(self, n: int, letters: tuple):
         if type(n) is not int:
             raise TypeError(f"strand count must be int, got {n!r}")
+        letters = tuple(letters)
+        for pos, item in enumerate(letters, start=1):
+            if not isinstance(item, BraidLetter):
+                raise TypeError(f"letter {pos} is not a BraidLetter: {item!r}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "letters", letters)
 

@@ -3,9 +3,10 @@
 A triangulation is a frozenset of triangles, each an ascending index
 triple; the canonical basis order is lexicographic (``sorted``), and a diff
 of two triangulations decomposes into diagonal exchanges (flips) or reports
-that it cannot.  Construction folds one Bowyer-Watson insertion step over
-the points, and verification is the local edge test; both run the exact
-integer predicates on ``Configuration.int_positions``.
+that it cannot.  Construction folds one Bowyer-Watson insertion step,
+which keeps each triangle's circle cofactors, over the points, and
+verification is the local edge test with the exact integer predicates;
+both read ``Configuration.int_positions``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Optional
 
-from .geometry import Configuration, incircle, orient2d
+from .geometry import (Configuration, DegenerateCircleError, incircle,
+                       orient2d)
 
 
 def triangle(*indices) -> tuple:
@@ -32,52 +34,74 @@ class DegenerateConfigurationError(ValueError):
             f"degenerate configuration: cocircular subset {self.subset}")
 
 
-def insert_point(triangles: set, positions: dict, index) -> None:
-    """One Bowyer-Watson step: add point ``index`` to ``triangles`` in place.
-
-    The triangles whose open circumdisk strictly contains the point form
-    its cavity, which ``fan_cavity`` replaces by the point's fan.
-    ``positions`` maps each index to an integer point, such as a
-    configuration's ``int_positions``.  Inserting into a Delaunay triangle
-    set gives the Delaunay triangle set of the larger point set (Bowyer,
-    Comput. J. 1981; Watson, Comput. J. 1981).
-    """
-    p = positions[index]
-    cavity = [t for t in triangles
-              if incircle(positions[t[0]], positions[t[1]], positions[t[2]],
-                          p) > 0]
-    fan_cavity(triangles, cavity, index)
+def _cofactors(a, b, c) -> tuple:
+    """(alpha, beta_x, beta_y, gamma) with alpha |p|^2 + beta.p + gamma the
+    lifted incircle determinant of integer points (a, b, c, p), expanded
+    along the row of p: positive exactly when p is inside the circle of a
+    counterclockwise (a, b, c), whose alpha is minus twice its area."""
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    an, bn, cn = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+    bax, bay, ban = bx - ax, by - ay, bn - an
+    cax, cay, can = cx - ax, cy - ay, cn - an
+    lifted = (an * (bx * cy - by * cx) + bn * (cx * ay - cy * ax)
+              + cn * (ax * by - ay * bx))
+    return (cax * bay - bax * cay, cay * ban - bay * can,
+            bax * can - cax * ban, lifted)
 
 
-def fan_cavity(triangles: set, cavity, index) -> None:
-    """Replace the ``cavity`` triangles of ``triangles``, all ascending
-    triples, in place by the fan from point ``index`` to the cavity's
-    boundary edges: those that lie on one cavity triangle."""
-    edge_count = {}
-    for a, b, c in cavity:
-        for e in ((a, b), (a, c), (b, c)):
-            edge_count[e] = edge_count.get(e, 0) + 1
-    triangles.difference_update(cavity)
-    for (a, b), count in edge_count.items():
-        if count == 1:
-            triangles.add(triangle(a, b, index))
+def remove_cavity(triangles: dict, cavity) -> set:
+    """Delete the ``cavity`` triangles, all counterclockwise, from
+    ``triangles`` and return the boundary of their union: their directed
+    edges whose reverse lies on none of them."""
+    edges = set()
+    for tri in cavity:
+        del triangles[tri]
+        a, b, c = tri
+        edges.update(((a, b), (b, c), (c, a)))
+    return {(u, v) for u, v in edges if (v, u) not in edges}
+
+
+def insert_point(circles: dict, positions: dict, index) -> None:
+    """One Bowyer-Watson step (Bowyer, Comput. J. 1981; Watson, same
+    issue): add point ``index`` of ``positions``, integer points, to the
+    Delaunay triangulation ``circles``, each counterclockwise triangle
+    mapped to its ``_cofactors``.  Its cavity, the triangles whose circle
+    polynomial is positive at the point, is star-shaped from the point, so
+    each boundary edge (u, v) gives a counterclockwise fan triangle
+    (u, v, index); a collinear one raises ``DegenerateCircleError``."""
+    p = px, py = positions[index]
+    pp = px * px + py * py
+    for u, v in remove_cavity(circles, [
+            tri for tri, (alpha, beta_x, beta_y, gamma) in circles.items()
+            if alpha * pp + beta_x * px + beta_y * py + gamma > 0]):
+        circle = circles[u, v, index] = _cofactors(positions[u],
+                                                   positions[v], p)
+        if not circle[0]:
+            raise DegenerateCircleError(f"collinear fan {(u, v, index)}")
+
+
+def delaunay_circles(positions: dict, boundary, interior) -> dict:
+    """The Delaunay triangulation of the ``boundary`` triangle, made
+    counterclockwise (swapping two points negates the cofactors), and the
+    ``interior`` points, one ``insert_point`` step each."""
+    a, b, c = boundary
+    circle = _cofactors(positions[a], positions[b], positions[c])
+    circles = ({(a, b, c): circle} if circle[0] <= 0
+               else {(b, a, c): tuple(-x for x in circle)})
+    for index in interior:
+        insert_point(circles, positions, index)
+    return circles
 
 
 def build_delaunay(config: Configuration) -> frozenset:
-    """Incremental Bowyer-Watson starting from the boundary triangle.
-
-    The three fixed vertices serve as the enclosing triangle, so no
-    synthetic super-triangle is needed.  Every interior point lies strictly
-    inside the boundary triangle and no two points coincide, so each point
-    lies strictly inside some current triangle's circumdisk and its cavity
-    is never empty.  The result is checked by ``verify_delaunay``: a point
-    strictly inside a circumdisk is an internal error, a point exactly on
-    one is a degeneracy of the input (reported with the offending 4-subset).
-    """
-    tris = {triangle(*config.boundary)}
-    for index in config.interior:
-        insert_point(tris, config.int_positions, index)
-    result = frozenset(tris)
+    """``delaunay_circles`` as ascending triples.  The boundary triangle
+    encloses every other point, so no synthetic super-triangle is needed,
+    and no two points coincide, so every cavity is non-empty.  The result
+    is checked by ``verify_delaunay``: a point strictly inside a circumdisk
+    is an internal error, a point exactly on one is a degeneracy of the
+    input (reported with the offending 4-subset)."""
+    result = frozenset(triangle(*tri) for tri in delaunay_circles(
+        config.int_positions, config.boundary, config.interior))
     verify_delaunay(result, config)
     return result
 

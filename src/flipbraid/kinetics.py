@@ -5,15 +5,14 @@ rational bracket (t_lo, t_hi) around its time.
 
 ``exact_flip_sequence`` is the exact event engine for a motion of one
 point, the default path of the invariant and the command line.  With the
-other points P fixed, Bowyer-Watson insertion (Bowyer, Comput. J. 24(2),
-1981; Watson, same issue) makes the triangulation the Delaunay
-triangulation DT(P) less the cavity of triangles whose circumdisk holds the
-mover, plus the mover's fan over it.  So each flip happens when the mover
-crosses the circumcircle of a triangle of DT(P): on each linear segment of
-its path, a root of that circle's polynomial, a quadratic in time.  The
-roots lie in Q(sqrt(D)) and are computed exactly, with integer arithmetic,
-and ordered by integer keys, each from one isqrt (see ``_MoverKDS``).  It
-samples nothing.
+other points P fixed, each flip happens where the mover crosses the
+circumcircle of a triangle of DT(P) (see ``_MoverKDS``): on each linear
+segment of its path, at a root of a quadratic in time, whose coefficients
+come from the circle cofactors that the one Bowyer-Watson insertion step,
+``delaunay.insert_point``, keeps for each triangle.  The roots lie in
+Q(sqrt(D)), are computed exactly, with integer arithmetic, and are ordered
+by integer keys, each from one isqrt; the brackets are decided on the keys
+of their dyadic ends.  It samples nothing.
 
 ``extract_flip_sequence`` samples: configurations are evaluated at exact
 rational sample times, adjacent Delaunay triangulations are diffed, and
@@ -26,14 +25,10 @@ for motions of several points.
 A trajectory set holds the paths of the moving points only; every other
 point keeps its initial position.  Both extractors first check, once, that
 each mover stays inside the boundary triangle and misses every stationary
-point, and that no two movers meet.  Each sample is a
-validated ``Configuration`` triangulated by ``build_delaunay``.  The engine
-holds the triangulation as its cavity alone: it builds DT(P) once, reads
-the start's cavity off the circle polynomials and checks that start once
-with the O(n) local edge test.  Each flip moves one triangle into or out
-of the cavity.  The final triangulation is checked with the same test, or,
-when the mover's path returns to its start with its initial cavity, not at
-all: it is then the start.
+point, and that no two movers meet.  Each sample is a validated
+``Configuration`` triangulated by ``build_delaunay``; the engine checks
+its start, and its end unless the path returns to the start's cavity,
+with the O(n) local edge test.
 """
 
 from __future__ import annotations
@@ -46,11 +41,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .delaunay import (DegenerateConfigurationError, FlipEvent, apply_flip,
-                       build_delaunay, diff_flips, fan_cavity, insert_point,
-                       triangle, verify_delaunay)
+                       build_delaunay, delaunay_circles, diff_flips,
+                       remove_cavity, triangle, verify_delaunay)
 from .geometry import (Configuration, DegenerateCircleError, LabeledPoint,
-                       _integer_points, _inside, _segment_meets, incircle,
-                       orient2d)
+                       _integer_points, _inside, _segment_meets, incircle)
 from .linalg import as_rational, clear_denominators, require_rational
 
 DEFAULT_STEP = Fraction(1, 64)
@@ -470,7 +464,9 @@ def _bracket(t, before, after) -> tuple:
 
     The search starts at the first level whose cells can part t from its
     neighbours: at a coarser level m <= 64, a neighbour whose key shares
-    its leading 64 - m bits with the key of t lies in the cell of t.
+    its leading 64 - m bits with the key of t lies in the cell of t.  A
+    cell end is compared with a neighbour by keys, and by ``_compare`` only
+    on equal keys.
     """
     m = DEFAULT_STEP.denominator.bit_length() - 1
     for other in (before, after):
@@ -481,33 +477,22 @@ def _bracket(t, before, after) -> tuple:
         k = _floor_scaled(t, scale)
         on_grid = t[1] == 0 and t[0] * scale == k * t[3]
         lo, hi = k - on_grid, k + 1
+        lo_key, hi_key = lo << _KEY_BITS >> m, hi << _KEY_BITS >> m
         if (0 <= lo and hi <= scale
-                and (before is None
-                     or _compare(before, _dyadic_time(lo, m)) < 0)
-                and (after is None
-                     or _compare(_dyadic_time(hi, m), after) < 0)):
-            return Fraction(lo, scale), Fraction(hi, scale)
+                and (before is None or before[4] < lo_key
+                     or before[4] == lo_key
+                     and _compare(before, _dyadic_time(lo, m)) < 0)
+                and (after is None or hi_key < after[4]
+                     or hi_key == after[4]
+                     and _compare(_dyadic_time(hi, m), after) < 0)):
+            return _dyadic_fraction(lo, m), _dyadic_fraction(hi, m)
         m += 1
 
 
-def _cofactors(a, b, c) -> tuple:
-    """(alpha, beta_x, beta_y, gamma) with alpha |p|^2 + beta.p + gamma the
-    lifted incircle determinant of integer points (a, b, c, p): positive
-    exactly when p lies inside the circumcircle of a counterclockwise
-    triangle (a, b, c), where alpha < 0.
-
-    Expanding the 4x4 lifted determinant along the row of p leaves the
-    cofactors of a, b and c: their lifted 3x3 determinant, minus their
-    doubled signed area and two minors of the lift.
-    """
-    (ax, ay), (bx, by), (cx, cy) = a, b, c
-    an, bn, cn = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
-    bax, bay, ban = bx - ax, by - ay, bn - an
-    cax, cay, can = cx - ax, cy - ay, cn - an
-    lifted = (an * (bx * cy - by * cx) + bn * (cx * ay - cy * ax)
-              + cn * (ax * by - ay * bx))
-    return (cax * bay - bax * cay, cay * ban - bay * can,
-            bax * can - cax * ban, lifted)
+@functools.lru_cache(maxsize=4096)
+def _dyadic_fraction(k, m) -> Fraction:
+    """k / 2^m, memoized: bracket ends repeat from letter to letter."""
+    return Fraction(k, 1 << m)
 
 
 def _segment_quadratics(circles: dict, m0, m1):
@@ -583,38 +568,28 @@ class _MoverKDS:
     per triangle of DT(P) and one exact time per flip.
 
     ``circles`` maps each counterclockwise triangle of DT(P), on the
-    integer frame of ``_integer_frame``, to its ``_cofactors``; ``cavity``
-    holds those whose circle polynomial is positive at m, at the start read
-    off the cofactors; ``owner`` maps each directed edge (u, v) of DT(P) to
-    its counterclockwise triangle, so the triangle across (u, v) is
-    ``owner[v, u]``. On a segment each circle is a quadratic in the segment
-    parameter (``_segment_quadratics``), whose crossings are found by signs
-    (``_crossings``); only they become keyed times.  A segment sorts its
-    crossings by (key, quad), and ``_instants`` groups them into instants,
-    comparing exact times only where two keys are equal.  Each instant is
-    one entry of ``groups``: a segment's crossings lie in [t0, t1), and one
-    at t1 is the next segment's, so no instant spans two segments.
+    integer frame of ``_integer_frame``, to the circle cofactors that the
+    insertion step ``delaunay.insert_point`` gives it; ``cavity`` holds
+    those whose circle polynomial is positive at m; ``owner`` maps each
+    directed edge (u, v) of DT(P) to its counterclockwise triangle, so the
+    triangle across (u, v) is ``owner[v, u]``.  On a segment each circle is
+    a quadratic in the segment parameter (``_segment_quadratics``), whose
+    crossings are found by signs (``_crossings``); only they become keyed
+    times.  A segment sorts its crossings by (key, quad), and ``_instants``
+    groups them into instants, comparing exact times only where two keys
+    are equal, as ``_bracket`` does.  Each instant is one entry of
+    ``groups``: a segment's crossings lie in [t0, t1), and one at t1 is the
+    next segment's, so no instant spans two segments.
     """
 
     def __init__(self, ts: TrajectorySet, fixed: dict, m0):
         """``fixed`` holds the stationary points and m0 is the mover's
-        start, on the integer frame.  DT(P) is built once, the start's
-        cavity is read off the cofactors with no ``incircle`` call, and the
-        start, made by ``triangles``, is checked once by
-        ``verify_delaunay``."""
+        start, on the integer frame.  One fold of the insertion step gives
+        DT(P) and its cofactors, which give the start's cavity; the start,
+        made by ``triangles``, is checked once by ``verify_delaunay``."""
         self.mover = mover = ts.movers[0]
-        stationary = {triangle(*ts.initial.boundary)}
-        for index in ts.initial.interior:
-            if index != mover:
-                insert_point(stationary, fixed, index)
-
-        def ccw(tri):
-            a, b, c = tri
-            turn = orient2d(fixed[a], fixed[b], fixed[c])
-            return (a, b, c) if turn > 0 else (a, c, b)
-
-        self.circles = {tri: _cofactors(*map(fixed.__getitem__, tri))
-                        for tri in map(ccw, stationary)}
+        self.circles = delaunay_circles(fixed, ts.initial.boundary, [
+            index for index in ts.initial.interior if index != mover])
         self.owner = {(u, v): tri for tri in self.circles
                       for u, v in zip(tri, tri[1:] + tri[:1])}
         self.cavity = {tri for tri, _, _, c2 in _segment_quadratics(
@@ -686,9 +661,10 @@ class _MoverKDS:
 
     def triangles(self) -> frozenset:
         """DT(P) less the cavity plus the mover's fan over it."""
-        out = {triangle(*tri) for tri in self.circles}
-        fan_cavity(out, [triangle(*tri) for tri in self.cavity], self.mover)
-        return frozenset(out)
+        rest = dict(self.circles)
+        edges = remove_cavity(rest, self.cavity)
+        return frozenset(triangle(*tri) for tri in [
+            *rest, *(edge + (self.mover,) for edge in edges)])
 
     def bracketed_events(self) -> list:
         """One FlipEvent per flip, in order, with its group's bracket."""
@@ -706,15 +682,10 @@ def exact_flip_sequence(ts: TrajectorySet) -> list:
     """Time-ordered FlipEvents of a motion with at most one moving point,
     each bracketed as by ``_bracket``.
 
-    The exact event engine: with the stationary points P fixed, the
-    Delaunay triangulation changes exactly when the mover crosses the
-    circumcircle of a triangle of DT(P), by one flip (Bowyer-Watson
-    insertion; see ``_MoverKDS``).  It builds and checks the initial
-    triangulation once, as DT(P) with the mover inserted, computes each
-    crossing time as a root of an integer quadratic and orders the flips
-    exactly, and checks that the final triangulation is the Delaunay
-    triangulation at t = 1: for a path that returns to its start, that its
-    final cavity is its initial one.  It samples nothing; a motion with no
+    The exact event engine (see ``_MoverKDS``): it checks the start once,
+    orders the flips exactly, and checks that the final triangulation is
+    the Delaunay triangulation at t = 1: for a path that returns to its
+    start, that its final cavity is its initial one.  A motion with no
     mover is checked by ``build_delaunay``.  The motion must be clear
     (``_integer_frame``) and either end in general position.  Simultaneous
     flips are ordered by quad when they far-commute and raise

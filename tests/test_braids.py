@@ -64,6 +64,33 @@ def test_a_strand_or_power_that_is_not_an_int_is_refused(build):
         invariant(build())
 
 
+@pytest.mark.parametrize("letters", [
+    ((1, 2, 1),), (BraidLetter(1, 2, 1), "b(2,3)"), [None],
+], ids=["tuple", "str second", "None in a list"])
+def test_a_word_entry_that_is_not_a_letter_is_refused(letters):
+    """A word holds ``BraidLetter``s only: any other entry is refused with
+    a ``TypeError`` that names its place and the entry, before any work is
+    done, not an ``AttributeError`` from deep inside the invariant."""
+    bad = next(x for x in letters if not isinstance(x, BraidLetter))
+    pos = list(letters).index(bad) + 1
+    with pytest.raises(TypeError, match=re.escape(
+            f"letter {pos} is not a BraidLetter: {bad!r}")):
+        invariant(BraidWord(3, letters))
+
+
+def test_a_word_stores_its_letters_as_a_tuple():
+    """Letters given in a list or a generator are stored as a tuple, so
+    the word hashes and equals the word built from the same tuple."""
+    letters = [BraidLetter(1, 2, 1), BraidLetter(2, 3, -1)]
+    word = BraidWord(3, letters)
+    letters.append(BraidLetter(1, 3, 1))
+    assert word.letters == tuple(letters[:2])
+    assert BraidWord(3, iter(letters[:2])) == word
+    assert hash(word) == hash(BraidWord(3, tuple(letters[:2])))
+    assert invariant(word).matrix == invariant(
+        BraidWord(3, tuple(letters[:2]))).matrix
+
+
 @pytest.mark.parametrize("entry", [(), (1,), (1, 2, 1, 1)])
 def test_word_from_pairs_refuses_a_malformed_entry(entry):
     with pytest.raises(ValueError, match=r"expected \(i, j\) or"):

@@ -1,18 +1,20 @@
+import collections
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import (exhaustive_delaunay_check, random_configuration,
                       validate_general_position)
 from flipbraid import canonical_setup
 from flipbraid.delaunay import (DegenerateConfigurationError, FlipEvent,
-                                apply_flip, build_delaunay, diff_flips,
-                                insert_point, render_svg, triangle,
-                                verify_delaunay)
-from flipbraid.geometry import Configuration, LabeledPoint
+                                _cofactors, apply_flip, build_delaunay,
+                                delaunay_circles, diff_flips, insert_point,
+                                render_svg, triangle, verify_delaunay)
+from flipbraid.geometry import (Configuration, DegenerateCircleError,
+                                LabeledPoint, incircle, orient2d)
 
 
 def test_triangle_sorted():
@@ -184,10 +186,8 @@ def _triangle_sets(rng, config):
     Delaunay set, or a Delaunay set of a degenerate configuration), the set
     less one triangle and, where one exists, one random diagonal exchange
     of it (convex or not)."""
-    tris = {triangle(*config.boundary)}
-    for index in config.interior:
-        insert_point(tris, config.int_positions, index)
-    tris = frozenset(tris)
+    tris = frozenset(triangle(*tri) for tri in delaunay_circles(
+        config.int_positions, config.boundary, config.interior))
     out = [tris, tris - {rng.choice(sorted(tris))}]
     flips = [FlipEvent(tuple(sorted(set(t0) & set(t1))),
                        tuple(sorted(set(t0) ^ set(t1))))
@@ -199,6 +199,25 @@ def _triangle_sets(rng, config):
     return out
 
 
+def _with_rectangle(rng, config):
+    """``config`` with the corners of a random rectangle, which lie on one
+    circle, added as points 4..7, so that their edges come first in the
+    local check's edge order; None when a corner meets a point."""
+    x0, x1 = sorted(rng.sample(range(-160, 161), 2))
+    y0, y1 = sorted(rng.sample(range(-160, 161), 2))
+    corners = [LabeledPoint.make(4 + k, Fraction(x, 8), Fraction(y, 8),
+                                 4 + k)
+               for k, (x, y) in enumerate(
+                   [(x0, y0), (x1, y0), (x0, y1), (x1, y1)])]
+    shifted = [LabeledPoint(p.index + 4, p.x, p.y, p.zeta + 4)
+               for p in config.points[3:]]
+    try:
+        return Configuration(config.points[:3] + tuple(corners)
+                             + tuple(shifted), config.boundary)
+    except ValueError:
+        return None  # a corner coincides with a point
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.booleans())
 def test_local_check_agrees_with_exhaustive_oracle(seed, n, cocircular):
@@ -208,23 +227,83 @@ def test_local_check_agrees_with_exhaustive_oracle(seed, n, cocircular):
     rng = random.Random(seed)
     config = random_configuration(rng, n)
     if cocircular:
-        # the corners of a random rectangle lie on one circle; as points
-        # 4..7 their edges come first in the local check's edge order
-        x0, x1 = sorted(rng.sample(range(-160, 161), 2))
-        y0, y1 = sorted(rng.sample(range(-160, 161), 2))
-        corners = [LabeledPoint.make(4 + k, Fraction(x, 8), Fraction(y, 8),
-                                     4 + k)
-                   for k, (x, y) in enumerate(
-                       [(x0, y0), (x1, y0), (x0, y1), (x1, y1)])]
-        shifted = [LabeledPoint(p.index + 4, p.x, p.y, p.zeta + 4)
-                   for p in config.points[3:]]
-        try:
-            config = Configuration(config.points[:3] + tuple(corners)
-                                   + tuple(shifted), config.boundary)
-        except ValueError:
-            return  # a corner coincides with a point
+        config = _with_rectangle(rng, config)
+        if config is None:
+            return
     for tris in _triangle_sets(rng, config):
         verdict, subset = _verdict(verify_delaunay, tris, config)
         assert verdict == _verdict(exhaustive_delaunay_check, tris, config)[0]
         if verdict == "degenerate":
             assert subset in validate_general_position(config)
+
+
+def _incircle_triangles(config) -> frozenset:
+    """Bowyer-Watson with each cavity found by ``incircle`` on ascending
+    triples and its boundary by counting undirected edges: the oracle of
+    the cofactor insertion step."""
+    positions = config.int_positions
+    tris = {triangle(*config.boundary)}
+    for index in config.interior:
+        p = positions[index]
+        cavity = [t for t in tris
+                  if incircle(*(positions[i] for i in t), p) > 0]
+        edges = collections.Counter(e for a, b, c in cavity
+                                    for e in ((a, b), (a, c), (b, c)))
+        tris.difference_update(cavity)
+        tris.update(triangle(*e, index) for e, k in edges.items() if k == 1)
+    return frozenset(tris)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(3, 9), st.booleans())
+def test_cofactor_step_against_the_incircle_scan(seed, n, cocircular):
+    """``delaunay_circles`` keeps each triangle counterclockwise with the
+    ``_cofactors`` of its points (alpha < 0), gives the triangle set of the
+    ``incircle`` scan, which the exhaustive check accepts in general
+    position, and ``build_delaunay`` reports the degenerate subset that
+    the local check reports on the scan's set."""
+    rng = random.Random(seed)
+    config = random_configuration(rng, n)
+    if cocircular:
+        config = _with_rectangle(rng, config)
+        if config is None:
+            return
+    positions = config.int_positions
+    circles = delaunay_circles(positions, config.boundary, config.interior)
+    for tri, circle in circles.items():
+        points = [positions[i] for i in tri]
+        assert orient2d(*points) == 1
+        assert circle == _cofactors(*points) and circle[0] < 0
+    tris = frozenset(triangle(*tri) for tri in circles)
+    assert tris == _incircle_triangles(config)
+    verdict = _verdict(exhaustive_delaunay_check, tris, config)
+    event(verdict[0])
+    assert verdict[0] != "rejected"
+    assert cocircular or verdict[0] == "accepted"
+    assert _verdict(lambda _, c: build_delaunay(c), None, config) == (
+        _verdict(verify_delaunay, tris, config))
+
+
+@pytest.mark.parametrize("boundary", [(1, 2, 3), (2, 1, 3), (3, 2, 1)])
+def test_a_clockwise_boundary_is_stored_counterclockwise(boundary):
+    """The boundary triangle may be given in either orientation; the step
+    starts from it counterclockwise, with its cofactors."""
+    positions = {1: (-50, -30), 2: (50, -30), 3: (0, 60), 4: (3, 1)}
+    circles = delaunay_circles(positions, boundary, [4])
+    assert len(circles) == 3
+    for tri, circle in circles.items():
+        points = [positions[i] for i in tri]
+        assert orient2d(*points) == 1 and circle == _cofactors(*points)
+
+
+def test_a_collinear_fan_triangle_raises_degenerate_circle_error():
+    """A fan triangle collinear with the new point raises
+    ``DegenerateCircleError``, as ``incircle`` does on its points.  The
+    star-shaped cavity of a Delaunay triangulation makes none, so a stand-in
+    circle that holds every point puts (1, 2, 3) in the cavity of point 4,
+    which lies on the line of its edge (1, 2)."""
+    positions = {1: (0, 0), 2: (4, 0), 3: (0, 4), 4: (8, 0)}
+    with pytest.raises(DegenerateCircleError):
+        incircle(positions[1], positions[2], positions[4], positions[3])
+    with pytest.raises(DegenerateCircleError, match=r"\(1, 2, 4\)"):
+        insert_point({(1, 2, 3): (0, 0, 0, 1)}, positions, 4)

@@ -18,16 +18,16 @@ from conftest import validate_general_position
 from flipbraid import braids
 from flipbraid.braids import (BraidLetter, canonical_setup,
                               generator_trajectories, verify_relations)
-from flipbraid.delaunay import (DegenerateConfigurationError, apply_flip,
-                                build_delaunay)
+from flipbraid.delaunay import (DegenerateConfigurationError, _cofactors,
+                                apply_flip, build_delaunay)
 from flipbraid.flips import sequence_product
 from flipbraid.geometry import (Configuration, LabeledPoint, _lifted_det,
                                 incircle)
 from flipbraid.kinetics import (DEFAULT_STEP, ClearanceError, TrajectorySet,
-                                UnresolvedEventError, _bracket, _cofactors,
-                                _compare, _crossings, _dyadic_time,
-                                _floor_root, _floor_scaled, _format_time,
-                                _instants, _integer_frame, _MoverKDS,
+                                UnresolvedEventError, _bracket, _compare,
+                                _crossings, _dyadic_time, _floor_root,
+                                _floor_scaled, _format_time, _instants,
+                                _integer_frame, _MoverKDS,
                                 _segment_quadratics, _sign_root, _sign_sum,
                                 _time, configuration_at, exact_flip_sequence,
                                 extract_flip_sequence)
@@ -329,21 +329,28 @@ def test_start_check_catches_a_wrong_initial_triangulation(monkeypatch):
     with ``verify_delaunay``: a DT(P) one flip off is refused.  Points 4..7
     bound a convex quad whose Delaunay diagonal is (5, 6), and the mover 8
     runs a loop far from it, which no end check covers."""
-    from flipbraid import kinetics
+    from flipbraid import delaunay
 
     _, ts = motion(STATIC_TRIPLE + [(F(6, 5), F(6, 5)), (0, -150)],
                    [(0, (0, -150)), (F(1, 2), (10, -150)), (1, (0, -150))])
     assert exact_flip_sequence(ts) == []
-    insert_point = kinetics.insert_point
+    insert_point = delaunay.insert_point
 
-    def one_flip_off(triangles, positions, index):
-        insert_point(triangles, positions, index)
+    def one_flip_off(circles, positions, index):
+        insert_point(circles, positions, index)
         if index == 7:  # the last stationary point: DT(P) is complete
-            assert {(4, 5, 6), (5, 6, 7)} <= triangles
-            triangles.difference_update({(4, 5, 6), (5, 6, 7)})
-            triangles.update({(4, 5, 7), (4, 6, 7)})
+            old = [tri for tri in circles
+                   if sorted(tri) in ([4, 5, 6], [5, 6, 7])]
+            assert len(old) == 2
+            for tri in old:
+                del circles[tri]
+            for tri in ((4, 5, 7), (4, 6, 7)):
+                circle = _cofactors(*map(positions.__getitem__, tri))
+                if circle[0] > 0:  # clockwise: swap two points
+                    tri, circle = tri[::-1], tuple(-x for x in circle)
+                circles[tri] = circle
 
-    monkeypatch.setattr(kinetics, "insert_point", one_flip_off)
+    monkeypatch.setattr(delaunay, "insert_point", one_flip_off)
     with pytest.raises(AssertionError, match="circumdisk contains point"):
         exact_flip_sequence(ts)
 
@@ -621,8 +628,8 @@ def test_engine_events_are_pinned():
 
 def test_engine_predicate_budget(monkeypatch, capsys):
     """``simulate`` of the 42 signed generators at n = 7, on a setup built
-    beforehand, makes 2,394 ``incircle`` and 8,526 ``orient2d`` calls (57
-    and 203 a letter) and logs 1,508 flips.  The predicates are counted at
+    beforehand, makes 882 ``incircle`` and 6,468 ``orient2d`` calls (21
+    and 154 a letter) and logs 1,508 flips.  The predicates are counted at
     every ``flipbraid.*`` attribute bound to them, as the traced benchmark
     wraps them, so calls from inside ``geometry`` count too."""
     from flipbraid import cli, geometry
@@ -647,7 +654,7 @@ def test_engine_predicate_budget(monkeypatch, capsys):
             assert cli.main(["simulate", "--n", "7", "--word", word]) == 0
             (log,) = json.loads(capsys.readouterr().out)
             flips += len(log)
-    assert (calls["incircle"], calls["orient2d"], flips) == (2394, 8526, 1508)
+    assert (calls["incircle"], calls["orient2d"], flips) == (882, 6468, 1508)
 
 
 BIG = st.integers(-10 ** 6, 10 ** 6)
