@@ -92,7 +92,13 @@ _TOKEN = re.compile(r"^b\((\d+),(\d+)\)(\^-1)?$")
 
 
 def parse_word(text: str, n: int) -> BraidWord:
-    """Parse whitespace-separated tokens b(i,j) or b(i,j)^-1."""
+    """Parse whitespace-separated tokens b(i,j) or b(i,j)^-1.  A ``text``
+    that is not a ``str``, or an ``n`` that is not an ``int``, raises
+    ``TypeError`` naming it."""
+    if not isinstance(text, str):
+        raise TypeError(f"word text must be str, got {text!r}")
+    if type(n) is not int:
+        raise TypeError(f"strand count n must be int, got {n!r}")
     if n < 1:
         raise WordSyntaxError(f"strand count must be positive, got {n}")
     letters = []
@@ -128,12 +134,47 @@ def word_from_pairs(n: int, pairs) -> BraidWord:
     return BraidWord(n, tuple(letters))
 
 
-class LoopGeometry(NamedTuple):
-    """Shape of a generator loop: rise height, dip depth, lateral offset."""
+class LoopGeometry:
+    """Shape of a generator loop: rise height, dip depth, lateral offset.
 
-    height: Fraction = Fraction(1)
-    depth: Fraction = Fraction(1, 2)
-    offset: Fraction = Fraction(1, 4)
+    Frozen, and equal and hashed as its field tuple.  The hash is taken
+    once, when the record is built, because every letter-cache lookup
+    hashes the geometry and a ``Fraction`` hash is slow.
+    """
+
+    __slots__ = ("height", "depth", "offset", "_hash")
+
+    def __init__(self, height: Fraction = Fraction(1),
+                 depth: Fraction = Fraction(1, 2),
+                 offset: Fraction = Fraction(1, 4)):
+        fields = (height, depth, offset)
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return self.height, self.depth, self.offset
+
+    def __reduce__(self):
+        return LoopGeometry, self._fields()
+
+    def __eq__(self, other):
+        if type(other) is not LoopGeometry:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return (f"LoopGeometry(height={self.height!r}, depth={self.depth!r},"
+                f" offset={self.offset!r})")
 
     @staticmethod
     def make(height, depth, offset) -> "LoopGeometry":
@@ -169,7 +210,7 @@ class CanonicalSetup(_SetupFields):
         return self.n, self.config
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def canonical_setup(n: int) -> CanonicalSetup:
     """Canonical configuration for n strands (points 4 .. n+3 mobile).
 
@@ -179,8 +220,12 @@ def canonical_setup(n: int) -> CanonicalSetup:
     its ``home`` builds, which rules out every cocircular 4-subset with an
     empty disk, those touching boundary vertices included; deterministic
     nudges are the fallback.  Memoized, so each n's setup and its ``home``
-    are built once per process.
+    are built once per process.  An ``n`` that is not an ``int`` raises
+    ``TypeError``; the cache is typed, so such an ``n`` never matches the
+    cached setup of an equal int (``True`` or ``1.0`` that of 1).
     """
+    if type(n) is not int:
+        raise TypeError(f"strand count n must be int, got {n!r}")
     if n < 0:
         raise ValueError("n must be nonnegative")
     boundary = [
@@ -349,26 +394,33 @@ def invariant(word: BraidWord, geometry: LoopGeometry = DEFAULT_LOOP,
               step=None, floor=None) -> InvariantResult:
     """The word's (2n+1) x (2n+1) matrix under the flip construction.
 
-    Letters act left to right in time; each letter's matrix multiplies the
-    accumulated product on the left, and the empty word gives the identity.
-    An inverse letter is simulated on the reversed loop, not derived from
-    the forward one.  ``step`` and ``floor`` select the flip extraction as
-    in ``letter_flips``.
+    Letters act left to right in time, so the matrix of L_1 ... L_k is the
+    product L_k ... L_1 of the letters' matrices, later letters on the
+    left; the empty word gives the identity.  The product is taken right
+    to left, acc = L_k, then acc = acc * L_{k-1} down to L_1, so the right
+    operand of every ``mat_mul`` is a cached letter matrix, whose nonzero
+    rows are listed once.  An inverse letter is simulated on the reversed
+    loop, not derived from the forward one.  ``step`` and ``floor`` select
+    the flip extraction as in ``letter_flips``.  A ``word`` that is not a
+    ``BraidWord`` raises ``TypeError``.
     """
+    if not isinstance(word, BraidWord):
+        raise TypeError(f"word must be a BraidWord, got {word!r}")
     step = None if step is None else as_rational(step)
     floor = None if floor is None else as_rational(floor)
     basis = tuple(sorted(canonical_setup(word.n).home))
-    acc, log = None, []
-    for letter in word.letters:
-        mat, events = _letter_result(word.n, letter, geometry, step, floor)
-        acc = mat if acc is None else mat * acc
-        log.append(events)
+    results = [_letter_result(word.n, letter, geometry, step, floor)
+               for letter in word.letters]
+    acc = None
+    for mat, _ in reversed(results):
+        acc = mat if acc is None else acc * mat
     if acc is None:
         acc = Matrix.identity(len(basis))
     if not acc.columns_sum_to_one():
         raise AssertionError("invariant matrix lost the column-sum-1"
                              " property")
-    return InvariantResult(word, acc, basis, tuple(log))
+    return InvariantResult(word, acc, basis,
+                           tuple(events for _, events in results))
 
 
 # --- relation verification ---------------------------------------------------

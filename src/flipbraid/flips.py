@@ -14,8 +14,11 @@ number leaves each ratio of label differences unchanged, so it clears the
 labels' denominators once and works on integer labels.  A flip rewrites
 only the rows of its two exchanged triangles, so the product is kept as one
 integer row over a denominator per triangle.  Each flip is one O(n) pass
-that takes its triangles from the ``FlipEvent`` and one gcd per new row;
-the rows go over one lcm at the end.  The pentagon events are built once.
+that takes its triangles from the ``FlipEvent`` and puts its two new rows
+over p*lcm(d1, d2), one gcd of the old rows' denominators; a row is
+reduced by its content only once its denominator reaches 2^64.  The rows
+go over one lcm at the end.  The pentagon events are built once, and the
+pentagon's labels are cleared once.
 """
 
 from __future__ import annotations
@@ -102,14 +105,28 @@ def sequence_product(events, start_triangles, zeta):
     The product is one integer row over a denominator per current
     triangle, keyed by it, so the keys are the triangulation.  Each flip is
     one pass: its four triangles come from the ``FlipEvent``, it is checked
-    to apply against the keys, and the rows r1, r2 of its removed triangles
-    become (a*r1 + b*r2) / p and (c*r1 + d*r2) / p, the integer block of
-    ``_flip_block``, each reduced by one gcd to a denominator of either
-    sign.  At the end each row, in the final basis order, is scaled by the
-    lcm of the denominators over its own, so all share that lcm.
+    to apply against the keys, and the rows r1/d1, r2/d2 of its removed
+    triangles become (a*r1/d1 + b*r2/d2) / p and (c*r1/d1 + d*r2/d2) / p,
+    the integer block of ``_flip_block``, both over p*lcm(d1, d2), which
+    takes one gcd.  A row is reduced by its content only once its
+    denominator, of either sign, reaches ``_REDUCE_AT``.  At the end each
+    row, in the final basis order, is scaled by the lcm of the denominators
+    over its own, so all share that lcm, and ``Matrix`` reduces the result
+    to its normal form.
     """
     ints, _ = clear_denominators(as_rational(z) for z in zeta.values())
-    labels = dict(zip(zeta, ints))
+    return _integer_product(events, start_triangles, dict(zip(zeta, ints)))
+
+
+# A row's content gcd costs more than it saves while the row's integers
+# fit in a few machine words: the braid letters' row denominators stay
+# below 2^56 at n <= 8.  Past this bound the rows are reduced, so a long
+# log's integers cannot grow without bound.
+_REDUCE_AT = 1 << 64
+
+
+def _integer_product(events, start_triangles, labels):
+    """``sequence_product`` over the integer labels ``labels``."""
     start = sorted(set(start_triangles))
     row_of = {t: ([0] * i + [1] + [0] * (len(start) - i - 1), 1)
               for i, t in enumerate(start)}
@@ -123,14 +140,19 @@ def sequence_product(events, start_triangles, zeta):
         a, b, c, d, p = _flip_block(event, labels)
         v1, d1 = row_of.pop(t_ijk)
         v2, d2 = row_of.pop(t_ikl)
-        s, t, den = a * d2, b * d1, p * d1 * d2
-        vec = [s * x + t * y for x, y in zip(v1, v2)]
-        g = gcd(den, *vec)
-        row_of[t_ijl] = [x // g for x in vec], den // g
-        s, t = c * d2, d * d1
-        vec = [s * x + t * y for x, y in zip(v1, v2)]
-        g = gcd(den, *vec)
-        row_of[t_jkl] = [x // g for x in vec], den // g
+        g = gcd(d1, d2)
+        e1, e2 = d2 // g, d1 // g  # d1*e1 == d2*e2 == lcm(d1, d2), signed
+        den = p * d1 * e1
+        s, t = a * e1, b * e2
+        new1 = [s * x + t * y for x, y in zip(v1, v2)]
+        s, t = c * e1, d * e2
+        new2 = [s * x + t * y for x, y in zip(v1, v2)]
+        if -_REDUCE_AT < den < _REDUCE_AT:
+            row_of[t_ijl] = new1, den
+            row_of[t_jkl] = new2, den
+        else:
+            row_of[t_ijl] = _reduced(new1, den)
+            row_of[t_jkl] = _reduced(new2, den)
     final = sorted(row_of)
     den = math.lcm(*(row_of[t][1] for t in final))
     num = [[x * (den // d) for x in v] for v, d in map(row_of.get, final)]
@@ -140,10 +162,22 @@ def sequence_product(events, start_triangles, zeta):
     return Matrix._from_ints(num, den), frozenset(final)
 
 
+def _reduced(row, den) -> tuple:
+    """(row, den) divided by their gcd, the row's content."""
+    g = math.gcd(den, *row)
+    return [x // g for x in row], den // g
+
+
 def loop_product(events, start, zeta) -> Matrix:
     """The matrix of a closed flip log: ``sequence_product`` from the
     triangle set ``start``, which the log must return to."""
-    matrix, final = sequence_product(events, start, zeta)
+    return _closed(sequence_product(events, start, zeta), start)
+
+
+def _closed(product, start) -> Matrix:
+    """The matrix of ``product``, (matrix, final triangles), which must
+    end at ``start``."""
+    matrix, final = product
     if final != frozenset(start):
         raise AssertionError("flip log does not return to its start")
     return matrix
@@ -187,12 +221,15 @@ def pentagon_cycle_product(labels) -> Matrix:
     """Product of the five cycle matrices, later flips on the left.
 
     ``labels`` assigns the five points 1..5 five distinct rational labels.
+    They are coerced and cleared to integers once, and the distinct check
+    runs on those integers, so one rational written two ways is one label.
     """
-    labels = [as_rational(z) for z in labels]
-    if len(labels) != 5 or len(set(clear_denominators(labels)[0])) != 5:
+    ints, _ = clear_denominators(as_rational(z) for z in labels)
+    if len(ints) != 5 or len(set(ints)) != 5:
         raise ValueError("need five distinct labels")
-    zeta = dict(zip(range(1, 6), labels))
-    return loop_product(_PENTAGON_EVENTS, PENTAGON_START, zeta)
+    return _closed(_integer_product(_PENTAGON_EVENTS, PENTAGON_START,
+                                    dict(zip(range(1, 6), ints))),
+                   PENTAGON_START)
 
 
 # --- flip sequence JSON ------------------------------------------------------

@@ -6,13 +6,17 @@ no common factor.  Equal matrices therefore have equal representations,
 and ``==`` and ``hash`` are structural.  ``mat_mul`` multiplies the
 numerators as plain ints, skipping zero entries, and reduces once per
 product, so products of the mostly-zero flip and letter matrices stay
-cheap and nothing is ever rounded.  ``char_poly`` works on the integers
-too: it reduces the matrix to Hessenberg form H = R^-1 N C^-1, an integer
-matrix N with one positive integer scale per row (R) and per column (C),
-and with T = diag(r_m c_m) returns det(xT - N) / det T.  Entries are read
-out as reduced ``fractions.Fraction`` values; ``to_json_dict`` writes them
-as strings straight from the integers.  Matrices are immutable; all
-operations return new values and are safe to share between threads.
+cheap and nothing is ever rounded; a matrix lists its nonzero entries
+once, the first time it is a right operand, and keeps the list.
+``char_poly`` works on the integers too: it reduces the matrix to
+Hessenberg form H = R^-1 N C^-1, an integer matrix N with one positive
+integer scale per row (R) and per column (C), and with T = diag(r_m c_m)
+returns det(xT - N) / det T.  Entries are read out as reduced
+``fractions.Fraction`` values; ``to_json_dict`` writes them as strings
+straight from the integers.  Matrices are immutable; all operations return
+new values and are safe to share between threads (the list of nonzero
+entries is derived from the numerators, so two threads that fill it at
+once store equal values).
 """
 
 from __future__ import annotations
@@ -77,9 +81,12 @@ class SingularMatrixError(ValueError):
 class Matrix:
     """Immutable dense rational matrix, row-major: the integer numerators
     ``_num`` over the positive common denominator ``_den``, with
-    gcd(_den, *numerators) == 1."""
+    gcd(_den, *numerators) == 1.  ``_nonzero`` is None until ``mat_mul``
+    first takes the matrix as its right operand, then the (j, numerator)
+    pairs of each row's nonzero entries; it is derived from ``_num``, so
+    ``==`` and ``hash`` ignore it."""
 
-    __slots__ = ("rows", "cols", "_num", "_den")
+    __slots__ = ("rows", "cols", "_num", "_den", "_nonzero")
 
     def __init__(self, entries: Iterable[Iterable]):
         grid = tuple(tuple(as_rational(e) for e in row) for row in entries)
@@ -89,6 +96,7 @@ class Matrix:
         self.cols = width
         self._num = tuple(tuple(num[i:i + width])
                           for i in range(0, len(num), width))
+        self._nonzero = None
 
     @staticmethod
     def _from_ints(num, den: int) -> "Matrix":
@@ -105,6 +113,7 @@ class Matrix:
         else:
             m._num = tuple(tuple([x // g for x in row]) for row in num)
         m._den = den // g
+        m._nonzero = None
         return m
 
     @staticmethod
@@ -179,13 +188,18 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
     Row i of the numerator product is the sum of a[i, k] * b.row(k) over
     the nonzero a[i, k], and only the nonzero entries of each b.row(k) are
-    visited.  Its denominator is the product of the two, and the result is
-    reduced once.
+    visited.  Those entries are listed once per matrix and kept in its
+    ``_nonzero`` slot, so a matrix that is the right operand again, such
+    as a cached letter, does not list them again.  The denominator of the
+    product is the product of the two, and the result is reduced once.
     """
     if a.cols != b.rows:
         raise DimensionError(
             f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    b_nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b._num]
+    b_nonzero = b._nonzero
+    if b_nonzero is None:
+        b_nonzero = b._nonzero = tuple(
+            [(j, y) for j, y in enumerate(row) if y] for row in b._num)
     out = []
     for row in a._num:
         acc = [0] * b.cols

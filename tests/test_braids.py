@@ -97,6 +97,48 @@ def test_word_from_pairs_refuses_a_malformed_entry(entry):
         word_from_pairs(3, [(1, 2), entry])
 
 
+@pytest.mark.parametrize("n", [True, 1.0, 3.0, "3", None])
+def test_canonical_setup_refuses_an_n_that_is_not_an_int(n):
+    """``True`` and ``1.0`` equal 1, so an untyped cache would hand them
+    the setup of 1 once one of them had been built."""
+    for _ in range(2):
+        with pytest.raises(TypeError, match="strand count n must be int"):
+            canonical_setup(n)
+    assert canonical_setup(1).n == 1 and type(canonical_setup(1).n) is int
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: parse_word(None, 3), "word text must be str, got None"),
+    (lambda: parse_word(b"b(1,2)", 3), "word text must be str"),
+    (lambda: parse_word("b(1,2)", None), "strand count n must be int"),
+    (lambda: parse_word("b(1,2)", 3.0), "strand count n must be int"),
+    (lambda: invariant("b(1,2)"),
+     "word must be a BraidWord, got 'b\\(1,2\\)'"),
+    (lambda: invariant(None), "word must be a BraidWord, got None"),
+], ids=["parse None", "parse bytes", "parse n None", "parse n float",
+        "invariant str", "invariant None"])
+def test_a_word_argument_of_the_wrong_type_is_refused(call, message):
+    with pytest.raises(TypeError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_invariant_is_the_product_of_its_letters(n):
+    """The word's matrix, taken right to left, equals the left-to-right
+    fold of its letters' matrices, each later letter on the left."""
+    rng = random.Random(3300 + n)
+    letters = [BraidLetter(i, j, power)
+               for i, j in itertools.combinations(range(1, n + 1), 2)
+               for power in (1, -1)]
+    for _ in range(4):
+        word = BraidWord(n, tuple(rng.choice(letters)
+                                  for _ in range(rng.randint(2, 5))))
+        acc = Matrix.identity(2 * n + 1)
+        for letter in word.letters:
+            acc = invariant(BraidWord(n, (letter,))).matrix * acc
+        assert invariant(word).matrix == acc, str(word)
+
+
 def test_canonical_setup_falls_back_to_nudged_homes(monkeypatch):
     """When the homes of the first attempts are degenerate, the setup is
     built from the next attempt's nudged homes; when every attempt is,
@@ -401,6 +443,19 @@ def test_letter_cache_does_not_hash_the_configuration(monkeypatch):
         assert invariant(word).matrix == expected
     info = braids._letter_result.cache_info()
     assert (info.hits, info.misses) == (2, 2)
+
+
+def test_letter_cache_does_not_hash_the_geometry_again(monkeypatch):
+    """A loop geometry is hashed once, when it is built, so a letter
+    lookup hashes no ``Fraction``."""
+    def refuse(self):
+        raise AssertionError("a Fraction was hashed")
+
+    word = parse_word("b(1,2) b(2,3)^-1", 3)
+    geometries = (LoopGeometry(), LoopGeometry.make(F(3, 2), "1/2", "1/4"))
+    expected = [invariant(word, g).matrix for g in geometries]
+    monkeypatch.setattr(F, "__hash__", refuse)
+    assert [invariant(word, g).matrix for g in geometries] == expected
 
 
 def test_letter_cache_is_keyed_on_n():

@@ -84,6 +84,21 @@ def test_engine_matches_sampler_on_every_generator(n):
                 assert exact_flip_sequence(ts) == extract_flip_sequence(ts)
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_inverse_letter_is_the_reversed_log(n):
+    """The loop of b(i,j)^-1 is the loop of b(i,j) run backwards, t -> 1 - t:
+    its log is the forward log reversed, each flip reversed and each
+    bracket [a, b] moved to [1 - b, 1 - a]."""
+    setup = canonical_setup(n)
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        forward, inverse = (
+            exact_flip_sequence(generator_trajectories(
+                setup, BraidLetter(i, j, power))) for power in (1, -1))
+        assert forward
+        assert inverse == [e.reversed().with_bracket(1 - e.t_hi, 1 - e.t_lo)
+                           for e in reversed(forward)], f"b({i},{j})"
+
+
 def test_relations_equal_on_both_paths(monkeypatch):
     """verify_relations(5, "pb_all") multiplies equal word matrices on the
     engine and on the sampler."""

@@ -402,6 +402,42 @@ def test_sequence_product_random_flip_walks(n):
             == dense_product(events, setup.home, zeta)
 
 
+def test_sequence_product_reduces_rows_past_the_bound(monkeypatch):
+    """The signed generators at n = 9 are the letters whose row
+    denominators pass 2^64, where a row is reduced by its content: there
+    the product still equals the dense fold."""
+    from flipbraid import flips
+
+    reduced = []
+
+    def recording(row, den):
+        reduced.append(den)
+        return real(row, den)
+
+    real = flips._reduced
+    monkeypatch.setattr(flips, "_reduced", recording)
+    setup = canonical_setup(9)
+    zeta = setup.config.zeta_map()
+    for letter, events in letter_events(9).items():
+        assert sequence_product(events, setup.home, zeta) \
+            == dense_product(events, setup.home, zeta), letter
+    assert reduced
+    assert all(abs(den) >= 2 ** 64 for den in reduced)
+
+
+def test_sequence_product_long_flip_walk():
+    """A walk of 300 flips at rational labels, whose rows pass 2^64 and
+    are reduced many times, against the dense fold.  Its prefixes are
+    checked first, so a product whose integers blow up fails early."""
+    setup = canonical_setup(6)
+    rng = random.Random(2790)
+    zeta = random_labels(rng, sorted(setup.config.zeta_map()))
+    events = random_flip_walk(rng, setup.home, 300)
+    for length in (10, 40, 100, 300):
+        assert sequence_product(events[:length], setup.home, zeta) \
+            == dense_product(events[:length], setup.home, zeta), length
+
+
 def test_product_from_no_triangles_is_a_dimension_error():
     message = "matrix must have at least one row and column"
     with pytest.raises(DimensionError, match=message):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from flipbraid.linalg import (DimensionError, Matrix, SingularMatrixError,
@@ -72,6 +72,38 @@ def test_product_matches_triple_loop(factors):
     product = mat_mul(a, b)
     assert product == naive_product(a, b)
     assert all(type(e) is Fraction for row in product.entries() for e in row)
+
+
+@st.composite
+def square_triples(draw):
+    k = draw(st.integers(1, 6))
+    return tuple(draw(sparse_matrix(k, k)) for _ in range(3))
+
+
+# a failing example is reported as found, not shrunk: on a broken
+# product, shrinking three matrices took 149 s
+@settings(max_examples=60, deadline=None, derandomize=True,
+          phases=[phase for phase in Phase if phase is not Phase.shrink])
+@given(square_triples())
+def test_product_reuses_the_rows_of_a_right_operand(matrices):
+    """One matrix as the right operand of several products, and one used
+    first on the left, then on the right, against the triple loop."""
+    a, b, c = matrices
+    for left in (a, c, a, b):
+        assert mat_mul(left, b) == naive_product(left, b)
+    assert mat_mul(c, a) == naive_product(c, a)
+    assert mat_mul(a, c) == naive_product(a, c)
+    assert mat_mul(b, c) == naive_product(b, c)
+
+
+def test_equality_and_hash_ignore_the_listed_rows():
+    rng = random.Random(61)
+    m = random_matrix(rng, 4, 4)
+    twin = Matrix(m.entries())
+    mat_mul(random_matrix(rng, 3, 4), m)
+    assert m._nonzero is not None and twin._nonzero is None
+    assert m == twin and twin == m and hash(m) == hash(twin)
+    assert len({m, twin}) == 1
 
 
 def test_product_non_square_mismatch():
