@@ -351,6 +351,11 @@ class InvariantResult(NamedTuple):
         return out
 
 
+def _check_geometry(geometry) -> None:
+    if not isinstance(geometry, LoopGeometry):
+        raise TypeError(f"geometry must be a LoopGeometry, got {geometry!r}")
+
+
 def letter_flips(setup: CanonicalSetup, letter: BraidLetter,
                  geometry: LoopGeometry = DEFAULT_LOOP, step=None,
                  floor=None) -> tuple:
@@ -359,8 +364,10 @@ def letter_flips(setup: CanonicalSetup, letter: BraidLetter,
     With neither ``step`` nor ``floor`` the exact event engine finds the
     events.  Giving either selects the sampler, ``extract_flip_sequence``,
     which fills in the other's default.  An ``UnresolvedEventError`` names
-    the letter.
+    the letter; a ``geometry`` that is not a ``LoopGeometry`` raises
+    ``TypeError``.
     """
+    _check_geometry(geometry)
     ts = generator_trajectories(setup, letter, geometry)
     try:
         if step is None and floor is None:
@@ -402,10 +409,12 @@ def invariant(word: BraidWord, geometry: LoopGeometry = DEFAULT_LOOP,
     rows are listed once.  An inverse letter is simulated on the reversed
     loop, not derived from the forward one.  ``step`` and ``floor`` select
     the flip extraction as in ``letter_flips``.  A ``word`` that is not a
-    ``BraidWord`` raises ``TypeError``.
+    ``BraidWord``, or a ``geometry`` that is not a ``LoopGeometry``, raises
+    ``TypeError``.
     """
     if not isinstance(word, BraidWord):
         raise TypeError(f"word must be a BraidWord, got {word!r}")
+    _check_geometry(geometry)
     step = None if step is None else as_rational(step)
     floor = None if floor is None else as_rational(floor)
     basis = tuple(sorted(canonical_setup(word.n).home))
@@ -474,8 +483,11 @@ def verify_relations(n: int, family: str, seed: int = 0, trials: int = 100,
     'far_comm' (commuting generator pairs), 'pentagon' (randomized
     five-flip cycles), 'pb_all' (the whole presentation: commuting pairs,
     the three cyclic triple products, and the mixed four-generator
-    relation).
+    relation).  An ``n`` that is not an ``int`` (``bool`` included)
+    raises ``TypeError``.
     """
+    if type(n) is not int:
+        raise TypeError(f"strand count n must be int, got {n!r}")
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
     if n < 1:

@@ -5,17 +5,23 @@ families), ``fixtures`` (recompute the bundled reference products), and
 ``simulate`` (flip sequence of a word, optionally with SVG snapshots drawn
 by replaying it).
 Exit codes: 0 computed/verified, 1 mathematical failure, 2 usage error.
+
+One table, ``COMMANDS``, gives each command its handler and flags, and
+``_parse`` reads the command line against it with the rules and wording
+of the standard library's parser, without building one: a bad command
+line prints the usage and ``flipbraid <command>: error: <reason>`` on
+stderr and raises ``SystemExit(2)``, and ``-h`` prints the help on stdout.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
+import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from types import SimpleNamespace
 
 from .braids import (FAMILIES, WordSyntaxError, canonical_setup,
                      invariant, letter_flips, parse_word, verify_relations)
@@ -31,64 +37,6 @@ MATH_ERROR = 1
 
 class _UsageError(ValueError):
     """A bad command line; ``main`` prints it and exits with USAGE_ERROR."""
-
-
-def _rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
-
-
-def _add_sampling_flags(parser):
-    parser.add_argument(
-        "--step", type=_rational,
-        help="sample the motion with this initial step, a rational p/q"
-             " (default: no sampling, the exact event engine; with only"
-             " --floor given, 1/64)")
-    parser.add_argument(
-        "--floor", type=_rational,
-        help="sample the motion, bisecting down to this width, a rational"
-             " p/q (default: no sampling, the exact event engine; with only"
-             " --step given, 1/2^40)")
-
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="flipbraid",
-        description="Exact matrix invariants of pure braids via Delaunay"
-                    " flip tracking")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_inv = sub.add_parser("invariant", help="matrix of a braid word")
-    p_inv.add_argument("--n", type=int, required=True)
-    p_inv.add_argument("--word", required=True)
-    p_inv.add_argument("--out", help="write JSON here instead of stdout")
-    p_inv.add_argument("--trace", action="store_true",
-                       help="include the trace")
-    p_inv.add_argument("--charpoly", action="store_true",
-                       help="include the characteristic polynomial")
-    _add_sampling_flags(p_inv)
-
-    p_ver = sub.add_parser("verify", help="verify a relation family")
-    p_ver.add_argument("--n", type=int, required=True)
-    p_ver.add_argument("--family", choices=FAMILIES, required=True)
-    p_ver.add_argument("--trials", type=int, default=100)
-    p_ver.add_argument("--seed", type=int, default=0)
-    _add_sampling_flags(p_ver)
-
-    sub.add_parser("fixtures", help="recompute the bundled reference"
-                                    " products")
-
-    p_sim = sub.add_parser("simulate", help="flip sequence of a braid word")
-    p_sim.add_argument("--n", type=int, required=True)
-    p_sim.add_argument("--word", required=True)
-    p_sim.add_argument("--out", help="write JSON here instead of stdout")
-    p_sim.add_argument("--svg-dir", help="write one SVG per inter-event"
-                                         " triangulation")
-    _add_sampling_flags(p_sim)
-    return parser
 
 
 def _dumps(value, indent: str = "\n") -> str:
@@ -237,18 +185,170 @@ def _write_snapshots(setup, per_letter, directory: Path):
         path.write_text(render_svg(triangles, config))
 
 
+_SAMPLING = {
+    "--step": (Fraction, False, None, "sample the motion with this initial"
+               " step, a rational p/q (default: no sampling, the exact event"
+               " engine; with only --floor given, 1/64)"),
+    "--floor": (Fraction, False, None, "sample the motion, bisecting down to"
+                " this width, a rational p/q (default: no sampling, the exact"
+                " event engine; with only --step given, 1/2^40)")}
+_WORD = {"--n": (int, True, None, ""), "--word": (str, True, None, ""),
+         "--out": (str, False, None, "write JSON here instead of stdout")}
+
+# command -> (handler, help, {flag: (converter, required, default, help)});
+# a converter is a type, a tuple of choices, or None for a switch
+COMMANDS = {
+    "invariant": (cmd_invariant, "matrix of a braid word", {
+        **_WORD, "--trace": (None, False, False, "include the trace"),
+        "--charpoly": (None, False, False,
+                       "include the characteristic polynomial"), **_SAMPLING}),
+    "verify": (cmd_verify, "verify a relation family", {
+        "--n": (int, True, None, ""), "--family": (FAMILIES, True, None, ""),
+        "--trials": (int, False, 100, ""), "--seed": (int, False, 0, ""),
+        **_SAMPLING}),
+    "fixtures": (cmd_fixtures, "recompute the bundled reference products", {}),
+    "simulate": (cmd_simulate, "flip sequence of a braid word", {
+        **_WORD, "--svg-dir": (str, False, None,
+                               "write one SVG per inter-event triangulation"),
+        **_SAMPLING}),
+}
+
+
+def _spelled(flag: str, convert) -> str:
+    """The flag as its usage and help show it: with its value's name."""
+    if convert is None:
+        return flag
+    if type(convert) is tuple:
+        return f"{flag} {{{','.join(convert)}}}"
+    return f"{flag} {flag[2:].upper().replace('-', '_')}"
+
+
+def _usage(command) -> str:
+    """The usage line of ``command``, or of the top level for None."""
+    if command is None:
+        return f"usage: flipbraid [-h] {{{','.join(COMMANDS)}}} ..."
+    return " ".join([f"usage: flipbraid {command} [-h]"] + [
+        _spelled(flag, convert) if required
+        else f"[{_spelled(flag, convert)}]"
+        for flag, (convert, required, _, _) in COMMANDS[command][2].items()])
+
+
+def _help(command):
+    """Print the help of ``command``, or of the top level for None."""
+    import textwrap
+
+    rows, head = [("-h, --help", "show this help message and exit")], []
+    if command is None:
+        head = ["Exact matrix invariants of pure braids via Delaunay flip"
+                " tracking", "", "commands:", *(
+                    f"  {name:<20}  {text}"
+                    for name, (_, text, _) in COMMANDS.items()), ""]
+    else:
+        rows += [(_spelled(flag, spec[0]), spec[3])
+                 for flag, spec in COMMANDS[command][2].items()]
+    print("\n".join([_usage(command), "", *head, "options:"] + [
+        textwrap.fill(text, 78, initial_indent=f"  {label:<20}  ",
+                      subsequent_indent=" " * 24) or f"  {label}"
+        for label, text in rows]))
+    raise SystemExit(0)
+
+
+def _refuse(command, reason: str):
+    """Print the usage and ``reason`` on stderr; exit with USAGE_ERROR."""
+    prog = "flipbraid" if command is None else f"flipbraid {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {reason}\n")
+    raise SystemExit(USAGE_ERROR)
+
+
+def _invalid_choice(text: str, choices) -> str:
+    return (f"invalid choice: {text!r} (choose from"
+            f" {', '.join(map(repr, choices))})")
+
+
+def _flag(command, token: str):
+    """The flag of ``command`` that ``token`` names before any ``=``, in
+    full or by a unique prefix, or None; a prefix of several is refused."""
+    if token == "-h":
+        return "--help"
+    if token[:2] != "--":
+        return None
+    name, names = token.partition("=")[0], ("--help", *COMMANDS[command][2])
+    found = [name] if name in names else [
+        flag for flag in names if flag.startswith(name)]
+    if len(found) > 1:
+        _refuse(command, f"ambiguous option: {token} could match"
+                         f" {', '.join(found)}")
+    return found[0] if found else None
+
+
+def _parse(argv: list) -> SimpleNamespace:
+    """The namespace of ``argv`` read against ``COMMANDS`` as the standard
+    library's parser reads it: ``--flag value`` or ``--flag=value`` in any
+    order, a unique prefix for a flag, the last of a repeated flag winning,
+    and nothing after ``--`` read as a flag.  A value may not look like a
+    flag unless it is ``-``, a negative number or holds a space."""
+    command = argv[0] if argv else None
+    if command not in COMMANDS:
+        if command in ("-h", "--h", "--he", "--hel", "--help"):
+            _help(None)
+        _refuse(None, "the following arguments are required: command"
+                if command is None
+                else "argument command: " + _invalid_choice(command, COMMANDS))
+    flags = COMMANDS[command][2]
+    values = {flag: spec[2] for flag, spec in flags.items()}
+    rest = argv[1:]
+    cut = rest.index("--") if "--" in rest else len(rest)
+    rest, tail, unknown = rest[:cut], rest[cut:], []
+    # an ambiguous prefix anywhere is refused before any flag is read
+    named = [_flag(command, token) for token in rest]
+    at = 0
+    while at < len(rest):
+        token, flag = rest[at], named[at]
+        at += 1
+        if flag is None:
+            unknown.append(token)
+            continue
+        convert = flags.get(flag, (None,))[0]
+        _, eq, text = token.partition("=")
+        if convert is None and eq:
+            _refuse(command, f"argument {'-h/' * (flag == '--help')}{flag}:"
+                             f" ignored explicit argument {text!r}")
+        if flag == "--help":
+            _help(command)
+        if convert is None:
+            values[flag] = True
+            continue
+        if not eq:
+            if at == len(rest) or named[at] or re.fullmatch(
+                    r"-(?!\d+$|\d*\.\d+$)[^ ]+", rest[at]):
+                _refuse(command, f"argument {flag}: expected one argument")
+            text = rest[at]
+            at += 1
+        if type(convert) is tuple and text not in convert:
+            _refuse(command,
+                    f"argument {flag}: " + _invalid_choice(text, convert))
+        try:
+            values[flag] = text if type(convert) is tuple else convert(text)
+        except (ValueError, ZeroDivisionError):
+            _refuse(command, f"argument {flag}: " + ("not a rational"
+                    if convert is Fraction else "invalid int value")
+                    + f": {text!r}")
+    missing = ", ".join(flag for flag, spec in flags.items()
+                        if spec[1] and values[flag] is None)
+    unknown += tail
+    if missing or unknown:
+        _refuse(command, f"the following arguments are required: {missing}"
+                if missing else "unrecognized arguments: " + " ".join(unknown))
+    return SimpleNamespace(command=command, **{
+        flag[2:].replace("-", "_"): value for flag, value in values.items()})
+
+
 def main(argv=None) -> int:
     """Run one command; map its usage and unresolved-event errors to a
     message on stderr and the exit code."""
-    args = build_parser().parse_args(argv)
-    handlers = {
-        "invariant": cmd_invariant,
-        "verify": cmd_verify,
-        "fixtures": cmd_fixtures,
-        "simulate": cmd_simulate,
-    }
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        return handlers[args.command](args)
+        return COMMANDS[args.command][0](args)
     except (_UsageError, WordSyntaxError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR

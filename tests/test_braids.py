@@ -492,6 +492,26 @@ def test_setup_of_cocircular_points_is_refused_at_construction():
         CanonicalSetup(4, config)
 
 
+@pytest.mark.parametrize("geometry", [
+    None, (1, F(1, 2), F(1, 4)), (F(1), F(1, 2), F(1, 4))])
+def test_a_geometry_that_is_no_loop_geometry_is_refused(geometry):
+    """A ``TypeError`` naming ``geometry``, even for an empty word, whose
+    product needs no loop."""
+    letter = BraidLetter(1, 2, 1)
+    for call in (lambda: invariant(BraidWord(2, (letter,)), geometry),
+                 lambda: invariant(BraidWord(2, ()), geometry),
+                 lambda: letter_flips(canonical_setup(2), letter, geometry)):
+        with pytest.raises(TypeError,
+                           match="^geometry must be a LoopGeometry, got "):
+            call()
+
+
+@pytest.mark.parametrize("n", [3.0, True, "3", None])
+def test_verify_refuses_an_n_that_is_not_an_int(n):
+    with pytest.raises(TypeError, match="^strand count n must be int, got "):
+        verify_relations(n, "inverse")
+
+
 def test_verify_unknown_family():
     with pytest.raises(ValueError, match="unknown family"):
         verify_relations(3, "nonsense")

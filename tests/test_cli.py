@@ -547,14 +547,116 @@ def test_sampling_flags_help_says_what_they_select(capsys):
         assert "with only --step given, 1/2^40)" in text
 
 
-def test_parser_is_built_once_per_process(capsys):
-    from flipbraid.cli import build_parser
+COMMANDS = ("invariant", "verify", "fixtures", "simulate")
 
-    build_parser.cache_clear()
-    for word in ("", "b(1,2)"):
-        code, _, _ = run_cli(capsys, "invariant", "--n", "2", "--word", word)
-        assert code == 0
-    assert build_parser.cache_info().misses == 1
+# argv, exit code, and the reason after "error: " (None: no error), as the
+# argparse parser that the flag table replaced gave them
+PARITY = [
+    (("verify", "--n=3", "--family=inverse"), 0, None),
+    (("invariant", "--n", "2", "--word="), 0, None),
+    (("verify", "--family", "inverse", "--n", "3"), 0, None),
+    (("verify", "--fam", "pb_all", "--n", "3"), 0, None),
+    (("verify", "--n", "2", "--n", "3", "--family", "inverse"), 0, None),
+    (("invariant", "--n", "2", "--w", "b(1,2)", "--ch"), 0, None),
+    (("verify", "--n", "-3", "--family", "inverse"), 2,
+     "--n must be positive"),
+    (("-h",), 0, None),
+    (("verify", "--n", "3", "--family", "inverse", "-h"), 0, None),
+    ((), 2, "the following arguments are required: command"),
+    (("bogus",), 2, "argument command: invalid choice: 'bogus' (choose from"
+     " 'invariant', 'verify', 'fixtures', 'simulate')"),
+    (("verify", "--family", "inverse"), 2,
+     "the following arguments are required: --n"),
+    (("verify", "--n", "3", "--family", "inverse", "--bogus", "x"), 2,
+     "unrecognized arguments: --bogus x"),
+    (("fixtures", "extra"), 2, "unrecognized arguments: extra"),
+    (("verify", "--n", "abc", "--family", "inverse"), 2,
+     "argument --n: invalid int value: 'abc'"),
+    (("verify", "--n=", "--family", "inverse"), 2,
+     "argument --n: invalid int value: ''"),
+    (("verify", "--family", "inverse", "--n"), 2,
+     "argument --n: expected one argument"),
+    (("invariant", "--n", "2", "--word", "--trace"), 2,
+     "argument --word: expected one argument"),
+    (("verify", "--n", "3", "--family", "inverse", "--seed", "-1e3"), 2,
+     "argument --seed: expected one argument"),
+    (("verify", "--n", "3", "--family", "bogus"), 2,
+     "argument --family: invalid choice: 'bogus' (choose from 'inverse',"
+     " 'far_comm', 'pentagon', 'pb_all')"),
+    (("invariant", "--n", "2", "--word", "", "--step", "abc"), 2,
+     "argument --step: not a rational: 'abc'"),
+    (("invariant", "--n", "2", "--word", "", "--step", "1/0"), 2,
+     "argument --step: not a rational: '1/0'"),
+    (("invariant", "--n", "2", "--word", "", "--trace=1"), 2,
+     "argument --trace: ignored explicit argument '1'"),
+    (("invariant", "--n", "2", "--word", "", "--help=1"), 2,
+     "argument -h/--help: ignored explicit argument '1'"),
+    (("simulate", "--n", "2", "--word", "", "--s", "1/2"), 2,
+     "ambiguous option: --s could match --svg-dir, --step"),
+    (("verify", "--n", "3", "--f", "inverse"), 2,
+     "ambiguous option: --f could match --family, --floor"),
+    # an ambiguous prefix is refused before any earlier fault or -h
+    (("verify", "--n", "abc", "--f", "inverse"), 2,
+     "ambiguous option: --f could match --family, --floor"),
+    (("simulate", "-h", "--s"), 2,
+     "ambiguous option: --s could match --svg-dir, --step"),
+    (("invariant", "--n", "2", "--", "--word", "x"), 2,
+     "the following arguments are required: --word"),
+]
+
+
+@pytest.mark.parametrize("argv, code, reason", PARITY)
+def test_command_line_parity_with_argparse(capsys, argv, code, reason):
+    """A refusal by the parser exits with SystemExit(2) and prints the
+    usage, then ``<prog>: error: <reason>``, on stderr."""
+    try:
+        got = main(list(argv))
+    except SystemExit as exit_:
+        got, raised = exit_.code, True
+    else:
+        raised = False
+    out, err = capsys.readouterr()
+    assert got == code
+    if reason is None:
+        assert err == "" and (raised or out)
+        return
+    assert out == ""
+    if not raised:
+        assert err == f"error: {reason}\n"
+        return
+    prog = (f"flipbraid {argv[0]}" if argv and argv[0] in COMMANDS
+            else "flipbraid")
+    assert err.startswith(f"usage: {prog} [-h]")
+    assert err.endswith(f"\n{prog}: error: {reason}\n")
+
+
+@pytest.mark.parametrize("argv, plain", [
+    (("verify", "--n=3", "--family=inverse"),
+     ("verify", "--n", "3", "--family", "inverse")),
+    (("verify", "--family", "inverse", "--n", "3"),
+     ("verify", "--n", "3", "--family", "inverse")),
+    (("verify", "--fam", "pb_all", "--n", "4", "--fam", "far_comm"),
+     ("verify", "--n", "4", "--family", "far_comm")),
+    (("verify", "--n", "2", "--n", "3", "--family", "inverse"),
+     ("verify", "--n", "3", "--family", "inverse")),
+    (("invariant", "--ch", "--w=b(1,2)", "--n", "2", "--tr"),
+     ("invariant", "--n", "2", "--word", "b(1,2)", "--trace", "--charpoly")),
+])
+def test_accepted_forms_print_what_the_plain_form_prints(capsys, argv,
+                                                         plain):
+    assert run_cli(capsys, *argv) == run_cli(capsys, *plain)
+
+
+def test_top_level_help_names_every_command(capsys):
+    for flag in ("-h", "--help", "--he"):
+        with pytest.raises(SystemExit) as info:
+            main([flag])
+        out, err = capsys.readouterr()
+        assert info.value.code == 0 and err == ""
+        assert out.startswith(
+            "usage: flipbraid [-h] {invariant,verify,fixtures,simulate} ...")
+        for command in COMMANDS:
+            assert f"\n  {command} " in out
 
 
 # text with quotes, backslashes, control characters and non-ASCII

@@ -99,6 +99,67 @@ def test_inverse_letter_is_the_reversed_log(n):
                            for e in reversed(forward)], f"b({i},{j})"
 
 
+@functools.cache
+def generator_logs(n: int) -> tuple:
+    """(trajectory set, exact flip log) of each signed generator at n."""
+    setup = canonical_setup(n)
+    out = []
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        for power in (1, -1):
+            ts = generator_trajectories(setup, BraidLetter(i, j, power))
+            out.append((ts, exact_flip_sequence(ts)))
+    return tuple(out)
+
+
+@st.composite
+def rational_similarities(draw):
+    """(scale, (cos, sin), translation) of an orientation-preserving
+    similarity with rational entries: a Pythagorean rotation, a scale from
+    1/97 to past 10^12, and a translation up to 10^15 with denominators up
+    to 10^9."""
+    a, b = draw(st.tuples(st.integers(-20, 20), st.integers(-20, 20))
+                .filter(lambda ab: ab != (0, 0)))
+    norm = a * a + b * b
+    scale = draw(st.fractions(F(1, 97), 97, max_denominator=97)
+                 | st.integers(10 ** 12, 10 ** 13).map(F))
+    offset = st.fractions(-10 ** 15, 10 ** 15, max_denominator=10 ** 9)
+    return (scale, (F(a * a - b * b, norm), F(2 * a * b, norm)),
+            (draw(offset), draw(offset)))
+
+
+def similar_motion(ts: TrajectorySet, similarity) -> TrajectorySet:
+    """``ts`` with its configuration and every path mapped by
+    ``similarity``."""
+    scale, (c, s), (dx, dy) = similarity
+
+    def image(xy):
+        x, y = xy
+        return (scale * (c * x - s * y) + dx, scale * (s * x + c * y) + dy)
+
+    config = Configuration(tuple(LabeledPoint(p.index, *image(p.xy), p.zeta)
+                                 for p in ts.initial.points),
+                           ts.initial.boundary)
+    return TrajectorySet.from_motion(config, {
+        tr.index: [(t, image(xy)) for t, xy in tr.breakpoints]
+        for tr in ts.trajectories})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 6), rational_similarities())
+@example(4, (F(1), (F(1), F(0)), (F(-7, 3), F(11, 13))))
+@example(5, (F(5, 17), (F(1), F(0)), (F(0), F(0))))
+@example(6, (F(1), (F(3, 5), F(4, 5)), (F(0), F(0))))
+@example(6, (F(10 ** 12 + 39), (F(1), F(0)), (F(10 ** 15), F(-3, 10 ** 9))))
+def test_flip_log_is_invariant_under_rational_similarities(n, similarity):
+    """An orientation-preserving similarity keeps the sign of every
+    orientation and in-circle test, so mapping the configuration and the
+    loop of each signed generator at n leaves the flip log and every
+    bracket as they are, though it changes every integer of the engine's
+    frame, times and keys."""
+    for ts, log in generator_logs(n):
+        assert exact_flip_sequence(similar_motion(ts, similarity)) == log
+
+
 def test_relations_equal_on_both_paths(monkeypatch):
     """verify_relations(5, "pb_all") multiplies equal word matrices on the
     engine and on the sampler."""

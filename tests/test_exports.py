@@ -80,22 +80,41 @@ def test_retired_readers_and_duplicate_helpers_are_gone():
             assert name not in flipbraid.__all__
 
 
-def test_import_loads_no_code_generators():
-    """The records are built without ``dataclasses``, and the data files
-    are found without ``importlib.resources``: a fresh interpreter that
-    imports the package and its CLI loads neither, nor ``inspect``.  Only
-    the fixtures gate checks a SHA-256 digest, so neither ``hashlib`` nor
-    OpenSSL's ``_hashlib`` is loaded either, though ``flipbraid.fixtures``
-    is."""
-    probe = ("import sys, flipbraid, flipbraid.cli; print(sorted(m for m in"
-             " ('dataclasses', 'inspect', 'importlib.resources', 'hashlib',"
-             " '_hashlib', 'flipbraid.fixtures') if m in sys.modules))")
+PARSER_MODULES = ("argparse", "gettext", "locale")
+
+
+def loaded_modules(code: str, modules) -> str:
+    """The sorted list of ``modules`` that a fresh ``python -S -B``
+    running ``code`` has loaded, as it prints it."""
+    probe = (f"import sys\n{code}\nprint(sorted(m for m in {modules!r}"
+             " if m in sys.modules), file=sys.stderr)")
     proc = subprocess.run(
         [sys.executable, "-S", "-B", "-c", probe], capture_output=True,
         text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "['flipbraid.fixtures']"
+    return proc.stderr.strip().splitlines()[-1]
+
+
+def test_import_loads_no_code_generators():
+    """The records are built without ``dataclasses``, and the data files
+    are found without ``importlib.resources``: a fresh interpreter that
+    imports the package and its CLI loads neither, nor ``inspect``, nor
+    the modules an argparse parser needs.  Only the fixtures gate checks a
+    SHA-256 digest, so neither ``hashlib`` nor OpenSSL's ``_hashlib`` is
+    loaded either, though ``flipbraid.fixtures`` is."""
+    modules = ("dataclasses", "inspect", "importlib.resources", "hashlib",
+               "_hashlib", "flipbraid.fixtures", *PARSER_MODULES)
+    assert loaded_modules("import flipbraid, flipbraid.cli",
+                          modules) == "['flipbraid.fixtures']"
+
+
+def test_a_command_builds_no_parser():
+    """``flipbraid.cli`` reads the command line from its flag table, so a
+    command run loads none of the modules of an argparse parser."""
+    code = ("import flipbraid.cli\nassert flipbraid.cli.main(['verify', '--n',"
+            " '3', '--family', 'inverse']) == 0")
+    assert loaded_modules(code, PARSER_MODULES) == "[]"
 
 
 def test_package_imports_only_the_standard_library():

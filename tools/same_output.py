@@ -10,7 +10,10 @@ tree's ``src`` on ``PYTHONPATH``:
   at n = 9 whose letter b(1,9) is the one whose flip rows pass 2^64, where
   ``sequence_product`` reduces them;
 - ``verify --n 5 --family pb_all``;
-- ``fixtures``.
+- ``fixtures``;
+- the other forms that the command line accepts: ``--flag=value``, flags
+  in another order, a unique prefix of a flag (``--fam``) and a repeated
+  flag, whose last value wins.
 
 It prints the first command whose standard output, standard error or exit
 code differs between the trees and exits 1, or prints the number of
@@ -42,6 +45,10 @@ def commands() -> list:
                     "--trace"])
     out.append(["verify", "--n", "5", "--family", "pb_all"])
     out.append(["fixtures"])
+    out += [["invariant", "--trace", f"--word={WORDS[0][1]}", "--n=8",
+             "--charpoly"],
+            ["simulate", "--word", "b(2,7)^-1", "--n=8"],
+            ["verify", "--n", "2", "--fam", "pb_all", "--n", "4"]]
     return out
 
 
