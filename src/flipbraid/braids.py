@@ -34,8 +34,8 @@ class _LetterFields(NamedTuple):
 
 
 class BraidLetter(_LetterFields):
-    """The generator b(i,j) or its inverse; any other power, or a strand or
-    power that is not an ``int``, is refused."""
+    """The generator b(i,j), 1 <= i < j, or its inverse; other strands, any
+    other power, or a strand or power that is not an ``int``, is refused."""
 
     __slots__ = ()
 
@@ -43,6 +43,9 @@ class BraidLetter(_LetterFields):
         if {type(i), type(j), type(power)} != {int}:
             raise TypeError(f"letter {(i, j, power)!r}: strands and power"
                             " must be int")
+        if not 1 <= i < j:
+            raise ValueError(f"letter b({i},{j}): invalid strands, need"
+                             " 1 <= i < j")
         if power not in (1, -1):
             raise ValueError(f"letter b({i},{j}): power must be +1 or -1,"
                              f" got {power!r}")
@@ -54,8 +57,9 @@ class BraidLetter(_LetterFields):
 
 
 class BraidWord:
-    """A word in the generators on n strands.  Not a tuple, so ``*`` and
-    ``+`` do not silently repeat or join words; frozen, and equal by value."""
+    """A word in the generators on n strands: a letter b(i,j) with j > n is
+    refused.  Not a tuple, so ``*`` and ``+`` do not silently repeat or join
+    words; frozen, and equal by value."""
 
     def __init__(self, n: int, letters: tuple):
         if type(n) is not int:
@@ -64,6 +68,8 @@ class BraidWord:
         for pos, item in enumerate(letters, start=1):
             if not isinstance(item, BraidLetter):
                 raise TypeError(f"letter {pos} is not a BraidLetter: {item!r}")
+            if item.j > n:
+                raise ValueError(f"letter {pos}: {item} invalid for n={n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "letters", letters)
 
@@ -268,7 +274,7 @@ def generator_trajectories(setup: CanonicalSetup, letter: BraidLetter,
     clearance, so a home on the loop raises ``ClearanceError`` there.
     """
     n = setup.n
-    if not 1 <= letter.i < letter.j <= n:
+    if letter.j > n:
         raise ValueError(f"letter {letter} invalid for n={n}")
     mover = letter.i + 3
     target = letter.j + 3
@@ -483,11 +489,14 @@ def verify_relations(n: int, family: str, seed: int = 0, trials: int = 100,
     'far_comm' (commuting generator pairs), 'pentagon' (randomized
     five-flip cycles), 'pb_all' (the whole presentation: commuting pairs,
     the three cyclic triple products, and the mixed four-generator
-    relation).  An ``n`` that is not an ``int`` (``bool`` included)
-    raises ``TypeError``.
+    relation).  An ``n``, ``seed`` or ``trials`` that is not an ``int``
+    (``bool`` included) raises ``TypeError`` naming it.
     """
     if type(n) is not int:
         raise TypeError(f"strand count n must be int, got {n!r}")
+    for name, value in (("seed", seed), ("trials", trials)):
+        if type(value) is not int:
+            raise TypeError(f"{name} must be int, got {value!r}")
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
     if n < 1:

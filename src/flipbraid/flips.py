@@ -17,8 +17,8 @@ integer row over a denominator per triangle.  Each flip is one O(n) pass
 that takes its triangles from the ``FlipEvent`` and puts its two new rows
 over p*lcm(d1, d2), one gcd of the old rows' denominators; a row is
 reduced by its content only once its denominator reaches 2^64.  The rows
-go over one lcm at the end.  The pentagon events are built once, and the
-pentagon's labels are cleared once.
+go over one lcm at the end, and the product is put in lowest terms.  The
+pentagon events are built once, and the pentagon's labels are cleared once.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ import math
 from fractions import Fraction
 
 from .delaunay import FlipEvent, flip_triangles
-from .linalg import Matrix, as_rational, clear_denominators
+from .linalg import (_REDUCE_AT, Matrix, _lowest_terms, as_rational,
+                     clear_denominators)
 
 
 def gamma_generator_name(event: FlipEvent) -> str:
@@ -111,18 +112,12 @@ def sequence_product(events, start_triangles, zeta):
     takes one gcd.  A row is reduced by its content only once its
     denominator, of either sign, reaches ``_REDUCE_AT``.  At the end each
     row, in the final basis order, is scaled by the lcm of the denominators
-    over its own, so all share that lcm, and ``Matrix`` reduces the result
-    to its normal form.
+    over its own, so all share that lcm, and the result is put in lowest
+    terms: a letter matrix is the right operand of every word product, and
+    its small denominator keeps the products' integers small.
     """
     ints, _ = clear_denominators(as_rational(z) for z in zeta.values())
     return _integer_product(events, start_triangles, dict(zip(zeta, ints)))
-
-
-# A row's content gcd costs more than it saves while the row's integers
-# fit in a few machine words: the braid letters' row denominators stay
-# below 2^56 at n <= 8.  Past this bound the rows are reduced, so a long
-# log's integers cannot grow without bound.
-_REDUCE_AT = 1 << 64
 
 
 def _integer_product(events, start_triangles, labels):
@@ -159,7 +154,7 @@ def _integer_product(events, start_triangles, labels):
     # every flip block's columns sum to 1, so the product's do too
     if any(sum(col) != den for col in zip(*num)):
         raise AssertionError("flip product column sums are not all 1")
-    return Matrix._from_ints(num, den), frozenset(final)
+    return Matrix._from_ints(*_lowest_terms(num, den)), frozenset(final)
 
 
 def _reduced(row, den) -> tuple:

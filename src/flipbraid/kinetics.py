@@ -176,7 +176,10 @@ def _integer_frame(ts: TrajectorySet) -> tuple:
     point, then at the first interval between the merged breakpoints of
     two movers, pair by pair, in which they meet: there the two move
     linearly, so they meet when the segment of their difference meets the
-    origin."""
+    origin.  A ``ts`` that is not a ``TrajectorySet`` raises ``TypeError``
+    naming it."""
+    if not isinstance(ts, TrajectorySet):
+        raise TypeError(f"ts must be a TrajectorySet, got {ts!r}")
     movers = ts.movers
     fixed = {index: xy for index, xy in ts.initial.positions.items()
              if index not in movers}

@@ -1,22 +1,25 @@
 """Exact linear algebra over the rationals.
 
 A matrix is held as integer numerators over one positive common
-denominator, reduced so that the denominator and all the numerators have
-no common factor.  Equal matrices therefore have equal representations,
-and ``==`` and ``hash`` are structural.  ``mat_mul`` multiplies the
-numerators as plain ints, skipping zero entries, and reduces once per
-product, so products of the mostly-zero flip and letter matrices stay
-cheap and nothing is ever rounded; a matrix lists its nonzero entries
-once, the first time it is a right operand, and keeps the list.
-``char_poly`` works on the integers too: it reduces the matrix to
-Hessenberg form H = R^-1 N C^-1, an integer matrix N with one positive
+denominator.  It is put in lowest terms, where the denominator and the
+numerators share no factor, only once that denominator reaches 2^64
+(``_REDUCE_AT``), so one value has many representations: ``==`` compares
+the numerators when the two denominators are equal and the lowest-terms
+forms otherwise, and ``hash`` hashes the lowest-terms form.  ``mat_mul``
+multiplies the numerators as plain ints, skipping zero entries, and keeps
+the product of the two denominators, so products of the mostly-zero flip
+and letter matrices stay cheap and nothing is ever rounded; a matrix lists
+its nonzero entries once, the first time it is a right operand, and keeps
+the list.  ``char_poly`` works on the integers too: it reduces the matrix
+to Hessenberg form H = R^-1 N C^-1, an integer matrix N with one positive
 integer scale per row (R) and per column (C), and with T = diag(r_m c_m)
 returns det(xT - N) / det T.  Entries are read out as reduced
 ``fractions.Fraction`` values; ``to_json_dict`` writes them as strings
-straight from the integers.  Matrices are immutable; all operations return
-new values and are safe to share between threads (the list of nonzero
-entries is derived from the numerators, so two threads that fill it at
-once store equal values).
+straight from the integers, so every reader gives the same output for
+every representation.  Matrices are immutable; all operations return new
+values and are safe to share between threads (the list of nonzero entries
+is derived from the numerators, so two threads that fill it at once store
+equal values).
 """
 
 from __future__ import annotations
@@ -78,10 +81,29 @@ class SingularMatrixError(ValueError):
     """Inverse requested for a singular matrix."""
 
 
+# A gcd over every entry costs more than it saves while the integers fit in
+# a few machine words.  The two sides of a relation are products of the same
+# letters, so they share a denominator and compare without one, and the
+# braid letters' flip-row denominators stay below 2^56 at n <= 8.  Past this
+# bound a matrix, or a row of ``flips.sequence_product``, is put in lowest
+# terms, so a long product's integers cannot grow without bound.
+_REDUCE_AT = 1 << 64
+
+
+def _lowest_terms(num, den) -> tuple:
+    """(num, den), integer rows over a positive denominator, divided by
+    their gcd: the lowest-terms form of the matrix."""
+    g = math.gcd(den, *chain.from_iterable(num))
+    if g == 1:
+        return num, den
+    return tuple(tuple([x // g for x in row]) for row in num), den // g
+
+
 class Matrix:
     """Immutable dense rational matrix, row-major: the integer numerators
-    ``_num`` over the positive common denominator ``_den``, with
-    gcd(_den, *numerators) == 1.  ``_nonzero`` is None until ``mat_mul``
+    ``_num`` over the positive common denominator ``_den``, put in lowest
+    terms once ``_den`` reaches ``_REDUCE_AT``; two representations of one
+    value are equal and hash alike.  ``_nonzero`` is None until ``mat_mul``
     first takes the matrix as its right operand, then the (j, numerator)
     pairs of each row's nonzero entries; it is derived from ``_num``, so
     ``==`` and ``hash`` ignore it."""
@@ -101,18 +123,18 @@ class Matrix:
     @staticmethod
     def _from_ints(num, den: int) -> "Matrix":
         """The matrix ``num / den`` for integer rows ``num`` and a positive
-        integer ``den``, reduced to the normal form."""
+        integer ``den``, kept as given below ``_REDUCE_AT`` and put in
+        lowest terms from it on."""
         if not num:
             raise DimensionError(_EMPTY)
-        g = math.gcd(den, *chain.from_iterable(num))
         m = Matrix.__new__(Matrix)
         m.rows = len(num)
         m.cols = len(num[0])
-        if g == 1:
-            m._num = tuple(map(tuple, num))
-        else:
-            m._num = tuple(tuple([x // g for x in row]) for row in num)
-        m._den = den // g
+        num = tuple(map(tuple, num))
+        if den >= _REDUCE_AT:
+            num, den = _lowest_terms(num, den)
+        m._num = num
+        m._den = den
         m._nonzero = None
         return m
 
@@ -133,11 +155,15 @@ class Matrix:
         return tuple(self.row(i) for i in range(self.rows))
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Matrix) and self._den == other._den
-                and self._num == other._num)
+        if not isinstance(other, Matrix):
+            return False
+        if self._den == other._den:
+            return self._num == other._num
+        return (_lowest_terms(self._num, self._den)
+                == _lowest_terms(other._num, other._den))
 
     def __hash__(self) -> int:
-        return hash((self._den, self._num))
+        return hash(_lowest_terms(self._num, self._den))
 
     def __repr__(self) -> str:
         body = "; ".join(
@@ -149,9 +175,11 @@ class Matrix:
         return mat_mul(self, other)
 
     def is_identity(self) -> bool:
-        return (self.rows == self.cols and self._den == 1
-                and all(x == (i == j) for i, row in enumerate(self._num)
-                        for j, x in enumerate(row)))
+        """True when the numerators are ``_den`` times the identity."""
+        den = self._den
+        return self.rows == self.cols and all(
+            x == (den if i == j else 0) for i, row in enumerate(self._num)
+            for j, x in enumerate(row))
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
@@ -191,7 +219,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     visited.  Those entries are listed once per matrix and kept in its
     ``_nonzero`` slot, so a matrix that is the right operand again, such
     as a cached letter, does not list them again.  The denominator of the
-    product is the product of the two, and the result is reduced once.
+    product is the product of the two, and the product is put in lowest
+    terms only when that reaches ``_REDUCE_AT``.
     """
     if a.cols != b.rows:
         raise DimensionError(

@@ -552,3 +552,64 @@ def braid_words(draw):
 @given(braid_words())
 def test_parse_word_round_trip(word):
     assert parse_word(str(word), word.n) == word
+
+
+@pytest.mark.parametrize("pair", [(1, 1), (2, 1), (0, 1), (-1, 2)])
+def test_a_letter_whose_strands_are_not_ordered_is_refused(pair):
+    i, j = pair
+    message = re.escape(f"letter b({i},{j}): invalid strands, need"
+                        " 1 <= i < j")
+    with pytest.raises(ValueError, match=message):
+        BraidLetter(i, j, 1)
+    with pytest.raises(ValueError, match=message):
+        word_from_pairs(3, [pair])
+
+
+def test_a_word_refuses_a_letter_past_its_strands():
+    with pytest.raises(ValueError, match=re.escape(
+            "letter 2: b(1,4)^-1 invalid for n=3")):
+        word_from_pairs(3, [(1, 2), (1, 4, -1)])
+    with pytest.raises(ValueError, match=re.escape(
+            "letter 1: b(2,3) invalid for n=2")):
+        BraidWord(2, (BraidLetter(2, 3, 1),))
+
+
+@pytest.mark.parametrize("family", ["inverse", "far_comm", "pentagon",
+                                    "pb_all"])
+@pytest.mark.parametrize("name, value", [
+    ("trials", 2.5), ("trials", "3"), ("trials", True), ("trials", None),
+    ("seed", 1.5), ("seed", "x"), ("seed", False)])
+def test_verify_refuses_a_seed_or_trials_that_is_not_an_int(family, name,
+                                                            value):
+    with pytest.raises(TypeError, match=f"^{name} must be int, got "):
+        verify_relations(3, family, **{name: value})
+
+
+def test_long_word_is_put_in_lowest_terms_only_past_the_bound(monkeypatch):
+    """A word at n = 3 whose product's denominator passes 2^64: its matrix
+    equals the left-to-right fold of its letters in ``Fraction``s, and the
+    product was reduced, but only past the bound."""
+    from flipbraid import linalg
+
+    rng = random.Random(3400)
+    letters = [BraidLetter(i, j, power)
+               for i, j in itertools.combinations(range(1, 4), 2)
+               for power in (1, -1)]
+    word = BraidWord(3, tuple(rng.choice(letters) for _ in range(60)))
+    reduced = []
+
+    def recording(num, den):
+        reduced.append(den)
+        return real(num, den)
+
+    real = linalg._lowest_terms
+    monkeypatch.setattr(linalg, "_lowest_terms", recording)
+    matrix = invariant(word).matrix
+    monkeypatch.undo()
+    assert reduced and all(den >= 2 ** 64 for den in reduced)
+    fold = Matrix.identity(7).entries()
+    for letter in word.letters:
+        mat = invariant(BraidWord(3, (letter,))).matrix.entries()
+        fold = [[sum(mat[i][k] * fold[k][j] for k in range(7))
+                 for j in range(7)] for i in range(7)]
+    assert matrix == Matrix(fold)

@@ -257,6 +257,69 @@ def test_verify_inverse_failure_prints_lhs_only(monkeypatch, capsys):
     assert lines[-1] == "inverse at n=4: 5/6 instances pass"
 
 
+def test_verify_pb_all_puts_no_product_in_lowest_terms(monkeypatch, capsys):
+    """The two sides of every ``pb_all`` instance are products of the same
+    letters, so they share a denominator and compare as numerators: with
+    the letters cached, the 110 products at n = 5 take no gcd pass."""
+    from flipbraid import linalg
+
+    argv = ("verify", "--n", "5", "--family", "pb_all")
+    assert run_cli(capsys, *argv)[0] == 0
+    reduced = []
+
+    def recording(num, den):
+        reduced.append(den)
+        return real(num, den)
+
+    real = linalg._lowest_terms
+    monkeypatch.setattr(linalg, "_lowest_terms", recording)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out.endswith("35/35 instances pass\n")
+    assert reduced == []
+
+
+def _fraction_product(a, b):
+    return [[sum(x * b[k][j] for k, x in enumerate(row))
+             for j in range(len(b[0]))] for row in a]
+
+
+def test_verify_failure_prints_each_side_in_lowest_terms(monkeypatch,
+                                                         capsys):
+    """With a wrong b(1,2), the products of a failing instance keep the
+    unreduced product of their letters' denominators, and each side prints
+    as the lowest-terms JSON of its value."""
+    from flipbraid import braids
+
+    mix = [[Fraction(i == j) for j in range(9)] for i in range(9)]
+    mix[3][3], mix[4][3] = Fraction(1, 3), Fraction(2, 3)  # columns sum to 1
+    wrong = braids.BraidLetter(1, 2, 1)
+    letter_result = braids._letter_result
+
+    def perturbed(n, letter, *rest):
+        mat, events = letter_result(n, letter, *rest)
+        return (mat * Matrix(mix) if letter == wrong else mat), events
+
+    monkeypatch.setattr(braids, "_letter_result", perturbed)
+    fail = braids.verify_relations(4, "far_comm").instances[0]
+    assert not fail.ok
+    assert any(side._den != Matrix(side.entries())._den
+               for side in (fail.lhs, fail.rhs))
+    b12 = _fraction_product(
+        letter_result(4, wrong, braids.DEFAULT_LOOP, None, None)[0]
+        .entries(), mix)
+    b34 = letter_result(4, braids.BraidLetter(3, 4, 1), braids.DEFAULT_LOOP,
+                        None, None)[0].entries()
+    code, out, err = run_cli(capsys, "verify", "--n", "4", "--family",
+                             "far_comm")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "FAIL commute[disjoint] b(3,4) b(1,2)"
+    assert lines[1] == "  lhs: " + json.dumps(
+        Matrix(_fraction_product(b12, b34)).to_json_dict())
+    assert lines[2] == "  rhs: " + json.dumps(
+        Matrix(_fraction_product(b34, b12)).to_json_dict())
+
+
 def test_verify_rejects_bad_family(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--n", "3", "--family", "bogus"])

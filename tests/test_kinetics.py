@@ -268,3 +268,12 @@ def test_cocircular_stationary_points_around_the_mover():
     assert err.value.subset == (4, 5, 6, 7)
     events = extract_flip_sequence(ts)
     assert len(events) == 2
+
+
+@pytest.mark.parametrize("ts", [None, (), "ts"])
+def test_an_extractor_refuses_a_motion_that_is_no_trajectory_set(ts):
+    from flipbraid.kinetics import exact_flip_sequence
+    for extract in (exact_flip_sequence, extract_flip_sequence):
+        with pytest.raises(TypeError,
+                           match="^ts must be a TrajectorySet, got "):
+            extract(ts)

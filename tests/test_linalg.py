@@ -309,3 +309,33 @@ def test_identity_of_no_rows_is_a_dimension_error(n):
 
 def test_json_integer_rendering():
     assert Matrix([[1]]).to_json_dict()["entries"] == [["1"]]
+
+
+def test_two_representations_of_one_value_agree():
+    """A matrix over a denominator that shares a factor with every
+    numerator is the value of its lowest-terms twin to every reader."""
+    num = [[6, -3, 0], [0, 12, 9], [3, 0, 6]]
+    raw = Matrix._from_ints(num, 6)
+    twin = Matrix._from_ints([[x // 3 for x in row] for row in num], 2)
+    assert raw._den == 6 and twin._den == 2
+    assert raw == twin and twin == raw and hash(raw) == hash(twin)
+    assert len({raw, twin}) == 1
+    assert raw.entries() == twin.entries()
+    assert raw.to_json_dict() == twin.to_json_dict()
+    assert raw.trace() == twin.trace() == 4
+    assert char_poly(raw) == char_poly(twin)
+    assert raw != Matrix._from_ints([[6, -3, 0], [0, 12, 9], [3, 0, 7]], 6)
+    scaled = Matrix._from_ints([[5, 0], [0, 5]], 5)
+    assert scaled.is_identity() and scaled == Matrix.identity(2)
+    assert hash(scaled) == hash(Matrix.identity(2))
+    assert not Matrix._from_ints([[5, 0], [0, 4]], 5).is_identity()
+
+
+def test_a_denominator_past_the_bound_is_put_in_lowest_terms():
+    big = 3 << 64
+    m = Matrix._from_ints([[3, 6], [9, 3]], big)
+    assert m._num == ((1, 2), (3, 1)) and m._den == 1 << 64
+    below = Matrix._from_ints([[3, 6], [9, 3]], 3 << 40)
+    assert below._num == ((3, 6), (9, 3)) and below == Matrix(
+        [[Fraction(1, 1 << 40), Fraction(2, 1 << 40)],
+         [Fraction(3, 1 << 40), Fraction(1, 1 << 40)]])

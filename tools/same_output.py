@@ -6,10 +6,13 @@ Runs the same command lines from each tree, with ``python -B`` and the
 tree's ``src`` on ``PYTHONPATH``:
 
 - ``simulate`` of every signed generator at n = 2..9;
-- ``invariant --charpoly --trace`` of three words at n = 8, and of one
-  at n = 9 whose letter b(1,9) is the one whose flip rows pass 2^64, where
-  ``sequence_product`` reduces them;
-- ``verify --n 5 --family pb_all``;
+- ``invariant --charpoly --trace`` of three words at n = 8, of one at
+  n = 9 whose letter b(1,9) is the one whose flip rows pass 2^64, where
+  ``sequence_product`` reduces them, and of a 36-letter word at n = 3
+  whose product's denominator passes 2^64, where ``mat_mul`` puts it in
+  lowest terms;
+- ``verify --n 5 --family pb_all``, ``verify --n 4`` of ``inverse`` and
+  ``far_comm``, and ``verify --n 3 --family pentagon --trials 20``;
 - ``fixtures``;
 - the other forms that the command line accepts: ``--flag=value``, flags
   in another order, a unique prefix of a flag (``--fam``) and a repeated
@@ -29,7 +32,8 @@ from itertools import combinations
 from pathlib import Path
 
 WORDS = ((8, "b(1,2) b(3,5)^-1 b(2,8)"), (8, "b(4,7) b(1,8)^-1 b(5,6)"),
-         (8, "b(2,3)^-1 b(6,8) b(1,4)"), (9, "b(1,9) b(2,5) b(1,9)^-1"))
+         (8, "b(2,3)^-1 b(6,8) b(1,4)"), (9, "b(1,9) b(2,5) b(1,9)^-1"),
+         (3, " ".join(["b(1,2) b(1,3)^-1 b(2,3)"] * 12)))
 
 
 def commands() -> list:
@@ -44,6 +48,10 @@ def commands() -> list:
         out.append(["invariant", "--n", str(n), "--word", word, "--charpoly",
                     "--trace"])
     out.append(["verify", "--n", "5", "--family", "pb_all"])
+    out += [["verify", "--n", "4", "--family", family]
+            for family in ("inverse", "far_comm")]
+    out.append(["verify", "--n", "3", "--family", "pentagon", "--trials",
+                "20"])
     out.append(["fixtures"])
     out += [["invariant", "--trace", f"--word={WORDS[0][1]}", "--n=8",
              "--charpoly"],
