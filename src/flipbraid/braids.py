@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 from .delaunay import DegenerateConfigurationError, build_delaunay
 from .flips import flip_sequence_to_json, loop_product
 from .geometry import Configuration, LabeledPoint
-from .kinetics import (TrajectorySet, UnresolvedEventError,
+from .kinetics import (Trajectory, TrajectorySet, UnresolvedEventError,
                        exact_flip_sequence, extract_flip_sequence)
 from .linalg import Matrix, as_rational, char_poly
 
@@ -309,8 +309,10 @@ def generator_trajectories(setup: CanonicalSetup, letter: BraidLetter,
     if letter.power < 0:
         waypoints = waypoints[::-1]
     steps = len(waypoints) - 1
-    path = [(Fraction(k, steps), waypoints[k]) for k in range(steps + 1)]
-    return TrajectorySet.from_motion(setup.config, {mover: path})
+    # every value is exact already, and the loop rises, so it is not
+    # constant: no coercion, as ``from_motion`` makes, is needed
+    return TrajectorySet(setup.config, (Trajectory(mover, tuple(
+        (Fraction(k, steps), waypoints[k]) for k in range(steps + 1))),))
 
 
 class InvariantResult(NamedTuple):
@@ -362,6 +364,19 @@ def _check_geometry(geometry) -> None:
         raise TypeError(f"geometry must be a LoopGeometry, got {geometry!r}")
 
 
+def _sampling_setting(name: str, value):
+    """``value`` of the sampling setting ``name`` as an exact rational, or
+    None when unset; a value that is not an int, Fraction or 'p/q' string
+    raises ``TypeError`` naming the setting."""
+    if value is None:
+        return None
+    try:
+        return as_rational(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an exact rational, got"
+                        f" {value!r}") from None
+
+
 def letter_flips(setup: CanonicalSetup, letter: BraidLetter,
                  geometry: LoopGeometry = DEFAULT_LOOP, step=None,
                  floor=None) -> tuple:
@@ -370,10 +385,18 @@ def letter_flips(setup: CanonicalSetup, letter: BraidLetter,
     With neither ``step`` nor ``floor`` the exact event engine finds the
     events.  Giving either selects the sampler, ``extract_flip_sequence``,
     which fills in the other's default.  An ``UnresolvedEventError`` names
-    the letter; a ``geometry`` that is not a ``LoopGeometry`` raises
-    ``TypeError``.
+    the letter.  A ``setup`` that is not a ``CanonicalSetup``, a ``letter``
+    that is not a ``BraidLetter``, a ``geometry`` that is not a
+    ``LoopGeometry``, or a ``step`` or ``floor`` that is not an exact
+    rational raises ``TypeError`` naming it.
     """
+    if not isinstance(setup, CanonicalSetup):
+        raise TypeError(f"setup must be a CanonicalSetup, got {setup!r}")
+    if not isinstance(letter, BraidLetter):
+        raise TypeError(f"letter must be a BraidLetter, got {letter!r}")
     _check_geometry(geometry)
+    step = _sampling_setting("step", step)
+    floor = _sampling_setting("floor", floor)
     ts = generator_trajectories(setup, letter, geometry)
     try:
         if step is None and floor is None:
@@ -415,14 +438,15 @@ def invariant(word: BraidWord, geometry: LoopGeometry = DEFAULT_LOOP,
     rows are listed once.  An inverse letter is simulated on the reversed
     loop, not derived from the forward one.  ``step`` and ``floor`` select
     the flip extraction as in ``letter_flips``.  A ``word`` that is not a
-    ``BraidWord``, or a ``geometry`` that is not a ``LoopGeometry``, raises
-    ``TypeError``.
+    ``BraidWord``, a ``geometry`` that is not a ``LoopGeometry``, or a
+    ``step`` or ``floor`` that is not an exact rational raises
+    ``TypeError`` naming it.
     """
     if not isinstance(word, BraidWord):
         raise TypeError(f"word must be a BraidWord, got {word!r}")
     _check_geometry(geometry)
-    step = None if step is None else as_rational(step)
-    floor = None if floor is None else as_rational(floor)
+    step = _sampling_setting("step", step)
+    floor = _sampling_setting("floor", floor)
     basis = tuple(sorted(canonical_setup(word.n).home))
     results = [_letter_result(word.n, letter, geometry, step, floor)
                for letter in word.letters]

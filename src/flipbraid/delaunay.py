@@ -7,10 +7,19 @@ that it cannot.  Construction folds one Bowyer-Watson insertion step,
 which keeps each triangle's circle cofactors, over the points, and
 verification is the local edge test with the exact integer predicates;
 both read ``Configuration.int_positions``.
+
+``flip_shape`` is the one owner of a flip's combinatorics: from its
+(removed, inserted) pairs to its sorted quad, its two removed and two
+inserted triangles and its quadrilateral's canonical cycle, memoized for
+at most ``FLIP_SHAPE_MEMO`` pairs.  ``FlipEvent``, the flip product and
+the flip-log writer all read it; the writer keeps the other memo,
+``flips._entry_texts``, of at most ``flips.ENTRY_MEMO`` formatted entry
+heads.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Optional
@@ -155,6 +164,39 @@ def verify_delaunay(triangles: frozenset, config: Configuration) -> None:
         raise DegenerateConfigurationError(degenerate)
 
 
+FLIP_SHAPE_MEMO = 4096
+
+
+class FlipShape(NamedTuple):
+    """What a flip's pairs alone determine, for (i, k) = ``removed`` and
+    (j, l) = ``inserted``: the four indices ascending, the removed
+    triangles (t_ijk, t_ikl) and the inserted ones (t_ijl, t_jkl), each an
+    ascending triple, and ``cycle``, the least of the eight dihedral orders
+    of the quadrilateral i j k l (with i < k and j < l, it is (i, j, k, l)
+    when i < j, and (j, i, l, k) otherwise)."""
+
+    quad: tuple
+    removed: tuple
+    inserted: tuple
+    cycle: tuple
+
+
+@functools.lru_cache(maxsize=FLIP_SHAPE_MEMO)
+def flip_shape(removed: tuple, inserted: tuple) -> FlipShape:
+    """The ``FlipShape`` of the flip of ``removed`` for ``inserted``, two
+    pairs of int indices: the one place a flip's triangles are worked out,
+    memoized, since a few hundred distinct flips recur over all the
+    letters at one n."""
+    (i, k), (j, l) = removed, inserted
+    a, c = (i, k) if i < k else (k, i)
+    b, d = (j, l) if j < l else (l, j)
+    return FlipShape(
+        tuple(sorted((i, k, j, l))),
+        (tuple(sorted((i, j, k))), tuple(sorted((i, k, l)))),
+        (tuple(sorted((i, j, l))), tuple(sorted((j, k, l)))),
+        (a, b, c, d) if a < b else (b, a, d, c))
+
+
 class _FlipFields(NamedTuple):
     removed: tuple   # pair (i, k)
     inserted: tuple  # pair (j, l)
@@ -163,32 +205,41 @@ class _FlipFields(NamedTuple):
 
 
 class FlipEvent(_FlipFields):
-    """One diagonal exchange: edge {i,k} replaced by {j,l} in quad ijkl.
+    """One diagonal exchange: edge {i,k} replaced by {j,l} in quad ijkl,
+    with the bracket (t_lo, t_hi) of its time, both ends or neither, and
+    t_lo <= t_hi; any other pairs or bracket raise ``ValueError``.
 
     Either order within each pair names the same flip and gives the same
-    matrix; events found by ``diff_flips`` carry sorted pairs.
+    matrix; events found by ``diff_flips`` carry sorted pairs.  The pairs
+    are kept as tuples, and the quad and triangles are read from
+    ``flip_shape``.
     """
 
     __slots__ = ()
 
     def __new__(cls, removed, inserted, t_lo=None, t_hi=None):
+        removed, inserted = tuple(removed), tuple(inserted)
         if (len(removed) != 2 or len(inserted) != 2
                 or len({*removed, *inserted}) != 4):
             raise ValueError(
                 f"flip needs four distinct indices: {removed}, {inserted}")
+        if t_lo is None or t_hi is None:
+            if t_lo is not t_hi:
+                raise ValueError("'t_lo' and 't_hi' must be given together")
+        elif t_lo > t_hi:
+            raise ValueError(f"bracket [{t_lo}, {t_hi}] is not ordered inside"
+                             " [0, 1]: 't_lo' is above 't_hi'")
         return super().__new__(cls, removed, inserted, t_lo, t_hi)
 
     @property
     def quad(self) -> tuple:
-        return tuple(sorted(self.removed + self.inserted))
+        return flip_shape(self.removed, self.inserted).quad
 
     def removed_triangles(self) -> tuple:
-        (i, k), (j, l) = self.removed, self.inserted
-        return tuple(sorted((i, j, k))), tuple(sorted((i, k, l)))
+        return flip_shape(self.removed, self.inserted).removed
 
     def inserted_triangles(self) -> tuple:
-        (i, k), (j, l) = self.removed, self.inserted
-        return tuple(sorted((i, j, l))), tuple(sorted((j, k, l)))
+        return flip_shape(self.removed, self.inserted).inserted
 
     def reversed(self) -> "FlipEvent":
         return FlipEvent(self.inserted, self.removed, self.t_lo, self.t_hi)

@@ -14,11 +14,18 @@ number leaves each ratio of label differences unchanged, so it clears the
 labels' denominators once and works on integer labels.  A flip rewrites
 only the rows of its two exchanged triangles, so the product is kept as one
 integer row over a denominator per triangle.  Each flip is one O(n) pass
-that takes its triangles from the ``FlipEvent`` and puts its two new rows
-over p*lcm(d1, d2), one gcd of the old rows' denominators; a row is
-reduced by its content only once its denominator reaches 2^64.  The rows
-go over one lcm at the end, and the product is put in lowest terms.  The
-pentagon events are built once, and the pentagon's labels are cleared once.
+that reads its triangles from ``delaunay.flip_shape``, the one owner of a
+flip's shape, and puts its two new rows over p*lcm(d1, d2), one gcd of
+the old rows' denominators; a row is reduced by its content only once its
+denominator reaches 2^64.  The rows go over one lcm at the end, and the
+product is put in lowest terms.  The pentagon events are built once, and
+the pentagon's labels are cleared once.
+
+``flip_entry_json`` writes a flip-log entry.  Its indices, quad and gamma
+are formatted once per (pair, indent), in a memo of at most
+``ENTRY_MEMO`` keys, so each event formats only its bracket; its quad
+and gamma come from the other memo, ``delaunay.flip_shape``, of at most
+``FLIP_SHAPE_MEMO`` pairs.
 """
 
 from __future__ import annotations
@@ -28,9 +35,12 @@ import json
 import math
 from fractions import Fraction
 
-from .delaunay import FlipEvent, flip_triangles
+from .delaunay import FlipEvent, flip_shape, flip_triangles
 from .linalg import (_REDUCE_AT, Matrix, _lowest_terms, as_rational,
                      clear_denominators)
+
+
+_GAMMA = "d(%d %d %d %d)"
 
 
 def gamma_generator_name(event: FlipEvent) -> str:
@@ -38,14 +48,10 @@ def gamma_generator_name(event: FlipEvent) -> str:
 
     The eight tuples obtained by the dihedral symmetries of the
     quadrilateral ijkl, with (i, k) = ``removed`` and (j, l) = ``inserted``,
-    name the same generator; the lexicographically least one is the
-    canonical representative.  With i < k and j < l it starts with
-    min(i, j): it is (i, j, k, l) when i < j, and (j, i, l, k) otherwise.
+    name the same generator; the lexicographically least one, the
+    ``cycle`` of ``delaunay.flip_shape``, is the canonical representative.
     """
-    (i, k), (j, l) = event.removed, event.inserted
-    i, k = (i, k) if i < k else (k, i)
-    j, l = (j, l) if j < l else (l, j)
-    return f"d({i} {j} {k} {l})" if i < j else f"d({j} {i} {l} {k})"
+    return _GAMMA % flip_shape(event.removed, event.inserted).cycle
 
 
 class BasisMismatchError(ValueError):
@@ -105,7 +111,7 @@ def sequence_product(events, start_triangles, zeta):
 
     The product is one integer row over a denominator per current
     triangle, keyed by it, so the keys are the triangulation.  Each flip is
-    one pass: its four triangles come from the ``FlipEvent``, it is checked
+    one pass: its four triangles come from ``flip_shape``, it is checked
     to apply against the keys, and the rows r1/d1, r2/d2 of its removed
     triangles become (a*r1/d1 + b*r2/d2) / p and (c*r1/d1 + d*r2/d2) / p,
     the integer block of ``_flip_block``, both over p*lcm(d1, d2), which
@@ -127,8 +133,8 @@ def _integer_product(events, start_triangles, labels):
               for i, t in enumerate(start)}
     gcd = math.gcd
     for event in events:
-        t_ijk, t_ikl = event.removed_triangles()
-        t_ijl, t_jkl = event.inserted_triangles()
+        _, (t_ijk, t_ikl), (t_ijl, t_jkl), _ = flip_shape(event.removed,
+                                                          event.inserted)
         if (t_ijk not in row_of or t_ikl not in row_of or t_ijl in row_of
                 or t_jkl in row_of):
             flip_triangles(row_of, event)  # raises its "does not apply"
@@ -229,19 +235,33 @@ def pentagon_cycle_product(labels) -> Matrix:
 
 # --- flip sequence JSON ------------------------------------------------------
 
+ENTRY_MEMO = 4096
+
+
 def flip_entry_json(event: FlipEvent, indent: str = "\n") -> str:
     """The flip log's entry of ``event``, written as ``json.dumps(entry,
     indent=2)`` writes it at the depth whose newline and indent is
     ``indent``: ``removed``, ``inserted``, ``quad`` and ``gamma``, then
-    ``t_lo`` and ``t_hi`` when both are set.  The one definition of an
-    entry, for integer indices; ``flip_sequence_to_json`` reads it back."""
+    ``t_lo`` and ``t_hi`` when the event has a bracket.  The one definition
+    of an entry, for integer indices; ``flip_sequence_to_json`` reads it
+    back.  Only the bracket is formatted per event: the rest comes from
+    ``_entry_texts``."""
+    removed, inserted, lo, hi = event
+    plain, bracketed = _entry_texts(removed, inserted, indent)
+    # a FlipEvent has both ends of its bracket or neither
+    return plain if lo is None else bracketed % (lo, hi)
+
+
+@functools.lru_cache(maxsize=ENTRY_MEMO)
+def _entry_texts(removed: tuple, inserted: tuple, indent: str) -> tuple:
+    """The entry of the flip of ``removed`` for ``inserted`` at one depth
+    without a bracket, and the %-template of its entry with one: memoized
+    for at most ``ENTRY_MEMO`` (pair, indent) keys, so a flip's indices,
+    quad and gamma are formatted once."""
     plain, bracketed = _entry_templates(indent)
-    (i, k), (j, l), lo, hi = event
-    fields = (i, k, j, l, *sorted((i, k, j, l)),
-              gamma_generator_name(event))
-    if lo is None or hi is None:
-        return plain % fields
-    return bracketed % (*fields, lo, hi)
+    shape = flip_shape(removed, inserted)
+    fields = (*removed, *inserted, *shape.quad, _GAMMA % shape.cycle)
+    return plain % fields, bracketed % (*fields, "%s", "%s")
 
 
 @functools.cache
@@ -269,8 +289,9 @@ def flip_sequence_from_json(data) -> list:
     """The events that ``flip_sequence_to_json`` wrote.
 
     A malformed entry raises ``ValueError`` naming its 1-based position:
-    one whose bracket is half given, reversed or outside [0, 1], or whose
-    ``quad`` or ``gamma`` is not the one its pairs give.
+    one that ``FlipEvent`` refuses (a bracket half given or reversed), one
+    whose bracket is outside [0, 1], or one whose ``quad`` or ``gamma`` is
+    not the one its pairs give.
     """
     if not isinstance(data, (list, tuple)):
         raise ValueError(f"expected a list of flip entries, got {data!r}")
@@ -283,9 +304,8 @@ def flip_sequence_from_json(data) -> list:
                 _index_pair(d, "removed"), _index_pair(d, "inserted"),
                 _time(d, "t_lo"), _time(d, "t_hi"))
             lo, hi = event.t_lo, event.t_hi
-            if (lo is None) != (hi is None):
-                raise ValueError("'t_lo' and 't_hi' must be given together")
-            if lo is not None and not 0 <= lo <= hi <= 1:
+            # FlipEvent refuses a bracket that is half given or reversed
+            if lo is not None and not (0 <= lo and hi <= 1):
                 raise ValueError(f"bracket [{lo}, {hi}] is not ordered"
                                  " inside [0, 1]")
             for key, value in (("quad", list(event.quad)),

@@ -74,10 +74,11 @@ def _inside(p, a, b, c) -> bool:
 
 
 def _segment_meets(a, b, p) -> bool:
-    """True when the closed segment ab meets point p."""
-    return (orient2d(a, b, p) == 0
-            and min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+    """True when the closed segment ab meets point p: p is in the
+    segment's bounding box, which most points are not, and on its line."""
+    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
+            and orient2d(a, b, p) == 0)
 
 
 class _PointFields(NamedTuple):

@@ -12,7 +12,13 @@ come from the circle cofactors that the one Bowyer-Watson insertion step,
 ``delaunay.insert_point``, keeps for each triangle.  The roots lie in
 Q(sqrt(D)), are computed exactly, with integer arithmetic, and are ordered
 by integer keys, each from one isqrt; the brackets are decided on the keys
-of their dyadic ends.  It samples nothing.
+of their dyadic ends.  It samples nothing.  A flip's shape is worked out
+once: a table built once per motion (``_MoverKDS.crossing``) gives each
+crossing its quad, edge and spoke, and the later layers read
+``delaunay.flip_shape``, the one owner of a flip's quad and triangles, a
+memo of at most ``FLIP_SHAPE_MEMO`` pairs, and ``flips._entry_texts``,
+which formats an entry's head once per pair and depth, at most
+``ENTRY_MEMO`` keys.
 
 ``extract_flip_sequence`` samples: configurations are evaluated at exact
 rational sample times, adjacent Delaunay triangulations are diffed, and
@@ -45,7 +51,7 @@ from .delaunay import (DegenerateConfigurationError, FlipEvent, apply_flip,
                        remove_cavity, triangle, verify_delaunay)
 from .geometry import (Configuration, DegenerateCircleError, LabeledPoint,
                        _integer_points, _inside, _segment_meets, incircle)
-from .linalg import as_rational, clear_denominators, require_rational
+from .linalg import as_rational, require_rational
 
 DEFAULT_STEP = Fraction(1, 64)
 DEFAULT_FLOOR = Fraction(1, 2 ** 40)
@@ -573,16 +579,20 @@ class _MoverKDS:
     ``circles`` maps each counterclockwise triangle of DT(P), on the
     integer frame of ``_integer_frame``, to the circle cofactors that the
     insertion step ``delaunay.insert_point`` gives it; ``cavity`` holds
-    those whose circle polynomial is positive at m; ``owner`` maps each
-    directed edge (u, v) of DT(P) to its counterclockwise triangle, so the
-    triangle across (u, v) is ``owner[v, u]``.  On a segment each circle is
-    a quadratic in the segment parameter (``_segment_quadratics``), whose
-    crossings are found by signs (``_crossings``); only they become keyed
-    times.  A segment sorts its crossings by (key, quad), and ``_instants``
-    groups them into instants, comparing exact times only where two keys
-    are equal, as ``_bracket`` does.  Each instant is one entry of
-    ``groups``: a segment's crossings lie in [t0, t1), and one at t1 is the
-    next segment's, so no instant spans two segments.
+    those whose circle polynomial is positive at m.  ``crossing``, built
+    once per motion, maps each triangle T of DT(P) to what a flip at its
+    circle needs: the sorted quad of T and m, and T's three sides, each as
+    (its edge and the spoke from m to T's vertex opposite it, both sorted,
+    and the triangle of DT(P) across the edge, or None on the boundary).
+    So a crossing sorts nothing and looks up no edge.  On a segment each
+    circle is a quadratic in the segment parameter
+    (``_segment_quadratics``), whose crossings are found by signs
+    (``_crossings``); only they become keyed times.  A segment sorts its
+    crossings by (key, quad), and ``_instants`` groups them into instants,
+    comparing exact times only where two keys are equal, as ``_bracket``
+    does.  Each instant is one entry of ``groups``: a segment's crossings
+    lie in [t0, t1), and one at t1 is the next segment's, so no instant
+    spans two segments.
     """
 
     def __init__(self, ts: TrajectorySet, fixed: dict, m0):
@@ -593,8 +603,17 @@ class _MoverKDS:
         self.mover = mover = ts.movers[0]
         self.circles = delaunay_circles(fixed, ts.initial.boundary, [
             index for index in ts.initial.interior if index != mover])
-        self.owner = {(u, v): tri for tri in self.circles
-                      for u, v in zip(tri, tri[1:] + tri[:1])}
+        owner = {}  # directed edge -> its counterclockwise triangle
+        for tri in self.circles:
+            a, b, c = tri
+            owner[a, b] = owner[b, c] = owner[c, a] = tri
+        self.crossing = {}
+        for tri in self.circles:
+            a, b, c = tri
+            self.crossing[tri] = (tuple(sorted((a, b, c, mover))), tuple(
+                [((u, v) if u < v else (v, u),
+                  (mover, w) if mover < w else (w, mover), owner.get((v, u)))
+                 for u, v, w in ((a, b, c), (b, c, a), (c, a, b))]))
         self.cavity = {tri for tri, _, _, c2 in _segment_quadratics(
             self.circles, m0, m0) if c2 > 0}
         verify_delaunay(self.triangles(), ts.initial)
@@ -609,20 +628,22 @@ class _MoverKDS:
         a circle is a degeneracy.  Each instant appends one group, its
         flips in quad order, which is sound only when they pairwise
         far-commute; otherwise ``UnresolvedEventError`` is raised."""
-        mover = self.mover
+        crossing, cavity = self.crossing, self.cavity
         # t0 = a0 / q and t1 - t0 = a1 / q, integers over one denominator q
-        (a0, b1), q = clear_denominators((t0, t1))
+        q = math.lcm(t0.denominator, t1.denominator)
+        a0 = t0.numerator * (q // t0.denominator)
+        b1 = t1.numerator * (q // t1.denominator)
         a1 = b1 - a0
         crossings = []  # (time, quad, triangle)
         for tri, a2, b2, c2 in _segment_quadratics(self.circles, m0, m1):
             if a2 == 0:  # a pause at m0
                 if c2 == 0:
-                    raise DegenerateConfigurationError(tri + (mover,))
+                    raise DegenerateConfigurationError(tri + (self.mover,))
                 continue
-            for v in _crossings(a2, b2, c2, tri in self.cavity):
+            for v in _crossings(a2, b2, c2, tri in cavity):
                 when = _time(2 * a2 * a0 - a1 * b2, v * a1,
                              b2 * b2 - 4 * a2 * c2, 2 * a2 * q)
-                crossings.append((when, tuple(sorted(tri + (mover,))), tri))
+                crossings.append((when, crossing[tri][0], tri))
         # by key, and by quad within one key
         crossings.sort(key=lambda c: (c[0][4], c[1]))
         instants = _instants(crossings)
@@ -648,14 +669,12 @@ class _MoverKDS:
         from the mover to the vertex w of ``tri`` opposite e, and leaving
         exchanges that spoke for e.  Returns the sorted pairs (removed,
         inserted)."""
-        a, b, c = tri
-        shared = [(u, v, w) for u, v, w in ((a, b, c), (b, c, a), (c, a, b))
-                  if self.owner.get((v, u)) in self.cavity]
+        shared = [(edge, spoke) for edge, spoke, across
+                  in self.crossing[tri][1] if across in self.cavity]
         if len(shared) != 1:
             raise AssertionError(f"triangle {tri} shares {len(shared)} edges"
                                  " with the rest of the cavity, not 1")
-        ((u, v, w),) = shared
-        edge, spoke = tuple(sorted((u, v))), tuple(sorted((self.mover, w)))
+        ((edge, spoke),) = shared
         if tri in self.cavity:
             self.cavity.remove(tri)
             return spoke, edge

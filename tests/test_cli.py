@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from conftest import dihedral_least_name
 from flipbraid.cli import _dumps, main
 from flipbraid.delaunay import FlipEvent
-from flipbraid.flips import flip_entry_json, flip_sequence_to_json
+from flipbraid.flips import (_entry_texts, flip_entry_json,
+                             flip_sequence_to_json)
 from flipbraid.linalg import Matrix
 
 
@@ -493,13 +494,12 @@ TIME = st.fractions(min_value=0, max_value=1, max_denominator=2 ** 40)
 @st.composite
 def unsorted_flip_events(draw):
     """A flip on four distinct indices, each pair in either order, with a
-    bracket, with none, or with one end only."""
+    bracket or with none."""
     i, j, k, l = draw(st.lists(st.integers(0, 10 ** 4), min_size=4,
                                max_size=4, unique=True))
-    ends = draw(st.sampled_from(("both", "none", "t_lo", "t_hi")))
-    lo, hi = sorted(draw(st.tuples(TIME, TIME)))
-    return FlipEvent((i, k), (j, l), lo if ends in ("both", "t_lo") else None,
-                     hi if ends in ("both", "t_hi") else None)
+    if draw(st.booleans()):
+        return FlipEvent((i, k), (j, l))
+    return FlipEvent((i, k), (j, l), *sorted(draw(st.tuples(TIME, TIME))))
 
 
 def entry_dict(event):
@@ -516,14 +516,41 @@ def entry_dict(event):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.lists(unsorted_flip_events(), max_size=5), st.integers(0, 4))
 def test_entry_writer_is_json_dumps_of_the_entry(events, depth):
-    """``flip_entry_json`` at any depth, ``_dumps`` of FlipEvents and
-    ``flip_sequence_to_json`` all give the entry built field by field."""
-    indent = "\n" + "  " * depth
+    """``flip_entry_json`` at two depths, ``_dumps`` of FlipEvents and
+    ``flip_sequence_to_json`` all give the entry built field by field.
+
+    From an empty memo, each entry is written once when its (pair, indent)
+    is new, a miss, and once more with the other kind of bracket, a hit:
+    the memo is keyed by the pairs and the indent alone, never by a
+    ``Fraction`` of the bracket.  A bracket half given or reversed is
+    refused."""
+    _entry_texts.cache_clear()
+    seen = set()
+    for indent in ("\n" + "  " * depth, "\n" + "  " * (depth + 1)):
+        for e in events:
+            twin = (FlipEvent(e.removed, e.inserted) if e.t_lo is not None
+                    else FlipEvent(e.removed, e.inserted, 0, Fraction(1, 3)))
+            key = (e.removed, e.inserted, indent)
+            for event, hit in ((e, key in seen), (twin, True)):
+                before = _entry_texts.cache_info()
+                text = flip_entry_json(event, indent)
+                after = _entry_texts.cache_info()
+                assert (after.hits - before.hits,
+                        after.misses - before.misses) == (hit, not hit)
+                assert text == json.dumps(entry_dict(event), indent=2).replace(
+                    "\n", indent)
+                assert json.loads(text) == flip_sequence_to_json([event])[0]
+            seen.add(key)
     for e in events:
-        text = flip_entry_json(e, indent)
-        assert text == json.dumps(entry_dict(e), indent=2).replace(
-            "\n", indent)
-        assert json.loads(text) == flip_sequence_to_json([e])[0]
+        if e.t_lo is None:
+            continue
+        for lo, hi in ((e.t_lo, None), (None, e.t_hi)):
+            with pytest.raises(ValueError, match="'t_lo' and 't_hi' must be"
+                                                 " given together"):
+                FlipEvent(e.removed, e.inserted, lo, hi)
+        if e.t_lo != e.t_hi:
+            with pytest.raises(ValueError, match="'t_lo' is above 't_hi'"):
+                FlipEvent(e.removed, e.inserted, e.t_hi, e.t_lo)
     entries = [entry_dict(e) for e in events]
     assert flip_sequence_to_json(events) == entries
     assert _dumps([events]) == json.dumps([entries], indent=2)

@@ -23,7 +23,8 @@ from flipbraid.delaunay import (DegenerateConfigurationError, _cofactors,
 from flipbraid.flips import sequence_product
 from flipbraid.geometry import (Configuration, LabeledPoint, _lifted_det,
                                 incircle)
-from flipbraid.kinetics import (DEFAULT_STEP, ClearanceError, TrajectorySet,
+from flipbraid.kinetics import (DEFAULT_STEP, ClearanceError, Trajectory,
+                                TrajectorySet,
                                 UnresolvedEventError, _bracket, _compare,
                                 _crossings, _dyadic_time, _floor_root,
                                 _floor_scaled, _format_time, _instants,
@@ -440,9 +441,8 @@ def test_a_crossed_triangle_shares_one_edge_with_the_cavity(shared):
     kds = _MoverKDS(ts, fixed, paths[7][0][1])
     tried = 0
     for tri in sorted(kds.circles):
-        a, b, c = tri
-        neighbours = [kds.owner[v, u] for u, v in ((a, b), (b, c), (c, a))
-                      if (v, u) in kds.owner]
+        neighbours = [across for _, _, across in kds.crossing[tri][1]
+                      if across is not None]
         if len(neighbours) < 2:
             continue
         kds.cavity = set(neighbours[:shared])
@@ -683,6 +683,48 @@ def test_between_flips_the_triangulation_is_the_cavity_fan(loop):
     event("with flips" if events else "without flips")
 
 
+def reversed_motion(ts: TrajectorySet) -> TrajectorySet:
+    """``ts`` run backwards in time, t -> 1 - t."""
+    return TrajectorySet(ts.initial, tuple(
+        Trajectory(tr.index, tuple((1 - t, xy)
+                                   for t, xy in reversed(tr.breakpoints)))
+        for tr in ts.trajectories))
+
+
+def instants(events) -> list:
+    """(bracket, set of (removed, inserted)) per instant, in time order."""
+    out = []
+    for e in events:
+        if not out or out[-1][0] != (e.t_lo, e.t_hi):
+            out.append(((e.t_lo, e.t_hi), set()))
+        out[-1][1].add((e.removed, e.inserted))
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, phases=UNSHRUNK)
+@given(single_mover_loops())
+@example(missed_pair_loop())
+@example(collinear_end_loop())
+def test_reversed_loop_gives_the_reversed_log(loop):
+    """Time reversal on random loops: the engine's log of the loop run
+    backwards is its forward log reversed, each flip reversed and each
+    bracket [a, b] mapped to [1 - b, 1 - a].  Simultaneous far-commuting
+    flips are in quad order in both directions, so each instant's flips
+    are compared as a set.  An oracle for the engine's crossing table
+    that the generator loops alone do not give."""
+    _, ts = loop
+    try:
+        forward = exact_flip_sequence(ts)
+    except (UnresolvedEventError, DegenerateConfigurationError,
+            ClearanceError):
+        assume(False)
+    backward = exact_flip_sequence(reversed_motion(ts))
+    assert instants(backward) == [
+        ((1 - hi, 1 - lo), {(new, old) for old, new in flips})
+        for (lo, hi), flips in reversed(instants(forward))]
+    event("with flips" if forward else "without flips")
+
+
 def test_engine_events_are_pinned():
     """SHA-256 over the reprs of the engine's bracketed events for every
     signed generator at n = 2..9, one letter at a time in the order n, i,
@@ -704,33 +746,48 @@ def test_engine_events_are_pinned():
 
 def test_engine_predicate_budget(monkeypatch, capsys):
     """``simulate`` of the 42 signed generators at n = 7, on a setup built
-    beforehand, makes 882 ``incircle`` and 6,468 ``orient2d`` calls (21
-    and 154 a letter) and logs 1,508 flips.  The predicates are counted at
+    beforehand, makes 882 ``incircle`` and 3,822 ``orient2d`` calls (21
+    and 91 a letter) and logs 1,508 flips.  The predicates are counted at
     every ``flipbraid.*`` attribute bound to them, as the traced benchmark
-    wraps them, so calls from inside ``geometry`` count too."""
-    from flipbraid import cli, geometry
+    wraps them, so calls from inside ``geometry`` count too; a clearance
+    test whose point lies outside a segment's bounding box makes none.
+    The two flip memos, ``delaunay.flip_shape`` and
+    ``flips._entry_texts``, are recorded the same way: their keys hold
+    int pairs and the indent, never a ``Fraction``, and the 1,508 flips
+    are 250 distinct (removed, inserted) pairs."""
+    from flipbraid import cli, delaunay, flips, geometry
 
     canonical_setup(7)
     calls = collections.Counter()
-    for name in ("incircle", "orient2d"):
-        predicate = getattr(geometry, name)
+    keys = collections.defaultdict(set)
+    for name, function in (("incircle", geometry.incircle),
+                           ("orient2d", geometry.orient2d),
+                           ("flip_shape", delaunay.flip_shape),
+                           ("_entry_texts", flips._entry_texts)):
 
-        def counted(*points, name=name, predicate=predicate):
+        def counted(*args, name=name, function=function):
             calls[name] += 1
-            return predicate(*points)
+            keys[name].add(args)
+            return function(*args)
 
         for module_name, module in list(sys.modules.items()):
             if module_name.partition(".")[0] == "flipbraid":
                 for attr, value in list(vars(module).items()):
-                    if value is predicate:
+                    if value is function:
                         monkeypatch.setattr(module, attr, counted)
-    flips = 0
+    logged = 0
     for i, j in itertools.combinations(range(1, 8), 2):
         for word in (f"b({i},{j})", f"b({i},{j})^-1"):
             assert cli.main(["simulate", "--n", "7", "--word", word]) == 0
             (log,) = json.loads(capsys.readouterr().out)
-            flips += len(log)
-    assert (calls["incircle"], calls["orient2d"], flips) == (882, 6468, 1508)
+            logged += len(log)
+    assert (calls["incircle"], calls["orient2d"], logged) == (882, 3822, 1508)
+    pairs = {key[:2] for key in keys["_entry_texts"]}
+    assert len(pairs) == len(keys["_entry_texts"]) == 250
+    assert keys["flip_shape"] <= pairs
+    for removed, inserted, *indent in keys["_entry_texts"]:
+        assert {type(x) for x in (*removed, *inserted)} == {int}
+        assert indent == ["\n    "]
 
 
 BIG = st.integers(-10 ** 6, 10 ** 6)

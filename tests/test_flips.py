@@ -13,8 +13,9 @@ from flipbraid.braids import (BraidLetter, BraidWord, canonical_setup,
 from flipbraid.cli import main
 from flipbraid.delaunay import FlipEvent, apply_flip, build_delaunay
 from flipbraid.fixtures import evaluate_matrix, load_fixture
-from flipbraid.flips import (PENTAGON_FLIPS, PENTAGON_START,
-                             BasisMismatchError, build_flip_matrix,
+from flipbraid.flips import (_PENTAGON_EVENTS, PENTAGON_FLIPS,
+                             PENTAGON_START, BasisMismatchError,
+                             build_flip_matrix,
                              flip_sequence_from_json, flip_sequence_to_json,
                              gamma_generator_name, loop_product,
                              pentagon_cycle_product, sequence_product)
@@ -132,9 +133,21 @@ def test_gamma_names():
     assert gamma_generator_name(FlipEvent((2, 4), (1, 3))) == "d(1 2 3 4)"
 
 
+def defined_shape(event) -> tuple:
+    """(quad, removed triangles, inserted triangles) of a flip by their
+    definitions, with (i, k) = removed and (j, l) = inserted."""
+    (i, k), (j, l) = event.removed, event.inserted
+    return (tuple(sorted((i, j, k, l))),
+            (tuple(sorted((i, j, k))), tuple(sorted((i, k, l)))),
+            (tuple(sorted((i, j, l))), tuple(sorted((j, k, l)))))
+
+
 def test_gamma_name_is_the_least_dihedral_variant():
     """Every flip on every 4-subset of 1..7: three ways to split it into
-    two pairs, either pair removed, each pair in either order."""
+    two pairs, either pair removed, each pair in either order.  Its quad
+    and triangles, which ``flip_shape`` works out once, are those of the
+    definitions too, as for an unsorted flip on larger indices and the
+    pentagon's events."""
     count = 0
     for quad in itertools.combinations(range(1, 8), 4):
         for a, b in ((0, 1), (0, 2), (0, 3)):
@@ -146,8 +159,19 @@ def test_gamma_name_is_the_least_dihedral_variant():
                     event = FlipEvent(r, s)
                     assert gamma_generator_name(event) == \
                         dihedral_least_name(event)
+                    assert (event.quad, event.removed_triangles(),
+                            event.inserted_triangles()) == \
+                        defined_shape(event)
                     count += 1
     assert count == 840
+    unsorted = FlipEvent((5, 2), (9, 3), Fraction(1, 4), Fraction(1, 2))
+    assert (unsorted.quad, unsorted.removed_triangles(),
+            unsorted.inserted_triangles()) == (
+        (2, 3, 5, 9), ((2, 5, 9), (2, 3, 5)), ((3, 5, 9), (2, 3, 9)))
+    assert gamma_generator_name(unsorted) == "d(2 3 5 9)"
+    for event in (unsorted, *_PENTAGON_EVENTS):
+        assert (event.quad, event.removed_triangles(),
+                event.inserted_triangles()) == defined_shape(event)
 
 
 def test_basis_mismatch_errors():
@@ -503,6 +527,12 @@ def test_flip_sequence_json_round_trip():
                        "t_lo": "1/8", "t_hi": "3/16"}
     assert "t_lo" not in data[1]
     assert flip_sequence_from_json(data) == events
+    # FlipEvent owns the bracket rules: both ends or neither, in order
+    with pytest.raises(ValueError, match="'t_lo' and 't_hi' must be given"):
+        FlipEvent((1, 2), (3, 4), Fraction(1, 2))
+    with pytest.raises(ValueError, match=r"bracket \[1, 0\] is not ordered"
+                                         r".*'t_lo' is above 't_hi'"):
+        FlipEvent((1, 2), (3, 4), 1, 0)
 
 
 TIME = st.fractions(min_value=0, max_value=1, max_denominator=2 ** 40)

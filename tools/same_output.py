@@ -14,6 +14,9 @@ tree's ``src`` on ``PYTHONPATH``:
 - ``verify --n 5 --family pb_all``, ``verify --n 4`` of ``inverse`` and
   ``far_comm``, and ``verify --n 3 --family pentagon --trials 20``;
 - ``fixtures``;
+- the sampler path, which builds ``FlipEvent``s and writes their entries
+  too: ``simulate`` at ``--step 1/64`` and at ``--floor 1/4096``, and
+  ``invariant --step 1/32 --charpoly``;
 - the other forms that the command line accepts: ``--flag=value``, flags
   in another order, a unique prefix of a flag (``--fam``) and a repeated
   flag, whose last value wins.
@@ -53,6 +56,11 @@ def commands() -> list:
     out.append(["verify", "--n", "3", "--family", "pentagon", "--trials",
                 "20"])
     out.append(["fixtures"])
+    out += [["simulate", "--n", "4", "--word", "b(1,3) b(2,4)^-1",
+             "--step", "1/64"],
+            ["simulate", "--n", "3", "--word", "b(1,2)", "--floor", "1/4096"],
+            ["invariant", "--n", "4", "--word", "b(1,4) b(2,3)", "--step",
+             "1/32", "--charpoly"]]
     out += [["invariant", "--trace", f"--word={WORDS[0][1]}", "--n=8",
              "--charpoly"],
             ["simulate", "--word", "b(2,7)^-1", "--n=8"],
