@@ -20,7 +20,7 @@ from .flips import flip_sequence_to_json, loop_product
 from .geometry import Configuration, LabeledPoint
 from .kinetics import (Trajectory, TrajectorySet, UnresolvedEventError,
                        exact_flip_sequence, extract_flip_sequence)
-from .linalg import Matrix, as_rational, char_poly
+from .linalg import Matrix, as_rational, char_poly, require_rational
 
 
 class WordSyntaxError(ValueError):
@@ -131,56 +131,37 @@ def word_from_pairs(n: int, pairs) -> BraidWord:
     power that is not an ``int`` raises ``TypeError``."""
     letters = []
     for p in pairs:
-        if len(p) == 2:
-            p = (*p, 1)
-        elif len(p) != 3:
+        if not isinstance(p, (tuple, list)) or len(p) not in (2, 3):
             raise ValueError(f"letter {p!r}: expected (i, j) or"
                              " (i, j, power)")
-        letters.append(BraidLetter(*p))
+        letters.append(BraidLetter(*p, 1) if len(p) == 2 else BraidLetter(*p))
     return BraidWord(n, tuple(letters))
 
 
-class LoopGeometry:
+class _LoopFields(NamedTuple):
+    height: Fraction = Fraction(1)
+    depth: Fraction = Fraction(1, 2)
+    offset: Fraction = Fraction(1, 4)
+
+
+class LoopGeometry(_LoopFields):
     """Shape of a generator loop: rise height, dip depth, lateral offset.
 
-    Frozen, and equal and hashed as its field tuple.  The hash is taken
-    once, when the record is built, because every letter-cache lookup
-    hashes the geometry and a ``Fraction`` hash is slow.
+    Each must be an int or a Fraction (``TypeError`` naming the field
+    otherwise); ``make`` also coerces ``'p/q'`` strings.  Hashed as its
+    field tuple, but the hash is taken once, when the record is built, and
+    kept in the instance dict (no ``__slots__``): every letter-cache
+    lookup hashes the geometry, and a ``Fraction`` hash is slow.
     """
 
-    __slots__ = ("height", "depth", "offset", "_hash")
-
-    def __init__(self, height: Fraction = Fraction(1),
-                 depth: Fraction = Fraction(1, 2),
-                 offset: Fraction = Fraction(1, 4)):
-        fields = (height, depth, offset)
-        for name, value in zip(self.__slots__, fields):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "_hash", hash(fields))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _fields(self) -> tuple:
-        return self.height, self.depth, self.offset
-
-    def __reduce__(self):
-        return LoopGeometry, self._fields()
-
-    def __eq__(self, other):
-        if type(other) is not LoopGeometry:
-            return NotImplemented
-        return self._fields() == other._fields()
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        require_rational("loop", **self._asdict())
+        self._hash = tuple.__hash__(self)
+        return self
 
     def __hash__(self):
         return self._hash
-
-    def __repr__(self):
-        return (f"LoopGeometry(height={self.height!r}, depth={self.depth!r},"
-                f" offset={self.offset!r})")
 
     @staticmethod
     def make(height, depth, offset) -> "LoopGeometry":
@@ -204,12 +185,21 @@ class CanonicalSetup(_SetupFields):
     ``home`` is the Delaunay triangle set of the homes, where every
     letter's loop starts and ends; its triangles are the module basis.
     The constructor builds it, so a configuration that is not in general
-    position raises ``DegenerateConfigurationError``.
+    position raises ``DegenerateConfigurationError``.  An ``n`` that is not
+    an int or a ``config`` that is not a ``Configuration`` raises
+    ``TypeError``, and a ``config`` without n mobile points ``ValueError``.
     """
 
     __slots__ = ()
 
     def __new__(cls, n: int, config: Configuration):
+        if type(n) is not int:
+            raise TypeError(f"strand count n must be int, got {n!r}")
+        if not isinstance(config, Configuration):
+            raise TypeError(f"config must be a Configuration, got {config!r}")
+        if config.n != n:
+            raise ValueError(f"config has {config.n} mobile points, not"
+                             f" n={n}")
         return super().__new__(cls, n, config, build_delaunay(config))
 
     def __getnewargs__(self):
@@ -505,16 +495,60 @@ def _check(report, name, lhs: Matrix, rhs: Matrix):
         name, ok, None if ok else lhs, None if ok else rhs))
 
 
+def relation_words(n: int, family: str) -> list:
+    """The relations that ``family`` checks at n strands, each (names,
+    words): a chain of words, each a tuple of ``word_from_pairs`` entries,
+    whose braids are equal, and one instance name for each neighbouring
+    pair of them; a chain of one word, under one name, is the identity.
+
+    The words are relations of the braids that the loops perform.  Time
+    runs left to right in a word, and in the projection onto the x-axis
+    the strand of larger y is over; so each loop b(i,j) performs A_ij^-1,
+    the inverse of Artin's generator A_ij = sigma_(j-1) ... sigma_(i+1)
+    sigma_i^2 sigma_(i+1)^-1 ... sigma_(j-1)^-1.  The triple and mixed
+    words are those of the pure braid group's presentation in the A_ij
+    read right to left, since u(A) = v(A) exactly when the reversed words
+    agree on the inverses A_ij^-1.
+    """
+    strands = range(1, n + 1)
+    if family == "inverse":
+        return [((f"inverse b({i},{j})",), (((i, j, 1), (i, j, -1)),))
+                for i, j in combinations(strands, 2)]
+    # b(i,j) commutes with b(k,l) when k < l < i < j (disjoint) or
+    # i < k < l < j (nested)
+    commuting = ([("disjoint", (i, j), (k, l))
+                  for k, l, i, j in combinations(strands, 4)]
+                 + [("nested", (i, j), (k, l))
+                    for i, k, l, j in combinations(strands, 4)])
+    chains = [((f"commute[{kind}] b({i},{j}) b({k},{l})",),
+               (((i, j), (k, l)), ((k, l), (i, j))))
+              for kind, (i, j), (k, l) in commuting]
+    if family == "pb_all":
+        for i, j, k in combinations(strands, 3):
+            chains.append(((f"triple({i},{j},{k}) first=second",
+                            f"triple({i},{j},{k}) second=third"),
+                           (((j, k), (i, k), (i, j)),
+                            ((i, k), (i, j), (j, k)),
+                            ((i, j), (j, k), (i, k)))))
+        for i, j, k, l in combinations(strands, 4):
+            chains.append(((f"mixed({i},{j},{k},{l})",),
+                           (((j, k), (i, k), (k, l), (j, l)),
+                            ((j, l), (j, k), (i, k), (k, l)))))
+    return chains
+
+
 def verify_relations(n: int, family: str, seed: int = 0, trials: int = 100,
                      **kw) -> RelationReport:
     """Check a relation family as exact matrix equalities.
 
     Families: 'inverse' (each generator against its reversed loop),
     'far_comm' (commuting generator pairs), 'pentagon' (randomized
-    five-flip cycles), 'pb_all' (the whole presentation: commuting pairs,
-    the three cyclic triple products, and the mixed four-generator
-    relation).  An ``n``, ``seed`` or ``trials`` that is not an ``int``
-    (``bool`` included) raises ``TypeError`` naming it.
+    five-flip cycles), 'pb_all' (the relations of the pure braid group's
+    presentation: commuting pairs, the three cyclic triple products, and
+    the mixed four-generator relation, as ``relation_words`` states them
+    for the braids the loops perform).  An ``n``, ``seed`` or ``trials``
+    that is not an ``int`` (``bool`` included) raises ``TypeError`` naming
+    it.
     """
     if type(n) is not int:
         raise TypeError(f"strand count n must be int, got {n!r}")
@@ -528,15 +562,6 @@ def verify_relations(n: int, family: str, seed: int = 0, trials: int = 100,
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     report = RelationReport(family, n)
-    strands = range(1, n + 1)
-
-    if family == "inverse":
-        for i, j in combinations(strands, 2):
-            mat = _word_matrix(n, [(i, j, 1), (i, j, -1)], **kw)
-            report.instances.append(RelationInstance(
-                f"inverse b({i},{j})", mat.is_identity(),
-                None if mat.is_identity() else mat))
-        return report
 
     if family == "pentagon":
         import random
@@ -555,27 +580,12 @@ def verify_relations(n: int, family: str, seed: int = 0, trials: int = 100,
                 None if product.is_identity() else product))
         return report
 
-    if family in ("far_comm", "pb_all"):
-        # b(i,j) commutes with b(k,l) when k < l < i < j (disjoint) or
-        # i < k < l < j (nested)
-        disjoint = [("disjoint", (i, j), (k, l))
-                    for k, l, i, j in combinations(strands, 4)]
-        nested = [("nested", (i, j), (k, l))
-                  for i, k, l, j in combinations(strands, 4)]
-        for kind, (i, j), (k, l) in disjoint + nested:
-            lhs = _word_matrix(n, [(i, j), (k, l)], **kw)
-            rhs = _word_matrix(n, [(k, l), (i, j)], **kw)
-            _check(report, f"commute[{kind}] b({i},{j}) b({k},{l})", lhs, rhs)
-
-    if family == "pb_all":
-        for i, j, k in combinations(strands, 3):
-            m1 = _word_matrix(n, [(i, j), (i, k), (j, k)], **kw)
-            m2 = _word_matrix(n, [(j, k), (i, j), (i, k)], **kw)
-            m3 = _word_matrix(n, [(i, k), (j, k), (i, j)], **kw)
-            _check(report, f"triple({i},{j},{k}) first=second", m1, m2)
-            _check(report, f"triple({i},{j},{k}) second=third", m2, m3)
-        for i, j, k, l in combinations(strands, 4):
-            lhs = _word_matrix(n, [(j, l), (k, l), (i, k), (j, k)], **kw)
-            rhs = _word_matrix(n, [(k, l), (i, k), (j, k), (j, l)], **kw)
-            _check(report, f"mixed({i},{j},{k},{l})", lhs, rhs)
+    for names, words in relation_words(n, family):
+        mats = [_word_matrix(n, word, **kw) for word in words]
+        if len(mats) == 1:
+            ok = mats[0].is_identity()
+            report.instances.append(RelationInstance(
+                names[0], ok, None if ok else mats[0]))
+        for name, lhs, rhs in zip(names, mats, mats[1:]):
+            _check(report, name, lhs, rhs)
     return report

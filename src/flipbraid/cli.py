@@ -44,9 +44,9 @@ def _dumps(value, indent: str = "\n") -> str:
     for the types of the command payloads: lists, dicts with str keys, str
     and int, with a ``FlipEvent`` standing for its flip-log entry, which
     ``flip_entry_json`` writes.  (``json`` runs its pure-Python encoder
-    whenever an indent is set.)  Any other value is handed to ``json`` with
-    its newlines indented to its depth; ``indent`` is the newline and
-    indent of that depth."""
+    whenever an indent is set.)  No payload holds any other value, which
+    raises ``TypeError``; ``indent`` is the newline and indent of the
+    value's depth."""
     kind = type(value)
     if kind is FlipEvent:
         return flip_entry_json(value, indent)
@@ -66,7 +66,7 @@ def _dumps(value, indent: str = "\n") -> str:
         items = [encode_basestring_ascii(key) + ": " + _dumps(item, inner)
                  for key, item in value.items()]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
-    return json.dumps(value, indent=2).replace("\n", indent)
+    raise TypeError(f"not a command payload value: {value!r}")
 
 
 def _emit(text: str, out_path) -> int:

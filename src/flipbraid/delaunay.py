@@ -8,13 +8,11 @@ which keeps each triangle's circle cofactors, over the points, and
 verification is the local edge test with the exact integer predicates;
 both read ``Configuration.int_positions``.
 
-``flip_shape`` is the one owner of a flip's combinatorics: from its
-(removed, inserted) pairs to its sorted quad, its two removed and two
-inserted triangles and its quadrilateral's canonical cycle, memoized for
-at most ``FLIP_SHAPE_MEMO`` pairs.  ``FlipEvent``, the flip product and
-the flip-log writer all read it; the writer keeps the other memo,
-``flips._entry_texts``, of at most ``flips.ENTRY_MEMO`` formatted entry
-heads.
+``flip_shape`` is the one owner of a flip's combinatorics, a memo of at
+most ``FLIP_SHAPE_MEMO`` (removed, inserted) pairs.  Its plain tuple, a
+flip's sorted quad, its two removed and two inserted triangles and its
+quadrilateral's canonical cycle, is read through ``FlipEvent``: ``quad``,
+``removed_triangles()`` and ``inserted_triangles()``.
 """
 
 from __future__ import annotations
@@ -167,34 +165,23 @@ def verify_delaunay(triangles: frozenset, config: Configuration) -> None:
 FLIP_SHAPE_MEMO = 4096
 
 
-class FlipShape(NamedTuple):
-    """What a flip's pairs alone determine, for (i, k) = ``removed`` and
-    (j, l) = ``inserted``: the four indices ascending, the removed
-    triangles (t_ijk, t_ikl) and the inserted ones (t_ijl, t_jkl), each an
-    ascending triple, and ``cycle``, the least of the eight dihedral orders
-    of the quadrilateral i j k l (with i < k and j < l, it is (i, j, k, l)
-    when i < j, and (j, i, l, k) otherwise)."""
-
-    quad: tuple
-    removed: tuple
-    inserted: tuple
-    cycle: tuple
-
-
 @functools.lru_cache(maxsize=FLIP_SHAPE_MEMO)
-def flip_shape(removed: tuple, inserted: tuple) -> FlipShape:
-    """The ``FlipShape`` of the flip of ``removed`` for ``inserted``, two
-    pairs of int indices: the one place a flip's triangles are worked out,
-    memoized, since a few hundred distinct flips recur over all the
+def flip_shape(removed: tuple, inserted: tuple) -> tuple:
+    """(quad, (t_ijk, t_ikl), (t_ijl, t_jkl), cycle) of the flip of (i, k) =
+    ``removed`` for (j, l) = ``inserted``, two pairs of int indices: the
+    four indices ascending, the removed and the inserted triangles, each
+    ascending, and the least of the eight dihedral orders of the
+    quadrilateral i j k l (with i < k and j < l, (i, j, k, l) when i < j,
+    and (j, i, l, k) otherwise).  The one place a flip's triangles are
+    worked out, memoized: a few hundred distinct flips recur over all the
     letters at one n."""
     (i, k), (j, l) = removed, inserted
     a, c = (i, k) if i < k else (k, i)
     b, d = (j, l) if j < l else (l, j)
-    return FlipShape(
-        tuple(sorted((i, k, j, l))),
-        (tuple(sorted((i, j, k))), tuple(sorted((i, k, l)))),
-        (tuple(sorted((i, j, l))), tuple(sorted((j, k, l)))),
-        (a, b, c, d) if a < b else (b, a, d, c))
+    return (tuple(sorted((i, k, j, l))),
+            (tuple(sorted((i, j, k))), tuple(sorted((i, k, l)))),
+            (tuple(sorted((i, j, l))), tuple(sorted((j, k, l)))),
+            (a, b, c, d) if a < b else (b, a, d, c))
 
 
 class _FlipFields(NamedTuple):
@@ -207,12 +194,15 @@ class _FlipFields(NamedTuple):
 class FlipEvent(_FlipFields):
     """One diagonal exchange: edge {i,k} replaced by {j,l} in quad ijkl,
     with the bracket (t_lo, t_hi) of its time, both ends or neither, and
-    t_lo <= t_hi; any other pairs or bracket raise ``ValueError``.
+    t_lo <= t_hi.  Pairs that are not four distinct indices, or a bracket
+    half given or reversed, raise ``ValueError``; an index that is not an
+    int, or a bracket end that is not an int or a Fraction (a bool is
+    neither), ``TypeError``.
 
     Either order within each pair names the same flip and gives the same
     matrix; events found by ``diff_flips`` carry sorted pairs.  The pairs
-    are kept as tuples, and the quad and triangles are read from
-    ``flip_shape``.
+    are kept as tuples, and ``quad``, ``removed_triangles()`` and
+    ``inserted_triangles()`` read the tuple of ``flip_shape``.
     """
 
     __slots__ = ()
@@ -223,9 +213,18 @@ class FlipEvent(_FlipFields):
                 or len({*removed, *inserted}) != 4):
             raise ValueError(
                 f"flip needs four distinct indices: {removed}, {inserted}")
+        (i, k), (j, l) = removed, inserted
+        if (type(i) is not int or type(k) is not int or type(j) is not int
+                or type(l) is not int):
+            raise TypeError(
+                f"flip indices must be int: {removed}, {inserted}")
         if t_lo is None or t_hi is None:
             if t_lo is not t_hi:
                 raise ValueError("'t_lo' and 't_hi' must be given together")
+        elif (type(t_lo) is not Fraction and type(t_lo) is not int
+              or type(t_hi) is not Fraction and type(t_hi) is not int):
+            raise TypeError(f"bracket [{t_lo!r}, {t_hi!r}]: 't_lo' and"
+                            " 't_hi' must be ints or Fractions")
         elif t_lo > t_hi:
             raise ValueError(f"bracket [{t_lo}, {t_hi}] is not ordered inside"
                              " [0, 1]: 't_lo' is above 't_hi'")
@@ -233,13 +232,13 @@ class FlipEvent(_FlipFields):
 
     @property
     def quad(self) -> tuple:
-        return flip_shape(self.removed, self.inserted).quad
+        return flip_shape(self.removed, self.inserted)[0]
 
     def removed_triangles(self) -> tuple:
-        return flip_shape(self.removed, self.inserted).removed
+        return flip_shape(self.removed, self.inserted)[1]
 
     def inserted_triangles(self) -> tuple:
-        return flip_shape(self.removed, self.inserted).inserted
+        return flip_shape(self.removed, self.inserted)[2]
 
     def reversed(self) -> "FlipEvent":
         return FlipEvent(self.inserted, self.removed, self.t_lo, self.t_hi)
@@ -268,25 +267,23 @@ def diff_flips(before: frozenset, after: frozenset) -> Optional[list]:
         t0 = pool.pop(0)
         match = None
         for t1 in pool:
-            shared = tuple(sorted(set(t0) & set(t1)))
+            shared = set(t0) & set(t1)
             if len(shared) != 2:
                 continue
-            other = tuple(sorted((set(t0) | set(t1)) - set(shared)))
-            if len(other) != 2:
-                continue
-            new_pair = {triangle(other[0], other[1], shared[0]),
-                        triangle(other[0], other[1], shared[1])}
-            if not new_pair <= remaining:
+            # two triangles on one edge span four vertices
+            event = FlipEvent(tuple(sorted(shared)),
+                              tuple(sorted(set(t0) ^ set(t1))))
+            if not remaining.issuperset(event.inserted_triangles()):
                 continue
             if match is not None:
                 return None  # ambiguous pairing
-            match = (t1, shared, other, new_pair)
+            match = (t1, event)
         if match is None:
             return None
-        t1, shared, other, new_pair = match
+        t1, event = match
         pool.remove(t1)
-        remaining -= new_pair
-        events.append(FlipEvent(removed=shared, inserted=other))
+        remaining.difference_update(event.inserted_triangles())
+        events.append(event)
     if remaining:
         return None
     events.sort(key=lambda e: e.quad)

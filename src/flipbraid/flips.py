@@ -14,18 +14,18 @@ number leaves each ratio of label differences unchanged, so it clears the
 labels' denominators once and works on integer labels.  A flip rewrites
 only the rows of its two exchanged triangles, so the product is kept as one
 integer row over a denominator per triangle.  Each flip is one O(n) pass
-that reads its triangles from ``delaunay.flip_shape``, the one owner of a
-flip's shape, and puts its two new rows over p*lcm(d1, d2), one gcd of
-the old rows' denominators; a row is reduced by its content only once its
-denominator reaches 2^64.  The rows go over one lcm at the end, and the
-product is put in lowest terms.  The pentagon events are built once, and
-the pentagon's labels are cleared once.
+that unpacks its triangles from ``delaunay.flip_shape``, the memo whose
+tuple ``FlipEvent`` reads, and puts its two new rows over p*lcm(d1, d2),
+one gcd of the old rows' denominators; a row is reduced by its content
+only once its denominator reaches 2^64.  The rows go over one lcm at the
+end, and the product is put in lowest terms.  The pentagon events are
+built once, and the pentagon's labels are cleared once.
 
 ``flip_entry_json`` writes a flip-log entry.  Its indices, quad and gamma
-are formatted once per (pair, indent), in a memo of at most
-``ENTRY_MEMO`` keys, so each event formats only its bracket; its quad
-and gamma come from the other memo, ``delaunay.flip_shape``, of at most
-``FLIP_SHAPE_MEMO`` pairs.
+are formatted once per (pair, indent), in this module's one memo,
+``_entry_texts``, of at most ``ENTRY_MEMO`` keys, so each event formats
+only its bracket; the quad and gamma are unpacked from the tuple of
+``delaunay.flip_shape``, as ``gamma_generator_name`` unpacks its cycle.
 """
 
 from __future__ import annotations
@@ -48,10 +48,11 @@ def gamma_generator_name(event: FlipEvent) -> str:
 
     The eight tuples obtained by the dihedral symmetries of the
     quadrilateral ijkl, with (i, k) = ``removed`` and (j, l) = ``inserted``,
-    name the same generator; the lexicographically least one, the
-    ``cycle`` of ``delaunay.flip_shape``, is the canonical representative.
+    name the same generator; the lexicographically least one, the cycle
+    of ``delaunay.flip_shape``, is the canonical representative.
     """
-    return _GAMMA % flip_shape(event.removed, event.inserted).cycle
+    *_, cycle = flip_shape(event.removed, event.inserted)
+    return _GAMMA % cycle
 
 
 class BasisMismatchError(ValueError):
@@ -259,8 +260,8 @@ def _entry_texts(removed: tuple, inserted: tuple, indent: str) -> tuple:
     for at most ``ENTRY_MEMO`` (pair, indent) keys, so a flip's indices,
     quad and gamma are formatted once."""
     plain, bracketed = _entry_templates(indent)
-    shape = flip_shape(removed, inserted)
-    fields = (*removed, *inserted, *shape.quad, _GAMMA % shape.cycle)
+    quad, _, _, cycle = flip_shape(removed, inserted)
+    fields = (*removed, *inserted, *quad, _GAMMA % cycle)
     return plain % fields, bracketed % (*fields, "%s", "%s")
 
 

@@ -91,13 +91,16 @@ class _PointFields(NamedTuple):
 class LabeledPoint(_PointFields):
     """A point with its configuration index and rational label.
 
-    Coordinates and label must be ints or Fractions (``TypeError``
-    otherwise); ``make`` also coerces ``'p/q'`` strings."""
+    The index must be an int, and the coordinates and label ints or
+    Fractions (``TypeError`` naming the field otherwise); ``make`` also
+    coerces ``'p/q'`` strings."""
 
     __slots__ = ()
 
     def __new__(cls, index, x, y, zeta):
-        require_rational(x, y, zeta)
+        if type(index) is not int:
+            raise TypeError(f"point index must be int, got {index!r}")
+        require_rational(f"point {index}", x=x, y=y, zeta=zeta)
         return super().__new__(cls, index, x, y, zeta)
 
     @staticmethod
@@ -118,13 +121,27 @@ class _ConfigurationFields(NamedTuple):
 class Configuration(_ConfigurationFields):
     """All n+3 labeled points: 3 fixed triangle vertices plus n mobile ones.
 
-    Construction checks index/label uniqueness and strict containment of the
-    interior points.  General position is not checked here: it may fail
-    mid-motion, and ``build_delaunay`` reports the degeneracy it meets.
-    The instance dict (no ``__slots__``) holds the cached position maps.
+    Construction checks that ``points`` is a tuple of LabeledPoints and
+    ``boundary`` a tuple of ints (``TypeError``), then index and label
+    uniqueness, the three boundary indices and strict containment of the
+    interior points (``ValueError``).  General position is not checked
+    here: it may fail mid-motion, and ``build_delaunay`` reports the
+    degeneracy it meets.  The instance dict (no ``__slots__``) holds the
+    cached position maps.
     """
 
     def __new__(cls, points, boundary):
+        if type(points) is not tuple:
+            raise TypeError(f"points must be a tuple, got {points!r}")
+        for k, p in enumerate(points, start=1):
+            if not isinstance(p, LabeledPoint):
+                raise TypeError(f"point {k} is not a LabeledPoint: {p!r}")
+        if (type(boundary) is not tuple
+                or any(type(b) is not int for b in boundary)):
+            raise TypeError(f"boundary must be a tuple of int indices, got"
+                            f" {boundary!r}")
+        if len(boundary) != 3 or len(set(boundary)) != 3:
+            raise ValueError("boundary must be 3 distinct indices")
         self = super().__new__(cls, points, boundary)
         indices = [p.index for p in self.points]
         if len(set(indices)) != len(indices):
@@ -135,8 +152,6 @@ class Configuration(_ConfigurationFields):
         ints = self.int_positions
         if len(set(ints.values())) != len(self.points):
             raise ValueError("coincident points")
-        if len(self.boundary) != 3 or len(set(self.boundary)) != 3:
-            raise ValueError("boundary must be 3 distinct indices")
         if any(b not in ints for b in self.boundary):
             raise ValueError("boundary indices missing from points")
         a, b, c = (ints[i] for i in self.boundary)

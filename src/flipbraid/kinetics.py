@@ -12,13 +12,12 @@ come from the circle cofactors that the one Bowyer-Watson insertion step,
 ``delaunay.insert_point``, keeps for each triangle.  The roots lie in
 Q(sqrt(D)), are computed exactly, with integer arithmetic, and are ordered
 by integer keys, each from one isqrt; the brackets are decided on the keys
-of their dyadic ends.  It samples nothing.  A flip's shape is worked out
-once: a table built once per motion (``_MoverKDS.crossing``) gives each
-crossing its quad, edge and spoke, and the later layers read
-``delaunay.flip_shape``, the one owner of a flip's quad and triangles, a
-memo of at most ``FLIP_SHAPE_MEMO`` pairs, and ``flips._entry_texts``,
-which formats an entry's head once per pair and depth, at most
-``ENTRY_MEMO`` keys.
+of their dyadic ends, whose ``Fraction``s come from this module's one
+memo, ``_dyadic_fraction``.  It samples nothing.  A table built once per
+motion (``_MoverKDS.crossing``) gives each crossing its quad, edge and
+spoke; each flip leaves the engine as a ``FlipEvent`` of its two pairs,
+through which the later layers read its triangles from the memo
+``delaunay.flip_shape``.
 
 ``extract_flip_sequence`` samples: configurations are evaluated at exact
 rational sample times, adjacent Delaunay triangulations are diffed, and
@@ -73,14 +72,26 @@ class _TrajectoryFields(NamedTuple):
 class Trajectory(_TrajectoryFields):
     """Piecewise-linear path of one point over [0, 1].
 
-    Times and coordinates must be ints or Fractions (``TypeError``
-    otherwise); ``piecewise`` also coerces ``'p/q'`` strings.  The
-    instance dict (no ``__slots__``) holds the cached ``times``."""
+    The index must be an int, ``breakpoints`` a tuple of (time, (x, y))
+    tuples, and the times and coordinates ints or Fractions (``TypeError``
+    or ``ValueError`` naming the field otherwise); ``piecewise`` also
+    coerces ``'p/q'`` strings.  The instance dict (no ``__slots__``) holds
+    the cached ``times``."""
 
     def __new__(cls, index, breakpoints):
+        if type(index) is not int:
+            raise TypeError(f"trajectory index must be int, got {index!r}")
+        if type(breakpoints) is not tuple:
+            raise TypeError(f"breakpoints must be a tuple, got"
+                            f" {breakpoints!r}")
         self = super().__new__(cls, index, breakpoints)
-        for t, (x, y) in self.breakpoints:
-            require_rational(t, x, y)
+        for k, bp in enumerate(breakpoints, start=1):
+            if not (type(bp) is tuple and len(bp) == 2
+                    and type(bp[1]) is tuple and len(bp[1]) == 2):
+                raise ValueError(f"breakpoint {k} is not (time, (x, y)):"
+                                 f" {bp!r}")
+            t, (x, y) = bp
+            require_rational(f"breakpoint {k}", time=t, x=x, y=y)
         times = self.times
         if not times or times[0] != 0 or times[-1] != 1:
             raise ValueError("breakpoints must start at 0 and end at 1")
@@ -130,6 +141,15 @@ class TrajectorySet(_TrajectorySetFields):
     __slots__ = ()
 
     def __new__(cls, initial, trajectories):
+        if not isinstance(initial, Configuration):
+            raise TypeError(f"initial must be a Configuration, got"
+                            f" {initial!r}")
+        if type(trajectories) is not tuple:
+            raise TypeError(f"trajectories must be a tuple, got"
+                            f" {trajectories!r}")
+        for k, tr in enumerate(trajectories, start=1):
+            if not isinstance(tr, Trajectory):
+                raise TypeError(f"trajectory {k} is not a Trajectory: {tr!r}")
         self = super().__new__(cls, initial, trajectories)
         if list(self.movers) != sorted(set(self.movers)):
             raise ValueError("trajectories must be sorted by distinct index")

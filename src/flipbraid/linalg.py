@@ -41,13 +41,15 @@ def as_rational(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-def require_rational(*values) -> None:
-    """``TypeError``, as from ``as_rational``, unless every value is an
-    int or a Fraction: the check of a constructor that does not coerce,
-    such as ``LabeledPoint(...)``."""
-    for value in values:
+def require_rational(where: str, **fields) -> None:
+    """``TypeError``, as from ``as_rational``, naming ``where`` and the
+    field, unless every value of ``fields`` is an int or a Fraction: the
+    check of a constructor that does not coerce, such as
+    ``LabeledPoint(...)``."""
+    for name, value in fields.items():
         if not isinstance(value, (int, Fraction)):
-            raise TypeError(f"not an exact rational: {value!r}")
+            raise TypeError(f"{where} {name} is not an exact rational:"
+                            f" {value!r}")
 
 
 def clear_denominators(values) -> tuple:

@@ -156,3 +156,58 @@ def dihedral_least_name(event):
     variants = [(i, j, k, l), (k, j, i, l), (i, l, k, j), (k, l, i, j),
                 (j, k, l, i), (j, i, l, k), (l, k, j, i), (l, i, j, k)]
     return "d({} {} {} {})".format(*min(variants))
+
+
+# --- free groups and Artin's action ----------------------------------------
+# A word of the free group F_n on x_1 .. x_n is a tuple of nonzero ints,
+# k for x_k and -k for its inverse.
+
+def free_reduce(word) -> tuple:
+    """``word`` with every adjacent pair x x^-1 cancelled."""
+    out = []
+    for letter in word:
+        if out and out[-1] == -letter:
+            out.pop()
+        else:
+            out.append(letter)
+    return tuple(out)
+
+
+def free_inverse(word) -> tuple:
+    return tuple(-letter for letter in reversed(word))
+
+
+def artin_images(k: int, power: int) -> dict:
+    """Artin's action of sigma_k^power on the generators it moves:
+    sigma_k sends x_k to x_k x_(k+1) x_k^-1 and x_(k+1) to x_k, and its
+    inverse sends x_k to x_(k+1) and x_(k+1) to x_(k+1)^-1 x_k x_(k+1)."""
+    if power == 1:
+        return {k: (k, k + 1, -k), k + 1: (k,)}
+    return {k: (k + 1,), k + 1: (-(k + 1), k, k + 1)}
+
+
+def braid_action(sigmas, n: int) -> tuple:
+    """The images of x_1 .. x_n, freely reduced, under the braid whose
+    sigma word is ``sigmas``, a sequence of (k, +-1) applied left to right.
+    Artin's action is faithful, so two braids are equal exactly when their
+    images are."""
+    images = [(x,) for x in range(1, n + 1)]
+    for k, power in sigmas:
+        moved = artin_images(k, power)
+
+        def substitute(letter):
+            image = moved.get(abs(letter), (abs(letter),))
+            return image if letter > 0 else free_inverse(image)
+
+        images = [free_reduce([y for x in image for y in substitute(x)])
+                  for image in images]
+    return tuple(images)
+
+
+def artin_generator(i: int, j: int, power: int) -> list:
+    """Artin's pure braid generator A_ij = sigma_(j-1) ... sigma_(i+1)
+    sigma_i^2 sigma_(i+1)^-1 ... sigma_(j-1)^-1, or its inverse, as a
+    sigma word."""
+    conjugator = [(k, 1) for k in range(j - 1, i, -1)]
+    core = [(i, power)] * 2
+    return conjugator + core + [(k, -p) for k, p in reversed(conjugator)]

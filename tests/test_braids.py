@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import validate_general_position, winding_number
+from conftest import (artin_generator, braid_action,
+                      validate_general_position, winding_number)
 from flipbraid.braids import (BraidLetter, BraidWord, CanonicalSetup,
                               LoopGeometry, WordSyntaxError, canonical_setup,
                               generator_trajectories, invariant, letter_flips,
-                              parse_word, verify_relations, word_from_pairs)
+                              parse_word, relation_words, verify_relations,
+                              word_from_pairs)
 from flipbraid.delaunay import DegenerateConfigurationError, build_delaunay
 from flipbraid.geometry import Configuration, LabeledPoint
 from flipbraid.kinetics import ClearanceError, configuration_at
@@ -401,6 +403,30 @@ def test_verify_far_comm_n4():
 def test_verify_pentagon_family():
     report = verify_relations(3, "pentagon", seed=11, trials=12)
     assert report.ok and len(report.instances) == 12
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+@pytest.mark.parametrize("family", ["inverse", "far_comm", "pb_all"])
+def test_relations_hold_for_the_braids_the_loops_perform(family, n):
+    """Each loop b(i,j) performs A_ij^-1, Artin's generator inverted (time
+    runs left to right, and the strand of larger y is over), so each
+    relation that ``verify_relations`` checks is an identity of the
+    A_ij^-1: its words act alike on the free group, faithfully, and a word
+    alone acts as the identity.  A test of the words, not of the
+    matrices, which are abelian and cannot tell."""
+    def performed(word):
+        sigmas = []
+        for i, j, *power in word:
+            sigmas += artin_generator(i, j, -power[0] if power else -1)
+        return braid_action(sigmas, n)
+
+    chains = relation_words(n, family)
+    assert chains or (family, n) == ("far_comm", 3)
+    for names, words in chains:
+        actions = {performed(word) for word in words}
+        if len(words) == 1:
+            actions.add(braid_action([], n))
+        assert len(actions) == 1, names
 
 
 def test_verify_pb_all_n3():

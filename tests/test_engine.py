@@ -317,6 +317,30 @@ def test_simultaneous_events_in_quad_order_among_more_points():
     assert flips(events) == flips(extract_flip_sequence(ts))
 
 
+def test_simultaneous_flips_in_sorted_quad_order():
+    """Point 7 passes X at t = 1/2, a rational point where the circles of
+    the DT(P) triangles on {1, 3, 5} and {2, 3, 6} cross: it leaves the
+    one as it enters the other, two flips at one instant whose quads share
+    points 3 and 7.  The quads are (1, 3, 5, 7) and (2, 3, 6, 7) sorted,
+    and in the counterclockwise order of the triangles, with the mover
+    last, they would come out the other way round; the sampler, which
+    brackets the pair by its floor cell, orders them as sorted too."""
+    homes = [(-40, -30), (40, -30), (0, 40), (6, 5), (-8, -1), (7, 3),
+             (8, 6)]
+    config = Configuration(tuple(LabeledPoint.make(k, x, y, k) for k, (x, y)
+                                 in enumerate(homes, start=1)), (1, 2, 3))
+    x = (F(139292456, 534548271), F(13905483422, 534548271))
+    y = (F(-894980972, 534548271), F(16580031871, 534548271))
+    ts = TrajectorySet.from_motion(
+        config, {7: [(0, (8, 6)), (F(1, 2), x), (1, y)]})
+    events = exact_flip_sequence(ts)
+    assert flips(events) == [((3, 4), (5, 7)), ((3, 5), (1, 7)),
+                             ((2, 7), (3, 6)), ((6, 7), (3, 4))]
+    assert [(e.t_lo, e.t_hi) for e in events[1:3]] == [(F(31, 64),
+                                                         F(33, 64))] * 2
+    assert flips(events) == flips(extract_flip_sequence(ts))
+
+
 def test_simultaneous_overlapping_events_unresolved():
     """Points 4..7 lie on the circle x^2 + y^2 = 25; the mover 9 leaves
     its disk, so at that instant five points are cocircular and the flips

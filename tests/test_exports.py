@@ -44,7 +44,7 @@ def test_internal_names_stay_in_their_modules():
 def test_retired_flip_records_are_gone():
     from flipbraid import delaunay, flips
 
-    for name in ("FlipRoles", "FlipMatrix", "reverse_roles",
+    for name in ("FlipRoles", "FlipMatrix", "FlipShape", "reverse_roles",
                  "pentagon_cycle", "Triangulation", "ordered_basis"):
         assert name not in flipbraid.__all__
         assert not hasattr(flipbraid, name)
